@@ -17,7 +17,8 @@ from .engine import (
     SwitchEvent,
     UnexplainedEvent,
     disaggregate,
-    disaggregate_beam,
+    # Unused here, but perfbench/spans.py wraps disagg.cli.disaggregate_beam.
+    disaggregate_beam,  # noqa: F401
     result_to_dict,
 )
 from .errors import ValidationError
@@ -128,11 +129,7 @@ def _params_from_args(args) -> EngineParams:
 def _cmd_disaggregate(args) -> int:
     library = load_library(args.library)
     y_m = read_signal_csv(args.input)
-    params = _params_from_args(args)
-    if params.beam_width > 1:
-        result = disaggregate_beam(y_m, library, params)
-    else:
-        result = disaggregate(y_m, library, params)
+    result = disaggregate(y_m, library, _params_from_args(args))
     save_result(result, args.out)
     print(
         f"{len(result.events)} events, residual rms {result.residual_rms:.6g} "

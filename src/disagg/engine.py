@@ -69,17 +69,12 @@ class EngineParams:
             raise ValidationError("beam_width must be >= 1")
 
 
-class ChangeSignal(NamedTuple):
-    kind: str  # "increase" | "decrease"
-    k_star: int
-
-
 class FitResult(NamedTuple):
     level: float
     sse: float
 
 
-class Candidate(NamedTuple):
+class _Candidate(NamedTuple):
     """On-event candidate; tuple order is the selection tie-break order."""
 
     sse: float
@@ -104,36 +99,6 @@ class UnexplainedEvent:
     k: int
     kind: str
     magnitude: float
-
-
-@dataclass(frozen=True)
-class DeviceState:
-    on: bool = False
-    level: float = 0.0
-    since: int = 0
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A full assignment of device statuses with its event history."""
-
-    states: tuple[DeviceState, ...]
-    state_vectors: tuple[np.ndarray, ...] = ()
-    event_log: tuple[SwitchEvent, ...] = ()
-    cumulative_sse: float = 0.0
-
-    def __post_init__(self):
-        times = [e.k for e in self.event_log]
-        if len(set(times)) != len(times):
-            raise ValidationError("two events share a time index")
-        per_device: dict[int, str] = {}
-        for e in sorted(self.event_log, key=lambda ev: ev.k):
-            prev = per_device.get(e.device)
-            if prev == e.kind or (prev is None and e.kind == "off"):
-                raise ValidationError(
-                    f"device {e.device} events do not alternate on/off"
-                )
-            per_device[e.device] = e.kind
 
 
 @dataclass(frozen=True)
@@ -173,44 +138,6 @@ def resolve_threshold(y_m: SignalSeries, params: EngineParams) -> float:
     return max(NOISE_THRESHOLD_MULTIPLE * estimate_noise_std(y_m), floor)
 
 
-def _scan_change(
-    resid: np.ndarray, p: int, threshold: float, persistence: int
-) -> tuple[str, int] | None:
-    """Run detection on a residual array ending at position p."""
-    if p - persistence + 1 < 0:
-        return None
-    for j in range(p - persistence + 1, p + 1):
-        if abs(resid[j]) <= threshold:
-            return None
-    ks = p - persistence + 1
-    while ks > 0 and abs(resid[ks - 1]) > threshold:
-        ks -= 1
-    kind = "increase" if resid[ks] > 0 else "decrease"
-    return (kind, ks)
-
-
-def detect_change(
-    y_m: SignalSeries, y_hat: SignalSeries, k: int, params: EngineParams
-) -> ChangeSignal | None:
-    """Report a persistent deviation of the measurement from its prediction.
-
-    Returns None unless every one of the last `persistence` samples up to
-    k deviates by more than the threshold; otherwise the change kind is
-    the residual sign and k_star the first index of the violating run.
-    """
-    lo = max(y_m.start_index, y_hat.start_index)
-    hi = min(y_m.end_index, y_hat.end_index)
-    if not lo <= k < hi:
-        raise ValidationError(f"index k={k} outside the shared range [{lo}, {hi})")
-    threshold = resolve_threshold(y_m, params)
-    resid = y_m.window(lo, k) - y_hat.window(lo, k)
-    hit = _scan_change(resid, len(resid) - 1, threshold, params.persistence)
-    if hit is None:
-        return None
-    kind, ks = hit
-    return ChangeSignal(kind, lo + ks)
-
-
 def fit_on_event(e: SignalSeries, model: DeviceModel, k_prime: int) -> FitResult:
     """Best constant input level explaining a deviation window.
 
@@ -230,145 +157,29 @@ def fit_on_event(e: SignalSeries, model: DeviceModel, k_prime: int) -> FitResult
         raise ValidationError(
             f"model '{model.name}' unstable (radius {check.spectral_radius:.6g})"
         )
-    g = unit_step_values(model, len(e))
-    gg = float(g @ g)
-    if gg == 0.0:
+    fit = _project(unit_step_values(model, len(e)), e.values)
+    if fit is None:
         raise DegenerateFitError(
             f"model '{model.name}' step response is zero over {len(e)} samples"
         )
-    level = float(g @ e.values) / gg
-    diff = e.values - level * g
-    return FitResult(level=level, sse=float(diff @ diff))
+    return fit
 
 
-def _survivors(
-    y: np.ndarray,
-    y_hat: np.ndarray,
-    base_k: int,
-    ks_pos: int,
-    params: EngineParams,
-    models: list[DeviceModel],
-    gains: list[float],
-    g_table: list[np.ndarray],
-    on_flags: list[bool],
-    used_ks: set[int],
-    last_event_k: list[int],
-) -> list[Candidate]:
-    """All filtered on-event candidates, best first.
-
-    Arrays are position-indexed; base_k maps position 0 to an absolute
-    index.  Filters: nonnegative level above min_level, max_input, the
-    max-output prior on the predicted steady draw, no collision with an
-    already-logged event time, and no rewind past the device's own last
-    switch.
-    """
-    k_end = min(ks_pos + params.lookahead, len(y) - 1)
-    k_lo = max(0, ks_pos - params.backtrack_window)
-    out: list[Candidate] = []
-    for dev, model in enumerate(models):
-        if on_flags[dev]:
-            continue
-        g_full = g_table[dev]
-        for kp in range(k_lo, ks_pos + 1):
-            k_abs = base_k + kp
-            if k_abs in used_ks or k_abs <= last_event_k[dev]:
-                continue
-            wlen = k_end - kp + 1
-            g = g_full[:wlen]
-            gg = float(g @ g)
-            if gg == 0.0:
-                continue
-            e = y[kp : k_end + 1] - y_hat[kp : k_end + 1]
-            level = float(g @ e) / gg
-            if level <= 0.0 or level < params.min_level:
-                continue
-            if model.max_input is not None and level > model.max_input:
-                continue
-            if model.max_output is not None and gains[dev] * level > model.max_output:
-                continue
-            diff = e - level * g
-            out.append(Candidate(float(diff @ diff), k_abs, dev, level))
-    out.sort()
-    return out
-
-
-def select_on_candidate(
-    y_m: SignalSeries,
-    y_hat: SignalSeries,
-    k_star: int,
-    config: Configuration,
-    library: list[DeviceModel],
-    params: EngineParams,
-) -> Candidate | None:
-    """Pick the (device, start time, level) best explaining an increase.
-
-    Evaluates every off device against every start time in the backtrack
-    window, applies the level and max-output filters, and returns the
-    minimum-sse survivor (ties: earlier start, then lower device index).
-    Returns None when nothing survives.
-    """
-    if len(config.states) != len(library):
-        raise ValidationError(
-            f"configuration has {len(config.states)} devices, library {len(library)}"
-        )
-    lo = max(y_m.start_index, y_hat.start_index)
-    hi = min(y_m.end_index, y_hat.end_index)
-    if not lo <= k_star < hi:
-        raise ValidationError(f"k_star={k_star} outside the shared range")
-    y = y_m.window(lo, hi - 1)
-    yh = y_hat.window(lo, hi - 1)
-    max_window = params.lookahead + params.backtrack_window + 1
-    g_table = [unit_step_values(m, min(max_window, len(y))) for m in library]
-    gains = [dc_gain(m) for m in library]
-    last_event_k = [lo - 1] * len(library)
-    for ev in config.event_log:
-        last_event_k[ev.device] = max(last_event_k[ev.device], ev.k)
-    cands = _survivors(
-        y,
-        yh,
-        base_k=lo,
-        ks_pos=k_star - lo,
-        params=params,
-        models=list(library),
-        gains=gains,
-        g_table=g_table,
-        on_flags=[s.on for s in config.states],
-        used_ks={ev.k for ev in config.event_log},
-        last_event_k=last_event_k,
-    )
-    return cands[0] if cands else None
-
-
-def attribute_off_event(
-    config: Configuration,
-    drop: float,
-    k_star: int,
-    library: list[DeviceModel],
-    params: EngineParams,
-) -> int | None:
-    """Pick the on device whose steady contribution is nearest the drop.
-
-    Devices on for at least min_on_duration samples are preferred; if
-    none qualify, all on devices are considered.  Ties go to the lower
-    device index.  Returns None when no device is on.
-    """
-    on_devs = [i for i, s in enumerate(config.states) if s.on]
-    if not on_devs:
+def _project(g: np.ndarray, e: np.ndarray) -> FitResult | None:
+    """Least-squares level of e along the step template g, or None if g is zero."""
+    gg = float(g @ g)
+    if gg == 0.0:
         return None
-    eligible = [
-        i for i in on_devs if k_star - config.states[i].since >= params.min_on_duration
-    ]
-    if not eligible:
-        eligible = on_devs
-    contribution = {i: dc_gain(library[i]) * config.states[i].level for i in eligible}
-    return min(eligible, key=lambda i: (abs(contribution[i] - abs(drop)), i))
+    level = float(g @ e) / gg
+    diff = e - level * g
+    return FitResult(level, float(diff @ diff))
 
 
 class _Hypothesis:
     """One configuration tracked by the engine, with its full trajectory."""
 
     __slots__ = (
-        "on", "levels", "since", "last_event_k", "x_traj", "y_dev", "y_hat",
+        "on", "levels", "last_event_k", "x_traj", "y_dev", "y_hat",
         "events", "unexplained", "suppressed",
     )
 
@@ -376,7 +187,6 @@ class _Hypothesis:
         D = len(models)
         self.on = [False] * D
         self.levels = [0.0] * D
-        self.since = [start] * D
         self.last_event_k = [start - 1] * D
         self.x_traj = [np.zeros((T + 1, m.order)) for m in models]
         self.y_dev = np.zeros((D, T))
@@ -389,7 +199,6 @@ class _Hypothesis:
         new = object.__new__(_Hypothesis)
         new.on = list(self.on)
         new.levels = list(self.levels)
-        new.since = list(self.since)
         new.last_event_k = list(self.last_event_k)
         new.x_traj = [x.copy() for x in self.x_traj]
         new.y_dev = self.y_dev.copy()
@@ -411,7 +220,6 @@ class _Engine:
         y_m: SignalSeries,
         library: list[DeviceModel],
         params: EngineParams,
-        beam_width: int,
     ):
         if not library:
             raise ValidationError("device library is empty")
@@ -422,6 +230,11 @@ class _Engine:
         if len(y_m) <= needed:
             raise ValidationError(
                 f"signal length {len(y_m)} must exceed lookahead + backtrack = {needed}"
+            )
+        bad = np.flatnonzero(~np.isfinite(y_m.values))
+        if bad.size:
+            raise ValidationError(
+                f"non-finite sample at k={y_m.start_index + int(bad[0])}"
             )
         for m in library:
             check = is_stable(m)
@@ -436,7 +249,6 @@ class _Engine:
         self.T = len(self.y)
         self.models = list(library)
         self.params = params
-        self.beam_width = beam_width
         self.threshold = resolve_threshold(y_m, params)
         self.sparsity_penalty = self.threshold**2 * params.lookahead
         max_window = min(self.T, params.lookahead + params.backtrack_window + 1)
@@ -460,11 +272,10 @@ class _Engine:
             traj[j + 1] = x
         hyp.y_hat[from_pos:] = hyp.y_dev[:, from_pos:].sum(axis=0)
 
-    def _apply_on(self, hyp: _Hypothesis, cand: Candidate):
+    def _apply_on(self, hyp: _Hypothesis, cand: _Candidate):
         dev = cand.device
         hyp.on[dev] = True
         hyp.levels[dev] = cand.level
-        hyp.since[dev] = cand.k_prime
         hyp.last_event_k[dev] = cand.k_prime
         hyp.events.append(SwitchEvent(cand.k_prime, dev, "on", cand.level))
         self._replay_device(hyp, dev, cand.k_prime - self.start, reset=False)
@@ -473,12 +284,18 @@ class _Engine:
         k_abs = self.start + ks_pos
         hyp.on[dev] = False
         hyp.levels[dev] = 0.0
-        hyp.since[dev] = k_abs
         hyp.last_event_k[dev] = k_abs
         hyp.events.append(SwitchEvent(k_abs, dev, "off", 0.0))
         self._replay_device(hyp, dev, ks_pos, reset=self.models[dev].instant_off)
 
     def _detect(self, hyp: _Hypothesis, p: int) -> tuple[str, int] | None:
+        """A persistent deviation of the measurement from hyp's prediction at p.
+
+        None unless each of the last `persistence` samples up to p deviates
+        by more than the threshold (and the hypothesis is not suppressed
+        after an unexplained change); otherwise the residual sign and the
+        first position of the violating run.
+        """
         thr = self.threshold
         if abs(self.y[p] - hyp.y_hat[p]) <= thr:
             hyp.suppressed = False
@@ -497,31 +314,63 @@ class _Engine:
         kind = "increase" if (self.y[ks] - hyp.y_hat[ks]) > 0 else "decrease"
         return (kind, ks)
 
-    def _on_candidates(self, hyp: _Hypothesis, ks_pos: int) -> list[Candidate]:
-        return _survivors(
-            self.y,
-            hyp.y_hat,
-            base_k=self.start,
-            ks_pos=ks_pos,
-            params=self.params,
-            models=self.models,
-            gains=self.gains,
-            g_table=self.g_table,
-            on_flags=hyp.on,
-            used_ks=hyp.event_times(),
-            last_event_k=hyp.last_event_k,
-        )
+    def _on_candidates(self, hyp: _Hypothesis, ks_pos: int) -> list[_Candidate]:
+        """All filtered on-event candidates for an increase at ks_pos, best first.
+
+        Every off device is crossed with every start time in the backtrack
+        window and fit over the lookahead window.  Filters: nonnegative
+        level above min_level, max_input, the max-output prior on the
+        predicted steady draw, no collision with an already-logged event
+        time, and no rewind past the device's own last switch.
+        """
+        params = self.params
+        k_end = min(ks_pos + params.lookahead, self.T - 1)
+        k_lo = max(0, ks_pos - params.backtrack_window)
+        used_ks = hyp.event_times()
+        out: list[_Candidate] = []
+        for dev, model in enumerate(self.models):
+            if hyp.on[dev]:
+                continue
+            for kp in range(k_lo, ks_pos + 1):
+                k_abs = self.start + kp
+                if k_abs in used_ks or k_abs <= hyp.last_event_k[dev]:
+                    continue
+                e = self.y[kp : k_end + 1] - hyp.y_hat[kp : k_end + 1]
+                fit = _project(self.g_table[dev][: k_end - kp + 1], e)
+                if fit is None:
+                    continue
+                level = fit.level
+                if level <= 0.0 or level < params.min_level:
+                    continue
+                if model.max_input is not None and level > model.max_input:
+                    continue
+                if (
+                    model.max_output is not None
+                    and self.gains[dev] * level > model.max_output
+                ):
+                    continue
+                out.append(_Candidate(fit.sse, k_abs, dev, level))
+        out.sort()
+        return out
 
     def _off_device(self, hyp: _Hypothesis, ks_pos: int, p: int) -> int | None:
-        on_devs = [i for i in range(len(self.models)) if hyp.on[i]]
-        if not on_devs:
-            return None
+        """The on device whose steady contribution is nearest the drop at p.
+
+        Only devices whose last switch precedes the off time qualify.
+        Devices on for at least min_on_duration samples are preferred;
+        ties go to the lower device index.  None when nothing qualifies.
+        """
         k_abs = self.start + ks_pos
         if k_abs in hyp.event_times():
             return None
+        on_devs = [
+            i for i, on in enumerate(hyp.on) if on and hyp.last_event_k[i] < k_abs
+        ]
+        if not on_devs:
+            return None
         eligible = [
             i for i in on_devs
-            if k_abs - hyp.since[i] >= self.params.min_on_duration
+            if k_abs - hyp.last_event_k[i] >= self.params.min_on_duration
         ]
         if not eligible:
             eligible = on_devs
@@ -566,7 +415,7 @@ class _Engine:
                         hyp.suppressed = True
                         next_pool.append(hyp)
                         continue
-                    take = cands[: self.beam_width]
+                    take = cands[: self.params.beam_width]
                     clones = [hyp.clone() for _ in take[1:]]
                     self._apply_on(hyp, take[0])
                     next_pool.append(hyp)
@@ -588,9 +437,9 @@ class _Engine:
                         self._apply_off(hyp, dev, ks_pos)
                     next_pool.append(hyp)
             pool = next_pool
-            if len(pool) > self.beam_width:
+            if len(pool) > self.params.beam_width:
                 pool.sort(key=lambda h: self._rank_key(h, p))
-                pool = pool[: self.beam_width]
+                pool = pool[: self.params.beam_width]
         best = min(pool, key=lambda h: self._rank_key(h, self.T - 1))
         return self._build_result(best)
 
@@ -608,11 +457,7 @@ class _Engine:
         total = SignalSeries(total_values, self.period, self.start)
         resid = self.y - total.values
         rms = float(np.sqrt(np.mean(resid**2))) if self.T else 0.0
-        recorded = replace(
-            self.params,
-            deviation_threshold=self.threshold,
-            beam_width=self.beam_width,
-        )
+        recorded = replace(self.params, deviation_threshold=self.threshold)
         return DisaggregationResult(
             device_names=tuple(m.name for m in self.models),
             estimates=estimates,
@@ -628,21 +473,18 @@ class _Engine:
 def disaggregate(
     y_m: SignalSeries, library: list[DeviceModel], params: EngineParams = EngineParams()
 ) -> DisaggregationResult:
-    """Greedy single-hypothesis disaggregation of an aggregate signal."""
-    return _Engine(y_m, library, params, beam_width=1).run()
+    """Recover per-device switch schedules from an aggregate signal.
 
-
-def disaggregate_beam(
-    y_m: SignalSeries, library: list[DeviceModel], params: EngineParams = EngineParams()
-) -> DisaggregationResult:
-    """Beam search over configuration hypotheses.
-
-    Keeps up to params.beam_width hypotheses ranked by cumulative squared
-    residual plus a per-event sparsity penalty of threshold^2 * lookahead;
-    on-event detections branch over the surviving candidates.  With a
-    width of one this reduces exactly to `disaggregate`.
+    Keeps up to params.beam_width configuration hypotheses ranked by
+    cumulative squared residual plus a per-event sparsity penalty of
+    threshold^2 * lookahead; on-event detections branch over the
+    surviving candidates.  The default width of one is the greedy
+    single-hypothesis engine.
     """
-    return _Engine(y_m, library, params, beam_width=params.beam_width).run()
+    return _Engine(y_m, library, params).run()
+
+
+disaggregate_beam = disaggregate  # earlier name of the beam entry point
 
 
 def result_to_dict(result: DisaggregationResult) -> dict:

@@ -4,15 +4,10 @@ from dataclasses import replace
 from functools import reduce
 
 from disagg import (
-    Configuration,
     DegenerateFitError,
     DeviceModel,
-    DeviceState,
     EngineParams,
-    SwitchEvent,
     ValidationError,
-    attribute_off_event,
-    detect_change,
     disaggregate,
     estimate_noise_std,
     fit_on_event,
@@ -20,10 +15,10 @@ from disagg import (
     reference_scenario,
     render,
     resolve_threshold,
-    select_on_candidate,
     simulate_zero_state,
     unit_step_values,
 )
+from disagg.engine import _Engine, _Hypothesis
 from disagg.series import PiecewiseInput
 from conftest import series
 
@@ -32,41 +27,43 @@ PARAMS = EngineParams(deviation_threshold=0.1, persistence=2, lookahead=4,
                       backtrack_window=2)
 
 
+def _hypothesis(engine, levels=(), since=()):
+    """A hand-set hypothesis: device i is on at levels[i] > 0 since since[i] (or 0)."""
+    hyp = _Hypothesis(engine.models, engine.T, engine.start)
+    for i, lv in enumerate(levels):
+        if lv > 0:
+            hyp.on[i] = True
+            hyp.levels[i] = lv
+            hyp.last_event_k[i] = since[i] if since else 0
+    return hyp
+
+
 # ----------------------------------------------------------- change detection
 
+def _detect(values, k):
+    """Detection at k against a zero prediction; padded to the engine's minimum length."""
+    y = np.zeros(10)
+    y[: len(values)] = values
+    engine = _Engine(series(y), [DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0])], PARAMS)
+    return engine._detect(_hypothesis(engine), k)
+
+
 def test_detect_none_within_threshold():
-    y_m = series([0.01, -0.02, 0.01])
-    y_hat = series([0.0, 0.0, 0.0])
-    assert detect_change(y_m, y_hat, 2, PARAMS) is None
+    assert _detect([0.01, -0.02, 0.01], 2) is None
 
 
 def test_detect_increase_at_run_start():
-    y_m = series([0.01, 0.5, 0.6])
-    y_hat = series([0.0, 0.0, 0.0])
-    sig = detect_change(y_m, y_hat, 2, PARAMS)
-    assert sig is not None
-    assert sig.kind == "increase"
-    assert sig.k_star == 1
+    assert _detect([0.01, 0.5, 0.6], 2) == ("increase", 1)
 
 
 def test_detect_decrease_sign():
-    y_m = series([-0.5, -0.6])
-    y_hat = series([0.0, 0.0])
-    sig = detect_change(y_m, y_hat, 1, PARAMS)
-    assert sig.kind == "decrease"
-    assert sig.k_star == 0
+    assert _detect([-0.5, -0.6], 1) == ("decrease", 0)
 
 
 def test_detect_requires_full_persistence_run():
-    y_m = series([0.0, 0.5, 0.05, 0.5])
-    y_hat = series(np.zeros(4))
-    assert detect_change(y_m, y_hat, 2, PARAMS) is None  # run broken at k=2
-    assert detect_change(y_m, y_hat, 3, PARAMS) is None  # only one violator
-
-
-def test_detect_index_out_of_range():
-    with pytest.raises(ValidationError):
-        detect_change(series([1.0]), series([1.0]), 5, PARAMS)
+    values = [0.0, 0.5, 0.05, 0.5]
+    assert _detect(values, 2) is None  # run broken at k=2
+    assert _detect(values, 3) is None  # only one violator
 
 
 # -------------------------------------------------------------- on-event fit
@@ -120,8 +117,12 @@ def test_fit_beats_grid_search():
 
 # --------------------------------------------------------- candidate selection
 
-def _all_off(n):
-    return Configuration(states=tuple(DeviceState() for _ in range(n)))
+def _select(y_m, k_star, library, params, levels=(), since=()):
+    """Best on-event candidate at k_star against a zero prediction, or None."""
+    engine = _Engine(y_m, library, params)
+    hyp = _hypothesis(engine, levels, since)
+    cands = engine._on_candidates(hyp, k_star - engine.start)
+    return cands[0] if cands else None
 
 
 def test_select_single_device_exact(lag_model):
@@ -129,9 +130,8 @@ def test_select_single_device_exact(lag_model):
     y_m = simulate_zero_state(
         lag_model, PiecewiseInput(((k0, level),)).expand(0, 30)
     )
-    y_hat = series(np.zeros(30))
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
-    cand = select_on_candidate(y_m, y_hat, k0 + 1, _all_off(1), [lag_model], params)
+    cand = _select(y_m, k0 + 1, [lag_model], params)
     assert cand is not None
     assert cand.device == 0
     assert cand.k_prime == k0
@@ -143,9 +143,8 @@ def test_select_identical_models_lower_index_wins(lag_model):
     y_m = simulate_zero_state(
         lag_model, PiecewiseInput(((5, 2.0),)).expand(0, 25)
     )
-    y_hat = series(np.zeros(25))
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
-    cand = select_on_candidate(y_m, y_hat, 6, _all_off(2), [twin, lag_model], params)
+    cand = _select(y_m, 6, [twin, lag_model], params)
     assert cand.device == 0
 
 
@@ -156,83 +155,72 @@ def test_select_max_output_prior_rejects_capped_model():
     y_m = simulate_zero_state(
         microwave, PiecewiseInput(((5, 12.0),)).expand(0, 25)
     )
-    y_hat = series(np.zeros(25))
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
-    cand = select_on_candidate(y_m, y_hat, 6, _all_off(2), [monitor, microwave], params)
+    cand = _select(y_m, 6, [monitor, microwave], params)
     assert cand.device == 1  # monitor would win the tie but is capped
 
 
 def test_select_respects_max_input():
     m = DeviceModel("small", A=[[0.5]], b=[0.5], c=[1.0], max_input=1.0)
     y_m = simulate_zero_state(m, PiecewiseInput(((5, 3.0),)).expand(0, 25))
-    y_hat = series(np.zeros(25))
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
-    assert select_on_candidate(y_m, y_hat, 6, _all_off(1), [m], params) is None
+    assert _select(y_m, 6, [m], params) is None
 
 
 def test_select_min_level_filter(lag_model):
     y_m = simulate_zero_state(lag_model, PiecewiseInput(((5, 2.0),)).expand(0, 25))
-    y_hat = series(np.zeros(25))
     params = EngineParams(
         deviation_threshold=0.05, lookahead=6, backtrack_window=3, min_level=5.0
     )
-    assert select_on_candidate(y_m, y_hat, 6, _all_off(1), [lag_model], params) is None
+    assert _select(y_m, 6, [lag_model], params) is None
 
 
 def test_select_skips_on_devices(lag_model):
     y_m = simulate_zero_state(lag_model, PiecewiseInput(((5, 2.0),)).expand(0, 25))
-    y_hat = series(np.zeros(25))
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
-    on_cfg = Configuration(states=(DeviceState(on=True, level=2.0, since=5),))
-    assert select_on_candidate(y_m, y_hat, 6, on_cfg, [lag_model], params) is None
+    assert _select(y_m, 6, [lag_model], params, levels=[2.0], since=[5]) is None
 
 
 # ------------------------------------------------------------ off attribution
 
-def _cfg(levels, since=0):
-    return Configuration(
-        states=tuple(
-            DeviceState(on=lv > 0, level=lv, since=since) for lv in levels
-        )
-    )
-
-
-def _unit_gain_lib(n):
-    return [DeviceModel(f"d{i}", A=[[0.5]], b=[0.5], c=[1.0]) for i in range(n)]
+def _attribute(levels, drop, k_star, since=(), params=PARAMS):
+    """Device picked for a drop of `drop` at k_star, unit-gain devices at `levels`."""
+    lib = [DeviceModel(f"d{i}", A=[[0.5]], b=[0.5], c=[1.0]) for i in range(len(levels))]
+    engine = _Engine(series(np.zeros(k_star + 10)), lib, params)
+    hyp = _hypothesis(engine, levels, since)
+    hyp.y_hat[k_star] = drop  # the measurement is zero, so y - y_hat = -drop
+    return engine._off_device(hyp, k_star, k_star)
 
 
 def test_attribute_nearest_contribution():
-    lib = _unit_gain_lib(2)
-    cfg = _cfg([1.2, 2.0])
-    assert attribute_off_event(cfg, 1.25, 50, lib, PARAMS) == 0
+    assert _attribute([1.2, 2.0], 1.25, 50) == 0
 
 
 def test_attribute_single_on_device():
-    lib = _unit_gain_lib(2)
-    cfg = _cfg([0.0, 2.0])
-    assert attribute_off_event(cfg, 0.1, 50, lib, PARAMS) == 1
+    assert _attribute([0.0, 2.0], 0.1, 50) == 1
 
 
 def test_attribute_tie_breaks_to_lower_index():
-    lib = _unit_gain_lib(2)
-    cfg = _cfg([1.0, 1.0])
-    assert attribute_off_event(cfg, 1.0, 50, lib, PARAMS) == 0
+    assert _attribute([1.0, 1.0], 1.0, 50) == 0
 
 
 def test_attribute_none_when_all_off():
-    lib = _unit_gain_lib(2)
-    assert attribute_off_event(_cfg([0.0, 0.0]), 1.0, 50, lib, PARAMS) is None
+    assert _attribute([0.0, 0.0], 1.0, 50) is None
 
 
 def test_attribute_prefers_devices_past_min_duration():
-    lib = _unit_gain_lib(2)
-    cfg = Configuration(states=(
-        DeviceState(on=True, level=1.0, since=49),   # just switched
-        DeviceState(on=True, level=3.0, since=0),
-    ))
     params = replace(PARAMS, min_on_duration=3)
-    # Drop of 1.0 matches device 0 better, but device 0 is too young.
-    assert attribute_off_event(cfg, 1.0, 50, lib, params) == 1
+    # Drop of 1.0 matches device 0 better, but device 0 is too young
+    # (on since 49 against device 1's 0).
+    assert _attribute([1.0, 3.0], 1.0, 50, since=[49, 0], params=params) == 1
+
+
+def test_attribute_never_rewinds_past_the_device_own_switch():
+    # Device 0 matches the drop best but switched on at 50 or later; an
+    # off at 50 would precede or collide with its own on.
+    params = replace(PARAMS, min_on_duration=0)
+    assert _attribute([1.0, 3.0], 1.0, 50, since=[50, 0], params=params) == 1
+    assert _attribute([1.0, 0.0], 1.0, 50, since=[52], params=params) is None
 
 
 # ------------------------------------------------------------- full pipeline
@@ -334,6 +322,14 @@ def test_disaggregate_length_precondition(lag_model):
         disaggregate(series(np.zeros(10)), [lag_model], EngineParams(lookahead=15))
 
 
+def test_disaggregate_rejects_non_finite_sample_with_index(lag_model):
+    for bad in (np.nan, np.inf, -np.inf):
+        y = np.zeros(300)
+        y[200] = bad
+        with pytest.raises(ValidationError, match=r"non-finite sample at k=1200$"):
+            disaggregate(series(y, start=1000), [lag_model])
+
+
 def test_disaggregate_rejects_unstable_library(lag_model):
     bad = DeviceModel("bad", A=[[1.1]], b=[1.0], c=[1.0])
     with pytest.raises(ValidationError):
@@ -372,19 +368,3 @@ def test_engine_params_validation():
         EngineParams(beam_width=0)
     with pytest.raises(ValidationError):
         EngineParams(deviation_threshold=-1.0)
-
-
-def test_configuration_validates_event_log():
-    with pytest.raises(ValidationError):
-        Configuration(
-            states=(DeviceState(),),
-            event_log=(
-                SwitchEvent(5, 0, "on", 1.0),
-                SwitchEvent(5, 0, "off", 0.0),
-            ),
-        )
-    with pytest.raises(ValidationError):
-        Configuration(
-            states=(DeviceState(),),
-            event_log=(SwitchEvent(5, 0, "off", 0.0),),
-        )

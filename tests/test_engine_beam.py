@@ -117,8 +117,8 @@ def _oracle_best(y_m, library, params):
                 for cand in cands:
                     scan(events + [cand], p + 1, False)
                 return
-            on, level, since, _ = status(events)
-            on_devs = [i for i in range(len(library)) if on[i]]
+            on, level, since, last = status(events)
+            on_devs = [i for i in range(len(library)) if on[i] and last[i] < ks]
             used = {e.k for e in events}
             if not on_devs or ks in used:
                 suppressed = True
@@ -155,12 +155,25 @@ def test_beam_width_one_equals_greedy():
         sc = reference_scenario(seed)
         aggregate, _ = render(sc)
         lib = list(sc.models)
-        params = EngineParams(beam_width=1)
-        a = disaggregate(aggregate, lib, params)
-        b = disaggregate_beam(aggregate, lib, params)
-        assert a.events == b.events
-        assert a.unexplained == b.unexplained
-        assert a.residual_rms == b.residual_rms
+        for width in (1, 4):
+            params = EngineParams(beam_width=width)
+            a = disaggregate(aggregate, lib, params)
+            b = disaggregate_beam(aggregate, lib, params)
+            assert a.events == b.events
+            assert a.unexplained == b.unexplained
+            assert a.residual_rms == b.residual_rms
+            assert a.params.beam_width == width
+
+
+def test_beam_off_events_never_precede_the_device_own_on():
+    # A case where the beam could attribute an off event to a device before
+    # its own on (device 2 on@346, off@339), leaving an invalid schedule.
+    sc = reference_scenario(126)
+    aggregate, _ = render(sc)
+    res = disaggregate(aggregate, list(sc.models), EngineParams(beam_width=8))
+    for dev in range(len(sc.models)):
+        kinds = [e.kind for e in res.events if e.device == dev]
+        assert kinds == ["on", "off"] * (len(kinds) // 2) + ["on"] * (len(kinds) % 2)
 
 
 def test_beam_recovers_where_greedy_commits_to_wrong_twin():
