@@ -9,6 +9,15 @@ persistent negative deviation is attributed to the on device whose
 steady contribution is nearest the observed drop.  Every accepted event
 adds exactly one nonzero entry to the global input difference, so the
 event count is the sparsity of the reconstruction.
+
+By linearity each hypothesis's per-device prediction is a sum of shifted
+unit-step responses, one per event: an event at position p adds
+level * g[:T - p] to the device's row, or zeroes the row from p at an
+instant-off switch-off (``models._add_switch``, the kernel that
+``simulate_zero_state`` uses for the same schedule).  Each device's
+full-length step response g is computed once per run; the on-event fits
+score slices of it.  The Python work per run is linear in T, and each
+event costs one numpy pass over the rest of the signal.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import numpy as np
 from .errors import DegenerateFitError, ValidationError
 from .models import (
     DeviceModel,
+    _add_switch,
     dc_gain,
     is_stable,
     simulate_zero_state,
@@ -176,10 +186,10 @@ def _project(g: np.ndarray, e: np.ndarray) -> FitResult | None:
 
 
 class _Hypothesis:
-    """One configuration tracked by the engine, with its full trajectory."""
+    """One configuration tracked by the engine, with its full predictions."""
 
     __slots__ = (
-        "on", "levels", "last_event_k", "x_traj", "y_dev", "y_hat",
+        "on", "levels", "last_event_k", "y_dev", "y_hat",
         "events", "unexplained", "suppressed",
     )
 
@@ -188,7 +198,6 @@ class _Hypothesis:
         self.on = [False] * D
         self.levels = [0.0] * D
         self.last_event_k = [start - 1] * D
-        self.x_traj = [np.zeros((T + 1, m.order)) for m in models]
         self.y_dev = np.zeros((D, T))
         self.y_hat = np.zeros(T)
         self.events: list[SwitchEvent] = []
@@ -200,7 +209,6 @@ class _Hypothesis:
         new.on = list(self.on)
         new.levels = list(self.levels)
         new.last_event_k = list(self.last_event_k)
-        new.x_traj = [x.copy() for x in self.x_traj]
         new.y_dev = self.y_dev.copy()
         new.y_hat = self.y_hat.copy()
         new.events = list(self.events)
@@ -251,42 +259,31 @@ class _Engine:
         self.params = params
         self.threshold = resolve_threshold(y_m, params)
         self.sparsity_penalty = self.threshold**2 * params.lookahead
-        max_window = min(self.T, params.lookahead + params.backtrack_window + 1)
-        self.g_table = [unit_step_values(m, max_window) for m in self.models]
+        self.g = [unit_step_values(m, self.T) for m in self.models]
         self.gains = [dc_gain(m) for m in self.models]
 
     # -- per-hypothesis mechanics ------------------------------------
 
-    def _replay_device(self, hyp: _Hypothesis, dev: int, from_pos: int, reset: bool):
-        model = self.models[dev]
-        A, b, c, d = model.A, model.b, model.c, model.d
-        traj = hyp.x_traj[dev]
-        if reset:
-            traj[from_pos] = 0.0
-        x = traj[from_pos].copy()
-        u = hyp.levels[dev]
-        yrow = hyp.y_dev[dev]
-        for j in range(from_pos, self.T):
-            yrow[j] = c @ x + d * u
-            x = A @ x + b * u
-            traj[j + 1] = x
-        hyp.y_hat[from_pos:] = hyp.y_dev[:, from_pos:].sum(axis=0)
+    def _switch(self, hyp: _Hypothesis, dev: int, pos: int, level: float):
+        """Set dev's input to level from pos on and update the prediction.
+
+        y_hat is re-summed over the devices in index order, the order in
+        which simulated device outputs are added up.
+        """
+        reset = self.models[dev].instant_off and level == 0.0
+        _add_switch(hyp.y_dev[dev], self.g[dev], pos, level - hyp.levels[dev], reset)
+        hyp.on[dev] = level != 0.0
+        hyp.levels[dev] = level
+        hyp.last_event_k[dev] = self.start + pos
+        hyp.y_hat[pos:] = hyp.y_dev[:, pos:].sum(axis=0)
 
     def _apply_on(self, hyp: _Hypothesis, cand: _Candidate):
-        dev = cand.device
-        hyp.on[dev] = True
-        hyp.levels[dev] = cand.level
-        hyp.last_event_k[dev] = cand.k_prime
-        hyp.events.append(SwitchEvent(cand.k_prime, dev, "on", cand.level))
-        self._replay_device(hyp, dev, cand.k_prime - self.start, reset=False)
+        hyp.events.append(SwitchEvent(cand.k_prime, cand.device, "on", cand.level))
+        self._switch(hyp, cand.device, cand.k_prime - self.start, cand.level)
 
     def _apply_off(self, hyp: _Hypothesis, dev: int, ks_pos: int):
-        k_abs = self.start + ks_pos
-        hyp.on[dev] = False
-        hyp.levels[dev] = 0.0
-        hyp.last_event_k[dev] = k_abs
-        hyp.events.append(SwitchEvent(k_abs, dev, "off", 0.0))
-        self._replay_device(hyp, dev, ks_pos, reset=self.models[dev].instant_off)
+        hyp.events.append(SwitchEvent(self.start + ks_pos, dev, "off", 0.0))
+        self._switch(hyp, dev, ks_pos, 0.0)
 
     def _detect(self, hyp: _Hypothesis, p: int) -> tuple[str, int] | None:
         """A persistent deviation of the measurement from hyp's prediction at p.
@@ -336,7 +333,7 @@ class _Engine:
                 if k_abs in used_ks or k_abs <= hyp.last_event_k[dev]:
                     continue
                 e = self.y[kp : k_end + 1] - hyp.y_hat[kp : k_end + 1]
-                fit = _project(self.g_table[dev][: k_end - kp + 1], e)
+                fit = _project(self.g[dev][: k_end - kp + 1], e)
                 if fit is None:
                     continue
                 level = fit.level

@@ -4,6 +4,16 @@ A device is x[k+1] = A x[k] + b u[k], y[k] = c'x[k] + d u[k].  The input
 is the device setting (0 when off), the output its power draw.  Devices
 observed to collapse to zero draw immediately at switch-off carry an
 ``instant_off`` flag, implemented as a state reset at the off sample.
+
+Device inputs are sparse: piecewise constant, changing at a few switch
+times.  By linearity the zero-state output is then a sum of shifted
+unit-step responses, one per switch, so outputs are built by one kernel
+(``_add_switch``) that adds du * g[:T - p] from each switch position p,
+or zeroes the output from p at an instant-off switch-off.  The engine
+builds its predictions with the same kernel, so a simulated schedule
+and the engine's prediction of it agree bit for bit.  Inputs whose
+switches would cost the kernel more than the per-sample state recursion
+(see SPARSE_WORK_PER_SAMPLE) run the recursion instead.
 """
 
 from __future__ import annotations
@@ -21,6 +31,23 @@ from .series import SignalSeries
 
 STABILITY_MARGIN = 1e-9
 DC_GAIN_TOL = 1e-9
+# random_stable_model accepts a model when its unit-step response is
+# nonnegative over this many leading samples.
+SETTLE_SPAN = 200
+# unit_step_values runs the exact state recursion over this many leading
+# samples and extends the rest by doubling.  It must not be less than
+# SETTLE_SPAN, or the models random_stable_model draws would depend on
+# the doubling.
+STEP_HEAD = SETTLE_SPAN
+# simulate_zero_state superposes switches only while that is cheaper than
+# the per-sample recursion.  Each switch costs about as much Python time
+# as one recursion step (about 5 us) plus one numpy update per remaining
+# sample (about 1 ns), so the kernel is used for inputs that change at no
+# more than half of their samples and update at most this many samples
+# per signal sample.  Timed on a 2-vCPU x86 VM (orders 1 and 4, T = 200
+# to 115,200), the kernel took at most 0.7x the recursion's time up to
+# 3,000 and broke even between 5,000 and 10,000.
+SPARSE_WORK_PER_SAMPLE = 3_000
 
 
 @dataclass(frozen=True)
@@ -132,8 +159,13 @@ def normalize_dc(model: DeviceModel) -> DeviceModel:
 
 
 def simulate_zero_state(model: DeviceModel, u: SignalSeries) -> SignalSeries:
-    """Run the recursion from x = 0 under input u.
+    """Zero-state output of the model under input u.
 
+    A sparse input is superposed switch by switch with the same kernel
+    the engine uses.  An input that changes at more than half of its
+    samples, or whose switches would update more than
+    SPARSE_WORK_PER_SAMPLE samples per signal sample, runs the per-sample
+    state recursion, which agrees with the kernel to rounding.
     For instant_off models the state is zeroed at every sample where the
     input transitions to exactly 0, so the output is identically zero
     while the device stays off.
@@ -144,6 +176,34 @@ def simulate_zero_state(model: DeviceModel, u: SignalSeries) -> SignalSeries:
         raise ValidationError(
             f"non-finite input sample at k={u.start_index + int(bad[0])}"
         )
+    du = np.diff(uv, prepend=0.0)
+    changes = np.flatnonzero(du)
+    T = len(uv)
+    work = changes.size * T - int(changes.sum())  # samples the kernel updates
+    if 2 * changes.size <= T and work <= SPARSE_WORK_PER_SAMPLE * T:
+        y = np.zeros(T)
+        g = unit_step_values(model, T)
+        for p in changes.tolist():
+            _add_switch(y, g, p, float(du[p]), model.instant_off and uv[p] == 0.0)
+    else:
+        y = _simulate_recursion(model, uv)
+    return SignalSeries(y, sample_period=u.sample_period, start_index=u.start_index)
+
+
+def _add_switch(row: np.ndarray, g: np.ndarray, p: int, du: float, reset: bool) -> None:
+    """Superpose one input switch at position p onto a zero-state output row.
+
+    An input change du at p adds du * g from p on, g being the unit-step
+    response; a reset (an instant-off switch to zero) zeroes the row from
+    p on instead.  Switches of one row must be added in time order.
+    """
+    if reset:
+        row[p:] = 0.0
+    else:
+        row[p:] += du * g[: len(row) - p]
+
+
+def _simulate_recursion(model: DeviceModel, uv: np.ndarray) -> np.ndarray:
     A, b, c, d = model.A, model.b, model.c, model.d
     x = np.zeros(model.order)
     y = np.empty(len(uv))
@@ -152,7 +212,7 @@ def simulate_zero_state(model: DeviceModel, u: SignalSeries) -> SignalSeries:
             x = np.zeros(model.order)
         y[k] = c @ x + d * uv[k]
         x = A @ x + b * uv[k]
-    return SignalSeries(y, sample_period=u.sample_period, start_index=u.start_index)
+    return y
 
 
 def step_response(model: DeviceModel, horizon: int, level: float = 1.0) -> SignalSeries:
@@ -164,13 +224,40 @@ def step_response(model: DeviceModel, horizon: int, level: float = 1.0) -> Signa
 
 
 def unit_step_values(model: DeviceModel, length: int) -> np.ndarray:
-    """Zero-state unit-step response samples, without allocation ceremony."""
+    """Zero-state unit-step response samples g[0..length).
+
+    The first STEP_HEAD samples come from the state recursion
+    x[k+1] = A x[k] + b, g[k] = c'x[k] + d.  The rest are extended by
+    doubling, since the step states satisfy x[L + j] = A^L x[j] + x[L]:
+    each pass fills the next L states from the first L at once, so the
+    number of Python steps grows with log(length), not with length.  The
+    extension is elementwise, so a shorter call returns a prefix of a
+    longer one bit for bit.
+    """
     A, b, c, d = model.A, model.b, model.c, model.d
-    x = np.zeros(model.order)
+    n = model.order
+    head = min(length, STEP_HEAD)
     g = np.empty(length)
-    for k in range(length):
+    X = np.empty((length, n))
+    x = np.zeros(n)
+    for k in range(head):
+        X[k] = x
         g[k] = c @ x + d
         x = A @ x + b
+    L = head
+    AL = np.linalg.matrix_power(A, L)
+    while L < length:
+        m = min(L, length - L)
+        x_L = A @ X[L - 1] + b
+        block = X[L : L + m]
+        block[:] = x_L
+        for i in range(n):
+            block += np.outer(X[:m, i], AL[:, i])
+        g[L : L + m] = d
+        for i in range(n):
+            g[L : L + m] += c[i] * block[:, i]
+        L += m
+        AL = AL @ AL
     return g
 
 
@@ -214,7 +301,6 @@ def random_stable_model(
         w = blk.shape[0]
         A[pos : pos + w, pos : pos + w] = blk
         pos += w
-    settle_span = 200
     while True:
         b = np.array(stream.normals(order))
         c = np.array(stream.normals(order))
@@ -225,7 +311,7 @@ def random_stable_model(
         if abs(dc_gain(raw)) <= 1e-6:
             continue
         model = normalize_dc(raw)
-        if np.min(unit_step_values(model, settle_span)) >= 0.0:
+        if np.min(unit_step_values(model, SETTLE_SPAN)) >= 0.0:
             return model
 
 

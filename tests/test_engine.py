@@ -1,7 +1,10 @@
-import numpy as np
-import pytest
+import sys
 from dataclasses import replace
 from functools import reduce
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from disagg import (
     DegenerateFitError,
@@ -21,6 +24,10 @@ from disagg import (
 from disagg.engine import _Engine, _Hypothesis
 from disagg.series import PiecewiseInput
 from conftest import series
+
+# The long-signal test runs the benchmark's own tiled workload generator.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import tiled_reference_scenario  # noqa: E402
 
 
 PARAMS = EngineParams(deviation_threshold=0.1, persistence=2, lookahead=4,
@@ -275,6 +282,56 @@ def test_disaggregate_result_invariants():
     # One event per time step.
     times = [e.k for e in res.events]
     assert len(set(times)) == len(times)
+
+
+def _chosen_prediction(monkeypatch, y_m, library, params):
+    """The result and the final prediction of the hypothesis it was built from."""
+    chosen = []
+    build = _Engine._build_result
+
+    def spy(self, hyp):
+        chosen.append(hyp.y_hat.copy())
+        return build(self, hyp)
+
+    monkeypatch.setattr(_Engine, "_build_result", spy)
+    res = disaggregate(y_m, library, params)
+    return res, chosen[0]
+
+
+def test_engine_prediction_equals_simulated_estimate(monkeypatch):
+    # The engine and simulate_zero_state share one kernel, so the chosen
+    # hypothesis's prediction is the simulated estimate bit for bit.
+    cases = []
+    for seed in range(10):
+        sc = reference_scenario(seed)
+        cases.append((render(sc)[0], list(sc.models)))
+    # Without instant-off, an off event subtracts the device's decay.
+    sc = reference_scenario(3)
+    decaying = [replace(m, instant_off=False) for m in sc.models]
+    cases.append((render(replace(sc, models=tuple(decaying)))[0], decaying))
+    for y_m, library in cases:
+        for width in (1, 8):
+            res, y_hat = _chosen_prediction(
+                monkeypatch, y_m, library, EngineParams(beam_width=width)
+            )
+            assert np.array_equal(y_hat, res.estimated_total.values)
+    # The last case logged off events of decaying devices.
+    assert any(e.kind == "off" for e in res.events)
+
+
+def test_greedy_recovers_every_event_on_a_long_signal():
+    sc = tiled_reference_scenario(0, 64)
+    aggregate, _ = render(sc)
+    assert len(aggregate) == 28_800
+    res = disaggregate(aggregate, list(sc.models))
+    truth = sorted(
+        (k, dev, "on" if level else "off")
+        for dev, inp in enumerate(sc.inputs)
+        for k, level in inp.events
+    )
+    assert len(truth) == 512
+    assert sorted((e.k, e.device, e.kind) for e in res.events) == truth
+    assert res.unexplained == ()
 
 
 def test_disaggregate_with_absolute_start_index(lag_model_instant):

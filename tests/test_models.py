@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 
 from disagg import (
     DeviceModel,
@@ -15,6 +16,7 @@ from disagg import (
     step_response,
     unit_step_values,
 )
+from disagg.models import SETTLE_SPAN, SPARSE_WORK_PER_SAMPLE, STEP_HEAD, _simulate_recursion
 from conftest import series
 
 
@@ -284,3 +286,127 @@ def test_library_rejects_duplicate_names(tmp_path):
     save_library([m, m], path)
     with pytest.raises(ValidationError):
         load_library(path)
+
+
+# ------------------------------------------- event-sparse kernel vs recursion
+
+def _step_recursion(model, length):
+    """Reference unit-step response: the per-sample state recursion."""
+    x = np.zeros(model.order)
+    g = np.empty(length)
+    for k in range(length):
+        g[k] = model.c @ x + model.d
+        x = model.A @ x + model.b
+    return g
+
+
+def _kernel_models():
+    """Orders 1-4, complex poles, a slow pole and feedthrough (d != 0)."""
+    theta = 0.7
+    rot = [[0.8 * np.cos(theta), 0.8 * np.sin(theta)],
+           [-0.8 * np.sin(theta), 0.8 * np.cos(theta)]]
+    return [random_stable_model(order, 20 + order) for order in (1, 2, 3, 4)] + [
+        normalize_dc(DeviceModel("cplx", A=rot, b=[1.0, 0.5], c=[0.7, -0.3])),
+        DeviceModel("slow", A=[[0.995]], b=[0.005], c=[1.0]),
+        normalize_dc(DeviceModel(
+            "ft", A=[[0.5, 0.1, 0.0], [0.0, 0.3, 0.2], [0.1, 0.0, 0.4]],
+            b=[1.0, -0.5, 2.0], c=[0.3, 1.1, -0.2], d=0.25,
+        )),
+    ]
+
+
+def test_unit_step_values_matches_recursion_up_to_day_scale():
+    # random_stable_model accepts models on an exact-recursion prefix.
+    assert STEP_HEAD >= SETTLE_SPAN
+    T = 28_800
+    for m in _kernel_models():
+        ref = _step_recursion(m, T)
+        g = unit_step_values(m, T)
+        np.testing.assert_array_equal(g[:STEP_HEAD], ref[:STEP_HEAD], err_msg=m.name)
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12, err_msg=m.name)
+
+
+def test_unit_step_values_shorter_call_is_a_prefix():
+    m = _kernel_models()[2]
+    g = unit_step_values(m, 5_000)
+    for n in (1, STEP_HEAD, STEP_HEAD + 1, 2 * STEP_HEAD + 7, 3_000):
+        np.testing.assert_array_equal(unit_step_values(m, n), g[:n])
+
+
+def _piecewise(rng, length, switches):
+    """Random piecewise-constant input with some switches to exactly 0."""
+    u = np.zeros(length)
+    for k in np.sort(rng.choice(length, size=switches, replace=False)):
+        u[k:] = 0.0 if rng.uniform() < 0.4 else rng.uniform(0.2, 3.0)
+    return u
+
+
+def test_simulate_sparse_path_matches_recursion():
+    rng = np.random.default_rng(5)
+    for m in _kernel_models():
+        for instant_off in (False, True):
+            dev = DeviceModel(m.name, A=m.A, b=m.b, c=m.c, d=m.d, instant_off=instant_off)
+            for _ in range(4):
+                length = int(rng.integers(40, 3_000))
+                u = _piecewise(rng, length, int(rng.integers(1, 12)))
+                start = int(rng.integers(0, 10_000))
+                y = simulate_zero_state(dev, series(u, start=start))
+                assert y.start_index == start
+                np.testing.assert_allclose(
+                    y.values, _simulate_recursion(dev, u), rtol=0, atol=1e-12
+                )
+
+
+def test_simulate_dense_input_runs_the_recursion():
+    rng = np.random.default_rng(6)
+    for m in _kernel_models():
+        u = rng.normal(size=300)
+        np.testing.assert_array_equal(
+            simulate_zero_state(m, series(u)).values, _simulate_recursion(m, u)
+        )
+
+
+def test_simulate_input_over_the_work_budget_runs_the_recursion():
+    # A switch every second sample: half the samples change, and the
+    # switches would update about T / 4 samples per signal sample.
+    T = 4 * SPARSE_WORK_PER_SAMPLE + 2_000
+    u = np.tile([0.0, 0.0, 1.5, 1.5], T // 4)
+    for m in (_kernel_models()[1], replace(_kernel_models()[0], instant_off=True)):
+        np.testing.assert_array_equal(
+            simulate_zero_state(m, series(u)).values, _simulate_recursion(m, u)
+        )
+
+
+def test_kernel_matches_recursion_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        instant_off=st.booleans(),
+        d=st.sampled_from([0.0, 0.3, -0.2]),
+        length=st.integers(20, 1_500),
+        extra=st.integers(0, 1_500),
+        start=st.integers(0, 10**6),
+        switches=st.lists(
+            st.tuples(st.integers(0, 1_499), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+            max_size=8,
+        ),
+    )
+    def check(order, seed, instant_off, d, length, extra, start, switches):
+        base = random_stable_model(order, seed)
+        m = DeviceModel("p", A=base.A, b=base.b, c=base.c, d=d, instant_off=instant_off)
+        g = unit_step_values(m, length + extra)
+        np.testing.assert_array_equal(unit_step_values(m, length), g[:length])
+        ref = _step_recursion(m, length + extra)
+        np.testing.assert_array_equal(g[:STEP_HEAD], ref[:STEP_HEAD])
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
+        u = np.zeros(length)
+        for k, level in sorted(switches):
+            u[k % length :] = level
+        y = simulate_zero_state(m, series(u, start=start))
+        np.testing.assert_allclose(y.values, _simulate_recursion(m, u), rtol=0, atol=1e-12)
+
+    check()
