@@ -94,8 +94,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    records = parse_emontx_csv(args.input)
-    signal = to_signal(records, channel=args.channel, nominal_rate=args.rate)
+    recording = parse_emontx_csv(args.input)
+    signal = to_signal(recording, channel=args.channel, nominal_rate=args.rate)
     label = PlugRecordingLabel(
         device_name=args.name,
         on_threshold=args.threshold,

@@ -1,9 +1,14 @@
 """Measurement-file parsing and signal assembly.
 
-Reads emonTx-style CSV records (12 Hz RMS current/voltage, power,
-power factor, UTC timestamps), resamples one channel onto a uniform
-index grid by zero-order hold, and sums aligned plug channels into a
-ground-truth aggregate.
+Reads emonTx-style CSV recordings (12 Hz RMS current/voltage, power,
+power factor, UTC timestamps) into one column per field, resamples one
+channel onto a uniform index grid by zero-order hold, and sums aligned
+plug channels into a ground-truth aggregate.
+
+Both CSV readers parse the whole body in one numpy pass.  Only a body
+that numpy rejects is read again line by line with Python's ``int`` and
+``float``, which names the first bad line; a spelling those accept and
+numpy does not (``1_0``) is read on the same path, so it still parses.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,32 +33,85 @@ PF_TOL = 1e-6
 # a sample boundary up to float rounding.
 _GRID_EPS = 1e-9
 
+_FIELDS = tuple(EMONTX_HEADER.split(","))
+_EMONTX_DTYPE = np.dtype([(name, float) for name in _FIELDS])
+_SIGNAL_DTYPE = np.dtype([("k", np.int64), ("value", float)])
+
 
 class GapWarning(UserWarning):
     """A recording contains a hole longer than the configured limit."""
 
 
-@dataclass(frozen=True)
-class EmonRecord:
-    """One measurement row from an energy-monitor node."""
+class _RowError(ValidationError):
+    """A recording row breaks a rule; rows count from 0."""
 
-    timestamp_utc: float
-    irms: float
-    vrms: float
-    pva: float
-    pw: float
-    pf: float
+    def __init__(self, row: int, reason: str):
+        self.row = row
+        self.reason = reason
+        super().__init__(f"row {row}: {reason}")
+
+
+@dataclass(frozen=True, eq=False)
+class EmonRecording:
+    """Rows from an energy-monitor node, one read-only float column per field.
+
+    Row i is (timestamp_utc[i], irms[i], vrms[i], pva[i], pw[i], pf[i]).
+    Every value is finite, irms, vrms and pva are nonnegative,
+    |pf| <= 1 + PF_TOL and the timestamps strictly increase; the first
+    row that breaks a rule raises ValidationError naming the row.
+    """
+
+    timestamp_utc: np.ndarray
+    irms: np.ndarray
+    vrms: np.ndarray
+    pva: np.ndarray
+    pw: np.ndarray
+    pf: np.ndarray
 
     def __post_init__(self):
-        if not all(
-            math.isfinite(v)
-            for v in (self.timestamp_utc, self.irms, self.vrms, self.pva, self.pw, self.pf)
-        ):
-            raise ValidationError("non-finite field in record")
-        if self.irms < 0 or self.vrms < 0 or self.pva < 0:
-            raise ValidationError("irms, vrms and pva must be nonnegative")
-        if abs(self.pf) > 1.0 + PF_TOL:
-            raise ValidationError(f"power factor {self.pf} outside [-1, 1]")
+        columns = [np.array(getattr(self, name), dtype=float) for name in _FIELDS]
+        if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+            raise ValidationError("recording columns must be 1-D and of equal length")
+        _check_rows(*columns)
+        for name, column in zip(_FIELDS, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.timestamp_utc)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EmonRecording):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _FIELDS
+        )
+
+
+def _check_rows(ts, irms, vrms, pva, pw, pf) -> None:
+    """Raise _RowError for the first row that breaks a recording rule.
+
+    Within that row the rules are tried in this order: finite, nonnegative,
+    power factor, timestamp after the previous row's.
+    """
+    nonfinite = ~np.isfinite(np.stack((ts, irms, vrms, pva, pw, pf))).all(axis=0)
+    negative = (irms < 0) | (vrms < 0) | (pva < 0)
+    bad_pf = np.abs(pf) > 1.0 + PF_TOL
+    not_after = np.zeros(len(ts), dtype=bool)
+    not_after[1:] = ts[1:] <= ts[:-1]
+    bad = nonfinite | negative | bad_pf | not_after
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if nonfinite[i]:
+        reason = "non-finite field in record"
+    elif negative[i]:
+        reason = "irms, vrms and pva must be nonnegative"
+    elif bad_pf[i]:
+        reason = f"power factor {float(pf[i])} outside [-1, 1]"
+    else:
+        reason = f"timestamp {float(ts[i])!r} not after {float(ts[i - 1])!r}"
+    raise _RowError(i, reason)
 
 
 class Gap(NamedTuple):
@@ -63,67 +121,98 @@ class Gap(NamedTuple):
     periods: int
 
 
-def parse_emontx_csv(path: str | Path) -> list[EmonRecord]:
-    """Parse a full recording, reporting the line number of any bad row."""
+def _read_body(
+    lines: list[str], dtype: np.dtype, parse_row: Callable[[str], tuple]
+) -> tuple[np.ndarray, ValidationError | None]:
+    """The non-blank lines after the header as a structured array.
+
+    An ASCII body numpy accepts is read in one pass.  Otherwise the
+    lines are read one by one with parse_row up to the first it rejects:
+    the result is the rows before that line and an error naming it (None
+    when every line parses).  Read that way, an integer column keeps
+    Python's unbounded ints.
+    """
+    body = [line for line in lines[1:] if line.strip()]
+    # numpy takes "\x1f" for a blank and reads some non-ASCII letters as
+    # digits, where int() and float() reject both.
+    joined = "".join(body)
+    if body and joined.isascii() and "\x1f" not in joined:
+        try:
+            table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            return table, None
+    by_line = np.dtype([
+        (name, object if dtype[name].kind == "i" else dtype[name]) for name in dtype.names
+    ])
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            rows.append(parse_row(line))
+        except ValueError as exc:
+            return np.array(rows, dtype=by_line), ValidationError(f"line {lineno}: {exc}")
+    return np.array(rows, dtype=by_line), None
+
+
+def _line_number(lines: list[str], row: int) -> int:
+    """File line number (from 1) of the row-th non-blank line after the header."""
+    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
+
+
+def _emontx_row(line: str) -> tuple[float, ...]:
+    fields = line.split(",")
+    if len(fields) != len(_FIELDS):
+        raise ValueError(f"expected {len(_FIELDS)} fields, got {len(fields)}")
+    return tuple(map(float, fields))
+
+
+def parse_emontx_csv(path: str | Path) -> EmonRecording:
+    """Parse a full recording, reporting the line number of any bad row.
+
+    Blank lines are skipped but counted.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != EMONTX_HEADER:
         raise ValidationError(
             f"bad header in {path}: expected '{EMONTX_HEADER}'"
         )
-    records: list[EmonRecord] = []
-    last_ts: float | None = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise ValidationError(f"line {lineno}: expected 6 fields, got {len(fields)}")
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
-        try:
-            rec = EmonRecord(*values)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
-        if last_ts is not None and rec.timestamp_utc <= last_ts:
-            raise ValidationError(
-                f"line {lineno}: timestamp {rec.timestamp_utc!r} not after {last_ts!r}"
-            )
-        last_ts = rec.timestamp_utc
-        records.append(rec)
-    return records
+    table, error = _read_body(lines, _EMONTX_DTYPE, _emontx_row)
+    # A bad row before the first line that does not parse comes first.
+    try:
+        recording = EmonRecording(*(table[name] for name in _FIELDS))
+    except _RowError as exc:
+        raise ValidationError(
+            f"line {_line_number(lines, exc.row)}: {exc.reason}"
+        ) from exc
+    if error is not None:
+        raise error
+    return recording
 
 
-def write_emontx_csv(records: list[EmonRecord], path: str | Path) -> None:
-    """Serialize records so that a reparse reproduces them exactly."""
-    lines = [EMONTX_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (rec.timestamp_utc, rec.irms, rec.vrms, rec.pva, rec.pw, rec.pf)
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_emontx_csv(recording: EmonRecording, path: str | Path) -> None:
+    """Serialize a recording so that a reparse reproduces it exactly."""
+    columns = (map(repr, getattr(recording, name).tolist()) for name in _FIELDS)
+    rows = map(",".join, zip(*columns))
+    Path(path).write_text("\n".join([EMONTX_HEADER, *rows]) + "\n")
 
 
 def find_gaps(
-    records: list[EmonRecord], nominal_rate: float, gap_periods: float = 10.0
+    recording: EmonRecording, nominal_rate: float, gap_periods: float = 10.0
 ) -> list[Gap]:
     """Holes between consecutive records longer than gap_periods."""
-    gaps = []
-    for prev, cur in zip(records, records[1:]):
-        dt = cur.timestamp_utc - prev.timestamp_utc
-        periods = round(dt * nominal_rate)
-        if dt * nominal_rate > gap_periods:
-            start_k = round(prev.timestamp_utc * nominal_rate)
-            gaps.append(Gap(start_k=start_k, periods=periods))
-    return gaps
+    ts = recording.timestamp_utc
+    periods = np.diff(ts) * nominal_rate
+    return [
+        Gap(start_k=round(ts[i].item() * nominal_rate), periods=round(periods[i].item()))
+        for i in np.flatnonzero(periods > gap_periods).tolist()
+    ]
 
 
 def to_signal(
-    records: list[EmonRecord],
+    recording: EmonRecording,
     channel: str = "irms",
     nominal_rate: float = 12.0,
     gap_periods: float = 10.0,
@@ -135,19 +224,19 @@ def to_signal(
     recordings sharing a clock stay aligned.  Gaps longer than
     gap_periods sample periods raise a GapWarning.
     """
-    if len(records) < 2:
+    if len(recording) < 2:
         raise ValidationError("need at least 2 records to build a signal")
     if channel not in CHANNELS:
         raise ValidationError(f"unknown channel '{channel}', expected one of {CHANNELS}")
     if nominal_rate <= 0:
         raise ValidationError(f"nominal_rate must be > 0, got {nominal_rate}")
-    for gap in find_gaps(records, nominal_rate, gap_periods):
+    for gap in find_gaps(recording, nominal_rate, gap_periods):
         warnings.warn(
             f"gap of {gap.periods} sample periods at k={gap.start_k}", GapWarning,
             stacklevel=2,
         )
-    ts = np.array([r.timestamp_utc for r in records])
-    vals = np.array([getattr(r, channel) for r in records])
+    ts = recording.timestamp_utc
+    vals = getattr(recording, channel)
     span = ts[-1] - ts[0]
     length = int(math.ceil(span * nominal_rate - _GRID_EPS)) + 1
     grid = ts[0] + np.arange(length) / nominal_rate
@@ -183,30 +272,33 @@ def sum_aligned(signals: list[SignalSeries]) -> SignalSeries:
 
 def write_signal_csv(signal: SignalSeries, path: str | Path) -> None:
     """Write the `k,value` form; floats round-trip exactly."""
-    lines = ["k,value"]
-    for p, v in enumerate(signal.values):
-        lines.append(f"{signal.start_index + p},{float(v)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = map(
+        "{},{!r}".format,
+        range(signal.start_index, signal.end_index),
+        signal.values.tolist(),
+    )
+    Path(path).write_text("\n".join(["k,value", *rows]) + "\n")
+
+
+def _signal_row(line: str) -> tuple[int, float]:
+    k_str, v_str = line.split(",")
+    return int(k_str), float(v_str)
 
 
 def read_signal_csv(path: str | Path, sample_period: float = 1.0) -> SignalSeries:
+    """Read the `k,value` form; k must be an integer counting up by one."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "k,value":
         raise ValidationError(f"bad signal header in {path}: expected 'k,value'")
-    ks: list[int] = []
-    vals: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            k_str, v_str = line.split(",")
-            ks.append(int(k_str))
-            vals.append(float(v_str))
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
-    if not ks:
+    table, error = _read_body(lines, _SIGNAL_DTYPE, _signal_row)
+    if error is not None:
+        raise error
+    if not len(table):
         raise ValidationError(f"no samples in {path}")
-    for prev, cur in zip(ks, ks[1:]):
-        if cur != prev + 1:
-            raise ValidationError(f"non-contiguous index {cur} after {prev}")
-    return SignalSeries(np.array(vals), sample_period=sample_period, start_index=ks[0])
+    ks = table["k"]
+    # The first test also catches a step whose int64 difference wraps.
+    bad = np.flatnonzero((ks[1:] <= ks[:-1]) | (np.diff(ks) != 1))
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(f"non-contiguous index {ks[i + 1]} after {ks[i]}")
+    return SignalSeries(table["value"], sample_period=sample_period, start_index=int(ks[0]))

@@ -89,37 +89,29 @@ def detect_plug_input(y: SignalSeries, label: PlugRecordingLabel) -> PiecewiseIn
     if len(y) == 0:
         raise ValidationError("cannot detect switches on an empty signal")
     above = y.values > label.on_threshold
+    n = len(above)
 
     # Runs of consecutive equal above/below flags.
-    runs: list[tuple[bool, int, int]] = []  # (is_above, start_pos, length)
-    start = 0
-    for p in range(1, len(above) + 1):
-        if p == len(above) or above[p] != above[start]:
-            runs.append((bool(above[start]), start, p - start))
-            start = p
-
-    intervals: list[tuple[int, int]] = []  # on intervals [p_on, p_off)
-    on_since: int | None = None
-    for is_above, run_start, run_len in runs:
-        confirmed = run_len >= HYSTERESIS_SAMPLES or run_start + run_len == len(above)
-        if not confirmed:
-            continue
-        if is_above and on_since is None:
-            on_since = run_start
-        elif not is_above and on_since is not None:
-            intervals.append((on_since, run_start))
-            on_since = None
-    if on_since is not None:
-        intervals.append((on_since, len(above)))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(above)) + 1))
+    lengths = np.diff(starts, append=n)
+    confirmed = lengths >= HYSTERESIS_SAMPLES
+    confirmed[-1] = True
+    run_start = starts[confirmed]
+    run_above = above[run_start]
+    # The state, below at first, flips at each confirmed run on the other
+    # side of the confirmed run before it; on and off flips alternate.
+    flips = run_above != np.concatenate(([False], run_above[:-1]))
+    ons = run_start[flips & run_above]
+    offs = np.append(run_start[flips & ~run_above], n)[: len(ons)]
 
     events: list[tuple[int, float]] = []
-    for p_on, p_off in intervals:
+    for p_on, p_off in zip(ons.tolist(), offs.tolist()):
         skip = label.settle_skip if p_on + label.settle_skip < p_off else 0
         level = float(np.mean(y.values[p_on + skip : p_off]))
         if level <= 0:
             continue
         events.append((y.start_index + p_on, level))
-        if p_off < len(above):
+        if p_off < n:
             events.append((y.start_index + p_off, 0.0))
     return PiecewiseInput(tuple(events))
 
@@ -162,9 +154,9 @@ def fit_arx(
     phi, target = _regression(y.values, u.values, na, nb, delay)
     if exclude_rows:
         p0 = max(na, delay + nb - 1)
-        keep = np.array(
-            [p0 + i not in exclude_rows for i in range(len(target))], dtype=bool
-        )
+        excluded = np.fromiter(exclude_rows, dtype=np.int64, count=len(exclude_rows)) - p0
+        keep = np.ones(len(target), dtype=bool)
+        keep[excluded[(excluded >= 0) & (excluded < len(target))]] = False
         phi, target = phi[keep], target[keep]
         if len(target) < na + nb:
             raise RankDeficientDataError(

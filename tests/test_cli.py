@@ -1,9 +1,11 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from disagg import (
-    EmonRecord,
+    EmonRecording,
     PiecewiseInput,
     load_library,
     random_stable_model,
@@ -12,6 +14,10 @@ from disagg import (
     write_emontx_csv,
 )
 from disagg.cli import load_result, main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+from inputs import PLUG_ROWS, write_plug_set  # noqa: E402
 
 
 def _run_reference_pipeline(tmp_path, seed=0):
@@ -102,12 +108,13 @@ def test_identify_appends_library_entry(tmp_path):
     model = random_stable_model(3, 4, instant_off=True)
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0), (280, 5.0), (430, 0.0)))
     y = simulate_zero_state(model, schedule.expand(0, 520, 1 / 12.0))
-    records = [
-        EmonRecord(k / 12.0, float(v), 120.0, 120.0 * float(v), 118.0 * float(v), 0.98)
-        for k, v in enumerate(y.values)
-    ]
+    n = len(y)
+    recording = EmonRecording(
+        np.arange(n) / 12.0, y.values, np.full(n, 120.0), 120.0 * y.values,
+        118.0 * y.values, np.full(n, 0.98),
+    )
     rec_path = tmp_path / "plug.csv"
-    write_emontx_csv(records, rec_path)
+    write_emontx_csv(recording, rec_path)
     lib_path = tmp_path / "lib.json"
     assert main([
         "identify",
@@ -121,6 +128,27 @@ def test_identify_appends_library_entry(tmp_path):
     assert len(lib) == 1
     assert lib[0].name == "kettle"
     assert lib[0].instant_off
+
+
+def test_identify_is_deterministic_on_a_benchmark_plug(tmp_path):
+    write_plug_set(7, tmp_path / "in")
+    plug = json.loads((tmp_path / "in" / "plugs.json").read_text())[0]
+    recorder = spans.Recorder()
+    restore = spans.install(recorder)
+    try:
+        for run in ("a", "b"):
+            assert main([
+                "identify",
+                "--input", str(tmp_path / "in" / plug["file"]),
+                "--name", plug["name"],
+                "--threshold", str(plug["threshold"]),
+                "--settle-skip", str(plug["settle_skip"]),
+                "--library", str(tmp_path / f"{run}.json"),
+            ]) == 0
+    finally:
+        restore()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert recorder.counts["ingest.rows_parsed"] == 2 * PLUG_ROWS
 
 
 def test_plot_data_series_set(tmp_path):

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from disagg import (
-    EmonRecord,
+    EmonRecording,
     GapWarning,
     ValidationError,
     find_gaps,
@@ -13,6 +15,7 @@ from disagg import (
     write_emontx_csv,
     write_signal_csv,
 )
+from disagg.ingest import PF_TOL
 from conftest import series
 
 HEADER = "timestamp_utc,irms,vrms,pva,pw,pf"
@@ -24,22 +27,28 @@ def _write(tmp_path, rows, name="rec.csv"):
     return path
 
 
+def _recording(rows):
+    """A recording from (timestamp_utc, irms, vrms, pva, pw, pf) rows."""
+    return EmonRecording(*np.array(rows, dtype=float).reshape(-1, 6).T)
+
+
+def _steady_rows(n, rate=12.0, t0=0.0, irms=4.25):
+    return [(t0 + i / rate, irms, 120.1, 510.4, 505.2, 0.99) for i in range(n)]
+
+
 def _steady_records(n, rate=12.0, t0=0.0, irms=4.25):
-    return [
-        EmonRecord(t0 + i / rate, irms, 120.1, 510.4, 505.2, 0.99)
-        for i in range(n)
-    ]
+    return _recording(_steady_rows(n, rate, t0, irms))
 
 
 # ------------------------------------------------------------------ parsing
 
 def test_parse_single_row(tmp_path):
     path = _write(tmp_path, ["1370000000.083,4.25,120.1,510.4,505.2,0.99"])
-    records = parse_emontx_csv(path)
-    assert len(records) == 1
-    assert records[0].irms == 4.25
-    assert records[0].pf == 0.99
-    assert records[0].timestamp_utc == 1370000000.083
+    recording = parse_emontx_csv(path)
+    assert len(recording) == 1
+    assert recording.irms[0] == 4.25
+    assert recording.pf[0] == 0.99
+    assert recording.timestamp_utc[0] == 1370000000.083
 
 
 def test_parse_rejects_bad_power_factor_with_line(tmp_path):
@@ -74,11 +83,11 @@ def test_parse_rejects_bad_header(tmp_path):
 
 
 def test_parse_serialize_parse_lossless(tmp_path):
-    records = [
-        EmonRecord(1370000000.083, 4.25, 120.1, 510.4, 505.2, 0.99),
-        EmonRecord(1370000000.167, 0.1, 119.9, 12.0, 11.5, -0.31),
-        EmonRecord(1370000000.25, 17.3, 121.0, 2093.3, 2090.0, 1.0),
-    ]
+    records = _recording([
+        (1370000000.083, 4.25, 120.1, 510.4, 505.2, 0.99),
+        (1370000000.167, 0.1, 119.9, 12.0, 11.5, -0.31),
+        (1370000000.25, 17.3, 121.0, 2093.3, 2090.0, 1.0),
+    ])
     path = tmp_path / "out.csv"
     write_emontx_csv(records, path)
     assert parse_emontx_csv(path) == records
@@ -86,7 +95,233 @@ def test_parse_serialize_parse_lossless(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "out2.csv").read_bytes()
 
 
+def _reference_error(text):
+    """The message the line-by-line emonTx reader gives for text, or None.
+
+    A per-line reference written from the file format: blank lines are
+    skipped but counted, and each row's checks run in order.
+    """
+    last_ts = None
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 6:
+            return f"line {lineno}: expected 6 fields, got {len(fields)}"
+        try:
+            ts, irms, vrms, pva, pw, pf = (float(f) for f in fields)
+        except ValueError as exc:
+            return f"line {lineno}: {exc}"
+        if not all(math.isfinite(v) for v in (ts, irms, vrms, pva, pw, pf)):
+            return f"line {lineno}: non-finite field in record"
+        if irms < 0 or vrms < 0 or pva < 0:
+            return f"line {lineno}: irms, vrms and pva must be nonnegative"
+        if abs(pf) > 1.0 + PF_TOL:
+            return f"line {lineno}: power factor {pf} outside [-1, 1]"
+        if last_ts is not None and ts <= last_ts:
+            return f"line {lineno}: timestamp {ts!r} not after {last_ts!r}"
+        last_ts = ts
+    return None
+
+
+def _reference_columns(text):
+    """float() of every field of every non-blank row, as six columns."""
+    rows = [
+        [float(f) for f in line.split(",")]
+        for line in text.splitlines()[1:]
+        if line.strip()
+    ]
+    return np.array(rows, dtype=float).reshape(-1, 6).T
+
+
+GOOD = "100.0,1.0,120.0,120.0,118.0,0.98"
+FIELD_CHARS = "0123456789+-.eEinfatyINFATY_, \t\x1f\xa0\u2003\u0663"
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("100.5,1.0,120.0,120.0,118.0", "expected 6 fields, got 5"),
+    ("100.5,1.0,120.0,120.0,118.0,0.9,1", "expected 6 fields, got 7"),
+    ("100.5,1.0,12O.0,120.0,118.0,0.98", "could not convert string to float: '12O.0'"),
+    ("100.5,1.0,120.0,,118.0,0.98", "could not convert string to float: ''"),
+    # numpy alone reads "\x1f" as a blank.
+    ("100.5,1.0\x1f,120.0,120.0,118.0,0.98", "could not convert string to float: '1.0\\x1f'"),
+    ("100.5,nan,120.0,120.0,118.0,0.98", "non-finite field in record"),
+    ("100.5,1.0,120.0,120.0,-inf,0.98", "non-finite field in record"),
+    ("100.5,1.0,120.0,120.0,1e999,0.98", "non-finite field in record"),
+    ("100.5,-1.0,120.0,120.0,118.0,0.98", "irms, vrms and pva must be nonnegative"),
+    ("100.5,1.0,120.0,-0.5,118.0,0.98", "irms, vrms and pva must be nonnegative"),
+    ("100.5,1.0,120.0,120.0,118.0,1.5", "power factor 1.5 outside [-1, 1]"),
+    ("100.5,1.0,120.0,120.0,118.0,-1.0000011", "power factor -1.0000011 outside [-1, 1]"),
+    ("100.1,1.0,120.0,120.0,118.0,0.98", "timestamp 100.1 not after 100.2"),
+    ("100.2,1.0,120.0,120.0,118.0,0.98", "timestamp 100.2 not after 100.2"),
+    # A row breaking several rules reports the first in the per-row order.
+    ("100.5,-1.0,120.0,nan,118.0,1.5", "non-finite field in record"),
+    ("100.5,1.0,-120.0,120.0,118.0,1.5", "irms, vrms and pva must be nonnegative"),
+    ("100.0,1.0,120.0,120.0,118.0,1.5", "power factor 1.5 outside [-1, 1]"),
+])
+@pytest.mark.parametrize("tail", [[], ["x"]], ids=["parses", "malformed-later"])
+def test_parse_names_the_line_of_each_rejection_after_blank_lines(
+    tmp_path, bad_row, message, tail,
+):
+    # Lines: 1 header, 2 row, 3 blank, 4 row, 5 whitespace, 6 bad, 7 row, then
+    # with one tail a malformed line 8, so that the numpy pass rejects the body.
+    rows = [GOOD, "", "100.2,1.0,120.0,120.0,118.0,0.98", " \t ", bad_row,
+            "100.9,1.0,120.0,120.0,118.0,0.98", *tail]
+    path = _write(tmp_path, rows)
+    with pytest.raises(ValidationError) as err:
+        parse_emontx_csv(path)
+    assert str(err.value) == f"line 6: {message}"
+    assert str(err.value) == _reference_error(path.read_text())
+
+
+def test_parse_keeps_spellings_float_accepts(tmp_path):
+    # numpy's reader rejects these; the line-by-line pass reads them as float() does.
+    path = _write(tmp_path, [GOOD, "1_00.5,1_0,120.0,120.0,118.0,0.98", "101.0,\u0663,120,120,118,.5"])
+    recording = parse_emontx_csv(path)
+    np.testing.assert_array_equal(recording.timestamp_utc, [100.0, 100.5, 101.0])
+    np.testing.assert_array_equal(recording.irms, [1.0, 10.0, 3.0])
+
+
+def test_parse_header_only_gives_an_empty_recording(tmp_path):
+    path = _write(tmp_path, ["", "  "])
+    recording = parse_emontx_csv(path)
+    assert len(recording) == 0
+    assert recording.timestamp_utc.dtype == float
+
+
+def test_recording_columns_are_read_only_copies():
+    ts = np.array([0.0, 0.5])
+    recording = EmonRecording(ts, *(np.ones(2) for _ in range(5)))
+    assert not recording.irms.flags.writeable
+    ts[0] = 9.0
+    assert recording.timestamp_utc[0] == 0.0
+
+
+def test_recording_rejects_unequal_columns_and_names_a_bad_row():
+    with pytest.raises(ValidationError, match="equal length"):
+        EmonRecording(np.arange(3.0), *(np.ones(2) for _ in range(5)))
+    with pytest.raises(ValidationError, match="row 1: timestamp 0.0 not after 0.0"):
+        EmonRecording(np.zeros(2), *(np.ones(2) for _ in range(5)))
+
+
+def _spell(rng, value, exact):
+    """One of the spellings float() reads back as value (exactly, if exact)."""
+    spellings = [repr(value), f"{value:.17g}", f"{value:.17e}", f"+{value!r}".replace("+-", "-")]
+    if not exact:
+        spellings += [f"{value:.3f}", f"{value:g}", f"{value:.2E}"]
+    if value == int(value) and abs(value) < 1e15:
+        spellings.append(f"{int(value):_}")
+    pad = ["", " ", "\t", "  "]
+    return rng.choice(pad) + rng.choice(spellings) + rng.choice(pad)
+
+
+def test_parse_equals_float_reference_property(tmp_path_factory):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    path = tmp_path_factory.mktemp("prop") / "rec.csv"
+    finite = dict(allow_nan=False, allow_infinity=False)
+    level = st.floats(0.0, 1e6, **finite)
+    row = st.tuples(level, level, level, st.floats(-1e6, 1e6, **finite), st.floats(-1.0, 1.0))
+
+    @st.composite
+    def recordings(draw):
+        stamps = sorted(set(draw(st.lists(st.floats(0, 2e9, **finite), max_size=25))))
+        rows = draw(st.lists(row, min_size=len(stamps), max_size=len(stamps)))
+        rng = draw(st.randoms(use_true_random=False))
+        lines = [HEADER]
+        for ts, values in zip(stamps, rows):
+            fields = [_spell(rng, ts, exact=True)]
+            fields += [_spell(rng, v, exact=False) for v in values[:4]]
+            fields.append(_spell(rng, values[4], exact=True))
+            lines.append(",".join(fields))
+            while rng.random() < 0.2:
+                lines.append(rng.choice(["", " ", "\t \t", "\u3000"]))
+        newline = rng.choice(["\n", "\r\n"])
+        return newline.join(lines) + rng.choice(["", newline])
+
+    @settings(max_examples=100, deadline=None)
+    @given(recordings())
+    def check(text):
+        path.write_text(text, newline="")
+        assert _reference_error(text) is None
+        recording = parse_emontx_csv(path)
+        expected = _reference_columns(text)
+        for name, column in zip(HEADER.split(","), expected):
+            assert getattr(recording, name).tobytes() == column.tobytes(), name
+
+    check()
+
+
+def test_parse_rejections_match_line_reference_property(tmp_path_factory):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    path = tmp_path_factory.mktemp("prop") / "rec.csv"
+    faults = {
+        "fields": lambda f: f[:-1] if len(f) % 2 else f + ["1.0"],
+        "float": lambda f: f[:2] + ["1.2.3"] + f[3:],
+        "nonfinite": lambda f: f[:4] + ["nan"] + f[5:],
+        "inf": lambda f: ["inf"] + f[1:],
+        "negative": lambda f: f[:3] + ["-2.5"] + f[4:],
+        "pf": lambda f: f[:5] + ["-1.25"],
+    }
+
+    @st.composite
+    def bad_recordings(draw):
+        n = draw(st.integers(1, 20))
+        rows = [
+            [f"{100 + 0.125 * i!r}", "1.5", "230.0", "345.0", "327.75", "0.95"]
+            for i in range(n)
+        ]
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, n - 1))
+            kind = draw(st.sampled_from(sorted(faults) + ["equal", "earlier", "text"]))
+            if kind in ("equal", "earlier") and i > 0:
+                step = 0.0 if kind == "equal" else 0.5
+                rows[i][0] = repr(100 + 0.125 * (i - 1) - step)
+            elif kind == "text":
+                # Any spelling: float() and the parser must agree on it.
+                rows[i][draw(st.integers(0, 5))] = draw(st.text(FIELD_CHARS, max_size=7))
+            elif kind in faults:
+                rows[i] = faults[kind](rows[i])
+        lines = [HEADER]
+        for row in rows:
+            while draw(st.integers(0, 3)) == 3:
+                lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(bad_recordings())
+    def check(text):
+        path.write_text(text)
+        expected = _reference_error(text)
+        if expected is None:
+            assert len(parse_emontx_csv(path)) == len(_reference_columns(text)[0])
+            return
+        with pytest.raises(ValidationError) as err:
+            parse_emontx_csv(path)
+        assert str(err.value) == expected
+
+    check()
+
+
 # --------------------------------------------------------------- resampling
+
+def test_find_gaps_matches_pairwise_reference():
+    rng = np.random.default_rng(4)
+    for trial in range(50):
+        steps = rng.choice([1 / 12, 0.3, 0.9, 2.5], size=40, p=[0.85, 0.05, 0.05, 0.05])
+        ts = 1000.0 + np.cumsum(steps * rng.uniform(0.6, 1.4, size=40))
+        recording = _recording([(t, 1.0, 120.0, 120.0, 118.0, 0.98) for t in ts])
+        rate, limit = float(rng.choice([12.0, 10.0])), float(rng.choice([0.5, 3.0, 10.0]))
+        expected = []
+        for prev, cur in zip(ts.tolist(), ts.tolist()[1:]):
+            if (cur - prev) * rate > limit:
+                expected.append((round(prev * rate), round((cur - prev) * rate)))
+        assert find_gaps(recording, rate, limit) == expected, trial
+
 
 def test_to_signal_rate_and_period():
     records = _steady_records(24)
@@ -100,30 +335,30 @@ def test_to_signal_length_invariant():
     for n in (2, 7, 24, 100):
         records = _steady_records(n)
         s = to_signal(records, nominal_rate=12.0)
-        span = records[-1].timestamp_utc - records[0].timestamp_utc
+        span = records.timestamp_utc[-1] - records.timestamp_utc[0]
         assert len(s) == int(np.ceil(span * 12.0 - 1e-9)) + 1
 
 
 def test_to_signal_on_rate_copies_values():
     rng = np.random.default_rng(0)
     vals = np.abs(rng.normal(5, 1, size=30))
-    records = [
-        EmonRecord(i / 12.0, v, 120.0, 600.0, 590.0, 0.98)
+    records = _recording([
+        (i / 12.0, v, 120.0, 600.0, 590.0, 0.98)
         for i, v in enumerate(vals)
-    ]
+    ])
     s = to_signal(records, channel="irms", nominal_rate=12.0)
     np.testing.assert_allclose(s.values, vals)
 
 
 def test_to_signal_gap_held_and_flagged():
     # Records at 12 Hz with one 0.5 s hole: the hold spans 6 periods.
-    before = _steady_records(3)
-    t_resume = before[-1].timestamp_utc + 0.5
+    before = _steady_rows(3)
+    t_resume = before[-1][0] + 0.5
     after = [
-        EmonRecord(t_resume + i / 12.0, 1.0, 120.0, 120.0, 118.0, 0.98)
+        (t_resume + i / 12.0, 1.0, 120.0, 120.0, 118.0, 0.98)
         for i in range(3)
     ]
-    records = before + after
+    records = _recording(before + after)
     gaps = find_gaps(records, nominal_rate=12.0, gap_periods=5.0)
     assert len(gaps) == 1
     assert gaps[0].periods == 6
@@ -135,13 +370,13 @@ def test_to_signal_gap_held_and_flagged():
 
 
 def test_to_signal_default_gap_threshold_tolerates_small_holes():
-    before = _steady_records(3)
-    t_resume = before[-1].timestamp_utc + 0.5
+    before = _steady_rows(3)
+    t_resume = before[-1][0] + 0.5
     after = [
-        EmonRecord(t_resume + i / 12.0, 1.0, 120.0, 120.0, 118.0, 0.98)
+        (t_resume + i / 12.0, 1.0, 120.0, 120.0, 118.0, 0.98)
         for i in range(3)
     ]
-    assert find_gaps(before + after, nominal_rate=12.0) == []
+    assert find_gaps(_recording(before + after), nominal_rate=12.0) == []
 
 
 def test_to_signal_needs_two_records():
@@ -229,3 +464,105 @@ def test_signal_csv_rejects_gap_in_index(tmp_path):
     path.write_text("k,value\n0,1.0\n2,2.0\n")
     with pytest.raises(ValidationError):
         read_signal_csv(path)
+
+
+def test_write_signal_csv_matches_per_sample_format(tmp_path):
+    values = [0.1, -0.0, 5e-324, -2.5e300, 1 / 3, 7.0]
+    s = series(values, start=-3)
+    path = tmp_path / "sig.csv"
+    write_signal_csv(s, path)
+    expected = ["k,value"] + [f"{-3 + p},{float(v)!r}" for p, v in enumerate(values)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1.0\n\n1.5,2.0\n", "line 4: invalid literal for int() with base 10: '1.5'"),
+    # numpy alone reads this Devanagari sign as a digit.
+    ("0,1.0\n\u0903,2.0\n", "line 3: invalid literal for int() with base 10: '\u0903'"),
+    ("0,1.0\n  \n1,x\n", "line 4: could not convert string to float: 'x'"),
+    ("0,1.0\n1,2.0,3.0\n", "line 3: too many values to unpack (expected 2)"),
+    ("\n0\n", "line 3: not enough values to unpack (expected 2, got 1)"),
+    ("0,1.0\n2,2.0\n", "non-contiguous index 2 after 0"),
+    ("5,1.0\n6,2.0\n6,2.0\n", "non-contiguous index 6 after 6"),
+    ("5,1.0\n4,2.0\n", "non-contiguous index 4 after 5"),
+    ("9223372036854775807,1.0\n-9223372036854775808,2.0\n",
+     "non-contiguous index -9223372036854775808 after 9223372036854775807"),
+    ("\n \n", "no samples in"),
+])
+def test_read_signal_csv_rejections(tmp_path, body, message):
+    path = tmp_path / "sig.csv"
+    path.write_text("k,value\n" + body)
+    with pytest.raises(ValidationError) as err:
+        read_signal_csv(path)
+    assert str(err.value).startswith(message)
+
+
+def test_read_signal_csv_keeps_spellings_int_accepts(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("k,value\n1_0, 1.5\n+11,2_5\n")
+    loaded = read_signal_csv(path)
+    assert loaded.start_index == 10
+    np.testing.assert_array_equal(loaded.values, [1.5, 25.0])
+    big = 2**70
+    path.write_text(f"k,value\n{big},1.0\n{big + 1},2.0\n")
+    assert read_signal_csv(path).start_index == big
+
+
+def _reference_signal(text):
+    """(start_index, values) or the message of a per-line `k,value` reader."""
+    ks, values = [], []
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            k_str, v_str = line.split(",")
+            ks.append(int(k_str))
+            values.append(float(v_str))
+        except ValueError as exc:
+            return f"line {lineno}: {exc}"
+    if not ks:
+        return "no samples"
+    for prev, cur in zip(ks, ks[1:]):
+        if cur != prev + 1:
+            return f"non-contiguous index {cur} after {prev}"
+    return ks[0], values
+
+
+def test_read_signal_csv_matches_line_reference_property(tmp_path_factory):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    path = tmp_path_factory.mktemp("prop") / "sig.csv"
+
+    @st.composite
+    def signal_files(draw):
+        k0 = draw(st.integers(-(2**64), 2**64))
+        n = draw(st.integers(0, 12))
+        rows = [[str(k0 + i), repr(draw(st.floats(allow_nan=False)))] for i in range(n)]
+        for _ in range(draw(st.integers(0, 2))):
+            if rows:
+                rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = draw(
+                    st.text(FIELD_CHARS, max_size=7)
+                )
+        lines = ["k,value"]
+        for row in rows:
+            if draw(st.integers(0, 4)) == 4:
+                lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(signal_files())
+    def check(text):
+        path.write_text(text)
+        expected = _reference_signal(text)
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError) as err:
+                read_signal_csv(path)
+            assert str(err.value).startswith(expected)
+            return
+        loaded = read_signal_csv(path)
+        assert loaded.start_index == expected[0]
+        assert loaded.values.tobytes() == np.array(expected[1], dtype=float).tobytes()
+
+    check()

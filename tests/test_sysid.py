@@ -16,6 +16,7 @@ from disagg import (
     step_response,
 )
 from disagg.series import PiecewiseInput
+from disagg.sysid import HYSTERESIS_SAMPLES, _regression
 from conftest import series
 
 
@@ -72,6 +73,89 @@ def test_detect_open_interval_at_end_has_no_off_event():
     assert u.events == ((2, 5.0),)
 
 
+def _detect_oracle(y, label):
+    """Per-sample run-length reference for detect_plug_input."""
+    above = y.values > label.on_threshold
+    runs = []  # (is_above, start_pos, length)
+    start = 0
+    for p in range(1, len(above) + 1):
+        if p == len(above) or above[p] != above[start]:
+            runs.append((bool(above[start]), start, p - start))
+            start = p
+    intervals = []
+    on_since = None
+    for is_above, run_start, run_len in runs:
+        confirmed = run_len >= HYSTERESIS_SAMPLES or run_start + run_len == len(above)
+        if not confirmed:
+            continue
+        if is_above and on_since is None:
+            on_since = run_start
+        elif not is_above and on_since is not None:
+            intervals.append((on_since, run_start))
+            on_since = None
+    if on_since is not None:
+        intervals.append((on_since, len(above)))
+    events = []
+    for p_on, p_off in intervals:
+        skip = label.settle_skip if p_on + label.settle_skip < p_off else 0
+        level = float(np.mean(y.values[p_on + skip : p_off]))
+        if level <= 0:
+            continue
+        events.append((y.start_index + p_on, level))
+        if p_off < len(above):
+            events.append((y.start_index + p_off, 0.0))
+    return PiecewiseInput(tuple(events))
+
+
+@pytest.mark.parametrize("values", [
+    [5.0],
+    [0.0],
+    [5.0, 5.0, 5.0],
+    [0.0, 0.0, 5.0],
+    [0.0, 0.0, 5.0, 5.0, 0.0],
+    [5.0, 0.0, 5.0, 0.0, 5.0],
+    [0.0, 5.0, 0.0, 0.0, 5.0, 5.0, 5.0, 0.0],
+])
+@pytest.mark.parametrize("settle_skip", [0, 1, 50])
+def test_detect_matches_run_length_oracle_on_edge_signals(values, settle_skip):
+    # Length-1, all-above, runs that touch the end, and settle_skip longer
+    # than every interval.
+    label = PlugRecordingLabel("d", on_threshold=1.0, settle_skip=settle_skip)
+    y = series(values, start=7)
+    assert detect_plug_input(y, label) == _detect_oracle(y, label)
+
+
+def test_detect_matches_run_length_oracle_on_random_signals():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, 200))
+        flips = rng.random(n) < rng.choice([0.05, 0.3, 0.7])
+        on = np.cumsum(flips) % 2 == 1
+        levels = np.where(on, rng.uniform(0.5, 6.0, n), rng.uniform(0.0, 1.5, n))
+        label = PlugRecordingLabel(
+            "d", on_threshold=float(rng.uniform(0.5, 2.0)), settle_skip=int(rng.integers(0, 40)),
+        )
+        y = series(levels, start=int(rng.integers(-50, 50)))
+        assert detect_plug_input(y, label) == _detect_oracle(y, label), trial
+
+
+def test_detect_matches_run_length_oracle_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 4.0, 7.5]), min_size=1, max_size=60),
+        st.integers(0, 80),
+    )
+    def check(values, settle_skip):
+        label = PlugRecordingLabel("d", on_threshold=1.0, settle_skip=settle_skip)
+        y = series(values)
+        assert detect_plug_input(y, label) == _detect_oracle(y, label)
+
+    check()
+
+
 # ---------------------------------------------------------------- ARX fit
 
 def _arx_generate(a, b_coef, delay, u, rng=None, noise=0.0):
@@ -116,6 +200,22 @@ def test_fit_arx_noisy_recovery_within_tolerance():
         m = fit_arx(series(y), series(u), na=1, nb=1, delay=1)
         assert abs(m.a[0] - 0.5) < 0.05
         assert abs(m.b_coef[0] - 0.5) < 0.05
+
+
+def test_fit_arx_exclude_rows_drops_exactly_the_listed_rows():
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=300)
+    y = _arx_generate([0.6, -0.1], [0.4, 0.2], 1, u, rng=rng, noise=0.05)
+    na, nb, delay = 2, 2, 1
+    # Rows before the first regression row and past the end are ignored.
+    exclude = {-3, 0, 1, 2, 5, 40, 41, 299, 300, 1000}
+    m = fit_arx(series(y), series(u), na, nb, delay, exclude_rows=exclude)
+    phi, target = _regression(y, u, na, nb, delay)
+    p0 = max(na, delay + nb - 1)
+    keep = [p0 + i not in exclude for i in range(len(target))]
+    theta = np.linalg.lstsq(phi[keep], target[keep], rcond=None)[0]
+    assert m.a == tuple(theta[:na])
+    assert m.b_coef == tuple(theta[na:])
 
 
 def test_fit_arx_third_order_exact():
