@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .engine import (
@@ -19,15 +20,26 @@ from .engine import (
     disaggregate,
     # Unused here, but perfbench/spans.py wraps disagg.cli.disaggregate_beam.
     disaggregate_beam,  # noqa: F401
-    result_to_dict,
 )
-from .errors import ValidationError
+from .errors import ValidationError, reading
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
 from .ingest import parse_emontx_csv, read_signal_csv, to_signal, write_signal_csv
 from .models import load_library, save_library
 from .scenario import load_scenario, reference_scenario, render, save_scenario
 from .series import PiecewiseInput
 from .sysid import PlugRecordingLabel, identify_device
+
+
+def result_to_dict(result: DisaggregationResult) -> dict:
+    """The result.json content; events name their device."""
+    names = result.device_names
+    return {
+        "params": asdict(result.params),
+        "devices": list(names),
+        "events": [{**asdict(e), "device": names[e.device]} for e in result.events],
+        "residual_rms": result.residual_rms,
+        "unexplained": [asdict(u) for u in result.unexplained],
+    }
 
 
 def save_result(result: DisaggregationResult, out_dir: str | Path) -> None:
@@ -44,32 +56,38 @@ def save_result(result: DisaggregationResult, out_dir: str | Path) -> None:
 def load_result(out_dir: str | Path) -> DisaggregationResult:
     """Rebuild a result object from the files save_result wrote."""
     out = Path(out_dir)
-    data = json.loads((out / "result.json").read_text())
-    names = tuple(data["devices"])
-    index = {name: i for i, name in enumerate(names)}
-    events = tuple(
-        SwitchEvent(int(e["k"]), index[e["device"]], e["kind"], float(e["level"]))
-        for e in data["events"]
-    )
-    per_device: list[list[tuple[int, float]]] = [[] for _ in names]
-    for e in sorted(events, key=lambda ev: ev.sort_key()):
-        per_device[e.device].append((e.k, e.level))
-    estimates = tuple(PiecewiseInput(tuple(evs)) for evs in per_device)
-    outputs = tuple(read_signal_csv(out / f"estimate_{name}.csv") for name in names)
-    total = read_signal_csv(out / "estimate_total.csv")
-    unexplained = tuple(
-        UnexplainedEvent(int(u["k"]), u["kind"], float(u["magnitude"]))
-        for u in data["unexplained"]
-    )
+    path = out / "result.json"
+    with reading(path):
+        data = json.loads(path.read_text())
+        names = tuple(data["devices"])
+        index = {name: i for i, name in enumerate(names)}
+        unknown = [e["device"] for e in data["events"] if e["device"] not in index]
+        if unknown:
+            raise ValidationError(f"event of unknown device {unknown[0]!r}")
+        events = tuple(
+            SwitchEvent(int(e["k"]), index[e["device"]], e["kind"], float(e["level"]))
+            for e in data["events"]
+        )
+        # Reject a device schedule with repeated times or levels, or negative ones.
+        ordered = sorted(events, key=SwitchEvent.sort_key)
+        for dev in range(len(names)):
+            PiecewiseInput(tuple((e.k, e.level) for e in ordered if e.device == dev))
+        unexplained = tuple(
+            UnexplainedEvent(int(u["k"]), u["kind"], float(u["magnitude"]))
+            for u in data["unexplained"]
+        )
+        residual_rms = float(data["residual_rms"])
+        params = EngineParams(**data["params"])
     return DisaggregationResult(
         device_names=names,
-        estimates=estimates,
-        estimated_outputs=outputs,
-        estimated_total=total,
-        residual_rms=float(data["residual_rms"]),
+        estimated_outputs=tuple(
+            read_signal_csv(out / f"estimate_{name}.csv") for name in names
+        ),
+        estimated_total=read_signal_csv(out / "estimate_total.csv"),
+        residual_rms=residual_rms,
         events=events,
         unexplained=unexplained,
-        params=EngineParams(**data["params"]),
+        params=params,
     )
 
 
@@ -206,13 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis.add_argument("--library", required=True)
     p_dis.add_argument("--input", required=True, help="aggregate signal CSV")
     p_dis.add_argument("--out", required=True)
-    p_dis.add_argument("--threshold", type=float, default=None)
-    p_dis.add_argument("--persistence", type=int, default=2)
-    p_dis.add_argument("--lookahead", type=int, default=15)
-    p_dis.add_argument("--backtrack", type=int, default=5)
-    p_dis.add_argument("--min-on-duration", type=int, default=3, dest="min_on_duration")
-    p_dis.add_argument("--min-level", type=float, default=0.0, dest="min_level")
-    p_dis.add_argument("--beam-width", type=int, default=1, dest="beam_width")
+    engine = EngineParams()
+    p_dis.add_argument("--threshold", type=float, default=engine.deviation_threshold)
+    p_dis.add_argument("--persistence", type=int, default=engine.persistence)
+    p_dis.add_argument("--lookahead", type=int, default=engine.lookahead)
+    p_dis.add_argument("--backtrack", type=int, default=engine.backtrack_window)
+    p_dis.add_argument("--min-on-duration", type=int, default=engine.min_on_duration)
+    p_dis.add_argument("--min-level", type=float, default=engine.min_level)
+    p_dis.add_argument("--beam-width", type=int, default=engine.beam_width)
 
     p_eval = sub.add_parser("evaluate", help="score a result against ground truth")
     p_eval.add_argument("--result", required=True, help="directory written by disaggregate")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -35,10 +34,11 @@ from .models import (
     _add_switch,
     dc_gain,
     is_stable,
-    simulate_zero_state,
+    # Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state.
+    simulate_zero_state,  # noqa: F401
     unit_step_values,
 )
-from .series import PiecewiseInput, SignalSeries
+from .series import SignalSeries
 
 MAD_CONSISTENCY = 0.6745
 NOISE_THRESHOLD_MULTIPLE = 5.0
@@ -113,10 +113,13 @@ class UnexplainedEvent:
 
 @dataclass(frozen=True)
 class DisaggregationResult:
-    """Per-device input estimates with the outputs they imply."""
+    """The winning hypothesis: its switch events and its own predictions.
+
+    estimated_outputs are the per-device predictions the engine scored,
+    estimated_total their device-order sum.
+    """
 
     device_names: tuple[str, ...]
-    estimates: tuple[PiecewiseInput, ...]
     estimated_outputs: tuple[SignalSeries, ...]
     estimated_total: SignalSeries
     residual_rms: float
@@ -189,13 +192,12 @@ class _Hypothesis:
     """One configuration tracked by the engine, with its full predictions."""
 
     __slots__ = (
-        "on", "levels", "last_event_k", "y_dev", "y_hat",
+        "levels", "last_event_k", "y_dev", "y_hat",
         "events", "unexplained", "suppressed",
     )
 
     def __init__(self, models: list[DeviceModel], T: int, start: int):
         D = len(models)
-        self.on = [False] * D
         self.levels = [0.0] * D
         self.last_event_k = [start - 1] * D
         self.y_dev = np.zeros((D, T))
@@ -206,7 +208,6 @@ class _Hypothesis:
 
     def clone(self) -> "_Hypothesis":
         new = object.__new__(_Hypothesis)
-        new.on = list(self.on)
         new.levels = list(self.levels)
         new.last_event_k = list(self.last_event_k)
         new.y_dev = self.y_dev.copy()
@@ -272,7 +273,6 @@ class _Engine:
         """
         reset = self.models[dev].instant_off and level == 0.0
         _add_switch(hyp.y_dev[dev], self.g[dev], pos, level - hyp.levels[dev], reset)
-        hyp.on[dev] = level != 0.0
         hyp.levels[dev] = level
         hyp.last_event_k[dev] = self.start + pos
         hyp.y_hat[pos:] = hyp.y_dev[:, pos:].sum(axis=0)
@@ -326,7 +326,7 @@ class _Engine:
         used_ks = hyp.event_times()
         out: list[_Candidate] = []
         for dev, model in enumerate(self.models):
-            if hyp.on[dev]:
+            if hyp.levels[dev] != 0.0:
                 continue
             for kp in range(k_lo, ks_pos + 1):
                 k_abs = self.start + kp
@@ -361,7 +361,8 @@ class _Engine:
         if k_abs in hyp.event_times():
             return None
         on_devs = [
-            i for i, on in enumerate(hyp.on) if on and hyp.last_event_k[i] < k_abs
+            i for i, level in enumerate(hyp.levels)
+            if level != 0.0 and hyp.last_event_k[i] < k_abs
         ]
         if not on_devs:
             return None
@@ -441,29 +442,17 @@ class _Engine:
         return self._build_result(best)
 
     def _build_result(self, hyp: _Hypothesis) -> DisaggregationResult:
-        events = tuple(sorted(hyp.events, key=lambda e: e.sort_key()))
-        per_device: list[list[tuple[int, float]]] = [[] for _ in self.models]
-        for e in events:
-            per_device[e.device].append((e.k, e.level))
-        estimates = tuple(PiecewiseInput(tuple(evs)) for evs in per_device)
-        outputs = []
-        for model, est in zip(self.models, estimates):
-            u = est.expand(self.start, self.T, self.period)
-            outputs.append(simulate_zero_state(model, u))
-        total_values = reduce(np.add, (o.values for o in outputs))
-        total = SignalSeries(total_values, self.period, self.start)
-        resid = self.y - total.values
-        rms = float(np.sqrt(np.mean(resid**2))) if self.T else 0.0
-        recorded = replace(self.params, deviation_threshold=self.threshold)
+        resid = self.y - hyp.y_hat
         return DisaggregationResult(
             device_names=tuple(m.name for m in self.models),
-            estimates=estimates,
-            estimated_outputs=tuple(outputs),
-            estimated_total=total,
-            residual_rms=rms,
-            events=events,
+            estimated_outputs=tuple(
+                SignalSeries(row, self.period, self.start) for row in hyp.y_dev
+            ),
+            estimated_total=SignalSeries(hyp.y_hat, self.period, self.start),
+            residual_rms=float(np.sqrt(np.mean(resid**2))),
+            events=tuple(sorted(hyp.events, key=SwitchEvent.sort_key)),
             unexplained=tuple(hyp.unexplained),
-            params=recorded,
+            params=replace(self.params, deviation_threshold=self.threshold),
         )
 
 
@@ -483,32 +472,3 @@ def disaggregate(
 
 disaggregate_beam = disaggregate  # earlier name of the beam entry point
 
-
-def result_to_dict(result: DisaggregationResult) -> dict:
-    p = result.params
-    return {
-        "params": {
-            "deviation_threshold": p.deviation_threshold,
-            "persistence": p.persistence,
-            "lookahead": p.lookahead,
-            "backtrack_window": p.backtrack_window,
-            "min_on_duration": p.min_on_duration,
-            "min_level": p.min_level,
-            "beam_width": p.beam_width,
-        },
-        "devices": list(result.device_names),
-        "events": [
-            {
-                "k": e.k,
-                "device": result.device_names[e.device],
-                "kind": e.kind,
-                "level": e.level,
-            }
-            for e in result.events
-        ],
-        "residual_rms": result.residual_rms,
-        "unexplained": [
-            {"k": u.k, "kind": u.kind, "magnitude": u.magnitude}
-            for u in result.unexplained
-        ],
-    }

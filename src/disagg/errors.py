@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class DisaggError(Exception):
     """Base class for all toolkit errors."""
@@ -25,3 +27,18 @@ class RankDeficientDataError(ValidationError):
 
 class DegenerateFitError(ValidationError):
     """The step-response template is identically zero over the fit window."""
+
+
+@contextmanager
+def reading(path):
+    """Name path in a parse error raised in the block; bad JSON, a missing key
+    or a mistyped value becomes a ValidationError, I/O errors pass through."""
+    try:
+        yield
+    except ValidationError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed: {exc}") from exc

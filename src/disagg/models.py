@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnstableModelError, ValidationError
+from .errors import UnstableModelError, ValidationError, reading
 from .rng import SeededStream
 from .series import SignalSeries
 
@@ -357,10 +357,11 @@ def save_library(models: list[DeviceModel], path: str | Path) -> None:
 
 def load_library(path: str | Path) -> list[DeviceModel]:
     """Read a device library, validating every entry's invariants."""
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, list):
-        raise ValidationError("device library must be a JSON array")
-    models = [model_from_dict(entry) for entry in raw]
+    with reading(path):
+        raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, list):
+            raise ValidationError("device library must be a JSON array")
+        models = [model_from_dict(entry) for entry in raw]
     names = [m.name for m in models]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate device names in library")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, reading
 from .models import DeviceModel, model_from_dict, model_to_dict, random_stable_model, simulate_zero_state
 from .rng import SeededStream
 from .series import PiecewiseInput, SignalSeries
@@ -160,4 +160,5 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path, library: list[DeviceModel] | None = None) -> Scenario:
-    return scenario_from_dict(json.loads(Path(path).read_text()), library=library)
+    with reading(path):
+        return scenario_from_dict(json.loads(Path(path).read_text()), library=library)

@@ -1,8 +1,10 @@
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from disagg import (
     EmonRecording,
@@ -201,6 +203,74 @@ def test_validation_error_exits_one(tmp_path):
         "--library", str(tmp_path / "lib.json"),
     ])
     assert code == 1
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """A finished simulate/disaggregate run, copied by each test that edits it."""
+    base = tmp_path_factory.mktemp("pipeline")
+    _run_reference_pipeline(base)
+    return base
+
+
+def _evaluate_copy(pipeline_dir, tmp_path, edit_name, edit):
+    """Evaluate a copy of the pipeline run after edit(path) on one of its files."""
+    work = tmp_path / "run"
+    shutil.copytree(pipeline_dir, work)
+    edit(work / edit_name)
+    return main([
+        "evaluate",
+        "--result", str(work / "res"),
+        "--truth", str(work / "sim" / "scenario.json"),
+        "--library", str(work / "sim" / "library.json"),
+        "--out", str(work / "metrics.json"),
+    ]), work / edit_name
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _edit_json(change):
+    def edit(path):
+        data = json.loads(path.read_text())
+        change(data)
+        path.write_text(json.dumps(data))
+    return edit
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("res/result.json", _truncate),
+    ("res/result.json", _edit_json(lambda d: d["events"][0].update(device="kettle"))),
+    ("res/result.json", _edit_json(lambda d: d["params"].update(colour="blue"))),
+    ("res/result.json", _edit_json(lambda d: d["events"][1].update(level=-5.0))),
+    ("res/result.json", _edit_json(
+        lambda d: d["events"][1].update(level=d["events"][0]["level"]))),
+    ("sim/scenario.json", _truncate),
+    ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
+    ("sim/library.json", _truncate),
+    ("sim/library.json", _edit_json(lambda d: d.__setitem__(0, "device1"))),
+], ids=[
+    "truncated-result", "unknown-device", "extra-param", "negative-level",
+    "repeated-level", "truncated-scenario",
+    "scenario-without-devices", "truncated-library", "library-entry-not-object",
+])
+def test_malformed_json_is_a_validation_error(
+    pipeline_dir, tmp_path, capsys, name, edit
+):
+    code, path = _evaluate_copy(pipeline_dir, tmp_path, name, edit)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "name", ["res/result.json", "sim/scenario.json", "sim/library.json"]
+)
+def test_missing_json_file_exits_two(pipeline_dir, tmp_path, name):
+    code, _ = _evaluate_copy(pipeline_dir, tmp_path, name, Path.unlink)
+    assert code == 2
 
 
 def test_help_exits_zero():

@@ -1,6 +1,5 @@
 import sys
 from dataclasses import replace
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from disagg import (
 from disagg.engine import _Engine, _Hypothesis
 from disagg.series import PiecewiseInput
 from conftest import series
+from test_engine_beam import _random_instance
 
 # The long-signal test runs the benchmark's own tiled workload generator.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -39,7 +39,6 @@ def _hypothesis(engine, levels=(), since=()):
     hyp = _Hypothesis(engine.models, engine.T, engine.start)
     for i, lv in enumerate(levels):
         if lv > 0:
-            hyp.on[i] = True
             hyp.levels[i] = lv
             hyp.last_event_k[i] = since[i] if since else 0
     return hyp
@@ -266,56 +265,53 @@ def test_disaggregate_reference_scenario_exact_recovery():
     assert res.unexplained == ()
 
 
-def test_disaggregate_result_invariants():
-    sc = reference_scenario(1)
-    aggregate, _ = render(sc)
-    res = disaggregate(aggregate, list(sc.models))
-    # Total is exactly the device-order sum of the per-device estimates.
-    total = reduce(np.add, (o.values for o in res.estimated_outputs))
-    np.testing.assert_array_equal(res.estimated_total.values, total)
-    # Each estimated output is the simulation of its input estimate.
-    for model, est, out in zip(sc.models, res.estimates, res.estimated_outputs):
-        resim = simulate_zero_state(model, est.expand(0, len(aggregate)))
+def _assert_resimulation_matches(res, y_m, library):
+    """The result against an independent simulation of its own event log."""
+    T = len(y_m)
+    schedules = [[] for _ in library]
+    for e in res.events:
+        schedules[e.device].append((e.k, e.level))
+    total = np.zeros(T)
+    for model, schedule, out in zip(library, schedules, res.estimated_outputs):
+        # PiecewiseInput rejects out-of-order times, repeated and negative levels.
+        u = PiecewiseInput(tuple(schedule)).expand(
+            y_m.start_index, T, y_m.sample_period
+        )
+        resim = simulate_zero_state(model, u)
         assert out == resim
-    # Sparsity accounting: one nonzero input difference per logged event.
-    assert sum(len(e.delta_support()) for e in res.estimates) == len(res.events)
+        assert out.values.tobytes() == resim.values.tobytes()
+        total = total + resim.values
+    # The total is the device-order sum of the outputs, bit for bit.
+    assert res.estimated_total.values.tobytes() == total.tobytes()
+    assert res.estimated_total.start_index == y_m.start_index
+    assert res.estimated_total.sample_period == y_m.sample_period
+    assert res.residual_rms == float(np.sqrt(np.mean((y_m.values - total) ** 2)))
     # One event per time step.
     times = [e.k for e in res.events]
     assert len(set(times)) == len(times)
 
 
-def _chosen_prediction(monkeypatch, y_m, library, params):
-    """The result and the final prediction of the hypothesis it was built from."""
-    chosen = []
-    build = _Engine._build_result
-
-    def spy(self, hyp):
-        chosen.append(hyp.y_hat.copy())
-        return build(self, hyp)
-
-    monkeypatch.setattr(_Engine, "_build_result", spy)
-    res = disaggregate(y_m, library, params)
-    return res, chosen[0]
-
-
-def test_engine_prediction_equals_simulated_estimate(monkeypatch):
-    # The engine and simulate_zero_state share one kernel, so the chosen
-    # hypothesis's prediction is the simulated estimate bit for bit.
+def test_engine_prediction_equals_simulated_estimate():
+    # The engine reports its own predictions; they must equal what
+    # simulate_zero_state makes of the logged events.
     cases = []
     for seed in range(10):
         sc = reference_scenario(seed)
-        cases.append((render(sc)[0], list(sc.models)))
+        cases.append((render(sc)[0], list(sc.models), EngineParams()))
     # Without instant-off, an off event subtracts the device's decay.
     sc = reference_scenario(3)
     decaying = [replace(m, instant_off=False) for m in sc.models]
-    cases.append((render(replace(sc, models=tuple(decaying)))[0], decaying))
-    for y_m, library in cases:
+    decaying_case = (render(replace(sc, models=tuple(decaying)))[0], decaying)
+    cases.append((*decaying_case, EngineParams()))
+    small = EngineParams(deviation_threshold=0.12, lookahead=6, backtrack_window=1)
+    for seed in range(50):
+        cases.append((*_random_instance(seed), small))
+    for y_m, library, params in cases:
         for width in (1, 8):
-            res, y_hat = _chosen_prediction(
-                monkeypatch, y_m, library, EngineParams(beam_width=width)
-            )
-            assert np.array_equal(y_hat, res.estimated_total.values)
-    # The last case logged off events of decaying devices.
+            res = disaggregate(y_m, library, replace(params, beam_width=width))
+            _assert_resimulation_matches(res, y_m, library)
+    # The decaying case logged off events of decaying devices.
+    res = disaggregate(*decaying_case)
     assert any(e.kind == "off" for e in res.events)
 
 
@@ -344,6 +340,7 @@ def test_disaggregate_with_absolute_start_index(lag_model_instant):
     assert res.estimated_total.start_index == 1000
     assert res.estimated_total.sample_period == 1 / 12
     assert res.residual_rms <= 1e-9
+    _assert_resimulation_matches(res, y_m, [lag_model_instant])
 
 
 def test_disaggregate_unexplained_increase_not_fatal():

@@ -183,7 +183,6 @@ def test_score_symmetric_under_relabeling():
     result_p = replace(
         result,
         device_names=tuple(result.device_names[i] for i in order),
-        estimates=tuple(result.estimates[i] for i in order),
         estimated_outputs=tuple(result.estimated_outputs[i] for i in order),
         events=tuple(
             SwitchEvent(e.k, inverse[e.device], e.kind, e.level)
