@@ -68,14 +68,22 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
             SwitchEvent(int(e["k"]), index[e["device"]], e["kind"], float(e["level"]))
             for e in data["events"]
         )
+        for e in events:
+            if e.kind != ("off" if e.level == 0.0 else "on"):
+                raise ValidationError(
+                    f"event at k={e.k} has kind {e.kind!r} with level {e.level}"
+                )
         # Reject a device schedule with repeated times or levels, or negative ones.
-        ordered = sorted(events, key=SwitchEvent.sort_key)
+        ordered = sorted(events)
         for dev in range(len(names)):
             PiecewiseInput(tuple((e.k, e.level) for e in ordered if e.device == dev))
         unexplained = tuple(
             UnexplainedEvent(int(u["k"]), u["kind"], float(u["magnitude"]))
             for u in data["unexplained"]
         )
+        for u in unexplained:
+            if u.kind not in ("increase", "decrease"):
+                raise ValidationError(f"unexplained event at k={u.k} has kind {u.kind!r}")
         residual_rms = float(data["residual_rms"])
         params = EngineParams(**data["params"])
     return DisaggregationResult(

@@ -93,15 +93,17 @@ class _Candidate(NamedTuple):
     level: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SwitchEvent:
+    """One nonzero entry of a device's input difference.
+
+    Events order by (k, device, kind, level), the field order.
+    """
+
     k: int
     device: int
     kind: str  # "on" | "off"
     level: float
-
-    def sort_key(self) -> tuple:
-        return (self.k, self.device, self.kind, self.level)
 
 
 @dataclass(frozen=True)
@@ -265,25 +267,19 @@ class _Engine:
 
     # -- per-hypothesis mechanics ------------------------------------
 
-    def _switch(self, hyp: _Hypothesis, dev: int, pos: int, level: float):
-        """Set dev's input to level from pos on and update the prediction.
+    def _apply(self, hyp: _Hypothesis, event: SwitchEvent):
+        """Log event and set its device's input to its level from its time on.
 
         y_hat is re-summed over the devices in index order, the order in
         which simulated device outputs are added up.
         """
+        hyp.events.append(event)
+        dev, level, pos = event.device, event.level, event.k - self.start
         reset = self.models[dev].instant_off and level == 0.0
         _add_switch(hyp.y_dev[dev], self.g[dev], pos, level - hyp.levels[dev], reset)
         hyp.levels[dev] = level
-        hyp.last_event_k[dev] = self.start + pos
+        hyp.last_event_k[dev] = event.k
         hyp.y_hat[pos:] = hyp.y_dev[:, pos:].sum(axis=0)
-
-    def _apply_on(self, hyp: _Hypothesis, cand: _Candidate):
-        hyp.events.append(SwitchEvent(cand.k_prime, cand.device, "on", cand.level))
-        self._switch(hyp, cand.device, cand.k_prime - self.start, cand.level)
-
-    def _apply_off(self, hyp: _Hypothesis, dev: int, ks_pos: int):
-        hyp.events.append(SwitchEvent(self.start + ks_pos, dev, "off", 0.0))
-        self._switch(hyp, dev, ks_pos, 0.0)
 
     def _detect(self, hyp: _Hypothesis, p: int) -> tuple[str, int] | None:
         """A persistent deviation of the measurement from hyp's prediction at p.
@@ -384,11 +380,8 @@ class _Engine:
         return float(resid @ resid) + self.sparsity_penalty * len(hyp.events)
 
     def _rank_key(self, hyp: _Hypothesis, p: int) -> tuple:
-        return (
-            self._score(hyp, p),
-            len(hyp.events),
-            tuple(e.sort_key() for e in hyp.events),
-        )
+        """Score, then fewer events, then the event log in SwitchEvent order."""
+        return (self._score(hyp, p), len(hyp.events), hyp.events)
 
     def run(self) -> DisaggregationResult:
         pool = [_Hypothesis(self.models, self.T, self.start)]
@@ -401,39 +394,28 @@ class _Engine:
                     continue
                 kind, ks_pos = sig
                 if kind == "increase":
-                    cands = self._on_candidates(hyp, ks_pos)
-                    if not cands:
-                        hyp.unexplained.append(
-                            UnexplainedEvent(
-                                self.start + ks_pos,
-                                "increase",
-                                float(self.y[p] - hyp.y_hat[p]),
-                            )
-                        )
-                        hyp.suppressed = True
-                        next_pool.append(hyp)
-                        continue
-                    take = cands[: self.params.beam_width]
-                    clones = [hyp.clone() for _ in take[1:]]
-                    self._apply_on(hyp, take[0])
-                    next_pool.append(hyp)
-                    for cand, child in zip(take[1:], clones):
-                        self._apply_on(child, cand)
-                        next_pool.append(child)
+                    take = self._on_candidates(hyp, ks_pos)[: self.params.beam_width]
+                    events = [
+                        SwitchEvent(c.k_prime, c.device, "on", c.level) for c in take
+                    ]
                 else:
                     dev = self._off_device(hyp, ks_pos, p)
-                    if dev is None:
-                        hyp.unexplained.append(
-                            UnexplainedEvent(
-                                self.start + ks_pos,
-                                "decrease",
-                                float(self.y[p] - hyp.y_hat[p]),
-                            )
+                    events = [] if dev is None else [
+                        SwitchEvent(self.start + ks_pos, dev, "off", 0.0)
+                    ]
+                if not events:
+                    hyp.unexplained.append(
+                        UnexplainedEvent(
+                            self.start + ks_pos, kind, float(self.y[p] - hyp.y_hat[p])
                         )
-                        hyp.suppressed = True
-                    else:
-                        self._apply_off(hyp, dev, ks_pos)
+                    )
+                    hyp.suppressed = True
                     next_pool.append(hyp)
+                    continue
+                clones = [hyp.clone() for _ in events[1:]]
+                for child, event in zip([hyp, *clones], events):
+                    self._apply(child, event)
+                    next_pool.append(child)
             pool = next_pool
             if len(pool) > self.params.beam_width:
                 pool.sort(key=lambda h: self._rank_key(h, p))
@@ -450,7 +432,7 @@ class _Engine:
             ),
             estimated_total=SignalSeries(hyp.y_hat, self.period, self.start),
             residual_rms=float(np.sqrt(np.mean(resid**2))),
-            events=tuple(sorted(hyp.events, key=SwitchEvent.sort_key)),
+            events=tuple(sorted(hyp.events)),
             unexplained=tuple(hyp.unexplained),
             params=replace(self.params, deviation_threshold=self.threshold),
         )

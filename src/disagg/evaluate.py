@@ -51,7 +51,7 @@ def truth_events(scenario: Scenario) -> list[SwitchEvent]:
         for k, level in inp.events:
             kind = "off" if level == 0.0 else "on"
             events.append(SwitchEvent(k, dev, kind, level))
-    return sorted(events, key=lambda e: e.sort_key())
+    return sorted(events)
 
 
 def match_events(

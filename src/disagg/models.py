@@ -215,14 +215,6 @@ def _simulate_recursion(model: DeviceModel, uv: np.ndarray) -> np.ndarray:
     return y
 
 
-def step_response(model: DeviceModel, horizon: int, level: float = 1.0) -> SignalSeries:
-    """Zero-state response to a constant input over the horizon."""
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    u = SignalSeries(np.full(horizon, float(level)))
-    return simulate_zero_state(model, u)
-
-
 def unit_step_values(model: DeviceModel, length: int) -> np.ndarray:
     """Zero-state unit-step response samples g[0..length).
 

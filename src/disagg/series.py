@@ -139,7 +139,3 @@ class PiecewiseInput:
             level = elevel
         values[seg_start:] = level
         return SignalSeries(values, sample_period=sample_period, start_index=start_index)
-
-    def delta_support(self) -> tuple[int, ...]:
-        """Indices where the first difference of the input is nonzero."""
-        return tuple(k for k, _ in self.events)

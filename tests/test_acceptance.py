@@ -30,7 +30,7 @@ from disagg.rng import SeededStream
 
 from conftest import series
 from test_cli import _run_reference_pipeline
-from test_engine_beam import _oracle_best, _random_instance
+from test_engine_beam import _event_key, _oracle_best, _random_instance
 
 TRUTH_EVENTS = [
     (20, 0, "on"), (101, 0, "off"),
@@ -136,7 +136,7 @@ def test_criterion_4_beam_matches_exhaustive_enumeration():
         res = disaggregate_beam(y_m, lib, params)
         assert n_leaves < params.beam_width
         assert list(res.events) == sorted(
-            best_events, key=lambda e: e.sort_key()
+            best_events, key=_event_key
         ), f"instance {seed} diverged from brute force"
         matched += 1
     assert matched == 50

@@ -240,6 +240,10 @@ def _edit_json(change):
     return edit
 
 
+def _first_off(data):
+    return next(e for e in data["events"] if e["kind"] == "off")
+
+
 @pytest.mark.parametrize("name, edit", [
     ("res/result.json", _truncate),
     ("res/result.json", _edit_json(lambda d: d["events"][0].update(device="kettle"))),
@@ -247,13 +251,19 @@ def _edit_json(change):
     ("res/result.json", _edit_json(lambda d: d["events"][1].update(level=-5.0))),
     ("res/result.json", _edit_json(
         lambda d: d["events"][1].update(level=d["events"][0]["level"]))),
+    ("res/result.json", _edit_json(lambda d: d["events"][0].update(kind="bogus"))),
+    ("res/result.json", _edit_json(lambda d: _first_off(d).update(kind="on"))),
+    ("res/result.json", _edit_json(lambda d: _first_off(d).update(level=1.5))),
+    ("res/result.json", _edit_json(lambda d: d["unexplained"].append(
+        {"k": 5, "kind": "sideways", "magnitude": 1.0}))),
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
     ("sim/library.json", _truncate),
     ("sim/library.json", _edit_json(lambda d: d.__setitem__(0, "device1"))),
 ], ids=[
     "truncated-result", "unknown-device", "extra-param", "negative-level",
-    "repeated-level", "truncated-scenario",
+    "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
+    "sideways-unexplained", "truncated-scenario",
     "scenario-without-devices", "truncated-library", "library-entry-not-object",
 ])
 def test_malformed_json_is_a_validation_error(

@@ -1,3 +1,4 @@
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,8 @@ from disagg import (
     DegenerateFitError,
     DeviceModel,
     EngineParams,
+    SignalSeries,
+    SwitchEvent,
     ValidationError,
     disaggregate,
     estimate_noise_std,
@@ -23,7 +26,7 @@ from disagg import (
 from disagg.engine import _Engine, _Hypothesis
 from disagg.series import PiecewiseInput
 from conftest import series
-from test_engine_beam import _random_instance
+from test_engine_beam import _event_key, _random_instance
 
 # The long-signal test runs the benchmark's own tiled workload generator.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -328,6 +331,107 @@ def test_greedy_recovers_every_event_on_a_long_signal():
     assert len(truth) == 512
     assert sorted((e.k, e.device, e.kind) for e in res.events) == truth
     assert res.unexplained == ()
+
+
+def test_switch_events_order_by_their_fields():
+    # The beam's rank key compares event lists directly, so SwitchEvent
+    # order must be the order of its (k, device, kind, level) tuple.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    events = st.lists(
+        st.builds(
+            SwitchEvent,
+            k=st.integers(0, 4),
+            device=st.integers(0, 2),
+            kind=st.sampled_from(["on", "off"]),
+            level=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        ),
+        max_size=6,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=events, b=events)
+    def check(a, b):
+        assert sorted(a) == sorted(a, key=_event_key)
+        ta = [_event_key(e) for e in a]
+        tb = [_event_key(e) for e in b]
+        assert (a < b) == (ta < tb)
+        assert (a <= b) == (ta <= tb)
+        assert (a == b) == (ta == tb)
+
+    check()
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_case(seed):
+    sc = reference_scenario(seed)
+    return render(sc)[0], list(sc.models)
+
+
+def test_events_shift_with_start_index_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 39),
+        width=st.sampled_from([1, 8]),
+        start=st.integers(1, 10**7),
+    )
+    # Seed 126 at width 8 logs one-sample on/off pairs, so the rewind and
+    # min_on_duration checks on absolute times take part.
+    @example(seed=126, width=8, start=1_000)
+    def check(seed, width, start):
+        y_m, library = _reference_case(seed)
+        params = EngineParams(beam_width=width)
+        base = disaggregate(y_m, library, params)
+        shifted = disaggregate(
+            SignalSeries(y_m.values, y_m.sample_period, start), library, params
+        )
+        assert shifted.events == tuple(replace(e, k=e.k + start) for e in base.events)
+        assert shifted.unexplained == tuple(
+            replace(u, k=u.k + start) for u in base.unexplained
+        )
+        for a, b in zip(base.estimated_outputs, shifted.estimated_outputs):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert b.start_index == start
+        assert (
+            base.estimated_total.values.tobytes()
+            == shifted.estimated_total.values.tobytes()
+        )
+        assert base.residual_rms == shifted.residual_rms
+
+    check()
+
+
+def test_permuting_the_library_relabels_events_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 39),
+        width=st.sampled_from([1, 8]),
+        perm=st.permutations(range(5)),
+    )
+    @example(seed=126, width=8, perm=(4, 3, 2, 1, 0))
+    def check(seed, width, perm):
+        y_m, library = _reference_case(seed)
+        params = EngineParams(beam_width=width)
+        results = [
+            disaggregate(y_m, lib, params)
+            for lib in (library, [library[i] for i in perm])
+        ]
+        base, permuted = (
+            {(e.k, r.device_names[e.device], e.kind): e.level for e in r.events}
+            for r in results
+        )
+        assert permuted.keys() == base.keys()
+        for key, level in base.items():
+            assert permuted[key] == pytest.approx(level, rel=1e-9, abs=0)
+
+    check()
 
 
 def test_disaggregate_with_absolute_start_index(lag_model_instant):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from disagg import (
     DeviceModel,
+    SignalSeries,
     UnstableModelError,
     ValidationError,
     dc_gain,
@@ -13,7 +14,6 @@ from disagg import (
     random_stable_model,
     save_library,
     simulate_zero_state,
-    step_response,
     unit_step_values,
 )
 from disagg.models import SETTLE_SPAN, SPARSE_WORK_PER_SAMPLE, STEP_HEAD, _simulate_recursion
@@ -104,21 +104,21 @@ def test_normalize_rejects_zero_gain():
         normalize_dc(m)
 
 
-def test_step_response_hand_iterated(lag_model):
-    y = step_response(lag_model, 4, 1.0)
+def test_constant_input_response_hand_iterated(lag_model):
+    y = simulate_zero_state(lag_model, SignalSeries(np.full(4, 1.0)))
     np.testing.assert_allclose(y.values, [0.0, 0.5, 0.75, 0.875])
 
 
-def test_step_response_settles_to_level():
+def test_constant_input_response_settles_to_level():
     for seed in range(5):
         m = random_stable_model(3, seed)
         level = 2.5
-        y = step_response(m, 400, level)
+        y = simulate_zero_state(m, SignalSeries(np.full(400, level)))
         assert abs(y.values[-1] - level) <= 0.01 * abs(level)
 
 
-def test_step_response_zero_level(lag_model):
-    y = step_response(lag_model, 5, 0.0)
+def test_constant_input_response_zero_level(lag_model):
+    y = simulate_zero_state(lag_model, SignalSeries(np.full(5, 0.0)))
     np.testing.assert_array_equal(y.values, np.zeros(5))
 
 
@@ -170,7 +170,7 @@ def test_random_model_orders():
         assert is_stable(m).stable
 
 
-def test_random_model_step_response_nonnegative():
+def test_random_model_unit_step_nonnegative():
     for seed in range(30):
         g = unit_step_values(random_stable_model(3, seed), 200)
         assert np.min(g) >= 0.0
@@ -226,7 +226,7 @@ def test_step_convergence_geometric_rate():
     ]
     for m in cases:
         rho = is_stable(m).spectral_radius + 1e-6
-        y = step_response(m, 220, 1.0)
+        y = simulate_zero_state(m, SignalSeries(np.full(220, 1.0)))
         err = np.abs(y.values - 1.0)
         w1 = float(np.max(err[20:80]))
         w2 = float(np.max(err[100:160]))

@@ -63,12 +63,13 @@ def test_piecewise_level_at():
     assert u.level_at(5) == 0.0
 
 
-def test_piecewise_delta_support_is_event_set():
+def test_piecewise_expand_jumps_at_event_times():
     u = PiecewiseInput(((2, 5.0), (5, 0.0)))
-    assert u.delta_support() == (2, 5)
+    event_times = tuple(k for k, _ in u.events)
+    assert event_times == (2, 5)
     expanded = u.expand(0, 8)
     jumps = tuple(int(k) + 1 for k in np.flatnonzero(np.diff(expanded.values)))
-    assert jumps == u.delta_support()
+    assert jumps == event_times
 
 
 def test_piecewise_rejects_unordered_events():

@@ -5,6 +5,7 @@ from disagg import (
     ArxModel,
     PlugRecordingLabel,
     RankDeficientDataError,
+    SignalSeries,
     UnstableModelError,
     ValidationError,
     arx_to_state_space,
@@ -13,7 +14,6 @@ from disagg import (
     identify_device,
     random_stable_model,
     simulate_zero_state,
-    step_response,
 )
 from disagg.series import PiecewiseInput
 from disagg.sysid import HYSTERESIS_SAMPLES, _regression
@@ -288,15 +288,15 @@ def test_realization_rejects_unstable():
 
 # ------------------------------------------------------------ full pipeline
 
-def test_identify_round_trip_step_response():
+def test_identify_round_trip_constant_input_response():
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0), (280, 5.0), (430, 0.0)))
     label = PlugRecordingLabel("dev", on_threshold=1.0, settle_skip=20)
     for seed in (1, 2, 3, 4, 5):
         truth = random_stable_model(3, seed, instant_off=True)
         y = simulate_zero_state(truth, schedule.expand(0, 520))
         fitted = identify_device(y, label)
-        s_true = step_response(truth, 80, 5.0).values
-        s_fit = step_response(fitted, 80, 5.0).values
+        s_true = simulate_zero_state(truth, SignalSeries(np.full(80, 5.0))).values
+        s_fit = simulate_zero_state(fitted, SignalSeries(np.full(80, 5.0))).values
         assert float(np.max(np.abs(s_true - s_fit))) <= 0.02 * 5.0
 
 
