@@ -23,7 +23,13 @@ from .engine import (
 )
 from .errors import ValidationError, reading
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
-from .ingest import parse_emontx_csv, read_signal_csv, to_signal, write_signal_csv
+from .ingest import (
+    parse_emontx_csv,
+    read_signal_csv,
+    signal_rows,
+    to_signal,
+    write_signal_csv,
+)
 from .models import load_library, save_library
 from .scenario import load_scenario, reference_scenario, render, save_scenario
 from .series import PiecewiseInput
@@ -177,18 +183,16 @@ def _cmd_evaluate(args) -> int:
 def _cmd_plot_data(args) -> int:
     result = load_result(args.result)
     y_m = read_signal_csv(args.input)
-    lines = ["series,k,value"]
-
-    def emit(name: str, series) -> None:
-        for p, v in enumerate(series.values):
-            lines.append(f"{name},{series.start_index + p},{float(v)!r}")
-
-    emit("y_m", y_m)
-    emit("y_hat", result.estimated_total)
-    for name, series in zip(result.device_names, result.estimated_outputs):
-        emit(f"y_hat_{name}", series)
-    Path(args.out).write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} rows -> {args.out}")
+    named = [("y_m", y_m), ("y_hat", result.estimated_total)]
+    named += [
+        (f"y_hat_{name}", series)
+        for name, series in zip(result.device_names, result.estimated_outputs)
+    ]
+    with open(args.out, "w") as f:
+        f.write("series,k,value\n")
+        for name, series in named:
+            f.writelines(signal_rows(series, f"{name},"))
+    print(f"wrote {sum(len(series) for _, series in named)} rows -> {args.out}")
     return 0
 
 

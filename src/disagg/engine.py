@@ -16,8 +16,18 @@ level * g[:T - p] to the device's row, or zeroes the row from p at an
 instant-off switch-off (``models._add_switch``, the kernel that
 ``simulate_zero_state`` uses for the same schedule).  Each device's
 full-length step response g is computed once per run; the on-event fits
-score slices of it.  The Python work per run is linear in T, and each
-event costs one numpy pass over the rest of the signal.
+score slices of it.
+
+Cost: the loop runs once per detection, not once per sample.  Each
+hypothesis keeps its next detection, found by a numpy scan of the mask
+|y - y_hat| > threshold, and the engine jumps to the earliest in the
+pool, so the Python work grows with the detections times the pool
+width.  An event costs one numpy pass of its device's row over the rest
+of the signal; y_hat and the mask are re-summed only as far as the next
+scan advances.  A beam step scores each branch from its parent's rows
+before building any, then clones only the survivors, which share device
+rows until they write one.  Ranking a branch still costs its prefix
+residual, O(p), and a clone its y_hat copy, O(T).
 """
 
 from __future__ import annotations
@@ -44,6 +54,11 @@ MAD_CONSISTENCY = 0.6745
 NOISE_THRESHOLD_MULTIPLE = 5.0
 # Absolute floor keeps noiseless signals from tripping on float dust.
 THRESHOLD_FLOOR_RELATIVE = 1e-9
+# First chunk, in samples, of a detection scan; later chunks double.  It
+# is about one event gap of the reference schedule (29-81 samples), so
+# most scans take one or two chunks and little of y_hat is summed past
+# the next detection.
+SCAN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -172,7 +187,8 @@ def fit_on_event(e: SignalSeries, model: DeviceModel, k_prime: int) -> FitResult
         raise ValidationError(
             f"model '{model.name}' unstable (radius {check.spectral_radius:.6g})"
         )
-    fit = _project(unit_step_values(model, len(e)), e.values)
+    g = unit_step_values(model, len(e))
+    fit = _project(g, e.values, float(g @ g))
     if fit is None:
         raise DegenerateFitError(
             f"model '{model.name}' step response is zero over {len(e)} samples"
@@ -180,9 +196,11 @@ def fit_on_event(e: SignalSeries, model: DeviceModel, k_prime: int) -> FitResult
     return fit
 
 
-def _project(g: np.ndarray, e: np.ndarray) -> FitResult | None:
-    """Least-squares level of e along the step template g, or None if g is zero."""
-    gg = float(g @ g)
+def _project(g: np.ndarray, e: np.ndarray, gg: float) -> FitResult | None:
+    """Least-squares level of e along the step template g, or None if g is zero.
+
+    gg is g @ g, passed in so a caller fitting many windows computes it once.
+    """
     if gg == 0.0:
         return None
     level = float(g @ e) / gg
@@ -190,37 +208,66 @@ def _project(g: np.ndarray, e: np.ndarray) -> FitResult | None:
     return FitResult(level, float(diff @ diff))
 
 
+class _Detection(NamedTuple):
+    """A persistent deviation: found at p, of sign kind, its run starting at ks."""
+
+    p: int
+    kind: str  # "increase" | "decrease"
+    ks: int
+
+
 class _Hypothesis:
-    """One configuration tracked by the engine, with its full predictions."""
+    """One configuration tracked by the engine, with its predictions.
+
+    rows are the per-device predictions.  A clone shares them with its
+    parent until one side writes a row; owned marks the rows this
+    hypothesis may write in place.  y_hat, the device-order sum of the
+    rows, is current below `synced` only.  detection is the next
+    detection at or after the last step this hypothesis took part in.
+    """
 
     __slots__ = (
-        "levels", "last_event_k", "y_dev", "y_hat",
-        "events", "unexplained", "suppressed",
+        "levels", "last_event_k", "rows", "owned", "y_hat", "synced",
+        "events", "times", "unexplained", "suppressed", "detection",
     )
 
     def __init__(self, models: list[DeviceModel], T: int, start: int):
         D = len(models)
         self.levels = [0.0] * D
         self.last_event_k = [start - 1] * D
-        self.y_dev = np.zeros((D, T))
+        self.rows = [np.zeros(T) for _ in models]
+        self.owned = [True] * D
         self.y_hat = np.zeros(T)
+        self.synced = T
         self.events: list[SwitchEvent] = []
+        self.times: set[int] = set()
         self.unexplained: list[UnexplainedEvent] = []
         self.suppressed = False
+        self.detection: _Detection | None = None
 
     def clone(self) -> "_Hypothesis":
         new = object.__new__(_Hypothesis)
         new.levels = list(self.levels)
         new.last_event_k = list(self.last_event_k)
-        new.y_dev = self.y_dev.copy()
+        new.rows = list(self.rows)
+        new.owned = [False] * len(self.rows)
+        self.owned = [False] * len(self.rows)
         new.y_hat = self.y_hat.copy()
+        new.synced = self.synced
         new.events = list(self.events)
+        new.times = set(self.times)
         new.unexplained = list(self.unexplained)
         new.suppressed = self.suppressed
+        new.detection = self.detection
         return new
 
-    def event_times(self) -> set[int]:
-        return {e.k for e in self.events}
+
+def _device_sum(segments: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Sum row segments into out in device order, as simulated outputs add up."""
+    out[:] = segments[0]
+    for seg in segments[1:]:
+        out += seg
+    return out
 
 
 class _Engine:
@@ -264,48 +311,85 @@ class _Engine:
         self.sparsity_penalty = self.threshold**2 * params.lookahead
         self.g = [unit_step_values(m, self.T) for m in self.models]
         self.gains = [dc_gain(m) for m in self.models]
+        self.gg: dict[tuple[int, int], float] = {}  # (device, n) -> g[:n] @ g[:n]
 
     # -- per-hypothesis mechanics ------------------------------------
 
-    def _apply(self, hyp: _Hypothesis, event: SwitchEvent):
-        """Log event and set its device's input to its level from its time on.
-
-        y_hat is re-summed over the devices in index order, the order in
-        which simulated device outputs are added up.
-        """
-        hyp.events.append(event)
-        dev, level, pos = event.device, event.level, event.k - self.start
+    def _switch(self, hyp: _Hypothesis, event: SwitchEvent, row: np.ndarray, pos: int):
+        """Superpose event onto row (its device's prediction) from position pos."""
+        dev, level = event.device, event.level
         reset = self.models[dev].instant_off and level == 0.0
-        _add_switch(hyp.y_dev[dev], self.g[dev], pos, level - hyp.levels[dev], reset)
-        hyp.levels[dev] = level
+        _add_switch(row, self.g[dev], pos, level - hyp.levels[dev], reset)
+
+    def _apply(self, hyp: _Hypothesis, event: SwitchEvent):
+        """Log event and set its device's input to its level from its time on."""
+        dev, pos = event.device, event.k - self.start
+        if not hyp.owned[dev]:
+            hyp.rows[dev] = hyp.rows[dev].copy()
+            hyp.owned[dev] = True
+        self._switch(hyp, event, hyp.rows[dev], pos)
+        hyp.events.append(event)
+        hyp.times.add(event.k)
+        hyp.levels[dev] = event.level
         hyp.last_event_k[dev] = event.k
-        hyp.y_hat[pos:] = hyp.y_dev[:, pos:].sum(axis=0)
+        hyp.synced = min(hyp.synced, pos)
 
-    def _detect(self, hyp: _Hypothesis, p: int) -> tuple[str, int] | None:
-        """A persistent deviation of the measurement from hyp's prediction at p.
+    def _sync(self, hyp: _Hypothesis, b: int):
+        """Bring hyp.y_hat up to date below b."""
+        a = hyp.synced
+        if a < b:
+            _device_sum([row[a:b] for row in hyp.rows], hyp.y_hat[a:b])
+            hyp.synced = b
 
-        None unless each of the last `persistence` samples up to p deviates
-        by more than the threshold (and the hypothesis is not suppressed
-        after an unexplained change); otherwise the residual sign and the
-        first position of the violating run.
+    def _violations(self, hyp: _Hypothesis, a: int, b: int) -> np.ndarray:
+        self._sync(hyp, b)
+        return np.abs(self.y[a:b] - hyp.y_hat[a:b]) > self.threshold
+
+    def _scan(self, hyp: _Hypothesis, p0: int) -> _Detection | None:
+        """The first detection at or after p0, or None before the end.
+
+        Stepping the per-sample rule from p0 gives the same answer: p is a
+        detection when each of the last `persistence` samples up to p
+        deviates from the prediction by more than the threshold and, if
+        hyp is suppressed after an unexplained change, a quiet sample has
+        come first (it lifts the suppression).  ks is the first position
+        of the violating run, kind the residual's sign there.  The mask is
+        computed in chunks that double as the scan advances, so its work
+        is bounded by how far the scan gets.
         """
-        thr = self.threshold
-        if abs(self.y[p] - hyp.y_hat[p]) <= thr:
-            hyp.suppressed = False
-            return None
-        if hyp.suppressed:
-            return None
-        pers = self.params.persistence
-        if p - pers + 1 < 0:
-            return None
-        for j in range(p - pers + 1, p):
-            if abs(self.y[j] - hyp.y_hat[j]) <= thr:
-                return None
-        ks = p - pers + 1
-        while ks > 0 and abs(self.y[ks - 1] - hyp.y_hat[ks - 1]) > thr:
-            ks -= 1
-        kind = "increase" if (self.y[ks] - hyp.y_hat[ks]) > 0 else "decrease"
-        return (kind, ks)
+        T, pers = self.T, self.params.persistence
+        # No window of a p >= p0 reaches below lo, so lo - 1 counts as
+        # quiet; a suppressed hypothesis waits for a real quiet sample.
+        lo = p0 if hyp.suppressed else max(0, p0 - pers + 1)
+        a, last, chunk = lo, lo - 1, SCAN_CHUNK
+        while a < T:
+            b = min(T, a + chunk)
+            quiet = np.flatnonzero(~self._violations(hyp, a, b)) + a
+            if hyp.suppressed and quiet.size:
+                hyp.suppressed = False
+                last, quiet = int(quiet[0]), quiet[1:]
+            if not hyp.suppressed:
+                bounds = np.concatenate(([last], quiet, [b]))
+                runs = np.flatnonzero(np.diff(bounds) > pers)
+                if runs.size:
+                    q = int(bounds[runs[0]])
+                    ks = self._run_start(hyp, lo) if q == lo - 1 else q + 1
+                    kind = "increase" if self.y[ks] - hyp.y_hat[ks] > 0 else "decrease"
+                    return _Detection(q + pers, kind, ks)
+                last = int(bounds[-2])
+            a, chunk = b, 2 * chunk
+        return None
+
+    def _run_start(self, hyp: _Hypothesis, j: int) -> int:
+        """First position of the violating run that reaches j."""
+        step = SCAN_CHUNK
+        while j > 0:
+            a = max(0, j - step)
+            quiet = np.flatnonzero(~self._violations(hyp, a, j))
+            if quiet.size:
+                return a + int(quiet[-1]) + 1
+            j, step = a, 2 * step
+        return 0
 
     def _on_candidates(self, hyp: _Hypothesis, ks_pos: int) -> list[_Candidate]:
         """All filtered on-event candidates for an increase at ks_pos, best first.
@@ -319,17 +403,22 @@ class _Engine:
         params = self.params
         k_end = min(ks_pos + params.lookahead, self.T - 1)
         k_lo = max(0, ks_pos - params.backtrack_window)
-        used_ks = hyp.event_times()
+        self._sync(hyp, k_end + 1)
+        resid = self.y[k_lo : k_end + 1] - hyp.y_hat[k_lo : k_end + 1]
         out: list[_Candidate] = []
         for dev, model in enumerate(self.models):
             if hyp.levels[dev] != 0.0:
                 continue
             for kp in range(k_lo, ks_pos + 1):
                 k_abs = self.start + kp
-                if k_abs in used_ks or k_abs <= hyp.last_event_k[dev]:
+                if k_abs in hyp.times or k_abs <= hyp.last_event_k[dev]:
                     continue
-                e = self.y[kp : k_end + 1] - hyp.y_hat[kp : k_end + 1]
-                fit = _project(self.g[dev][: k_end - kp + 1], e)
+                n = k_end - kp + 1
+                g = self.g[dev][:n]
+                gg = self.gg.get((dev, n))
+                if gg is None:
+                    gg = self.gg[dev, n] = float(g @ g)
+                fit = _project(g, resid[kp - k_lo :], gg)
                 if fit is None:
                     continue
                 level = fit.level
@@ -354,7 +443,7 @@ class _Engine:
         ties go to the lower device index.  None when nothing qualifies.
         """
         k_abs = self.start + ks_pos
-        if k_abs in hyp.event_times():
+        if k_abs in hyp.times:
             return None
         on_devs = [
             i for i, level in enumerate(hyp.levels)
@@ -375,60 +464,109 @@ class _Engine:
 
     # -- pool management ----------------------------------------------
 
-    def _score(self, hyp: _Hypothesis, p: int) -> float:
-        resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
-        return float(resid @ resid) + self.sparsity_penalty * len(hyp.events)
+    def _score(
+        self, hyp: _Hypothesis, p: int, event: SwitchEvent | None = None
+    ) -> float:
+        """Squared residual through p plus the sparsity penalty.
 
-    def _rank_key(self, hyp: _Hypothesis, p: int) -> tuple:
-        """Score, then fewer events, then the event log in SwitchEvent order."""
-        return (self._score(hyp, p), len(hyp.events), hyp.events)
+        With an event, the score hyp will have once the event is applied:
+        the event's row is updated over [pos, p] with _apply's arithmetic
+        and summed in device order, so the bits are the child's own.
+        """
+        self._sync(hyp, p + 1)
+        resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
+        n = len(hyp.events)
+        if event is not None:
+            dev, pos = event.device, event.k - self.start
+            segments = [row[pos : p + 1] for row in hyp.rows]
+            segments[dev] = segments[dev].copy()
+            self._switch(hyp, event, segments[dev], 0)
+            resid[pos:] = self.y[pos : p + 1] - _device_sum(
+                segments, np.empty(p + 1 - pos)
+            )
+            n += 1
+        return float(resid @ resid) + self.sparsity_penalty * n
+
+    def _rank_key(
+        self, entry: tuple[_Hypothesis, SwitchEvent | None], p: int
+    ) -> tuple:
+        """Score, then fewer events, then the event log in SwitchEvent order.
+
+        entry is a hypothesis and the event that would extend it (None to
+        rank the hypothesis as it is).
+        """
+        hyp, event = entry
+        events = hyp.events if event is None else [*hyp.events, event]
+        return (self._score(hyp, p, event), len(events), events)
+
+    def _step(self, pool: list[_Hypothesis], p: int) -> list[_Hypothesis]:
+        """Handle the detections at p; the next pool, ranked when it overflows.
+
+        Each entry is a hypothesis kept as it is or a (parent, event)
+        branch.  Branches are ranked before they are built, so only the
+        survivors are cloned and applied; a parent's last surviving
+        branch reuses the parent.
+        """
+        entries: list[tuple[_Hypothesis, SwitchEvent | None]] = []
+        for hyp in pool:
+            if hyp.detection is None or hyp.detection.p != p:
+                entries.append((hyp, None))
+                continue
+            _, kind, ks_pos = hyp.detection
+            if kind == "increase":
+                take = self._on_candidates(hyp, ks_pos)[: self.params.beam_width]
+                events = [SwitchEvent(c.k_prime, c.device, "on", c.level) for c in take]
+            else:
+                dev = self._off_device(hyp, ks_pos, p)
+                events = [] if dev is None else [
+                    SwitchEvent(self.start + ks_pos, dev, "off", 0.0)
+                ]
+            if not events:
+                hyp.unexplained.append(
+                    UnexplainedEvent(
+                        self.start + ks_pos, kind, float(self.y[p] - hyp.y_hat[p])
+                    )
+                )
+                hyp.suppressed = True
+                hyp.detection = self._scan(hyp, p + 1)
+                entries.append((hyp, None))
+                continue
+            entries.extend((hyp, event) for event in events)
+        if len(entries) > self.params.beam_width:
+            entries.sort(key=lambda entry: self._rank_key(entry, p))
+            del entries[self.params.beam_width :]
+        last = {
+            id(hyp): i for i, (hyp, event) in enumerate(entries) if event is not None
+        }
+        # Clones are taken before any parent is changed.
+        pool = [
+            hyp if event is None or last[id(hyp)] == i else hyp.clone()
+            for i, (hyp, event) in enumerate(entries)
+        ]
+        for hyp, (_, event) in zip(pool, entries):
+            if event is not None:
+                self._apply(hyp, event)
+                hyp.detection = self._scan(hyp, p + 1)
+        return pool
 
     def run(self) -> DisaggregationResult:
         pool = [_Hypothesis(self.models, self.T, self.start)]
-        for p in range(self.T):
-            next_pool: list[_Hypothesis] = []
-            for hyp in pool:
-                sig = self._detect(hyp, p)
-                if sig is None:
-                    next_pool.append(hyp)
-                    continue
-                kind, ks_pos = sig
-                if kind == "increase":
-                    take = self._on_candidates(hyp, ks_pos)[: self.params.beam_width]
-                    events = [
-                        SwitchEvent(c.k_prime, c.device, "on", c.level) for c in take
-                    ]
-                else:
-                    dev = self._off_device(hyp, ks_pos, p)
-                    events = [] if dev is None else [
-                        SwitchEvent(self.start + ks_pos, dev, "off", 0.0)
-                    ]
-                if not events:
-                    hyp.unexplained.append(
-                        UnexplainedEvent(
-                            self.start + ks_pos, kind, float(self.y[p] - hyp.y_hat[p])
-                        )
-                    )
-                    hyp.suppressed = True
-                    next_pool.append(hyp)
-                    continue
-                clones = [hyp.clone() for _ in events[1:]]
-                for child, event in zip([hyp, *clones], events):
-                    self._apply(child, event)
-                    next_pool.append(child)
-            pool = next_pool
-            if len(pool) > self.params.beam_width:
-                pool.sort(key=lambda h: self._rank_key(h, p))
-                pool = pool[: self.params.beam_width]
-        best = min(pool, key=lambda h: self._rank_key(h, self.T - 1))
+        pool[0].detection = self._scan(pool[0], 0)
+        while True:
+            due = [hyp.detection.p for hyp in pool if hyp.detection is not None]
+            if not due:
+                break
+            pool = self._step(pool, min(due))
+        best = min(pool, key=lambda h: self._rank_key((h, None), self.T - 1))
         return self._build_result(best)
 
     def _build_result(self, hyp: _Hypothesis) -> DisaggregationResult:
+        self._sync(hyp, self.T)
         resid = self.y - hyp.y_hat
         return DisaggregationResult(
             device_names=tuple(m.name for m in self.models),
             estimated_outputs=tuple(
-                SignalSeries(row, self.period, self.start) for row in hyp.y_dev
+                SignalSeries(row, self.period, self.start) for row in hyp.rows
             ),
             estimated_total=SignalSeries(hyp.y_hat, self.period, self.start),
             residual_rms=float(np.sqrt(np.mean(resid**2))),

@@ -23,6 +23,7 @@ from disagg import (
     simulate_zero_state,
     unit_step_values,
 )
+import disagg.engine as engine_module
 from disagg.engine import _Engine, _Hypothesis
 from disagg.series import PiecewiseInput
 from conftest import series
@@ -54,7 +55,8 @@ def _detect(values, k):
     y = np.zeros(10)
     y[: len(values)] = values
     engine = _Engine(series(y), [DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0])], PARAMS)
-    return engine._detect(_hypothesis(engine), k)
+    found = engine._scan(_hypothesis(engine), k)
+    return (found.kind, found.ks) if found is not None and found.p == k else None
 
 
 def test_detect_none_within_threshold():
@@ -73,6 +75,80 @@ def test_detect_requires_full_persistence_run():
     values = [0.0, 0.5, 0.05, 0.5]
     assert _detect(values, 2) is None  # run broken at k=2
     assert _detect(values, 3) is None  # only one violator
+
+
+def _step_detect(y, y_hat, thr, pers, suppressed, p0):
+    """The per-sample detection rule stepped from p0: (p, kind, ks) or None."""
+    for p in range(p0, len(y)):
+        if abs(y[p] - y_hat[p]) <= thr:
+            suppressed = False
+            continue
+        if suppressed or p - pers + 1 < 0:
+            continue
+        if any(abs(y[j] - y_hat[j]) <= thr for j in range(p - pers + 1, p)):
+            continue
+        ks = p - pers + 1
+        while ks > 0 and abs(y[ks - 1] - y_hat[ks - 1]) > thr:
+            ks -= 1
+        return (p, "increase" if y[ks] - y_hat[ks] > 0 else "decrease", ks)
+    return None
+
+
+def test_scan_matches_the_per_sample_rule_property(lag_model):
+    # The scan jumps to the next detection over a lazily summed prediction;
+    # stepping the rule sample by sample over the full prediction must
+    # give the same time, kind and run start.  Runs are long enough to
+    # cross scan chunks, and the prediction changes at an event position
+    # that runs may straddle.
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    runs = st.lists(
+        st.tuples(st.sampled_from([-1.0, -0.2, -0.05, 0.0, 0.05, 0.2, 1.0]),
+                  st.integers(1, 90)),
+        min_size=1, max_size=8,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=runs,
+        pers=st.integers(1, 4),
+        suppressed=st.booleans(),
+        event=st.none() | st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.2, 1.0, 2.0])),
+        start=st.floats(0.0, 1.0),
+        chunk=st.sampled_from([1, 3, engine_module.SCAN_CHUNK]),
+    )
+    # A run that begins before the event's position and is still
+    # violating after it; a run from sample 0, shorter than persistence
+    # at first; a run cut short by the end of the signal.
+    @example(runs=[(0.0, 5), (1.0, 100)], pers=2, suppressed=False,
+             event=(0.5, 0.2), start=0.8, chunk=3)
+    @example(runs=[(1.0, 6), (0.0, 4)], pers=4, suppressed=False,
+             event=None, start=0.0, chunk=1)
+    @example(runs=[(0.0, 20), (-1.0, 3)], pers=4, suppressed=True,
+             event=None, start=0.5, chunk=3)
+    def check(runs, pers, suppressed, event, start, chunk):
+        y = np.repeat([v for v, _ in runs], [n for _, n in runs]) + 0.01
+        y = np.concatenate([y, np.zeros(max(0, 3 - len(y)))])
+        T = len(y)
+        params = EngineParams(deviation_threshold=0.1, persistence=pers,
+                              lookahead=1, backtrack_window=1)
+        engine = _Engine(series(y), [lag_model], params)
+        hyp = _hypothesis(engine)
+        y_hat = np.zeros(T)
+        if event is not None:
+            pos = int(event[0] * (T - 1))
+            engine._apply(hyp, SwitchEvent(pos, 0, "on", event[1]))
+            u = PiecewiseInput(((pos, event[1]),)).expand(0, T)
+            y_hat = simulate_zero_state(lag_model, u).values
+        hyp.suppressed = suppressed
+        p0 = int(start * T)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_module, "SCAN_CHUNK", chunk)
+            found = engine._scan(hyp, p0)
+        assert found == _step_detect(y, y_hat, 0.1, pers, suppressed, p0)
+
+    check()
 
 
 # -------------------------------------------------------------- on-event fit

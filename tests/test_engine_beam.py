@@ -6,12 +6,16 @@ independently; the beam with a width exceeding the number of reachable
 configurations must return the oracle's minimum-score log exactly.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from disagg import (
     ArxModel,
     DegenerateFitError,
+    DeviceModel,
     EngineParams,
     PiecewiseInput,
     SignalSeries,
@@ -26,6 +30,10 @@ from disagg import (
     render,
     simulate_zero_state,
 )
+from disagg.engine import _Engine, _Hypothesis
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import tiled_reference_scenario  # noqa: E402
 
 
 def _event_key(e):
@@ -263,3 +271,59 @@ def test_wide_beam_never_scores_worse_than_greedy():
         g = disaggregate(y_m, lib, base)
         b = disaggregate_beam(y_m, lib, replace(base, beam_width=64))
         assert final_score(b, y_m) <= final_score(g, y_m) + 1e-12
+
+
+def test_rank_ties_on_score_and_count_break_by_event_log():
+    # Twin devices switched on at the same time predict the same bits, so
+    # the two logs tie on score and event count; the log order must then
+    # decide, whether a branch is ranked built or before it is built, and
+    # whatever order the entries arrive in.
+    twins = [DeviceModel(name, A=[[0.5]], b=[0.5], c=[1.0]) for name in ("a", "b")]
+    y = SignalSeries(np.concatenate([np.zeros(10), np.full(20, 2.0)]))
+    engine = _Engine(y, twins, EngineParams(deviation_threshold=0.1))
+    root = _Hypothesis(engine.models, engine.T, engine.start)
+    on_a, on_b = (SwitchEvent(10, dev, "on", 2.0) for dev in (0, 1))
+    built_a, built_b = root.clone(), root.clone()
+    engine._apply(built_a, on_a)
+    engine._apply(built_b, on_b)
+    p = 20
+    key_a = engine._rank_key((root, on_a), p)
+    key_b = engine._rank_key((root, on_b), p)
+    assert key_a[:2] == key_b[:2]
+    assert key_a < key_b
+    assert key_a == engine._rank_key((built_a, None), p)
+    assert key_b == engine._rank_key((built_b, None), p)
+    assert engine._step([built_b, built_a], p) == [built_a]
+
+
+def test_beam_builds_only_the_branches_that_survive(monkeypatch):
+    # Every step ranks its branches before building them: no step clones
+    # or applies more than beam_width hypotheses, although some steps
+    # rank more branches than that.
+    sc = tiled_reference_scenario(100, 2)
+    aggregate, _ = render(sc)
+    width = 8
+    counts = {"apply": 0, "clone": 0, "ranked": 0}
+    steps = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def step(self, pool, p):
+        before = dict(counts)
+        out = real_step(self, pool, p)
+        steps.append({name: counts[name] - before[name] for name in counts})
+        return out
+
+    real_step = _Engine._step
+    monkeypatch.setattr(_Engine, "_apply", counting("apply", _Engine._apply))
+    monkeypatch.setattr(_Hypothesis, "clone", counting("clone", _Hypothesis.clone))
+    monkeypatch.setattr(_Engine, "_rank_key", counting("ranked", _Engine._rank_key))
+    monkeypatch.setattr(_Engine, "_step", step)
+    result = disaggregate(aggregate, list(sc.models), EngineParams(beam_width=width))
+    assert result.events
+    assert all(s["apply"] <= width and s["clone"] < width for s in steps)
+    assert max(s["ranked"] for s in steps) > width

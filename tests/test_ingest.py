@@ -467,12 +467,15 @@ def test_signal_csv_rejects_gap_in_index(tmp_path):
 
 
 def test_write_signal_csv_matches_per_sample_format(tmp_path):
-    values = [0.1, -0.0, 5e-324, -2.5e300, 1 / 3, 7.0]
-    s = series(values, start=-3)
-    path = tmp_path / "sig.csv"
-    write_signal_csv(s, path)
-    expected = ["k,value"] + [f"{-3 + p},{float(v)!r}" for p, v in enumerate(values)]
-    assert path.read_text() == "\n".join(expected) + "\n"
+    # Repeats and both zeros: values are formatted once per bit pattern,
+    # within blocks of rows that the long signal crosses.
+    short = [0.1, -0.0, 5e-324, -2.5e300, 1 / 3, 7.0, 0.0, 0.1, -0.0, 0.0]
+    for values in (short, short * 300):
+        s = series(values, start=-3)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(s, path)
+        expected = ["k,value"] + [f"{-3 + p},{float(v)!r}" for p, v in enumerate(values)]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
 
 @pytest.mark.parametrize("body, message", [
