@@ -92,12 +92,19 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
                 raise ValidationError(f"unexplained event at k={u.k} has kind {u.kind!r}")
         residual_rms = float(data["residual_rms"])
         params = EngineParams(**data["params"])
+    outputs = tuple(read_signal_csv(out / f"estimate_{name}.csv") for name in names)
+    total = read_signal_csv(out / "estimate_total.csv")
+    for name, series in zip(names, outputs):
+        if (series.start_index, series.end_index) != (total.start_index, total.end_index):
+            raise ValidationError(
+                f"{out / f'estimate_{name}.csv'}: index range "
+                f"[{series.start_index}, {series.end_index}) differs from "
+                f"estimate_total.csv's [{total.start_index}, {total.end_index})"
+            )
     return DisaggregationResult(
         device_names=names,
-        estimated_outputs=tuple(
-            read_signal_csv(out / f"estimate_{name}.csv") for name in names
-        ),
-        estimated_total=read_signal_csv(out / "estimate_total.csv"),
+        estimated_outputs=outputs,
+        estimated_total=total,
         residual_rms=residual_rms,
         events=events,
         unexplained=unexplained,
@@ -106,8 +113,6 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
 
 
 def _cmd_simulate(args) -> int:
-    if args.scenario is None and not args.reference:
-        raise ValidationError("choose a source: --reference or --scenario FILE")
     if args.scenario is not None:
         library = load_library(args.library) if args.library else None
         scenario = load_scenario(args.scenario, library=library)
@@ -211,10 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", parents=[], help="render a scenario to CSV")
-    p_sim.add_argument("--reference", action="store_true",
-                       help="use the built-in five-device benchmark scenario")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--scenario", default=None, help="scenario JSON to render")
+    source = p_sim.add_mutually_exclusive_group(required=True)
+    source.add_argument("--reference", action="store_true",
+                        help="use the built-in five-device benchmark scenario")
+    source.add_argument("--scenario", default=None, help="scenario JSON to render")
+    p_sim.add_argument("--seed", type=int, default=0,
+                       help="reference scenario seed")
     p_sim.add_argument("--library", default=None,
                        help="device library for model_ref resolution")
     p_sim.add_argument("--out", required=True)

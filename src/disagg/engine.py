@@ -42,8 +42,8 @@ from .errors import DegenerateFitError, ValidationError
 from .models import (
     DeviceModel,
     _add_switch,
+    _require_stable,
     dc_gain,
-    is_stable,
     # Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state.
     simulate_zero_state,  # noqa: F401
     unit_step_values,
@@ -182,11 +182,7 @@ def fit_on_event(e: SignalSeries, model: DeviceModel, k_prime: int) -> FitResult
         raise ValidationError(
             f"window starts at {e.start_index}, expected k_prime={k_prime}"
         )
-    check = is_stable(model)
-    if not check.stable:
-        raise ValidationError(
-            f"model '{model.name}' unstable (radius {check.spectral_radius:.6g})"
-        )
+    _require_stable(model)
     g = unit_step_values(model, len(e))
     fit = _project(g, e.values, float(g @ g))
     if fit is None:
@@ -294,13 +290,6 @@ class _Engine:
             raise ValidationError(
                 f"non-finite sample at k={y_m.start_index + int(bad[0])}"
             )
-        for m in library:
-            check = is_stable(m)
-            if not check.stable:
-                raise ValidationError(
-                    f"library model '{m.name}' unstable "
-                    f"(radius {check.spectral_radius:.6g})"
-                )
         self.y = y_m.values
         self.start = y_m.start_index
         self.period = y_m.sample_period
@@ -309,8 +298,9 @@ class _Engine:
         self.params = params
         self.threshold = resolve_threshold(y_m, params)
         self.sparsity_penalty = self.threshold**2 * params.lookahead
-        self.g = [unit_step_values(m, self.T) for m in self.models]
+        # dc_gain rejects an unstable model before any step response is built.
         self.gains = [dc_gain(m) for m in self.models]
+        self.g = [unit_step_values(m, self.T) for m in self.models]
         self.gg: dict[tuple[int, int], float] = {}  # (device, n) -> g[:n] @ g[:n]
 
     # -- per-hypothesis mechanics ------------------------------------

@@ -8,7 +8,9 @@ level error, per-device energy error, and aggregate fit.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -60,16 +62,22 @@ def match_events(
     """Pair events greedily by |time difference|, nearest first.
 
     Only events with the same device and kind within the window can
-    pair; each event is used at most once.
+    pair; each event is used at most once.  Ties go to the earlier truth
+    event, then the earlier estimate.
     """
+    if match_window < 0:
+        raise ValidationError(f"match_window must be >= 0, got {match_window}")
+    groups: dict[tuple[int, str], list[tuple[int, int]]] = {}
+    for ei, e in enumerate(estimate):
+        groups.setdefault((e.device, e.kind), []).append((e.k, ei))
+    for group in groups.values():
+        group.sort()
     candidates = []
     for ti, t in enumerate(truth):
-        for ei, e in enumerate(estimate):
-            if t.device != e.device or t.kind != e.kind:
-                continue
-            dt = abs(t.k - e.k)
-            if dt <= match_window:
-                candidates.append((dt, ti, ei))
+        group = groups.get((t.device, t.kind), [])
+        lo = bisect_left(group, t.k - match_window, key=itemgetter(0))
+        hi = bisect_right(group, t.k + match_window, key=itemgetter(0))
+        candidates.extend((abs(t.k - k), ti, ei) for k, ei in group[lo:hi])
     candidates.sort()
     used_t: set[int] = set()
     used_e: set[int] = set()

@@ -11,9 +11,9 @@ unit-step responses, one per switch, so outputs are built by one kernel
 (``_add_switch``) that adds du * g[:T - p] from each switch position p,
 or zeroes the output from p at an instant-off switch-off.  The engine
 builds its predictions with the same kernel, so a simulated schedule
-and the engine's prediction of it agree bit for bit.  Inputs whose
-switches would cost the kernel more than the per-sample state recursion
-(see SPARSE_WORK_PER_SAMPLE) run the recursion instead.
+and the engine's prediction of it agree bit for bit.  Every input takes
+this path: a dense input costs one O(T) pass per change, as an engine
+event does.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ SETTLE_SPAN = 200
 # SETTLE_SPAN, or the models random_stable_model draws would depend on
 # the doubling.
 STEP_HEAD = SETTLE_SPAN
-# simulate_zero_state superposes switches only while that is cheaper than
-# the per-sample recursion.  Each switch costs about as much Python time
-# as one recursion step (about 5 us) plus one numpy update per remaining
-# sample (about 1 ns), so the kernel is used for inputs that change at no
-# more than half of their samples and update at most this many samples
-# per signal sample.  Timed on a 2-vCPU x86 VM (orders 1 and 4, T = 200
-# to 115,200), the kernel took at most 0.7x the recursion's time up to
-# 3,000 and broke even between 5,000 and 10,000.
-SPARSE_WORK_PER_SAMPLE = 3_000
 
 
 @dataclass(frozen=True)
@@ -161,14 +152,11 @@ def normalize_dc(model: DeviceModel) -> DeviceModel:
 def simulate_zero_state(model: DeviceModel, u: SignalSeries) -> SignalSeries:
     """Zero-state output of the model under input u.
 
-    A sparse input is superposed switch by switch with the same kernel
-    the engine uses.  An input that changes at more than half of its
-    samples, or whose switches would update more than
-    SPARSE_WORK_PER_SAMPLE samples per signal sample, runs the per-sample
-    state recursion, which agrees with the kernel to rounding.
-    For instant_off models the state is zeroed at every sample where the
-    input transitions to exactly 0, so the output is identically zero
-    while the device stays off.
+    Each change du of the input is superposed with the kernel the engine
+    uses, so re-simulating an engine schedule gives the engine's bits.
+    For instant_off models the output is zeroed from every sample where
+    the input transitions to exactly 0, so it is identically zero while
+    the device stays off.
     """
     uv = u.values
     bad = np.flatnonzero(~np.isfinite(uv))
@@ -177,16 +165,10 @@ def simulate_zero_state(model: DeviceModel, u: SignalSeries) -> SignalSeries:
             f"non-finite input sample at k={u.start_index + int(bad[0])}"
         )
     du = np.diff(uv, prepend=0.0)
-    changes = np.flatnonzero(du)
-    T = len(uv)
-    work = changes.size * T - int(changes.sum())  # samples the kernel updates
-    if 2 * changes.size <= T and work <= SPARSE_WORK_PER_SAMPLE * T:
-        y = np.zeros(T)
-        g = unit_step_values(model, T)
-        for p in changes.tolist():
-            _add_switch(y, g, p, float(du[p]), model.instant_off and uv[p] == 0.0)
-    else:
-        y = _simulate_recursion(model, uv)
+    y = np.zeros(len(uv))
+    g = unit_step_values(model, len(uv))
+    for p in np.flatnonzero(du).tolist():
+        _add_switch(y, g, p, float(du[p]), model.instant_off and uv[p] == 0.0)
     return SignalSeries(y, sample_period=u.sample_period, start_index=u.start_index)
 
 
@@ -201,18 +183,6 @@ def _add_switch(row: np.ndarray, g: np.ndarray, p: int, du: float, reset: bool) 
         row[p:] = 0.0
     else:
         row[p:] += du * g[: len(row) - p]
-
-
-def _simulate_recursion(model: DeviceModel, uv: np.ndarray) -> np.ndarray:
-    A, b, c, d = model.A, model.b, model.c, model.d
-    x = np.zeros(model.order)
-    y = np.empty(len(uv))
-    for k in range(len(uv)):
-        if model.instant_off and uv[k] == 0.0 and k > 0 and uv[k - 1] != 0.0:
-            x = np.zeros(model.order)
-        y[k] = c @ x + d * uv[k]
-        x = A @ x + b * uv[k]
-    return y
 
 
 def unit_step_values(model: DeviceModel, length: int) -> np.ndarray:

@@ -7,6 +7,7 @@ period, and ``position = k - start_index`` is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,8 @@ class PiecewiseInput:
         prev_k = None
         prev_level = 0.0
         for k, level in normalized:
+            if not math.isfinite(level):
+                raise ValidationError(f"non-finite level {level} at k={k}")
             if prev_k is not None and k <= prev_k:
                 raise ValidationError(
                     f"event times must be strictly increasing, got {k} after {prev_k}"

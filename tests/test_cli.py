@@ -182,6 +182,31 @@ def test_simulate_requires_a_source(tmp_path):
     assert main(["simulate", "--out", str(tmp_path / "x")]) == 1
 
 
+def test_simulate_takes_one_source(tmp_path, capsys):
+    first = tmp_path / "a"
+    assert main(["simulate", "--reference", "--out", str(first)]) == 0
+    code = main([
+        "simulate", "--reference", "--seed", "3",
+        "--scenario", str(first / "scenario.json"), "--out", str(tmp_path / "b"),
+    ])
+    assert code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_evaluate_rejects_negative_match_window(pipeline_dir, tmp_path, capsys):
+    code = main([
+        "evaluate",
+        "--result", str(pipeline_dir / "res"),
+        "--truth", str(pipeline_dir / "sim" / "scenario.json"),
+        "--match-window", "-1",
+        "--out", str(tmp_path / "metrics.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: match_window must be >= 0")
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def test_missing_input_file_exits_two(tmp_path):
     code = main([
         "disaggregate",
@@ -244,6 +269,17 @@ def _first_off(data):
     return next(e for e in data["events"] if e["kind"] == "off")
 
 
+def _first_on(data):
+    return next(e for e in data["events"] if e["kind"] == "on")
+
+
+def _keep_rows(n):
+    def edit(path):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[: n + 1]))
+    return edit
+
+
 @pytest.mark.parametrize("name, edit", [
     ("res/result.json", _truncate),
     ("res/result.json", _edit_json(lambda d: d["events"][0].update(device="kettle"))),
@@ -256,6 +292,9 @@ def _first_off(data):
     ("res/result.json", _edit_json(lambda d: _first_off(d).update(level=1.5))),
     ("res/result.json", _edit_json(lambda d: d["unexplained"].append(
         {"k": 5, "kind": "sideways", "magnitude": 1.0}))),
+    ("res/result.json", _edit_json(lambda d: _first_on(d).update(level=float("inf")))),
+    ("res/result.json", _edit_json(lambda d: _first_on(d).update(level=float("nan")))),
+    ("res/estimate_device1.csv", _keep_rows(100)),
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
     ("sim/library.json", _truncate),
@@ -263,7 +302,8 @@ def _first_off(data):
 ], ids=[
     "truncated-result", "unknown-device", "extra-param", "negative-level",
     "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
-    "sideways-unexplained", "truncated-scenario",
+    "sideways-unexplained", "inf-level", "nan-level", "short-estimate",
+    "truncated-scenario",
     "scenario-without-devices", "truncated-library", "library-entry-not-object",
 ])
 def test_malformed_json_is_a_validation_error(

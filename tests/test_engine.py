@@ -12,6 +12,7 @@ from disagg import (
     EngineParams,
     SignalSeries,
     SwitchEvent,
+    UnstableModelError,
     ValidationError,
     disaggregate,
     estimate_noise_std,
@@ -177,6 +178,12 @@ def test_fit_degenerate_template_rejected():
     m = DeviceModel("late", A=[[0.0, 1.0], [0.0, 0.0]], b=[0.0, 1.0], c=[1.0, 0.0])
     # Two-sample delay: the first two step samples are zero.
     with pytest.raises(DegenerateFitError):
+        fit_on_event(series([1.0, 1.0], start=3), m, 3)
+
+
+def test_fit_rejects_unstable_model():
+    m = DeviceModel("bad", A=[[1.1]], b=[1.0], c=[1.0])
+    with pytest.raises(UnstableModelError, match="model 'bad'"):
         fit_on_event(series([1.0, 1.0], start=3), m, 3)
 
 
@@ -564,9 +571,14 @@ def test_disaggregate_rejects_non_finite_sample_with_index(lag_model):
             disaggregate(series(y, start=1000), [lag_model])
 
 
-def test_disaggregate_rejects_unstable_library(lag_model):
+def test_disaggregate_rejects_unstable_library(lag_model, monkeypatch):
+    def no_step_response(model, length):
+        raise AssertionError(f"step response of '{model.name}' built")
+
+    # The library is checked before any step response is built.
+    monkeypatch.setattr(engine_module, "unit_step_values", no_step_response)
     bad = DeviceModel("bad", A=[[1.1]], b=[1.0], c=[1.0])
-    with pytest.raises(ValidationError):
+    with pytest.raises(UnstableModelError, match="model 'bad'"):
         disaggregate(series(np.zeros(60)), [lag_model, bad])
 
 

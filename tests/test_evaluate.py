@@ -64,6 +64,56 @@ def test_match_events_greedy_nearest_first():
     assert m.pairs[0][0].k == 20  # equal distances: earlier truth event wins
 
 
+def test_match_events_rejects_negative_window():
+    with pytest.raises(ValidationError, match="match_window"):
+        match_events([_ev(20, 0, "on")], [_ev(20, 0, "on")], match_window=-1)
+
+
+def _match_all_pairs(truth, estimate, match_window):
+    """Reference matcher: every truth event against every estimated event."""
+    candidates = sorted(
+        (abs(t.k - e.k), ti, ei)
+        for ti, t in enumerate(truth)
+        for ei, e in enumerate(estimate)
+        if t.device == e.device and t.kind == e.kind and abs(t.k - e.k) <= match_window
+    )
+    used_t, used_e, pairs = set(), set(), []
+    for _, ti, ei in candidates:
+        if ti not in used_t and ei not in used_e:
+            used_t.add(ti)
+            used_e.add(ei)
+            pairs.append((truth[ti], estimate[ei]))
+    return (
+        tuple(pairs),
+        tuple(t for i, t in enumerate(truth) if i not in used_t),
+        tuple(e for i, e in enumerate(estimate) if i not in used_e),
+    )
+
+
+def test_match_events_equals_all_pairs_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    event = st.builds(
+        _ev, st.integers(0, 60), st.integers(0, 2), st.sampled_from(["on", "off"]),
+        st.sampled_from([0.5, 1.0, 2.0]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        truth=st.lists(event, max_size=30),
+        estimate=st.lists(event, max_size=30),
+        match_window=st.integers(0, 12),
+    )
+    def check(truth, estimate, match_window):
+        m = match_events(truth, estimate, match_window)
+        assert (m.pairs, m.unmatched_truth, m.unmatched_estimate) == _match_all_pairs(
+            truth, estimate, match_window
+        )
+
+    check()
+
+
 def _perfect_result(sc):
     aggregate, _ = render(sc)
     return disaggregate(aggregate, list(sc.models)), aggregate
@@ -162,6 +212,13 @@ def test_score_rejects_mismatched_range():
     short = replace(sc, horizon=430)  # events still fit, range differs
     with pytest.raises(ValidationError):
         score(result, short)
+
+
+def test_score_rejects_negative_window():
+    sc = reference_scenario(0)
+    result, _ = _perfect_result(sc)
+    with pytest.raises(ValidationError, match="match_window"):
+        score(result, sc, match_window=-1)
 
 
 def test_score_symmetric_under_relabeling():

@@ -16,7 +16,7 @@ from disagg import (
     simulate_zero_state,
     unit_step_values,
 )
-from disagg.models import SETTLE_SPAN, SPARSE_WORK_PER_SAMPLE, STEP_HEAD, _simulate_recursion
+from disagg.models import SETTLE_SPAN, STEP_HEAD, _add_switch
 from conftest import series
 
 
@@ -300,6 +300,19 @@ def _step_recursion(model, length):
     return g
 
 
+def _simulate_recursion(model, u):
+    """Reference zero-state output: the per-sample state recursion, with the
+    state reset where an instant-off model's input switches to 0."""
+    x = np.zeros(model.order)
+    y = np.empty(len(u))
+    for k in range(len(u)):
+        if model.instant_off and u[k] == 0.0 and k > 0 and u[k - 1] != 0.0:
+            x = np.zeros(model.order)
+        y[k] = model.c @ x + model.d * u[k]
+        x = model.A @ x + model.b * u[k]
+    return y
+
+
 def _kernel_models():
     """Orders 1-4, complex poles, a slow pole and feedthrough (d != 0)."""
     theta = 0.7
@@ -341,7 +354,7 @@ def _piecewise(rng, length, switches):
     return u
 
 
-def test_simulate_sparse_path_matches_recursion():
+def test_simulate_sparse_input_matches_recursion():
     rng = np.random.default_rng(5)
     for m in _kernel_models():
         for instant_off in (False, True):
@@ -357,24 +370,27 @@ def test_simulate_sparse_path_matches_recursion():
                 )
 
 
-def test_simulate_dense_input_runs_the_recursion():
+def test_simulate_dense_input_superposes_every_change():
+    # A random input changes at every sample; a switch every second
+    # sample at T = 14,000 updates about T / 4 samples per signal sample.
     rng = np.random.default_rng(6)
-    for m in _kernel_models():
-        u = rng.normal(size=300)
-        np.testing.assert_array_equal(
-            simulate_zero_state(m, series(u)).values, _simulate_recursion(m, u)
+    dense = [(m, rng.normal(size=300)) for m in _kernel_models()]
+    alternating = np.tile([0.0, 0.0, 1.5, 1.5], 14_000 // 4)
+    dense += [
+        (m, alternating)
+        for m in (_kernel_models()[1], replace(_kernel_models()[0], instant_off=True))
+    ]
+    for m, u in dense:
+        y = simulate_zero_state(m, series(u)).values
+        np.testing.assert_allclose(
+            y, _simulate_recursion(m, u), rtol=0, atol=1e-12, err_msg=m.name
         )
-
-
-def test_simulate_input_over_the_work_budget_runs_the_recursion():
-    # A switch every second sample: half the samples change, and the
-    # switches would update about T / 4 samples per signal sample.
-    T = 4 * SPARSE_WORK_PER_SAMPLE + 2_000
-    u = np.tile([0.0, 0.0, 1.5, 1.5], T // 4)
-    for m in (_kernel_models()[1], replace(_kernel_models()[0], instant_off=True)):
-        np.testing.assert_array_equal(
-            simulate_zero_state(m, series(u)).values, _simulate_recursion(m, u)
-        )
+        ref = np.zeros(len(u))
+        g = unit_step_values(m, len(u))
+        du = np.diff(u, prepend=0.0)
+        for p in np.flatnonzero(du):
+            _add_switch(ref, g, int(p), float(du[p]), m.instant_off and u[p] == 0.0)
+        np.testing.assert_array_equal(y, ref, err_msg=m.name)
 
 
 def test_kernel_matches_recursion_property():

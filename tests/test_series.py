@@ -89,3 +89,9 @@ def test_piecewise_rejects_null_events():
 def test_piecewise_rejects_negative_levels():
     with pytest.raises(ValidationError):
         PiecewiseInput(((2, -1.0),))
+
+
+def test_piecewise_rejects_non_finite_levels():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="at k=4"):
+            PiecewiseInput(((2, 1.0), (4, bad)))
