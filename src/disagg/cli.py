@@ -114,10 +114,12 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
 
 def _cmd_simulate(args) -> int:
     if args.scenario is not None:
+        if args.seed is not None:
+            raise ValidationError("--seed applies only to --reference")
         library = load_library(args.library) if args.library else None
         scenario = load_scenario(args.scenario, library=library)
     else:
-        scenario = reference_scenario(args.seed)
+        scenario = reference_scenario(0 if args.seed is None else args.seed)
     aggregate, truths = render(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--reference", action="store_true",
                         help="use the built-in five-device benchmark scenario")
     source.add_argument("--scenario", default=None, help="scenario JSON to render")
-    p_sim.add_argument("--seed", type=int, default=0,
-                       help="reference scenario seed")
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="reference scenario seed (default 0)")
     p_sim.add_argument("--library", default=None,
                        help="device library for model_ref resolution")
     p_sim.add_argument("--out", required=True)

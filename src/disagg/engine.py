@@ -42,7 +42,6 @@ from .errors import DegenerateFitError, ValidationError
 from .models import (
     DeviceModel,
     _add_switch,
-    _require_stable,
     dc_gain,
     # Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state.
     simulate_zero_state,  # noqa: F401
@@ -80,8 +79,13 @@ class EngineParams:
     beam_width: int = 1
 
     def __post_init__(self):
-        if self.deviation_threshold is not None and self.deviation_threshold <= 0:
-            raise ValidationError("deviation_threshold must be > 0 when given")
+        if self.deviation_threshold is not None and not (
+            math.isfinite(self.deviation_threshold) and self.deviation_threshold > 0
+        ):
+            raise ValidationError(
+                "deviation_threshold must be finite and > 0 when given, "
+                f"got {self.deviation_threshold!r}"
+            )
         if self.persistence < 1:
             raise ValidationError("persistence must be >= 1")
         if self.lookahead < 1:
@@ -182,7 +186,6 @@ def fit_on_event(e: SignalSeries, model: DeviceModel, k_prime: int) -> FitResult
         raise ValidationError(
             f"window starts at {e.start_index}, expected k_prime={k_prime}"
         )
-    _require_stable(model)
     g = unit_step_values(model, len(e))
     fit = _project(g, e.values, float(g @ g))
     if fit is None:
@@ -298,7 +301,6 @@ class _Engine:
         self.params = params
         self.threshold = resolve_threshold(y_m, params)
         self.sparsity_penalty = self.threshold**2 * params.lookahead
-        # dc_gain rejects an unstable model before any step response is built.
         self.gains = [dc_gain(m) for m in self.models]
         self.g = [unit_step_values(m, self.T) for m in self.models]
         self.gg: dict[tuple[int, int], float] = {}  # (device, n) -> g[:n] @ g[:n]

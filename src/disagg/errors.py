@@ -12,12 +12,13 @@ class ValidationError(DisaggError, ValueError):
 
 
 class UnstableModelError(ValidationError):
-    """A device model (or fitted polynomial) is not strictly stable."""
+    """A device model's spectral radius is not below 1 - margin."""
 
-    def __init__(self, spectral_radius: float, context: str = "model"):
+    def __init__(self, name: str, spectral_radius: float, margin: float):
         self.spectral_radius = spectral_radius
         super().__init__(
-            f"unstable {context}: spectral radius {spectral_radius:.6g} >= 1"
+            f"unstable model '{name}': spectral radius {spectral_radius!r} "
+            f">= 1 - {margin!r}"
         )
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +42,12 @@ STEP_HEAD = SETTLE_SPAN
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """One appliance's discrete LTI dynamics plus physical priors."""
+    """One appliance's discrete LTI dynamics plus physical priors.
+
+    A model is strictly stable by construction: the constructor raises
+    UnstableModelError unless every eigenvalue of A lies inside the
+    circle of radius 1 - STABILITY_MARGIN, so no caller needs to check.
+    """
 
     name: str
     A: np.ndarray
@@ -73,6 +77,9 @@ class DeviceModel:
         for arr in (A, b, c):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"non-finite entries in model '{self.name}'")
+        radius = spectral_radius(A)
+        if radius >= 1.0 - STABILITY_MARGIN:
+            raise UnstableModelError(self.name, radius, STABILITY_MARGIN)
         A = A.copy()
         b = b.copy()
         c = c.copy()
@@ -110,30 +117,12 @@ class DeviceModel:
         return hash((self.name, self.A.tobytes(), self.b.tobytes(), self.c.tobytes()))
 
 
-class StabilityCheck(NamedTuple):
-    stable: bool
-    spectral_radius: float
-
-
 def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.atleast_2d(A)))))
 
 
-def is_stable(model: DeviceModel) -> StabilityCheck:
-    """Strict stability: every eigenvalue inside the unit disk with margin."""
-    radius = spectral_radius(model.A)
-    return StabilityCheck(radius < 1.0 - STABILITY_MARGIN, radius)
-
-
-def _require_stable(model: DeviceModel) -> None:
-    check = is_stable(model)
-    if not check.stable:
-        raise UnstableModelError(check.spectral_radius, context=f"model '{model.name}'")
-
-
 def dc_gain(model: DeviceModel) -> float:
     """Steady-state output per unit constant input: c'(I - A)^-1 b + d."""
-    _require_stable(model)
     n = model.order
     x_inf = np.linalg.solve(np.eye(n) - model.A, model.b)
     return float(model.c @ x_inf + model.d)
@@ -295,7 +284,7 @@ def model_to_dict(model: DeviceModel) -> dict:
 def model_from_dict(entry: dict) -> DeviceModel:
     try:
         order = int(entry["order"])
-        model = DeviceModel(
+        return DeviceModel(
             name=str(entry["name"]),
             A=np.asarray(entry["A"], dtype=float).reshape(order, order),
             b=np.asarray(entry["b"], dtype=float),
@@ -308,8 +297,6 @@ def model_from_dict(entry: dict) -> DeviceModel:
         )
     except KeyError as exc:
         raise ValidationError(f"device entry missing field {exc}") from exc
-    _require_stable(model)
-    return model
 
 
 def save_library(models: list[DeviceModel], path: str | Path) -> None:

@@ -9,11 +9,11 @@ DC-normalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import RankDeficientDataError, UnstableModelError, ValidationError
+from .errors import RankDeficientDataError, ValidationError
 from .models import DeviceModel
 from .series import PiecewiseInput, SignalSeries
 
@@ -57,24 +57,20 @@ class ArxModel:
     b_coef: tuple[float, ...]
     delay: int = 1
     residual_rms: float = field(default=0.0, compare=False)
-    stable: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        if self.na < 1 or self.nb < 1:
-            raise ValidationError("na and nb must be >= 1")
-        if self.delay < 0:
-            raise ValidationError(f"delay must be >= 0, got {self.delay}")
+        _check_orders(self.na, self.nb, self.delay)
         if len(self.a) != self.na or len(self.b_coef) != self.nb:
             raise ValidationError("coefficient lengths must match na and nb")
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "b_coef", tuple(float(v) for v in self.b_coef))
 
 
-def ar_spectral_radius(a: tuple[float, ...]) -> float:
-    """Largest pole modulus of 1 - a_1 z^-1 - ... - a_na z^-na."""
-    poly = np.concatenate(([1.0], -np.asarray(a, dtype=float)))
-    roots = np.roots(poly)
-    return float(np.max(np.abs(roots))) if roots.size else 0.0
+def _check_orders(na: int, nb: int, delay: int) -> None:
+    if na < 1 or nb < 1:
+        raise ValidationError("na and nb must be >= 1")
+    if delay < 0:
+        raise ValidationError(f"delay must be >= 0, got {delay}")
 
 
 def detect_plug_input(y: SignalSeries, label: PlugRecordingLabel) -> PiecewiseInput:
@@ -142,8 +138,10 @@ def fit_arx(
     identification pipeline uses this to skip samples around off-switches
     where the input labeling is unreliable.  Raises
     RankDeficientDataError when the data does not excite the requested
-    order; an unstable fit is returned with stable=False.
+    order.  An unstable fit is returned; realizing it with
+    arx_to_state_space raises UnstableModelError.
     """
+    _check_orders(na, nb, delay)
     if len(y) != len(u):
         raise ValidationError(f"y and u lengths differ: {len(y)} vs {len(u)}")
     min_len = na + nb + delay + 10
@@ -171,22 +169,17 @@ def fit_arx(
     b_coef = tuple(theta[na:])
     residual = target - phi @ theta
     rms = float(np.sqrt(np.mean(residual**2)))
-    stable = ar_spectral_radius(a) < 1.0
-    return ArxModel(
-        na=na, nb=nb, a=a, b_coef=b_coef, delay=delay,
-        residual_rms=rms, stable=stable,
-    )
+    return ArxModel(na=na, nb=nb, a=a, b_coef=b_coef, delay=delay, residual_rms=rms)
 
 
 def arx_to_state_space(m: ArxModel, name: str = "arx") -> DeviceModel:
-    """Observable canonical realization of a stable ARX model.
+    """Observable canonical realization of an ARX model.
 
     The realization order is max(na, nb + delay - 1); a delay of 0 puts
-    the leading numerator coefficient into the feedthrough d.
+    the leading numerator coefficient into the feedthrough d.  The
+    eigenvalues of A are the AR poles, so an unstable fit raises
+    UnstableModelError from the DeviceModel constructor.
     """
-    radius = ar_spectral_radius(m.a)
-    if radius >= 1.0:
-        raise UnstableModelError(radius, context=f"ARX fit '{name}'")
     n = max(m.na, m.nb + m.delay - 1)
     alpha = np.zeros(n + 1)
     beta = np.zeros(n + 1)
@@ -230,17 +223,10 @@ def identify_device(
     u = u_fit.expand(y.start_index, len(y), y.sample_period)
     exclude = _off_transition_rows(u_pw, y.start_index, na, nb, delay)
     arx = fit_arx(y, u, na=na, nb=nb, delay=delay, exclude_rows=exclude)
-    model = arx_to_state_space(arx, name=label.device_name)
-    instant = _offs_are_instant(y, u_pw)
-    max_output = MAX_OUTPUT_HEADROOM * float(np.max(y.values))
-    return DeviceModel(
-        name=label.device_name,
-        A=model.A,
-        b=model.b,
-        c=model.c,
-        d=model.d,
-        instant_off=instant,
-        max_output=max_output,
+    return replace(
+        arx_to_state_space(arx, name=label.device_name),
+        instant_off=_offs_are_instant(y, u_pw),
+        max_output=MAX_OUTPUT_HEADROOM * float(np.max(y.values)),
     )
 
 

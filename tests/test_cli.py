@@ -106,7 +106,7 @@ def test_result_round_trip(tmp_path):
     np.testing.assert_array_equal(summed, result.estimated_total.values)
 
 
-def test_identify_appends_library_entry(tmp_path):
+def _write_plug_recording(path):
     model = random_stable_model(3, 4, instant_off=True)
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0), (280, 5.0), (430, 0.0)))
     y = simulate_zero_state(model, schedule.expand(0, 520, 1 / 12.0))
@@ -115,8 +115,12 @@ def test_identify_appends_library_entry(tmp_path):
         np.arange(n) / 12.0, y.values, np.full(n, 120.0), 120.0 * y.values,
         118.0 * y.values, np.full(n, 0.98),
     )
+    write_emontx_csv(recording, path)
+
+
+def test_identify_appends_library_entry(tmp_path):
     rec_path = tmp_path / "plug.csv"
-    write_emontx_csv(recording, rec_path)
+    _write_plug_recording(rec_path)
     lib_path = tmp_path / "lib.json"
     assert main([
         "identify",
@@ -130,6 +134,23 @@ def test_identify_appends_library_entry(tmp_path):
     assert len(lib) == 1
     assert lib[0].name == "kettle"
     assert lib[0].instant_off
+
+
+def test_identify_rejects_negative_delay(tmp_path, capsys):
+    rec_path = tmp_path / "plug.csv"
+    _write_plug_recording(rec_path)
+    lib_path = tmp_path / "lib.json"
+    code = main([
+        "identify",
+        "--input", str(rec_path),
+        "--name", "kettle",
+        "--threshold", "1.0",
+        "--delay", "-1",
+        "--library", str(lib_path),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: delay must be >= 0, got -1\n"
+    assert not lib_path.exists()
 
 
 def test_identify_is_deterministic_on_a_benchmark_plug(tmp_path):
@@ -192,6 +213,43 @@ def test_simulate_takes_one_source(tmp_path, capsys):
     assert code == 1
     assert "not allowed with argument" in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
+
+
+def test_simulate_seed_needs_reference(tmp_path, capsys):
+    first = tmp_path / "a"
+    assert main(["simulate", "--reference", "--out", str(first)]) == 0
+    # --reference without --seed is seed 0.
+    zero = tmp_path / "zero"
+    assert main(["simulate", "--reference", "--seed", "0", "--out", str(zero)]) == 0
+    for name in ("scenario.json", "aggregate.csv"):
+        assert (first / name).read_bytes() == (zero / name).read_bytes()
+    capsys.readouterr()
+    code = main([
+        "simulate", "--scenario", str(first / "scenario.json"), "--seed", "9",
+        "--out", str(tmp_path / "b"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --seed applies only to --reference\n"
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0"])
+def test_disaggregate_rejects_non_finite_threshold(
+    pipeline_dir, tmp_path, capsys, threshold
+):
+    sim = pipeline_dir / "sim"
+    code = main([
+        "disaggregate",
+        "--library", str(sim / "library.json"),
+        "--input", str(sim / "aggregate.csv"),
+        f"--threshold={threshold}",
+        "--out", str(tmp_path / "res"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: deviation_threshold must be finite and > 0 when given"
+    )
+    assert not (tmp_path / "res").exists()
 
 
 def test_evaluate_rejects_negative_match_window(pipeline_dir, tmp_path, capsys):
@@ -294,6 +352,10 @@ def _keep_rows(n):
         {"k": 5, "kind": "sideways", "magnitude": 1.0}))),
     ("res/result.json", _edit_json(lambda d: _first_on(d).update(level=float("inf")))),
     ("res/result.json", _edit_json(lambda d: _first_on(d).update(level=float("nan")))),
+    ("res/result.json", _edit_json(
+        lambda d: d["params"].update(deviation_threshold=float("nan")))),
+    ("res/result.json", _edit_json(
+        lambda d: d["params"].update(deviation_threshold=float("inf")))),
     ("res/estimate_device1.csv", _keep_rows(100)),
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
@@ -302,7 +364,8 @@ def _keep_rows(n):
 ], ids=[
     "truncated-result", "unknown-device", "extra-param", "negative-level",
     "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
-    "sideways-unexplained", "inf-level", "nan-level", "short-estimate",
+    "sideways-unexplained", "inf-level", "nan-level", "nan-threshold",
+    "inf-threshold", "short-estimate",
     "truncated-scenario",
     "scenario-without-devices", "truncated-library", "library-entry-not-object",
 ])

@@ -182,9 +182,13 @@ def test_fit_degenerate_template_rejected():
 
 
 def test_fit_rejects_unstable_model():
-    m = DeviceModel("bad", A=[[1.1]], b=[1.0], c=[1.0])
+    # An unstable model cannot be built, so it never reaches the fit.
     with pytest.raises(UnstableModelError, match="model 'bad'"):
-        fit_on_event(series([1.0, 1.0], start=3), m, 3)
+        fit_on_event(
+            series([1.0, 1.0], start=3),
+            DeviceModel("bad", A=[[1.1]], b=[1.0], c=[1.0]),
+            3,
+        )
 
 
 def test_fit_window_start_must_match():
@@ -575,11 +579,14 @@ def test_disaggregate_rejects_unstable_library(lag_model, monkeypatch):
     def no_step_response(model, length):
         raise AssertionError(f"step response of '{model.name}' built")
 
-    # The library is checked before any step response is built.
+    # The library is checked before any step response is built: an
+    # unstable model fails at construction.
     monkeypatch.setattr(engine_module, "unit_step_values", no_step_response)
-    bad = DeviceModel("bad", A=[[1.1]], b=[1.0], c=[1.0])
     with pytest.raises(UnstableModelError, match="model 'bad'"):
-        disaggregate(series(np.zeros(60)), [lag_model, bad])
+        disaggregate(
+            series(np.zeros(60)),
+            [lag_model, DeviceModel("bad", A=[[1.1]], b=[1.0], c=[1.0])],
+        )
 
 
 # ----------------------------------------------------------------- utilities

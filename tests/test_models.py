@@ -8,15 +8,15 @@ from disagg import (
     UnstableModelError,
     ValidationError,
     dc_gain,
-    is_stable,
     load_library,
     normalize_dc,
     random_stable_model,
     save_library,
     simulate_zero_state,
+    spectral_radius,
     unit_step_values,
 )
-from disagg.models import SETTLE_SPAN, STEP_HEAD, _add_switch
+from disagg.models import SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _add_switch
 from conftest import series
 
 
@@ -66,9 +66,9 @@ def test_dc_gain_two():
 
 
 def test_dc_gain_unstable_reports_radius():
-    m = DeviceModel("bad", A=[[1.5]], b=[1.0], c=[1.0])
+    # An unstable model fails at construction, before dc_gain can run.
     with pytest.raises(UnstableModelError, match="1.5"):
-        dc_gain(m)
+        dc_gain(DeviceModel("bad", A=[[1.5]], b=[1.0], c=[1.0]))
 
 
 def test_normalize_scales_b():
@@ -122,24 +122,33 @@ def test_constant_input_response_zero_level(lag_model):
     np.testing.assert_array_equal(y.values, np.zeros(5))
 
 
-def test_is_stable_scalar(lag_model):
-    check = is_stable(lag_model)
-    assert check.stable
-    assert check.spectral_radius == pytest.approx(0.5)
+def test_stable_scalar_constructs(lag_model):
+    radius = spectral_radius(lag_model.A)
+    assert radius < 1.0 - STABILITY_MARGIN
+    assert radius == pytest.approx(0.5)
 
 
-def test_is_stable_rejects_marginal():
-    m = DeviceModel("marg", A=[[1.0]], b=[1.0], c=[1.0])
-    check = is_stable(m)
-    assert not check.stable
-    assert check.spectral_radius == pytest.approx(1.0)
+def test_construction_rejects_marginal():
+    with pytest.raises(UnstableModelError, match="model 'marg'") as info:
+        DeviceModel("marg", A=[[1.0]], b=[1.0], c=[1.0])
+    assert info.value.spectral_radius == pytest.approx(1.0)
 
 
-def test_is_stable_companion_double_pole():
+def test_stable_companion_double_pole_constructs():
     m = DeviceModel("comp", A=[[0.0, 1.0], [-0.25, 1.0]], b=[0.0, 1.0], c=[1.0, 0.0])
-    check = is_stable(m)
-    assert check.stable
-    assert check.spectral_radius == pytest.approx(0.5, abs=1e-9)
+    radius = spectral_radius(m.A)
+    assert radius < 1.0 - STABILITY_MARGIN
+    assert radius == pytest.approx(0.5, abs=1e-9)
+
+
+def test_unstable_error_prints_exact_radius_and_bound():
+    radius = 1.0 - 5e-10
+    with pytest.raises(UnstableModelError) as info:
+        DeviceModel("edge", A=[[radius]], b=[1.0], c=[1.0])
+    assert info.value.spectral_radius == radius
+    assert str(info.value) == (
+        f"unstable model 'edge': spectral radius {radius!r} >= 1 - 1e-09"
+    )
 
 
 def test_random_model_deterministic_in_seed():
@@ -152,14 +161,14 @@ def test_random_model_deterministic_in_seed():
 
 def test_random_model_stable_unit_gain():
     m = random_stable_model(3, 7)
-    assert is_stable(m).stable
+    assert spectral_radius(m.A) < 1.0 - STABILITY_MARGIN
     assert abs(dc_gain(m) - 1.0) <= 1e-9
 
 
 def test_random_model_sweep_stable_unit_gain():
     for seed in range(100):
         m = random_stable_model(3, seed)
-        assert is_stable(m).stable
+        assert spectral_radius(m.A) < 1.0 - STABILITY_MARGIN
         assert abs(dc_gain(m) - 1.0) <= 1e-9
 
 
@@ -167,7 +176,7 @@ def test_random_model_orders():
     for order in (1, 2, 4):
         m = random_stable_model(order, 11)
         assert m.order == order
-        assert is_stable(m).stable
+        assert spectral_radius(m.A) < 1.0 - STABILITY_MARGIN
 
 
 def test_random_model_unit_step_nonnegative():
@@ -225,7 +234,7 @@ def test_step_convergence_geometric_rate():
         )),
     ]
     for m in cases:
-        rho = is_stable(m).spectral_radius + 1e-6
+        rho = spectral_radius(m.A) + 1e-6
         y = simulate_zero_state(m, SignalSeries(np.full(220, 1.0)))
         err = np.abs(y.values - 1.0)
         w1 = float(np.max(err[20:80]))
@@ -278,6 +287,41 @@ def test_library_rejects_unstable_entry(tmp_path):
     path.write_text(f"[{__import__('json').dumps(entry)}]")
     with pytest.raises(UnstableModelError):
         load_library(path)
+
+
+def test_construction_succeeds_iff_radius_below_margin(tmp_path):
+    # Random 1-3 order A rescaled to a drawn radius, with radii packed
+    # around 1 - STABILITY_MARGIN: a model constructs exactly when its
+    # spectral radius is below the bound, and every model that
+    # constructs round-trips through a library file unchanged.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    bound = 1.0 - STABILITY_MARGIN
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    radii = st.floats(0.0, 1.2) | st.sampled_from(
+        [bound - 1e-12, bound, bound + 1e-12, 1.0 - 5e-10, 1.0, 1.0 + 1e-9]
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), order=st.integers(1, 3), radius=radii)
+    def check(data, order, radius):
+        A = np.array(data.draw(st.lists(entries, min_size=order**2, max_size=order**2)))
+        A = A.reshape(order, order)
+        if spectral_radius(A) > 0.0:
+            A = A * (radius / spectral_radius(A))
+        b = data.draw(st.lists(entries, min_size=order, max_size=order))
+        c = data.draw(st.lists(entries, min_size=order, max_size=order))
+        if spectral_radius(A) >= bound:
+            with pytest.raises(UnstableModelError, match="model 'p'"):
+                DeviceModel("p", A=A, b=b, c=c)
+            return
+        model = DeviceModel("p", A=A, b=b, c=c, d=0.25)
+        path = tmp_path / "lib.json"
+        save_library([model], path)
+        assert load_library(path) == [model]
+
+    check()
 
 
 def test_library_rejects_duplicate_names(tmp_path):

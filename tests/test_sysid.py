@@ -14,7 +14,9 @@ from disagg import (
     identify_device,
     random_stable_model,
     simulate_zero_state,
+    spectral_radius,
 )
+from disagg.models import STABILITY_MARGIN
 from disagg.series import PiecewiseInput
 from disagg.sysid import HYSTERESIS_SAMPLES, _regression
 from conftest import series
@@ -184,7 +186,7 @@ def test_fit_arx_recovers_first_order_exactly():
     np.testing.assert_allclose(m.a, [0.5], atol=1e-8)
     np.testing.assert_allclose(m.b_coef, [0.5], atol=1e-8)
     assert m.residual_rms < 1e-10
-    assert m.stable
+    assert spectral_radius(arx_to_state_space(m).A) < 1.0 - STABILITY_MARGIN
 
 
 def test_fit_arx_rank_deficient_on_zero_data():
@@ -240,12 +242,29 @@ def test_fit_arx_residual_never_beats_zero_model():
         assert m.residual_rms <= zero_rms + 1e-12
 
 
-def test_fit_arx_flags_unstable_fit():
+def test_fit_arx_returns_unstable_fit_that_cannot_be_realized():
     # Data from a (bounded run of an) unstable recursion.
     u = np.concatenate([np.ones(30), np.zeros(10)])
     y = _arx_generate([1.05], [0.5], 1, u)
     m = fit_arx(series(y), series(u), na=1, nb=1, delay=1)
-    assert not m.stable
+    with pytest.raises(UnstableModelError, match="model 'arx'"):
+        arx_to_state_space(m)
+
+
+@pytest.mark.parametrize(
+    "na, nb, delay, message",
+    [
+        (0, 2, 1, "na and nb must be >= 1"),
+        (2, 0, 1, "na and nb must be >= 1"),
+        (2, 2, -1, "delay must be >= 0, got -1"),
+    ],
+)
+def test_fit_arx_rejects_bad_orders_before_regression(na, nb, delay, message):
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=100)
+    y = _arx_generate([0.5], [0.5], 1, u)
+    with pytest.raises(ValidationError, match=message):
+        fit_arx(series(y), series(u), na=na, nb=nb, delay=delay)
 
 
 def test_fit_arx_length_precondition():
@@ -284,6 +303,15 @@ def test_realization_rejects_unstable():
     m = ArxModel(na=1, nb=1, a=(1.01,), b_coef=(1.0,), delay=1)
     with pytest.raises(UnstableModelError):
         arx_to_state_space(m)
+
+
+def test_realization_rejects_pole_within_the_stability_margin():
+    # A pole at 1 - 5e-10 is below 1 but not below 1 - STABILITY_MARGIN:
+    # realizing it must fail, or identify would write a library entry
+    # that load_library rejects.
+    m = ArxModel(na=1, nb=1, a=(1.0 - 5e-10,), b_coef=(1.0,), delay=1)
+    with pytest.raises(UnstableModelError, match="model 'edge'"):
+        arx_to_state_space(m, name="edge")
 
 
 # ------------------------------------------------------------ full pipeline
