@@ -7,17 +7,14 @@ whole-building power signal, given a library of appliance models.
 from .engine import (
     DisaggregationResult,
     EngineParams,
-    FitResult,
     SwitchEvent,
     UnexplainedEvent,
     disaggregate,
     disaggregate_beam,
     estimate_noise_std,
-    fit_on_event,
     resolve_threshold,
 )
 from .errors import (
-    DegenerateFitError,
     DisaggError,
     RankDeficientDataError,
     UnstableModelError,
@@ -31,9 +28,7 @@ from .ingest import (
     find_gaps,
     parse_emontx_csv,
     read_signal_csv,
-    sum_aligned,
     to_signal,
-    write_emontx_csv,
     write_signal_csv,
 )
 from .models import (
@@ -66,14 +61,12 @@ from .sysid import (
 
 __all__ = [
     "ArxModel",
-    "DegenerateFitError",
     "DeviceModel",
     "DisaggError",
     "DisaggregationResult",
     "EmonRecording",
     "EngineParams",
     "EventMatch",
-    "FitResult",
     "Gap",
     "GapWarning",
     "Metrics",
@@ -94,7 +87,6 @@ __all__ = [
     "estimate_noise_std",
     "find_gaps",
     "fit_arx",
-    "fit_on_event",
     "identify_device",
     "load_library",
     "load_scenario",
@@ -111,10 +103,8 @@ __all__ = [
     "score",
     "simulate_zero_state",
     "spectral_radius",
-    "sum_aligned",
     "to_signal",
     "truth_events",
     "unit_step_values",
-    "write_emontx_csv",
     "write_signal_csv",
 ]

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, ValidationError
+from .errors import ValidationError
 from .models import (
     DeviceModel,
     _add_switch,
@@ -96,11 +96,10 @@ class EngineParams:
             raise ValidationError("min_on_duration must be >= 0")
         if self.beam_width < 1:
             raise ValidationError("beam_width must be >= 1")
-
-
-class FitResult(NamedTuple):
-    level: float
-    sse: float
+        if not (math.isfinite(self.min_level) and self.min_level >= 0):
+            raise ValidationError(
+                f"min_level must be finite and >= 0, got {self.min_level!r}"
+            )
 
 
 class _Candidate(NamedTuple):
@@ -172,39 +171,19 @@ def resolve_threshold(y_m: SignalSeries, params: EngineParams) -> float:
     return max(NOISE_THRESHOLD_MULTIPLE * estimate_noise_std(y_m), floor)
 
 
-def fit_on_event(e: SignalSeries, model: DeviceModel, k_prime: int) -> FitResult:
-    """Best constant input level explaining a deviation window.
+def _project(g: np.ndarray, e: np.ndarray, gg: float) -> tuple[float, float] | None:
+    """(level, sse) of the least-squares constant level for e; None if g is 0.
 
-    The window covers [k_prime, k_star + lookahead]; the device output is
-    linear in the scalar level, so the least-squares minimizer is the
-    projection of the deviation onto the model's zero-state unit-step
-    response over the window.
-    """
-    if len(e) == 0:
-        raise ValidationError("empty fit window")
-    if e.start_index != k_prime:
-        raise ValidationError(
-            f"window starts at {e.start_index}, expected k_prime={k_prime}"
-        )
-    g = unit_step_values(model, len(e))
-    fit = _project(g, e.values, float(g @ g))
-    if fit is None:
-        raise DegenerateFitError(
-            f"model '{model.name}' step response is zero over {len(e)} samples"
-        )
-    return fit
-
-
-def _project(g: np.ndarray, e: np.ndarray, gg: float) -> FitResult | None:
-    """Least-squares level of e along the step template g, or None if g is zero.
-
-    gg is g @ g, passed in so a caller fitting many windows computes it once.
+    g is the device's zero-state unit-step response over the window; the
+    output is linear in the level, so the fit is the projection of e onto
+    g.  gg is g @ g, passed in so a caller fitting many windows computes
+    it once.
     """
     if gg == 0.0:
         return None
     level = float(g @ e) / gg
     diff = e - level * g
-    return FitResult(level, float(diff @ diff))
+    return level, float(diff @ diff)
 
 
 class _Detection(NamedTuple):
@@ -413,7 +392,7 @@ class _Engine:
                 fit = _project(g, resid[kp - k_lo :], gg)
                 if fit is None:
                     continue
-                level = fit.level
+                level, sse = fit
                 if level <= 0.0 or level < params.min_level:
                     continue
                 if model.max_input is not None and level > model.max_input:
@@ -423,7 +402,7 @@ class _Engine:
                     and self.gains[dev] * level > model.max_output
                 ):
                     continue
-                out.append(_Candidate(fit.sse, k_abs, dev, level))
+                out.append(_Candidate(sse, k_abs, dev, level))
         out.sort()
         return out
 

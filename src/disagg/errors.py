@@ -26,10 +26,6 @@ class RankDeficientDataError(ValidationError):
     """Regression data does not excite enough modes for the requested order."""
 
 
-class DegenerateFitError(ValidationError):
-    """The step-response template is identically zero over the fit window."""
-
-
 @contextmanager
 def reading(path):
     """Name path in a parse error raised in the block; bad JSON, a missing key

@@ -2,8 +2,8 @@
 
 Reads emonTx-style CSV recordings (12 Hz RMS current/voltage, power,
 power factor, UTC timestamps) into one column per field, resamples one
-channel onto a uniform index grid by zero-order hold, and sums aligned
-plug channels into a ground-truth aggregate.
+channel onto a uniform index grid by zero-order hold, and reads and
+writes signals in the `k,value` form.
 
 Both CSV readers parse the whole body in one numpy pass.  Only a body
 that numpy rejects is read again line by line with Python's ``int`` and
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -196,17 +195,12 @@ def parse_emontx_csv(path: str | Path) -> EmonRecording:
     return recording
 
 
-def write_emontx_csv(recording: EmonRecording, path: str | Path) -> None:
-    """Serialize a recording so that a reparse reproduces it exactly."""
-    columns = (map(repr, getattr(recording, name).tolist()) for name in _FIELDS)
-    rows = map(",".join, zip(*columns))
-    Path(path).write_text("\n".join([EMONTX_HEADER, *rows]) + "\n")
-
-
 def find_gaps(
     recording: EmonRecording, nominal_rate: float, gap_periods: float = 10.0
 ) -> list[Gap]:
     """Holes between consecutive records longer than gap_periods."""
+    if not (math.isfinite(nominal_rate) and nominal_rate > 0):
+        raise ValidationError(f"nominal_rate must be finite and > 0, got {nominal_rate!r}")
     ts = recording.timestamp_utc
     periods = np.diff(ts) * nominal_rate
     return [
@@ -226,14 +220,13 @@ def to_signal(
     The grid starts at the first record and the start index encodes
     absolute time (round(t_first * rate)) so that signals from separate
     recordings sharing a clock stay aligned.  Gaps longer than
-    gap_periods sample periods raise a GapWarning.
+    gap_periods sample periods raise a GapWarning.  nominal_rate must be
+    finite and > 0 (find_gaps checks it).
     """
     if len(recording) < 2:
         raise ValidationError("need at least 2 records to build a signal")
     if channel not in CHANNELS:
         raise ValidationError(f"unknown channel '{channel}', expected one of {CHANNELS}")
-    if nominal_rate <= 0:
-        raise ValidationError(f"nominal_rate must be > 0, got {nominal_rate}")
     for gap in find_gaps(recording, nominal_rate, gap_periods):
         warnings.warn(
             f"gap of {gap.periods} sample periods at k={gap.start_k}", GapWarning,
@@ -249,29 +242,6 @@ def to_signal(
     return SignalSeries(
         vals[src], sample_period=1.0 / nominal_rate, start_index=start_index
     )
-
-
-def sum_aligned(signals: list[SignalSeries]) -> SignalSeries:
-    """Pointwise sum over the intersection of the signals' index ranges.
-
-    The addends are sorted canonically before the left-to-right fold so
-    the result is exactly permutation-invariant.
-    """
-    if not signals:
-        raise ValidationError("nothing to sum")
-    first = signals[0]
-    for s in signals[1:]:
-        if not first.same_grid(s):
-            raise ValidationError(
-                f"mismatched sample periods: {first.sample_period} vs {s.sample_period}"
-            )
-    lo = max(s.start_index for s in signals)
-    hi = min(s.end_index for s in signals)
-    if hi <= lo:
-        raise ValidationError("signals have no overlapping index range")
-    windows = sorted((s.window(lo, hi - 1) for s in signals), key=tuple)
-    total = reduce(np.add, windows)
-    return SignalSeries(total, sample_period=first.sample_period, start_index=lo)
 
 
 def signal_rows(signal: SignalSeries, prefix: str = "") -> Iterator[str]:

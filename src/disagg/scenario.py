@@ -10,6 +10,7 @@ on heavily overlapping intervals, one never used.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,8 +53,10 @@ class Scenario:
             raise ValidationError(
                 f"{len(self.models)} models but {len(self.inputs)} inputs"
             )
-        if self.noise_std < 0:
-            raise ValidationError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValidationError(
+                f"noise_std must be finite and >= 0, got {self.noise_std!r}"
+            )
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         for inp in self.inputs:

@@ -41,31 +41,6 @@ class SignalSeries:
         """One past the last valid index k."""
         return self.start_index + len(self.values)
 
-    def position(self, k: int) -> int:
-        p = k - self.start_index
-        if not 0 <= p < len(self.values):
-            raise IndexError(
-                f"index k={k} outside [{self.start_index}, {self.end_index})"
-            )
-        return p
-
-    def value_at(self, k: int) -> float:
-        return float(self.values[self.position(k)])
-
-    def window(self, k_first: int, k_last: int) -> np.ndarray:
-        """Values over the inclusive index range [k_first, k_last]."""
-        if k_last < k_first:
-            raise ValidationError(f"empty window [{k_first}, {k_last}]")
-        p0 = self.position(k_first)
-        p1 = self.position(k_last)
-        return self.values[p0 : p1 + 1]
-
-    def same_grid(self, other: "SignalSeries") -> bool:
-        return (
-            abs(self.sample_period - other.sample_period)
-            <= 1e-12 * max(self.sample_period, other.sample_period)
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignalSeries):
             return NotImplemented
@@ -116,14 +91,6 @@ class PiecewiseInput:
     @property
     def last_event_index(self) -> int | None:
         return self.events[-1][0] if self.events else None
-
-    def level_at(self, k: int) -> float:
-        level = 0.0
-        for ek, elevel in self.events:
-            if ek > k:
-                break
-            level = elevel
-        return level
 
     def expand(
         self, start_index: int, length: int, sample_period: float = 1.0

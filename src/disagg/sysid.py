@@ -9,6 +9,7 @@ DC-normalized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,8 +39,10 @@ class PlugRecordingLabel:
     settle_skip: int = 0
 
     def __post_init__(self):
-        if self.on_threshold <= 0:
-            raise ValidationError(f"on_threshold must be > 0, got {self.on_threshold}")
+        if not (math.isfinite(self.on_threshold) and self.on_threshold > 0):
+            raise ValidationError(
+                f"on_threshold must be finite and > 0, got {self.on_threshold!r}"
+            )
         if self.settle_skip < 0:
             raise ValidationError(f"settle_skip must be >= 0, got {self.settle_skip}")
 

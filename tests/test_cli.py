@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from disagg import (
-    EmonRecording,
     PiecewiseInput,
     load_library,
     random_stable_model,
     read_signal_csv,
     simulate_zero_state,
-    write_emontx_csv,
 )
 from disagg.cli import load_result, main
 
@@ -111,11 +109,12 @@ def _write_plug_recording(path):
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0), (280, 5.0), (430, 0.0)))
     y = simulate_zero_state(model, schedule.expand(0, 520, 1 / 12.0))
     n = len(y)
-    recording = EmonRecording(
+    columns = (
         np.arange(n) / 12.0, y.values, np.full(n, 120.0), 120.0 * y.values,
         118.0 * y.values, np.full(n, 0.98),
     )
-    write_emontx_csv(recording, path)
+    rows = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+    path.write_text("\n".join(["timestamp_utc,irms,vrms,pva,pw,pf", *rows]) + "\n")
 
 
 def test_identify_appends_library_entry(tmp_path):
@@ -150,6 +149,29 @@ def test_identify_rejects_negative_delay(tmp_path, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err == "error: delay must be >= 0, got -1\n"
+    assert not lib_path.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rate", "nan", "nominal_rate must be finite and > 0, got nan"),
+    ("--rate", "inf", "nominal_rate must be finite and > 0, got inf"),
+    ("--threshold", "nan", "on_threshold must be finite and > 0, got nan"),
+    ("--threshold", "inf", "on_threshold must be finite and > 0, got inf"),
+])
+def test_identify_rejects_non_finite_settings(tmp_path, capsys, flag, value, message):
+    rec_path = tmp_path / "plug.csv"
+    _write_plug_recording(rec_path)
+    lib_path = tmp_path / "lib.json"
+    settings = {"--threshold": "1.0", "--rate": "12.0", flag: value}
+    code = main([
+        "identify",
+        "--input", str(rec_path),
+        "--name", "kettle",
+        *(f"{name}={v}" for name, v in settings.items()),
+        "--library", str(lib_path),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not lib_path.exists()
 
 
@@ -248,6 +270,23 @@ def test_disaggregate_rejects_non_finite_threshold(
     assert code == 1
     assert capsys.readouterr().err.startswith(
         "error: deviation_threshold must be finite and > 0 when given"
+    )
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("min_level", ["nan", "inf", "-1"])
+def test_disaggregate_rejects_bad_min_level(pipeline_dir, tmp_path, capsys, min_level):
+    sim = pipeline_dir / "sim"
+    code = main([
+        "disaggregate",
+        "--library", str(sim / "library.json"),
+        "--input", str(sim / "aggregate.csv"),
+        f"--min-level={min_level}",
+        "--out", str(tmp_path / "res"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: min_level must be finite and >= 0, got "
     )
     assert not (tmp_path / "res").exists()
 
@@ -356,18 +395,22 @@ def _keep_rows(n):
         lambda d: d["params"].update(deviation_threshold=float("nan")))),
     ("res/result.json", _edit_json(
         lambda d: d["params"].update(deviation_threshold=float("inf")))),
+    ("res/result.json", _edit_json(lambda d: d["params"].update(min_level=float("nan")))),
     ("res/estimate_device1.csv", _keep_rows(100)),
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
+    ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std=float("nan")))),
+    ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std=float("inf")))),
     ("sim/library.json", _truncate),
     ("sim/library.json", _edit_json(lambda d: d.__setitem__(0, "device1"))),
 ], ids=[
     "truncated-result", "unknown-device", "extra-param", "negative-level",
     "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
     "sideways-unexplained", "inf-level", "nan-level", "nan-threshold",
-    "inf-threshold", "short-estimate",
+    "inf-threshold", "nan-min-level", "short-estimate",
     "truncated-scenario",
-    "scenario-without-devices", "truncated-library", "library-entry-not-object",
+    "scenario-without-devices", "nan-noise", "inf-noise",
+    "truncated-library", "library-entry-not-object",
 ])
 def test_malformed_json_is_a_validation_error(
     pipeline_dir, tmp_path, capsys, name, edit

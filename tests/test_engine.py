@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from disagg import (
-    DegenerateFitError,
     DeviceModel,
     EngineParams,
     SignalSeries,
@@ -16,7 +15,6 @@ from disagg import (
     ValidationError,
     disaggregate,
     estimate_noise_std,
-    fit_on_event,
     random_stable_model,
     reference_scenario,
     render,
@@ -25,7 +23,7 @@ from disagg import (
     unit_step_values,
 )
 import disagg.engine as engine_module
-from disagg.engine import _Engine, _Hypothesis
+from disagg.engine import _Engine, _Hypothesis, _project
 from disagg.series import PiecewiseInput
 from conftest import series
 from test_engine_beam import _event_key, _random_instance
@@ -154,47 +152,47 @@ def test_scan_matches_the_per_sample_rule_property(lag_model):
 
 # -------------------------------------------------------------- on-event fit
 
+def _fit(values, model):
+    """The engine's fit of values against model's step response from sample 0."""
+    e = np.asarray(values, dtype=float)
+    g = unit_step_values(model, len(e))
+    return _project(g, e, float(g @ g))
+
+
 def test_fit_self_exact(lag_model):
-    e = series([0.0, 1.0, 1.5, 1.75], start=0)
-    fit = fit_on_event(e, lag_model, 0)
-    assert fit.level == pytest.approx(2.0, abs=1e-12)
-    assert fit.sse == pytest.approx(0.0, abs=1e-24)
+    level, sse = _fit([0.0, 1.0, 1.5, 1.75], lag_model)
+    assert level == pytest.approx(2.0, abs=1e-12)
+    assert sse == pytest.approx(0.0, abs=1e-24)
 
 
 def test_fit_unit_delay_closed_form(delay_model):
-    e = series([0.0, 1.0, 1.5, 1.75], start=0)
-    fit = fit_on_event(e, delay_model, 0)
-    assert fit.level == pytest.approx(4.25 / 3)
-    assert fit.sse > 0
+    level, sse = _fit([0.0, 1.0, 1.5, 1.75], delay_model)
+    assert level == pytest.approx(4.25 / 3)
+    assert sse > 0
 
 
 def test_fit_zero_deviation(lag_model):
-    fit = fit_on_event(series(np.zeros(6)), lag_model, 0)
-    assert fit.level == 0.0
-    assert fit.sse == 0.0
+    level, sse = _fit(np.zeros(6), lag_model)
+    assert level == 0.0
+    assert sse == 0.0
 
 
-def test_fit_degenerate_template_rejected():
+def test_fit_degenerate_template_rejected(lag_model):
     m = DeviceModel("late", A=[[0.0, 1.0], [0.0, 0.0]], b=[0.0, 1.0], c=[1.0, 0.0])
-    # Two-sample delay: the first two step samples are zero.
-    with pytest.raises(DegenerateFitError):
-        fit_on_event(series([1.0, 1.0], start=3), m, 3)
+    # Two-sample delay: the first two step samples are zero, so a 2-sample
+    # window (lookahead 1, no backtrack) has nothing to fit.
+    params = EngineParams(deviation_threshold=0.1, lookahead=1, backtrack_window=0)
+    y = series([1.0, 1.0], start=3)
+    assert _Engine(y, [m], params)._on_candidates(_Hypothesis([m], 2, 3), 0) == []
+    # The same window does fit a device whose step response is nonzero there.
+    assert len(_Engine(y, [lag_model], params)._on_candidates(
+        _Hypothesis([lag_model], 2, 3), 0)) == 1
 
 
 def test_fit_rejects_unstable_model():
     # An unstable model cannot be built, so it never reaches the fit.
     with pytest.raises(UnstableModelError, match="model 'bad'"):
-        fit_on_event(
-            series([1.0, 1.0], start=3),
-            DeviceModel("bad", A=[[1.1]], b=[1.0], c=[1.0]),
-            3,
-        )
-
-
-def test_fit_window_start_must_match():
-    m = DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0])
-    with pytest.raises(ValidationError):
-        fit_on_event(series([1.0, 1.0], start=3), m, 5)
+        DeviceModel("bad", A=[[1.1]], b=[1.0], c=[1.0])
 
 
 def test_fit_beats_grid_search():
@@ -204,11 +202,11 @@ def test_fit_beats_grid_search():
         model = random_stable_model(3, trial)
         wlen = int(rng.integers(5, 40))
         e_vals = rng.normal(scale=2.0, size=wlen)
-        fit = fit_on_event(series(e_vals), model, 0)
+        level, sse = _fit(e_vals, model)
         g = unit_step_values(model, wlen)
-        grid = np.linspace(0.0, 2.0 * max(abs(fit.level), 1.0), 2000)
+        grid = np.linspace(0.0, 2.0 * max(abs(level), 1.0), 2000)
         sse_grid = np.sum((e_vals[None, :] - grid[:, None] * g[None, :]) ** 2, axis=1)
-        assert fit.sse <= float(np.min(sse_grid)) + 1e-9
+        assert sse <= float(np.min(sse_grid)) + 1e-9
 
 
 # --------------------------------------------------------- candidate selection
@@ -621,3 +619,6 @@ def test_engine_params_validation():
         EngineParams(beam_width=0)
     with pytest.raises(ValidationError):
         EngineParams(deviation_threshold=-1.0)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError, match="min_level must be finite and >= 0"):
+            EngineParams(min_level=bad)

@@ -14,7 +14,6 @@ import pytest
 
 from disagg import (
     ArxModel,
-    DegenerateFitError,
     DeviceModel,
     EngineParams,
     PiecewiseInput,
@@ -24,11 +23,11 @@ from disagg import (
     dc_gain,
     disaggregate,
     disaggregate_beam,
-    fit_on_event,
     random_stable_model,
     reference_scenario,
     render,
     simulate_zero_state,
+    unit_step_values,
 )
 from disagg.engine import _Engine, _Hypothesis
 
@@ -86,20 +85,19 @@ def _oracle_best(y_m, library, params):
             for kp in range(max(0, ks - params.backtrack_window), ks + 1):
                 if kp in used or kp <= last[dev]:
                     continue
-                e_win = SignalSeries(
-                    y[kp : kend + 1] - y_hat[kp : kend + 1], start_index=kp
-                )
-                try:
-                    fit = fit_on_event(e_win, model, kp)
-                except DegenerateFitError:
+                e = y[kp : kend + 1] - y_hat[kp : kend + 1]
+                g = unit_step_values(model, len(e))
+                gg = float(g @ g)
+                if gg == 0.0:
                     continue
-                if fit.level <= 0.0 or fit.level < params.min_level:
+                level = float(g @ e) / gg
+                if level <= 0.0 or level < params.min_level:
                     continue
-                if model.max_input is not None and fit.level > model.max_input:
+                if model.max_input is not None and level > model.max_input:
                     continue
-                if model.max_output is not None and gains[dev] * fit.level > model.max_output:
+                if model.max_output is not None and gains[dev] * level > model.max_output:
                     continue
-                out.append(SwitchEvent(kp, dev, "on", fit.level))
+                out.append(SwitchEvent(kp, dev, "on", level))
         return out
 
     def scan(events, p, suppressed):

@@ -113,7 +113,7 @@ def test_reference_scenario_schedule():
 
 def test_reference_scenario_overlap_at_260():
     sc = reference_scenario(0)
-    on = [inp.level_at(260) > 0 for inp in sc.inputs]
+    on = [inp.expand(0, sc.horizon).values[260] > 0 for inp in sc.inputs]
     assert on == [False, True, True, True, False]
 
 

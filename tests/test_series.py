@@ -8,8 +8,8 @@ def test_signal_basic_indexing():
     s = SignalSeries(np.array([1.0, 2.0, 3.0]), sample_period=0.5, start_index=10)
     assert len(s) == 3
     assert s.end_index == 13
-    assert s.value_at(11) == 2.0
-    np.testing.assert_array_equal(s.window(10, 12), [1.0, 2.0, 3.0])
+    assert s.values[11 - s.start_index] == 2.0
+    np.testing.assert_array_equal(s.values, [1.0, 2.0, 3.0])
 
 
 def test_signal_rejects_bad_period():
@@ -21,12 +21,6 @@ def test_signal_immutable():
     s = SignalSeries(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         s.values[0] = 5.0
-
-
-def test_signal_out_of_range():
-    s = SignalSeries(np.array([1.0, 2.0]), start_index=5)
-    with pytest.raises(IndexError):
-        s.value_at(7)
 
 
 def test_signal_equality_is_by_value():
@@ -57,10 +51,11 @@ def test_piecewise_empty_is_all_zero():
 
 def test_piecewise_level_at():
     u = PiecewiseInput(((2, 5.0), (5, 0.0)))
-    assert u.level_at(1) == 0.0
-    assert u.level_at(2) == 5.0
-    assert u.level_at(4) == 5.0
-    assert u.level_at(5) == 0.0
+    s = u.expand(0, 8)
+    assert s.values[1] == 0.0
+    assert s.values[2] == 5.0
+    assert s.values[4] == 5.0
+    assert s.values[5] == 0.0
 
 
 def test_piecewise_expand_jumps_at_event_times():
