@@ -42,10 +42,12 @@ from .errors import ValidationError
 from .models import (
     DeviceModel,
     _add_switch,
+    _unit_step_rows,
     dc_gain,
-    # Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state.
+    # Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state
+    # and disagg.engine.unit_step_values.
     simulate_zero_state,  # noqa: F401
-    unit_step_values,
+    unit_step_values,  # noqa: F401
 )
 from .series import SignalSeries
 
@@ -281,7 +283,7 @@ class _Engine:
         self.threshold = resolve_threshold(y_m, params)
         self.sparsity_penalty = self.threshold**2 * params.lookahead
         self.gains = [dc_gain(m) for m in self.models]
-        self.g = [unit_step_values(m, self.T) for m in self.models]
+        self.g = list(_unit_step_rows(self.models, self.T))
         self.gg: dict[tuple[int, int], float] = {}  # (device, n) -> g[:n] @ g[:n]
 
     # -- per-hypothesis mechanics ------------------------------------

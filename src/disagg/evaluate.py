@@ -17,7 +17,12 @@ import numpy as np
 
 from .engine import DisaggregationResult, SwitchEvent
 from .errors import ValidationError
-from .models import simulate_zero_state
+from .models import (
+    _unit_step_rows,
+    _zero_state,
+    # Unused here, but perfbench/spans.py wraps disagg.evaluate.simulate_zero_state.
+    simulate_zero_state,  # noqa: F401
+)
 from .scenario import Scenario
 
 DEFAULT_MATCH_WINDOW = 10
@@ -134,8 +139,9 @@ def score(
 
     energy_error: dict[str, float] = {}
     truth_outputs = []
-    for dev, (model, inp) in enumerate(zip(truth.models, truth.inputs)):
-        y_true = simulate_zero_state(model, inp.expand(0, truth.horizon)).values
+    steps = _unit_step_rows(truth.models, truth.horizon)
+    for dev, (model, inp, g) in enumerate(zip(truth.models, truth.inputs, steps)):
+        y_true = _zero_state(model, inp.expand(0, truth.horizon), g).values
         truth_outputs.append(y_true)
         y_est = result.estimated_outputs[dev].values
         denom = float(np.sum(np.abs(y_true)))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -250,21 +249,23 @@ def signal_rows(signal: SignalSeries, prefix: str = "") -> Iterator[str]:
     Floats round-trip exactly.  Signals hold long runs of one value (a
     device's output is zero while it is off), so each run is formatted
     once; runs are split on the bit pattern, which keeps -0.0 apart from
-    0.0.  A block holds ROW_BLOCK rows, which bounds the text held at once.
+    0.0.  A block holds ROW_BLOCK rows, which bounds the text held at once,
+    and is formatted by one `%` over its fields, prefix, k and value
+    interleaved.  The prefix is a field, never part of the format, so a
+    `%` in it is written as it is.
     """
     values = signal.values
     for a in range(0, len(values), ROW_BLOCK):
         block = values[a : a + ROW_BLOCK]
+        n = len(block)
         bits = block.view(np.int64)
         starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
         texts = np.array(list(map(repr, block[starts].tolist())), dtype=object)
         k0 = signal.start_index + a
-        yield "".join(map(
-            "{}{},{}\n".format,
-            repeat(prefix),
-            range(k0, k0 + len(block)),
-            np.repeat(texts, np.diff(starts, append=len(block))).tolist(),
-        ))
+        fields: list = [prefix] * (3 * n)
+        fields[1::3] = range(k0, k0 + n)
+        fields[2::3] = np.repeat(texts, np.diff(starts, append=n)).tolist()
+        yield ("%s%d,%s\n" * n) % tuple(fields)
 
 
 def write_signal_csv(signal: SignalSeries, path: str | Path) -> None:

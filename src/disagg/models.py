@@ -19,8 +19,10 @@ event does.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,10 +72,12 @@ class DeviceModel:
             raise ValidationError(
                 f"b and c must have length {n}, got {b.shape} and {c.shape}"
             )
-        if self.max_input is not None and self.max_input <= 0:
-            raise ValidationError(f"max_input must be > 0, got {self.max_input}")
-        if self.max_output is not None and self.max_output <= 0:
-            raise ValidationError(f"max_output must be > 0, got {self.max_output}")
+        for cap in ("max_input", "max_output"):
+            value = getattr(self, cap)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValidationError(
+                    f"{cap} must be finite and > 0 when given, got {value!r}"
+                )
         for arr in (A, b, c):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"non-finite entries in model '{self.name}'")
@@ -147,6 +151,11 @@ def simulate_zero_state(model: DeviceModel, u: SignalSeries) -> SignalSeries:
     the input transitions to exactly 0, so it is identically zero while
     the device stays off.
     """
+    return _zero_state(model, u, unit_step_values(model, len(u)))
+
+
+def _zero_state(model: DeviceModel, u: SignalSeries, g: np.ndarray) -> SignalSeries:
+    """simulate_zero_state given g, the model's unit-step response over len(u)."""
     uv = u.values
     bad = np.flatnonzero(~np.isfinite(uv))
     if bad.size:
@@ -155,7 +164,6 @@ def simulate_zero_state(model: DeviceModel, u: SignalSeries) -> SignalSeries:
         )
     du = np.diff(uv, prepend=0.0)
     y = np.zeros(len(uv))
-    g = unit_step_values(model, len(uv))
     for p in np.flatnonzero(du).tolist():
         _add_switch(y, g, p, float(du[p]), model.instant_off and uv[p] == 0.0)
     return SignalSeries(y, sample_period=u.sample_period, start_index=u.start_index)
@@ -185,31 +193,61 @@ def unit_step_values(model: DeviceModel, length: int) -> np.ndarray:
     extension is elementwise, so a shorter call returns a prefix of a
     longer one bit for bit.
     """
-    A, b, c, d = model.A, model.b, model.c, model.d
-    n = model.order
+    return next(_unit_step_rows([model], length))
+
+
+def _unit_step_rows(models: Sequence[DeviceModel], length: int) -> Iterator[np.ndarray]:
+    """unit_step_values(model, length) for each model in turn, bit for bit.
+
+    The STEP_HEAD recursion runs once per model order for all models of
+    that order: one stacked A @ x + b per step, then the head's outputs
+    as one stacked c @ x.  numpy makes the same BLAS call per slice as
+    for one model, so a model's bits do not depend on the others.  The
+    doubling tail runs as each row is taken, so a caller that keeps only
+    what it builds from a row holds one row and one length x order state
+    block at a time.
+    """
     head = min(length, STEP_HEAD)
-    g = np.empty(length)
-    X = np.empty((length, n))
-    x = np.zeros(n)
-    for k in range(head):
-        X[k] = x
-        g[k] = c @ x + d
-        x = A @ x + b
-    L = head
-    AL = np.linalg.matrix_power(A, L)
-    while L < length:
-        m = min(L, length - L)
-        x_L = A @ X[L - 1] + b
-        block = X[L : L + m]
-        block[:] = x_L
-        for i in range(n):
-            block += np.outer(X[:m, i], AL[:, i])
-        g[L : L + m] = d
-        for i in range(n):
-            g[L : L + m] += c[i] * block[:, i]
-        L += m
-        AL = AL @ AL
-    return g
+    heads: list = [None] * len(models)
+    by_order: dict[int, list[int]] = {}
+    for i, model in enumerate(models):
+        by_order.setdefault(model.order, []).append(i)
+    for n, group in by_order.items():
+        As = np.stack([models[i].A for i in group])
+        bs = np.stack([models[i].b for i in group])[:, :, None]
+        cs = np.stack([models[i].c for i in group])[:, None, None, :]
+        # States as (n, 1) columns, so each slice of a product is the
+        # matrix-vector or dot product of a single model.
+        states = np.empty((len(group), head, n, 1))
+        x = np.zeros((len(group), n, 1))
+        for k in range(head):
+            states[:, k] = x
+            x = As @ x + bs
+        outputs = (cs @ states)[:, :, 0, 0]
+        for j, i in enumerate(group):
+            heads[i] = (outputs[j], states[j, :, :, 0])
+    for model, (g_head, X_head) in zip(models, heads):
+        A, b, c, d = model.A, model.b, model.c, model.d
+        n = model.order
+        L = head
+        g = np.empty(length)
+        g[:L] = g_head + d
+        X = np.empty((length, n))
+        X[:L] = X_head
+        AL = np.linalg.matrix_power(A, L)
+        while L < length:
+            m = min(L, length - L)
+            x_L = A @ X[L - 1] + b
+            block = X[L : L + m]
+            block[:] = x_L
+            for i in range(n):
+                block += np.outer(X[:m, i], AL[:, i])
+            g[L : L + m] = d
+            for i in range(n):
+                g[L : L + m] += c[i] * block[:, i]
+            L += m
+            AL = AL @ AL
+        yield g
 
 
 def random_stable_model(
@@ -253,8 +291,8 @@ def random_stable_model(
         A[pos : pos + w, pos : pos + w] = blk
         pos += w
     while True:
-        b = np.array(stream.normals(order))
-        c = np.array(stream.normals(order))
+        b = stream.normals(order)
+        c = stream.normals(order)
         raw = DeviceModel(
             name=f"rand_o{order}_s{seed}", A=A, b=b, c=c, d=0.0,
             instant_off=instant_off,

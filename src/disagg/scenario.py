@@ -17,7 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, reading
-from .models import DeviceModel, model_from_dict, model_to_dict, random_stable_model, simulate_zero_state
+from .models import (
+    DeviceModel,
+    _unit_step_rows,
+    _zero_state,
+    model_from_dict,
+    model_to_dict,
+    random_stable_model,
+    # Unused here, but perfbench/spans.py wraps disagg.scenario.simulate_zero_state.
+    simulate_zero_state,  # noqa: F401
+)
 from .rng import SeededStream
 from .series import PiecewiseInput, SignalSeries
 
@@ -79,15 +88,14 @@ def render(scenario: Scenario) -> tuple[SignalSeries, list[SignalSeries]]:
     bit-identical.
     """
     truths = []
-    for model, inp in zip(scenario.models, scenario.inputs):
-        u = inp.expand(0, scenario.horizon)
-        truths.append(simulate_zero_state(model, u))
+    steps = _unit_step_rows(scenario.models, scenario.horizon)
+    for model, inp, g in zip(scenario.models, scenario.inputs, steps):
+        truths.append(_zero_state(model, inp.expand(0, scenario.horizon), g))
     total = np.zeros(scenario.horizon)
     for t in truths:
         total = total + t.values
     if scenario.noise_std > 0:
-        stream = SeededStream(scenario.seed)
-        noise = np.array(stream.normals(scenario.horizon)) * scenario.noise_std
+        noise = SeededStream(scenario.seed).normals(scenario.horizon) * scenario.noise_std
         total = total + noise
     return SignalSeries(total), truths
 

@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 
 from disagg import (
+    DeviceModel,
     PiecewiseInput,
+    disaggregate,
     load_library,
     random_stable_model,
     read_signal_csv,
+    save_library,
     simulate_zero_state,
+    write_signal_csv,
 )
 from disagg.cli import load_result, main
+from disagg.ingest import ROW_BLOCK
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -216,6 +221,41 @@ def test_plot_data_series_set(tmp_path):
     assert len(set(names.values())) == 1  # all series share one length
 
 
+@pytest.mark.parametrize("length", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_format_characters_in_a_device_name_are_written_as_they_are(tmp_path, length):
+    # The name reaches plot-data's row prefix and an estimate's file name.
+    name = "fan%d{}"
+    model = DeviceModel(name, A=[[0.5]], b=[0.5], c=[1.0], instant_off=True)
+    schedule = PiecewiseInput(((40, 2.0), (length - 300, 0.0)))
+    y_m = simulate_zero_state(model, schedule.expand(7, length))
+    save_library([model], tmp_path / "library.json")
+    write_signal_csv(y_m, tmp_path / "aggregate.csv")
+    res, plot = tmp_path / "res", tmp_path / "plot.csv"
+    assert main([
+        "disaggregate", "--library", str(tmp_path / "library.json"),
+        "--input", str(tmp_path / "aggregate.csv"), "--out", str(res),
+    ]) == 0
+    assert main([
+        "plot-data", "--result", str(res), "--input", str(tmp_path / "aggregate.csv"),
+        "--out", str(plot),
+    ]) == 0
+    result = disaggregate(y_m, [model])
+
+    def rows(series, prefix=""):
+        return "".join(
+            f"{prefix}{series.start_index + p},{v!r}\n"
+            for p, v in enumerate(series.values.tolist())
+        )
+
+    (estimate,) = result.estimated_outputs
+    assert (res / f"estimate_{name}.csv").read_text() == "k,value\n" + rows(estimate)
+    assert plot.read_text() == "series,k,value\n" + "".join([
+        rows(y_m, "y_m,"),
+        rows(result.estimated_total, "y_hat,"),
+        rows(estimate, f"y_hat_{name},"),
+    ])
+
+
 def test_unknown_flag_exits_one(tmp_path, capsys):
     assert main(["simulate", "--bogus"]) == 1
     assert main(["definitely-not-a-command"]) == 1
@@ -287,6 +327,26 @@ def test_disaggregate_rejects_bad_min_level(pipeline_dir, tmp_path, capsys, min_
     assert code == 1
     assert capsys.readouterr().err.startswith(
         "error: min_level must be finite and >= 0, got "
+    )
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("cap", ["max_input", "max_output"])
+def test_disaggregate_rejects_nan_cap_in_library(pipeline_dir, tmp_path, capsys, cap):
+    sim = pipeline_dir / "sim"
+    library = tmp_path / "library.json"
+    entries = json.loads((sim / "library.json").read_text())
+    entries[1][cap] = float("nan")
+    library.write_text(json.dumps(entries))
+    code = main([
+        "disaggregate",
+        "--library", str(library),
+        "--input", str(sim / "aggregate.csv"),
+        "--out", str(tmp_path / "res"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {library}: {cap} must be finite and > 0 when given, got nan\n"
     )
     assert not (tmp_path / "res").exists()
 

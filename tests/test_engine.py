@@ -574,17 +574,26 @@ def test_disaggregate_rejects_non_finite_sample_with_index(lag_model):
 
 
 def test_disaggregate_rejects_unstable_library(lag_model, monkeypatch):
-    def no_step_response(model, length):
-        raise AssertionError(f"step response of '{model.name}' built")
+    def no_step_response(models, length):
+        raise AssertionError(f"step responses of {[m.name for m in models]} built")
 
     # The library is checked before any step response is built: an
     # unstable model fails at construction.
-    monkeypatch.setattr(engine_module, "unit_step_values", no_step_response)
+    monkeypatch.setattr(engine_module, "_unit_step_rows", no_step_response)
     with pytest.raises(UnstableModelError, match="model 'bad'"):
         disaggregate(
             series(np.zeros(60)),
             [lag_model, DeviceModel("bad", A=[[1.1]], b=[1.0], c=[1.0])],
         )
+
+
+def test_engine_step_rows_equal_unit_step_values(lag_model):
+    # Orders 3 (five reference devices), 1 and 2 in one library.
+    models = [*reference_scenario(0).models, lag_model, random_stable_model(2, 7)]
+    engine = _Engine(series(np.zeros(500)), models, PARAMS)
+    assert len(engine.g) == len(models)
+    for m, g in zip(models, engine.g):
+        assert g.tobytes() == unit_step_values(m, engine.T).tobytes(), m.name
 
 
 # ----------------------------------------------------------------- utilities

@@ -16,7 +16,9 @@ from disagg import (
     spectral_radius,
     unit_step_values,
 )
-from disagg.models import SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _add_switch
+from disagg.models import (
+    SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _add_switch, _unit_step_rows,
+)
 from conftest import series
 
 
@@ -261,6 +263,13 @@ def test_model_shape_validation():
         DeviceModel("bad", A=[[0.5]], b=[1.0], c=[1.0], max_input=-1.0)
 
 
+@pytest.mark.parametrize("cap", ["max_input", "max_output"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_caps_must_be_finite_and_positive(cap, value):
+    with pytest.raises(ValidationError, match=f"{cap} must be finite and > 0 when given"):
+        DeviceModel("bad", A=[[0.5]], b=[1.0], c=[1.0], **{cap: value})
+
+
 def test_dc_normalized_flag_checked():
     with pytest.raises(ValidationError):
         DeviceModel("bad", A=[[0.9]], b=[0.2], c=[1.0], dc_normalized=True)
@@ -386,6 +395,19 @@ def test_unit_step_values_matches_recursion_up_to_day_scale():
         g = unit_step_values(m, T)
         np.testing.assert_array_equal(g[:STEP_HEAD], ref[:STEP_HEAD], err_msg=m.name)
         np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12, err_msg=m.name)
+
+
+def test_unit_step_rows_equal_single_model_calls():
+    # Orders 1-4 with two or three models each (d != 0 in one), so every
+    # stacked head recursion serves several models.
+    models = _kernel_models() + [random_stable_model(4, s) for s in (41, 42)]
+    for length in (0, 1, STEP_HEAD - 1, STEP_HEAD, STEP_HEAD + 1, 3_000):
+        rows = list(_unit_step_rows(models, length))
+        assert len(rows) == len(models)
+        head = min(length, STEP_HEAD)
+        for m, g in zip(models, rows):
+            assert g.tobytes()[: 8 * head] == _step_recursion(m, head).tobytes(), m.name
+            assert g.tobytes() == unit_step_values(m, length).tobytes(), m.name
 
 
 def test_unit_step_values_shorter_call_is_a_prefix():
