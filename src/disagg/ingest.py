@@ -5,19 +5,25 @@ power factor, UTC timestamps) into one column per field, resamples one
 channel onto a uniform index grid by zero-order hold, and reads and
 writes signals in the `k,value` form.
 
-Both CSV readers parse the whole body in one numpy pass.  Only a body
-that numpy rejects is read again line by line with Python's ``int`` and
-``float``, which names the first bad line; a spelling those accept and
-numpy does not (``1_0``) is read on the same path, so it still parses.
+Both CSV readers hand a plain ASCII file to ``np.loadtxt`` by name, so
+numpy reads it from disk in chunks with its C reader and no copy of the
+text is held.  Any other file, and any body numpy rejects, is read line
+by line with Python's ``int`` and ``float``: that reader is the
+reference, and it names the first bad line.  A spelling those accept and
+numpy does not (``1_0``), and a whitespace-only line, are read on that
+path, so they still parse.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
+from urllib.parse import urlparse
 
 import numpy as np
 
@@ -35,6 +41,16 @@ _GRID_EPS = 1e-9
 _FIELDS = tuple(EMONTX_HEADER.split(","))
 _EMONTX_DTYPE = np.dtype([(name, float) for name in _FIELDS])
 _SIGNAL_DTYPE = np.dtype([("k", np.int64), ("value", float)])
+# Bytes per read while scanning a file before numpy streams it.
+_SCAN_CHUNK = 1 << 16
+# ASCII bytes that keep a file off the streamed path: line ends for
+# str.splitlines() that numpy's reader does not split at (\x0b, \x0c,
+# \x1c-\x1e), a byte numpy reads as a blank (\x1f), and NUL.  Non-ASCII
+# bytes keep it off too: numpy reads some letters as digits where int()
+# and float() do not.
+_UNSTREAMED_BYTES = tuple(bytes([b]) for b in b"\x00\x0b\x0c\x1c\x1d\x1e\x1f")
+# Suffixes that numpy's loader opens through a decompressor.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # Rows per block of signal text.  Writing one block at a time holds about
 # 0.2 MB at any T, where the text of a whole 7,200-row file held 1 MB.
 ROW_BLOCK = 1024
@@ -123,28 +139,74 @@ class Gap(NamedTuple):
     periods: int
 
 
+def _load_streamed(path: str | Path, header: str, dtype: np.dtype) -> np.ndarray | None:
+    """The body of a plain ASCII file as np.loadtxt reads it by name, or None.
+
+    numpy opens the file itself and reads it in chunks, so no copy of the
+    text is held.  Both sides read in universal-newline mode, so CR and
+    CRLF line ends take this path.  None declines: a name numpy would open
+    through a decompressor or as a URL; a first line that is not header;
+    a body with no non-blank byte; a file holding a non-ASCII byte or one
+    of _UNSTREAMED_BYTES, found by a scan in bounded chunks; or a body
+    numpy rejects.  A declined file is read line by line by _read_body.
+    """
+    name = os.fspath(path)
+    try:
+        url = urlparse(name)
+    except ValueError:
+        return None
+    if name.endswith(_COMPRESSED_SUFFIXES) or (url.scheme and url.netloc):
+        return None
+    with Path(path).open("rb") as f:
+        chunk = f.read(_SCAN_CHUNK)
+        line_end = re.search(rb"[\r\n]", chunk)
+        if line_end is None or chunk[: line_end.start()].strip() != header.encode():
+            return None
+        has_row = bool(chunk[line_end.end() :].strip())
+        while chunk:
+            if not chunk.isascii() or any(b in chunk for b in _UNSTREAMED_BYTES):
+                return None
+            chunk = f.read(_SCAN_CHUNK)
+            has_row = has_row or bool(chunk.strip())
+    if not has_row:
+        return None
+    try:
+        return np.loadtxt(
+            name, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1
+        )
+    except ValueError:
+        return None
+
+
+def _read_table(
+    path: str | Path, header: str, what: str, dtype: np.dtype,
+    parse_row: Callable[[str], tuple],
+) -> tuple[np.ndarray, ValidationError | None]:
+    """The body of a file whose first line is header, streamed if possible.
+
+    Otherwise the file is read as lines and checked for its header, whose
+    absence raises ValidationError naming what was expected, and its body
+    goes to _read_body.
+    """
+    table = _load_streamed(path, header, dtype)
+    if table is not None:
+        return table, None
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ValidationError(f"bad {what} in {path}: expected '{header}'")
+    return _read_body(lines, dtype, parse_row)
+
+
 def _read_body(
     lines: list[str], dtype: np.dtype, parse_row: Callable[[str], tuple]
 ) -> tuple[np.ndarray, ValidationError | None]:
     """The non-blank lines after the header as a structured array.
 
-    An ASCII body numpy accepts is read in one pass.  Otherwise the
-    lines are read one by one with parse_row up to the first it rejects:
-    the result is the rows before that line and an error naming it (None
-    when every line parses).  Read that way, an integer column keeps
-    Python's unbounded ints.
+    This is the reference reader.  The lines are read one by one with
+    parse_row up to the first it rejects: the result is the rows before
+    that line and an error naming it (None when every line parses).  An
+    integer column keeps Python's unbounded ints.
     """
-    body = [line for line in lines[1:] if line.strip()]
-    # numpy takes "\x1f" for a blank and reads some non-ASCII letters as
-    # digits, where int() and float() reject both.
-    joined = "".join(body)
-    if body and joined.isascii() and "\x1f" not in joined:
-        try:
-            table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            pass
-        else:
-            return table, None
     by_line = np.dtype([
         (name, object if dtype[name].kind == "i" else dtype[name]) for name in dtype.names
     ])
@@ -159,8 +221,9 @@ def _read_body(
     return np.array(rows, dtype=by_line), None
 
 
-def _line_number(lines: list[str], row: int) -> int:
+def _line_number(path: str | Path, row: int) -> int:
     """File line number (from 1) of the row-th non-blank line after the header."""
+    lines = Path(path).read_text().splitlines()
     return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
 
@@ -176,18 +239,13 @@ def parse_emontx_csv(path: str | Path) -> EmonRecording:
 
     Blank lines are skipped but counted.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != EMONTX_HEADER:
-        raise ValidationError(
-            f"bad header in {path}: expected '{EMONTX_HEADER}'"
-        )
-    table, error = _read_body(lines, _EMONTX_DTYPE, _emontx_row)
+    table, error = _read_table(path, EMONTX_HEADER, "header", _EMONTX_DTYPE, _emontx_row)
     # A bad row before the first line that does not parse comes first.
     try:
         recording = EmonRecording(*(table[name] for name in _FIELDS))
     except _RowError as exc:
         raise ValidationError(
-            f"line {_line_number(lines, exc.row)}: {exc.reason}"
+            f"line {_line_number(path, exc.row)}: {exc.reason}"
         ) from exc
     if error is not None:
         raise error
@@ -282,10 +340,7 @@ def _signal_row(line: str) -> tuple[int, float]:
 
 def read_signal_csv(path: str | Path, sample_period: float = 1.0) -> SignalSeries:
     """Read the `k,value` form; k must be an integer counting up by one."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != "k,value":
-        raise ValidationError(f"bad signal header in {path}: expected 'k,value'")
-    table, error = _read_body(lines, _SIGNAL_DTYPE, _signal_row)
+    table, error = _read_table(path, "k,value", "signal header", _SIGNAL_DTYPE, _signal_row)
     if error is not None:
         raise error
     if not len(table):

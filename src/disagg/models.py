@@ -204,7 +204,7 @@ def _unit_step_rows(models: Sequence[DeviceModel], length: int) -> Iterator[np.n
     as one stacked c @ x.  numpy makes the same BLAS call per slice as
     for one model, so a model's bits do not depend on the others.  The
     doubling tail runs as each row is taken, so a caller that keeps only
-    what it builds from a row holds one row and one length x order state
+    what it builds from a row holds one row and one order x length state
     block at a time.
     """
     head = min(length, STEP_HEAD)
@@ -232,19 +232,25 @@ def _unit_step_rows(models: Sequence[DeviceModel], length: int) -> Iterator[np.n
         L = head
         g = np.empty(length)
         g[:L] = g_head + d
-        X = np.empty((length, n))
-        X[:L] = X_head
+        # State component r over time is row X[r]; each product goes
+        # through one scratch row, so a pass allocates no row-sized array.
+        X = np.empty((n, length))
+        X[:, :L] = X_head.T
+        scratch = np.empty(length // 2)
         AL = np.linalg.matrix_power(A, L)
         while L < length:
             m = min(L, length - L)
-            x_L = A @ X[L - 1] + b
-            block = X[L : L + m]
-            block[:] = x_L
+            x_L = A @ np.ascontiguousarray(X[:, L - 1]) + b
+            product = scratch[:m]
+            for r in range(n):
+                block = X[r, L : L + m]
+                block[:] = x_L[r]
+                for i in range(n):
+                    block += np.multiply(X[i, :m], AL[r, i], out=product)
+            g_block = g[L : L + m]
+            g_block[:] = d
             for i in range(n):
-                block += np.outer(X[:m, i], AL[:, i])
-            g[L : L + m] = d
-            for i in range(n):
-                g[L : L + m] += c[i] * block[:, i]
+                g_block += np.multiply(X[i, L : L + m], c[i], out=product)
             L += m
             AL = AL @ AL
         yield g

@@ -27,8 +27,10 @@ class SignalSeries:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1:
             raise ValidationError(f"signal must be 1-D, got shape {arr.shape}")
-        if self.sample_period <= 0:
-            raise ValidationError(f"sample_period must be > 0, got {self.sample_period}")
+        if not (math.isfinite(self.sample_period) and self.sample_period > 0):
+            raise ValidationError(
+                f"sample_period must be finite and > 0, got {self.sample_period!r}"
+            )
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

@@ -1,8 +1,13 @@
 import math
+import os
+import tracemalloc
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import disagg.ingest as ingest
 from disagg import (
     EmonRecording,
     GapWarning,
@@ -120,7 +125,54 @@ def _reference_columns(text):
 
 
 GOOD = "100.0,1.0,120.0,120.0,118.0,0.98"
-FIELD_CHARS = "0123456789+-.eEinfatyINFATY_, \t\x1f\xa0\u2003\u0663"
+# NUL, the line ends of str.splitlines() that numpy does not split at
+# (\x0b, \x0c, \x1c-\x1e), a lone CR, and bytes numpy reads differently.
+FIELD_CHARS = (
+    "0123456789+-.eEinfatyINFATY_, \t\x00\x0b\x0c\x1c\x1d\x1e\x1f\r\xa0\u2003\u0663"
+)
+# Lines that are blank to the line reference, whitespace-only ones included.
+BLANK_LINES = ["", " ", "\t \t", "\u3000", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+# Names of plain-text files: numpy's loader would open the first four
+# through a decompressor and the next, a relative path, as a URL; urlparse
+# raises ValueError on the last.
+PLAIN_NAMES = [
+    "rec.csv.gz", "rec.bz2", "rec.xz", "rec.lzma", "http://x/s.csv", "http://[x/s.csv",
+]
+
+
+@pytest.fixture
+def streamed(tmp_path, monkeypatch):
+    """Names read on the streamed path, for a property working in tmp_path.
+
+    tmp_path becomes the working directory, so "http://x/s.csv" names a
+    file there; opening it as a URL fails the test rather than reaching
+    the network.
+    """
+    monkeypatch.chdir(tmp_path)
+    for host in ("x", "[x"):
+        (tmp_path / "http:" / host).mkdir(parents=True)
+
+    def no_network(*args, **kwargs):
+        raise AssertionError("a file name was opened as a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    names = []
+    load = ingest._load_streamed
+
+    def counting(path, header, dtype):
+        table = load(path, header, dtype)
+        if table is not None:
+            names.append(os.fspath(path))
+        return table
+
+    monkeypatch.setattr(ingest, "_load_streamed", counting)
+    return names
+
+
+def _assert_streamed_only_plain_names(names, plain):
+    """Some files were streamed, and only under the plain name."""
+    assert names, "no file took the streamed path"
+    assert set(names) == {plain}
 
 
 @pytest.mark.parametrize("bad_row, message", [
@@ -200,11 +252,10 @@ def _spell(rng, value, exact):
     return rng.choice(pad) + rng.choice(spellings) + rng.choice(pad)
 
 
-def test_parse_equals_float_reference_property(tmp_path_factory):
+def test_parse_equals_float_reference_property(streamed):
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    path = tmp_path_factory.mktemp("prop") / "rec.csv"
     finite = dict(allow_nan=False, allow_infinity=False)
     level = st.floats(0.0, 1e6, **finite)
     row = st.tuples(level, level, level, st.floats(-1e6, 1e6, **finite), st.floats(-1.0, 1.0))
@@ -221,28 +272,28 @@ def test_parse_equals_float_reference_property(tmp_path_factory):
             fields.append(_spell(rng, values[4], exact=True))
             lines.append(",".join(fields))
             while rng.random() < 0.2:
-                lines.append(rng.choice(["", " ", "\t \t", "\u3000"]))
-        newline = rng.choice(["\n", "\r\n"])
+                lines.append(rng.choice(BLANK_LINES))
+        newline = rng.choice(["\n", "\r\n", "\r"])
         return newline.join(lines) + rng.choice(["", newline])
 
     @settings(max_examples=100, deadline=None)
-    @given(recordings())
-    def check(text):
-        path.write_text(text, newline="")
+    @given(recordings(), st.sampled_from(["rec.csv"] + PLAIN_NAMES))
+    def check(text, name):
+        Path(name).write_text(text, newline="")
         assert _reference_error(text) is None
-        recording = parse_emontx_csv(path)
+        recording = parse_emontx_csv(name)
         expected = _reference_columns(text)
-        for name, column in zip(HEADER.split(","), expected):
-            assert getattr(recording, name).tobytes() == column.tobytes(), name
+        for field, column in zip(HEADER.split(","), expected):
+            assert getattr(recording, field).tobytes() == column.tobytes(), field
 
     check()
+    _assert_streamed_only_plain_names(streamed, "rec.csv")
 
 
-def test_parse_rejections_match_line_reference_property(tmp_path_factory):
+def test_parse_rejections_match_line_reference_property(streamed):
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    path = tmp_path_factory.mktemp("prop") / "rec.csv"
     faults = {
         "fields": lambda f: f[:-1] if len(f) % 2 else f + ["1.0"],
         "float": lambda f: f[:2] + ["1.2.3"] + f[3:],
@@ -273,23 +324,25 @@ def test_parse_rejections_match_line_reference_property(tmp_path_factory):
         lines = [HEADER]
         for row in rows:
             while draw(st.integers(0, 3)) == 3:
-                lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+                lines.append(draw(st.sampled_from(BLANK_LINES)))
             lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        return newline.join(lines) + newline
 
     @settings(max_examples=200, deadline=None)
-    @given(bad_recordings())
-    def check(text):
-        path.write_text(text)
+    @given(bad_recordings(), st.sampled_from(["rec.csv"] + PLAIN_NAMES))
+    def check(text, name):
+        Path(name).write_text(text, newline="")
         expected = _reference_error(text)
         if expected is None:
-            assert len(parse_emontx_csv(path)) == len(_reference_columns(text)[0])
+            assert len(parse_emontx_csv(name)) == len(_reference_columns(text)[0])
             return
         with pytest.raises(ValidationError) as err:
-            parse_emontx_csv(path)
+            parse_emontx_csv(name)
         assert str(err.value) == expected
 
     check()
+    _assert_streamed_only_plain_names(streamed, "rec.csv")
 
 
 # --------------------------------------------------------------- resampling
@@ -489,11 +542,9 @@ def _reference_signal(text):
     return ks[0], values
 
 
-def test_read_signal_csv_matches_line_reference_property(tmp_path_factory):
+def test_read_signal_csv_matches_line_reference_property(streamed):
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
-
-    path = tmp_path_factory.mktemp("prop") / "sig.csv"
 
     @st.composite
     def signal_files(draw):
@@ -508,22 +559,48 @@ def test_read_signal_csv_matches_line_reference_property(tmp_path_factory):
         lines = ["k,value"]
         for row in rows:
             if draw(st.integers(0, 4)) == 4:
-                lines.append(draw(st.sampled_from(["", " ", "\t"])))
+                lines.append(draw(st.sampled_from(BLANK_LINES)))
             lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        return newline.join(lines) + newline
 
     @settings(max_examples=200, deadline=None)
-    @given(signal_files())
-    def check(text):
-        path.write_text(text)
+    @given(signal_files(), st.sampled_from(["sig.csv"] + PLAIN_NAMES))
+    def check(text, name):
+        Path(name).write_text(text, newline="")
         expected = _reference_signal(text)
         if isinstance(expected, str):
             with pytest.raises(ValidationError) as err:
-                read_signal_csv(path)
+                read_signal_csv(name)
             assert str(err.value).startswith(expected)
             return
-        loaded = read_signal_csv(path)
+        loaded = read_signal_csv(name)
         assert loaded.start_index == expected[0]
         assert loaded.values.tobytes() == np.array(expected[1], dtype=float).tobytes()
 
     check()
+    _assert_streamed_only_plain_names(streamed, "sig.csv")
+
+
+def test_read_signal_csv_rejects_non_finite_sample_period(tmp_path):
+    path = tmp_path / "sig.csv"
+    write_signal_csv(series([1.0, 2.0]), path)
+    for period in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="sample_period must be finite"):
+            read_signal_csv(path, sample_period=period)
+
+
+def test_read_signal_csv_peak_memory_is_near_its_table(tmp_path):
+    # The streamed read holds no copy of the text: the list-of-lines
+    # reader peaked at about 8 times the (k, value) table.
+    n = 100_000
+    path = tmp_path / "sig.csv"
+    write_signal_csv(series(np.sin(np.arange(n) / 7.0), start=-5), path)
+    tracemalloc.start()
+    try:
+        loaded = read_signal_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == n
+    assert peak < 2.5 * n * ingest._SIGNAL_DTYPE.itemsize

@@ -410,6 +410,64 @@ def test_unit_step_rows_equal_single_model_calls():
             assert g.tobytes() == unit_step_values(m, length).tobytes(), m.name
 
 
+def _outer_doubling_step(model, length):
+    """unit_step_values(model, length) with the doubling tail as np.outer products.
+
+    The head repeats _unit_step_rows's recursion for one model.  The tail
+    keeps the states as (length, order) rows and adds one np.outer per
+    state column: the form the scratch-row tail must equal bit for bit.
+    """
+    A, b, c, d = model.A, model.b, model.c, model.d
+    n = model.order
+    L = min(length, STEP_HEAD)
+    X = np.empty((length, n))
+    x = np.zeros((1, n, 1))
+    for k in range(L):
+        X[k] = x[0, :, 0]
+        x = A[None] @ x + b[None, :, None]
+    g = np.empty(length)
+    g[:L] = unit_step_values(model, L)
+    AL = np.linalg.matrix_power(A, L)
+    while L < length:
+        m = min(L, length - L)
+        x_L = A @ X[L - 1] + b
+        block = X[L : L + m]
+        block[:] = x_L
+        for i in range(n):
+            block += np.outer(X[:m, i], AL[:, i])
+        g[L : L + m] = d
+        for i in range(n):
+            g[L : L + m] += c[i] * block[:, i]
+        L += m
+        AL = AL @ AL
+    return g
+
+
+def _slow_dense_model(order):
+    """A model with poles in [0.97, 0.995] and no zero entry in A.
+
+    Its state products A^L x stay large for long tails, so every term of
+    the tail's sums reaches the last bit.
+    """
+    rng = np.random.default_rng(order)
+    S = rng.normal(size=(order, order)) + order * np.eye(order)
+    A = S @ np.diag(np.linspace(0.97, 0.995, order)) @ np.linalg.inv(S)
+    return DeviceModel(f"slow{order}", A=A, b=rng.normal(size=order), c=rng.normal(size=order))
+
+
+def test_unit_step_tail_equals_outer_product_tail():
+    models = _kernel_models() + [_slow_dense_model(n) for n in (1, 2, 3, 4)]
+    lengths = sorted({
+        STEP_HEAD * 2**k + j for k in range(6) for j in (-1, 0, 1)
+    } | {900, 7_200})
+    for length in lengths:
+        for m in models:
+            expected = _outer_doubling_step(m, length)
+            assert unit_step_values(m, length).tobytes() == expected.tobytes(), (
+                m.name, length,
+            )
+
+
 def test_unit_step_values_shorter_call_is_a_prefix():
     m = _kernel_models()[2]
     g = unit_step_values(m, 5_000)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,10 @@ def test_signal_basic_indexing():
     np.testing.assert_array_equal(s.values, [1.0, 2.0, 3.0])
 
 
-def test_signal_rejects_bad_period():
-    with pytest.raises(ValidationError):
-        SignalSeries(np.array([1.0]), sample_period=0.0)
+@pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_signal_rejects_bad_period(period):
+    with pytest.raises(ValidationError, match="sample_period must be finite and > 0"):
+        SignalSeries(np.array([1.0]), sample_period=period)
 
 
 def test_signal_immutable():

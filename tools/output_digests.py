@@ -13,7 +13,11 @@ file):
   seeds 100-115.
 
 Each output line is ``<sha256>  <path>``, the path relative to a scratch
-directory that is removed afterwards, in sorted order.  A change that
+directory that is removed afterwards, in sorted order.  Every signal CSV
+(``k,value``) is also read back with ``read_signal_csv`` and every emonTx
+CSV with ``parse_emontx_csv``; the line after the file's own gives the
+sha256 of the parsed arrays as ``<sha256>  <path> parsed``, so the
+readers are compared too.  A change that
 must not move any output bit is checked by running this on the parent
 checkout and on the change and diffing the two outputs.  Run each in its
 own process: the package is imported from CHECKOUT/src.
@@ -86,6 +90,27 @@ def _bench_outputs(work: Path) -> None:
                 raise SystemExit(f"{name} job on seed {seed} exited {code}")
 
 
+def _parsed_digest(path: Path) -> str | None:
+    """sha256 of the arrays the package parses from a signal or emonTx CSV.
+
+    None for any other file.
+    """
+    from disagg import parse_emontx_csv, read_signal_csv
+    from disagg.ingest import EMONTX_HEADER
+
+    with path.open(errors="replace") as f:
+        header = f.readline().strip()
+    if header == "k,value":
+        signal = read_signal_csv(path)
+        parts = [str(signal.start_index).encode(), signal.values.tobytes()]
+    elif header == EMONTX_HEADER:
+        recording = parse_emontx_csv(path)
+        parts = [getattr(recording, name).tobytes() for name in EMONTX_HEADER.split(",")]
+    else:
+        return None
+    return hashlib.sha256(b"\0".join(parts)).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -100,8 +125,11 @@ def main(argv=None) -> int:
         _reference_outputs(cli, work)
         _bench_outputs(work)
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(work).as_posix()}")
+            name = path.relative_to(work).as_posix()
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
+            parsed = _parsed_digest(path)
+            if parsed is not None:
+                print(f"{parsed}  {name} parsed")
     return 0
 
 
