@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .engine import (
@@ -24,6 +24,7 @@ from .engine import (
 from .errors import ValidationError, reading
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
 from .ingest import (
+    CHANNELS,
     parse_emontx_csv,
     read_signal_csv,
     signal_rows,
@@ -153,22 +154,11 @@ def _cmd_identify(args) -> int:
     return 0
 
 
-def _params_from_args(args) -> EngineParams:
-    return EngineParams(
-        deviation_threshold=args.threshold,
-        persistence=args.persistence,
-        lookahead=args.lookahead,
-        backtrack_window=args.backtrack,
-        min_on_duration=args.min_on_duration,
-        min_level=args.min_level,
-        beam_width=args.beam_width,
-    )
-
-
 def _cmd_disaggregate(args) -> int:
     library = load_library(args.library)
     y_m = read_signal_csv(args.input)
-    result = disaggregate(y_m, library, _params_from_args(args))
+    params = EngineParams(**{f.name: getattr(args, f.name) for f in fields(EngineParams)})
+    result = disaggregate(y_m, library, params)
     save_result(result, args.out)
     print(
         f"{len(result.events)} events, residual rms {result.residual_rms:.6g} "
@@ -237,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--na", type=int, default=3)
     p_id.add_argument("--nb", type=int, default=3)
     p_id.add_argument("--delay", type=int, default=1)
-    p_id.add_argument("--channel", default="irms", choices=("irms", "pw", "pva"))
+    p_id.add_argument("--channel", default="irms", choices=CHANNELS)
     p_id.add_argument("--rate", type=float, default=12.0)
     p_id.add_argument("--library", required=True, help="library JSON to append to")
 
@@ -246,10 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis.add_argument("--input", required=True, help="aggregate signal CSV")
     p_dis.add_argument("--out", required=True)
     engine = EngineParams()
-    p_dis.add_argument("--threshold", type=float, default=engine.deviation_threshold)
+    p_dis.add_argument("--threshold", type=float, default=engine.deviation_threshold,
+                       dest="deviation_threshold")
     p_dis.add_argument("--persistence", type=int, default=engine.persistence)
     p_dis.add_argument("--lookahead", type=int, default=engine.lookahead)
-    p_dis.add_argument("--backtrack", type=int, default=engine.backtrack_window)
+    p_dis.add_argument("--backtrack", type=int, default=engine.backtrack_window,
+                       dest="backtrack_window")
     p_dis.add_argument("--min-on-duration", type=int, default=engine.min_on_duration)
     p_dis.add_argument("--min-level", type=float, default=engine.min_level)
     p_dis.add_argument("--beam-width", type=int, default=engine.beam_width)

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .models import (
     DeviceModel,
     _add_switch,
@@ -81,13 +81,7 @@ class EngineParams:
     beam_width: int = 1
 
     def __post_init__(self):
-        if self.deviation_threshold is not None and not (
-            math.isfinite(self.deviation_threshold) and self.deviation_threshold > 0
-        ):
-            raise ValidationError(
-                "deviation_threshold must be finite and > 0 when given, "
-                f"got {self.deviation_threshold!r}"
-            )
+        check_number("deviation_threshold", self.deviation_threshold, optional=True)
         if self.persistence < 1:
             raise ValidationError("persistence must be >= 1")
         if self.lookahead < 1:
@@ -98,10 +92,7 @@ class EngineParams:
             raise ValidationError("min_on_duration must be >= 0")
         if self.beam_width < 1:
             raise ValidationError("beam_width must be >= 1")
-        if not (math.isfinite(self.min_level) and self.min_level >= 0):
-            raise ValidationError(
-                f"min_level must be finite and >= 0, got {self.min_level!r}"
-            )
+        check_number("min_level", self.min_level, zero_ok=True)
 
 
 class _Candidate(NamedTuple):

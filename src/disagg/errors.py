@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit."""
 
+import math
 from contextlib import contextmanager
 
 
@@ -9,6 +10,18 @@ class DisaggError(Exception):
 
 class ValidationError(DisaggError, ValueError):
     """Invalid data, parameters, or file contents."""
+
+
+def check_number(name, value, *, zero_ok=False, optional=False):
+    """Raise ValidationError unless value is finite and > 0 (>= 0 if
+    zero_ok); None passes when optional."""
+    if optional and value is None:
+        return
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        raise ValidationError(
+            f"{name} must be finite and {'>=' if zero_ok else '>'} 0"
+            f"{' when given' if optional else ''}, got {value!r}"
+        )
 
 
 class UnstableModelError(ValidationError):

@@ -27,7 +27,7 @@ from urllib.parse import urlparse
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .series import SignalSeries
 
 EMONTX_HEADER = "timestamp_utc,irms,vrms,pva,pw,pf"
@@ -184,14 +184,14 @@ def _read_table(
 ) -> tuple[np.ndarray, ValidationError | None]:
     """The body of a file whose first line is header, streamed if possible.
 
-    Otherwise the file is read as lines and checked for its header, whose
-    absence raises ValidationError naming what was expected, and its body
-    goes to _read_body.
+    Otherwise the file is read as lines, an undecodable byte becoming
+    U+FFFD so that _read_body rejects its line, and checked for its header,
+    whose absence raises ValidationError naming what was expected.
     """
     table = _load_streamed(path, header, dtype)
     if table is not None:
         return table, None
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(errors="replace").splitlines()
     if not lines or lines[0].strip() != header:
         raise ValidationError(f"bad {what} in {path}: expected '{header}'")
     return _read_body(lines, dtype, parse_row)
@@ -223,7 +223,7 @@ def _read_body(
 
 def _line_number(path: str | Path, row: int) -> int:
     """File line number (from 1) of the row-th non-blank line after the header."""
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(errors="replace").splitlines()
     return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
 
@@ -256,8 +256,7 @@ def find_gaps(
     recording: EmonRecording, nominal_rate: float, gap_periods: float = 10.0
 ) -> list[Gap]:
     """Holes between consecutive records longer than gap_periods."""
-    if not (math.isfinite(nominal_rate) and nominal_rate > 0):
-        raise ValidationError(f"nominal_rate must be finite and > 0, got {nominal_rate!r}")
+    check_number("nominal_rate", nominal_rate)
     ts = recording.timestamp_utc
     periods = np.diff(ts) * nominal_rate
     return [

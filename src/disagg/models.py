@@ -19,14 +19,13 @@ event does.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import UnstableModelError, ValidationError, reading
+from .errors import UnstableModelError, ValidationError, check_number, reading
 from .rng import SeededStream
 from .series import SignalSeries
 
@@ -72,12 +71,8 @@ class DeviceModel:
             raise ValidationError(
                 f"b and c must have length {n}, got {b.shape} and {c.shape}"
             )
-        for cap in ("max_input", "max_output"):
-            value = getattr(self, cap)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValidationError(
-                    f"{cap} must be finite and > 0 when given, got {value!r}"
-                )
+        check_number("max_input", self.max_input, optional=True)
+        check_number("max_output", self.max_output, optional=True)
         for arr in (A, b, c):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"non-finite entries in model '{self.name}'")

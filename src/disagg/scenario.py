@@ -10,13 +10,12 @@ on heavily overlapping intervals, one never used.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, reading
+from .errors import ValidationError, check_number, reading
 from .models import (
     DeviceModel,
     _unit_step_rows,
@@ -62,10 +61,7 @@ class Scenario:
             raise ValidationError(
                 f"{len(self.models)} models but {len(self.inputs)} inputs"
             )
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValidationError(
-                f"noise_std must be finite and >= 0, got {self.noise_std!r}"
-            )
+        check_number("noise_std", self.noise_std, zero_ok=True)
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         for inp in self.inputs:
@@ -105,14 +101,7 @@ def reference_scenario(seed: int) -> Scenario:
     models = []
     for i in range(REFERENCE_DEVICE_COUNT):
         m = random_stable_model(REFERENCE_ORDER, seed + i, instant_off=True)
-        models.append(
-            DeviceModel(
-                name=f"device{i + 1}",
-                A=m.A, b=m.b, c=m.c, d=m.d,
-                instant_off=True,
-                dc_normalized=True,
-            )
-        )
+        models.append(replace(m, name=f"device{i + 1}"))
     inputs = [PiecewiseInput() for _ in range(REFERENCE_DEVICE_COUNT)]
     for dev, k_on, k_off, level in REFERENCE_SCHEDULE:
         inputs[dev] = PiecewiseInput(((k_on, level), (k_off, 0.0)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,7 @@ class SignalSeries:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1:
             raise ValidationError(f"signal must be 1-D, got shape {arr.shape}")
-        if not (math.isfinite(self.sample_period) and self.sample_period > 0):
-            raise ValidationError(
-                f"sample_period must be finite and > 0, got {self.sample_period!r}"
-            )
+        check_number("sample_period", self.sample_period)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

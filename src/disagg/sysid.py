@@ -9,12 +9,11 @@ DC-normalized.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import RankDeficientDataError, ValidationError
+from .errors import RankDeficientDataError, ValidationError, check_number
 from .models import DeviceModel
 from .series import PiecewiseInput, SignalSeries
 
@@ -39,10 +38,7 @@ class PlugRecordingLabel:
     settle_skip: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.on_threshold) and self.on_threshold > 0):
-            raise ValidationError(
-                f"on_threshold must be finite and > 0, got {self.on_threshold!r}"
-            )
+        check_number("on_threshold", self.on_threshold)
         if self.settle_skip < 0:
             raise ValidationError(f"settle_skip must be >= 0, got {self.settle_skip}")
 

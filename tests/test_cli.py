@@ -1,6 +1,8 @@
+import argparse
 import json
 import shutil
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from disagg import (
     DeviceModel,
+    EngineParams,
     PiecewiseInput,
     disaggregate,
     load_library,
@@ -17,7 +20,7 @@ from disagg import (
     simulate_zero_state,
     write_signal_csv,
 )
-from disagg.cli import load_result, main
+from disagg.cli import build_parser, load_result, main
 from disagg.ingest import ROW_BLOCK
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -385,6 +388,54 @@ def test_validation_error_exits_one(tmp_path):
         "--library", str(tmp_path / "lib.json"),
     ])
     assert code == 1
+
+
+def test_identify_reports_a_byte_that_is_not_utf8(tmp_path, capsys):
+    rec_path = tmp_path / "plug.csv"
+    rec_path.write_bytes(
+        b"timestamp_utc,irms,vrms,pva,pw,pf\n0.0,1.0,120.0,120.0,118.0,0.98\n"
+        b"0.5,\xff2.0,120.0,120.0,118.0,0.98\n"
+    )
+    code = main([
+        "identify",
+        "--input", str(rec_path),
+        "--name", "x",
+        "--threshold", "1.0",
+        "--library", str(tmp_path / "lib.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: line 3: could not convert string to float: '\ufffd2.0'\n"
+    )
+    assert not (tmp_path / "lib.json").exists()
+
+
+def test_disaggregate_reports_a_byte_that_is_not_utf8(pipeline_dir, tmp_path, capsys):
+    signal = tmp_path / "aggregate.csv"
+    signal.write_bytes(b"k,value\n0,1.0\n1,\xff2.0\n")
+    code = main([
+        "disaggregate",
+        "--library", str(pipeline_dir / "sim" / "library.json"),
+        "--input", str(signal),
+        "--out", str(tmp_path / "res"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: line 3: could not convert string to float: '\ufffd2.0'\n"
+    )
+    assert not (tmp_path / "res").exists()
+
+
+def test_disaggregate_has_one_flag_per_engine_param():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = [
+        a for a in sub.choices["disaggregate"]._actions
+        if a.dest not in ("help", "library", "input", "out")
+    ]
+    assert len(flags) == len(fields(EngineParams))
+    assert {a.dest: a.default for a in flags} == asdict(EngineParams())
 
 
 @pytest.fixture(scope="module")

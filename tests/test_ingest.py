@@ -254,7 +254,7 @@ def _spell(rng, value, exact):
 
 def test_parse_equals_float_reference_property(streamed):
     pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 
     finite = dict(allow_nan=False, allow_infinity=False)
     level = st.floats(0.0, 1e6, **finite)
@@ -278,6 +278,7 @@ def test_parse_equals_float_reference_property(streamed):
 
     @settings(max_examples=100, deadline=None)
     @given(recordings(), st.sampled_from(["rec.csv"] + PLAIN_NAMES))
+    @example(text=f"{HEADER}\n{GOOD}\n", name="rec.csv")
     def check(text, name):
         Path(name).write_text(text, newline="")
         assert _reference_error(text) is None
@@ -292,7 +293,7 @@ def test_parse_equals_float_reference_property(streamed):
 
 def test_parse_rejections_match_line_reference_property(streamed):
     pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 
     faults = {
         "fields": lambda f: f[:-1] if len(f) % 2 else f + ["1.0"],
@@ -331,6 +332,7 @@ def test_parse_rejections_match_line_reference_property(streamed):
 
     @settings(max_examples=200, deadline=None)
     @given(bad_recordings(), st.sampled_from(["rec.csv"] + PLAIN_NAMES))
+    @example(text=f"{HEADER}\n{GOOD}\n", name="rec.csv")
     def check(text, name):
         Path(name).write_text(text, newline="")
         expected = _reference_error(text)
