@@ -11,12 +11,12 @@ adds exactly one nonzero entry to the global input difference, so the
 event count is the sparsity of the reconstruction.
 
 By linearity each hypothesis's per-device prediction is a sum of shifted
-unit-step responses, one per event: an event at position p adds
-level * g[:T - p] to the device's row, or zeroes the row from p at an
-instant-off switch-off (``models._add_switch``, the kernel that
-``simulate_zero_state`` uses for the same schedule).  Each device's
-full-length step response g is computed once per run; the on-event fits
-score slices of it.
+unit-step responses, one per event: an event at position p that moves
+the device from level old to new adds (new - old) * g[:T - p] to its
+row, or zeroes the row from p at an instant-off switch to 0
+(``models._switch``, the kernel that ``simulate_zero_state`` uses for
+the same schedule).  Each device's full-length step response g is
+computed once per run; the on-event fits score slices of it.
 
 Cost: the loop runs once per detection, not once per sample.  Each
 hypothesis keeps its next detection, found by a numpy scan of the mask
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ValidationError, check_number
 from .models import (
     DeviceModel,
-    _add_switch,
+    _switch,
     _unit_step_rows,
     dc_gain,
     # Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state
@@ -279,19 +279,14 @@ class _Engine:
 
     # -- per-hypothesis mechanics ------------------------------------
 
-    def _switch(self, hyp: _Hypothesis, event: SwitchEvent, row: np.ndarray, pos: int):
-        """Superpose event onto row (its device's prediction) from position pos."""
-        dev, level = event.device, event.level
-        reset = self.models[dev].instant_off and level == 0.0
-        _add_switch(row, self.g[dev], pos, level - hyp.levels[dev], reset)
-
     def _apply(self, hyp: _Hypothesis, event: SwitchEvent):
         """Log event and set its device's input to its level from its time on."""
         dev, pos = event.device, event.k - self.start
         if not hyp.owned[dev]:
             hyp.rows[dev] = hyp.rows[dev].copy()
             hyp.owned[dev] = True
-        self._switch(hyp, event, hyp.rows[dev], pos)
+        off = self.models[dev].instant_off
+        _switch(hyp.rows[dev], self.g[dev], pos, hyp.levels[dev], event.level, off)
         hyp.events.append(event)
         hyp.times.add(event.k)
         hyp.levels[dev] = event.level
@@ -444,7 +439,8 @@ class _Engine:
             dev, pos = event.device, event.k - self.start
             segments = [row[pos : p + 1] for row in hyp.rows]
             segments[dev] = segments[dev].copy()
-            self._switch(hyp, event, segments[dev], 0)
+            off = self.models[dev].instant_off
+            _switch(segments[dev], self.g[dev], 0, hyp.levels[dev], event.level, off)
             resid[pos:] = self.y[pos : p + 1] - _device_sum(
                 segments, np.empty(p + 1 - pos)
             )

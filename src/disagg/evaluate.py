@@ -18,8 +18,7 @@ import numpy as np
 from .engine import DisaggregationResult, SwitchEvent
 from .errors import ValidationError
 from .models import (
-    _unit_step_rows,
-    _zero_state,
+    _outputs,
     # Unused here, but perfbench/spans.py wraps disagg.evaluate.simulate_zero_state.
     simulate_zero_state,  # noqa: F401
 )
@@ -138,11 +137,10 @@ def score(
     recall = len(matched.pairs) / len(t_events) if t_events else 1.0
 
     energy_error: dict[str, float] = {}
-    truth_outputs = []
-    steps = _unit_step_rows(truth.models, truth.horizon)
-    for dev, (model, inp, g) in enumerate(zip(truth.models, truth.inputs, steps)):
-        y_true = _zero_state(model, inp.expand(0, truth.horizon), g).values
-        truth_outputs.append(y_true)
+    truth_outputs = _outputs(
+        truth.models, [inp.events for inp in truth.inputs], truth.horizon
+    )
+    for dev, (model, y_true) in enumerate(zip(truth.models, truth_outputs)):
         y_est = result.estimated_outputs[dev].values
         denom = float(np.sum(np.abs(y_true)))
         num = float(np.sum(np.abs(y_est - y_true)))
@@ -152,9 +150,7 @@ def score(
             energy_error[model.name] = num / denom
     # Canonical summation order keeps the metric bit-identical under a
     # consistent relabeling of devices.
-    clean_total = np.zeros(truth.horizon)
-    for y_true in sorted(truth_outputs, key=tuple):
-        clean_total = clean_total + y_true
+    clean_total = sum(sorted(truth_outputs, key=tuple), np.zeros(truth.horizon))
     rmse = float(np.sqrt(np.mean((total.values - clean_total) ** 2)))
 
     return Metrics(

@@ -8,12 +8,12 @@ observed to collapse to zero draw immediately at switch-off carry an
 Device inputs are sparse: piecewise constant, changing at a few switch
 times.  By linearity the zero-state output is then a sum of shifted
 unit-step responses, one per switch, so outputs are built by one kernel
-(``_add_switch``) that adds du * g[:T - p] from each switch position p,
-or zeroes the output from p at an instant-off switch-off.  The engine
-builds its predictions with the same kernel, so a simulated schedule
-and the engine's prediction of it agree bit for bit.  Every input takes
-this path: a dense input costs one O(T) pass per change, as an engine
-event does.
+(``_switch``): a switch from level old to new at position p adds
+(new - old) * g[:T - p], or zeroes the output from p at an instant-off
+switch to 0.  ``_outputs`` runs whole schedules of (position, level)
+changes through it; the engine calls it per event, so a simulated
+schedule and the engine's prediction of it agree bit for bit.  Every
+input takes this path, at one O(T) pass per change.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ class DeviceModel:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         b = np.asarray(self.b, dtype=float).reshape(-1)
         c = np.asarray(self.c, dtype=float).reshape(-1)
+        d = float(self.d)
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValidationError(f"A must be square, got shape {A.shape}")
@@ -73,7 +74,7 @@ class DeviceModel:
             )
         check_number("max_input", self.max_input, optional=True)
         check_number("max_output", self.max_output, optional=True)
-        for arr in (A, b, c):
+        for arr in (A, b, c, d):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"non-finite entries in model '{self.name}'")
         radius = spectral_radius(A)
@@ -87,7 +88,7 @@ class DeviceModel:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", float(self.d))
+        object.__setattr__(self, "d", d)
         if self.dc_normalized and abs(dc_gain(self) - 1.0) > DC_GAIN_TOL:
             raise ValidationError(
                 f"model '{self.name}' flagged dc_normalized but gain is {dc_gain(self)!r}"
@@ -140,41 +141,51 @@ def normalize_dc(model: DeviceModel) -> DeviceModel:
 def simulate_zero_state(model: DeviceModel, u: SignalSeries) -> SignalSeries:
     """Zero-state output of the model under input u.
 
-    Each change du of the input is superposed with the kernel the engine
+    Each change of the input is superposed with the kernel the engine
     uses, so re-simulating an engine schedule gives the engine's bits.
     For instant_off models the output is zeroed from every sample where
     the input transitions to exactly 0, so it is identically zero while
     the device stays off.
     """
-    return _zero_state(model, u, unit_step_values(model, len(u)))
-
-
-def _zero_state(model: DeviceModel, u: SignalSeries, g: np.ndarray) -> SignalSeries:
-    """simulate_zero_state given g, the model's unit-step response over len(u)."""
     uv = u.values
     bad = np.flatnonzero(~np.isfinite(uv))
     if bad.size:
         raise ValidationError(
             f"non-finite input sample at k={u.start_index + int(bad[0])}"
         )
-    du = np.diff(uv, prepend=0.0)
-    y = np.zeros(len(uv))
-    for p in np.flatnonzero(du).tolist():
-        _add_switch(y, g, p, float(du[p]), model.instant_off and uv[p] == 0.0)
+    changes = np.flatnonzero(np.diff(uv, prepend=0.0))
+    (y,) = _outputs([model], [zip(changes.tolist(), uv[changes].tolist())], len(uv))
     return SignalSeries(y, sample_period=u.sample_period, start_index=u.start_index)
 
 
-def _add_switch(row: np.ndarray, g: np.ndarray, p: int, du: float, reset: bool) -> None:
-    """Superpose one input switch at position p onto a zero-state output row.
+def _outputs(models: Sequence[DeviceModel], schedules: Sequence, length: int) -> list:
+    """Zero-state output rows over [0, length), one per model.
 
-    An input change du at p adds du * g from p on, g being the unit-step
-    response; a reset (an instant-off switch to zero) zeroes the row from
-    p on instead.  Switches of one row must be added in time order.
+    schedules[i] holds model i's input changes as (position, level) in
+    time order, positions in [0, length); the input is 0 before the first.
     """
-    if reset:
+    rows = []
+    for model, changes, g in zip(models, schedules, _unit_step_rows(models, length)):
+        row = np.zeros(length)
+        old = 0.0
+        for p, new in changes:
+            _switch(row, g, p, old, new, model.instant_off)
+            old = new
+        rows.append(row)
+    return rows
+
+
+def _switch(row, g, p: int, old: float, new: float, instant_off: bool) -> None:
+    """Superpose an input switch from old to new at position p onto an output row.
+
+    An instant-off device switching to 0 has its row zeroed from p on (a
+    state reset); any other switch adds (new - old) * g from p on, g being
+    the unit-step response.  Switches of one row must come in time order.
+    """
+    if instant_off and new == 0.0:
         row[p:] = 0.0
     else:
-        row[p:] += du * g[: len(row) - p]
+        row[p:] += (new - old) * g[: len(row) - p]
 
 
 def unit_step_values(model: DeviceModel, length: int) -> np.ndarray:

@@ -18,8 +18,7 @@ import numpy as np
 from .errors import ValidationError, check_number, reading
 from .models import (
     DeviceModel,
-    _unit_step_rows,
-    _zero_state,
+    _outputs,
     model_from_dict,
     model_to_dict,
     random_stable_model,
@@ -65,6 +64,8 @@ class Scenario:
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         for inp in self.inputs:
+            if inp.events and inp.events[0][0] < 0:
+                raise ValidationError(f"event at k={inp.events[0][0]} before k=0")
             last = inp.last_event_index
             if last is not None and last >= self.horizon:
                 raise ValidationError(
@@ -83,17 +84,14 @@ def render(scenario: Scenario) -> tuple[SignalSeries, list[SignalSeries]]:
     white Gaussian, drawn from the scenario seed, so regeneration is
     bit-identical.
     """
-    truths = []
-    steps = _unit_step_rows(scenario.models, scenario.horizon)
-    for model, inp, g in zip(scenario.models, scenario.inputs, steps):
-        truths.append(_zero_state(model, inp.expand(0, scenario.horizon), g))
-    total = np.zeros(scenario.horizon)
-    for t in truths:
-        total = total + t.values
+    rows = _outputs(
+        scenario.models, [inp.events for inp in scenario.inputs], scenario.horizon
+    )
+    total = sum(rows, np.zeros(scenario.horizon))
     if scenario.noise_std > 0:
         noise = SeededStream(scenario.seed).normals(scenario.horizon) * scenario.noise_std
         total = total + noise
-    return SignalSeries(total), truths
+    return SignalSeries(total), [SignalSeries(row) for row in rows]
 
 
 def reference_scenario(seed: int) -> Scenario:

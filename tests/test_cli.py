@@ -481,6 +481,10 @@ def _first_on(data):
     return next(e for e in data["events"] if e["kind"] == "on")
 
 
+def _event_before_k0(data):
+    data["devices"][0]["events"][0][0] = -3
+
+
 def _keep_rows(n):
     def edit(path):
         lines = path.read_text().splitlines(keepends=True)
@@ -512,16 +516,18 @@ def _keep_rows(n):
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
     ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std=float("nan")))),
     ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std=float("inf")))),
+    ("sim/scenario.json", _edit_json(_event_before_k0)),
     ("sim/library.json", _truncate),
     ("sim/library.json", _edit_json(lambda d: d.__setitem__(0, "device1"))),
+    ("sim/library.json", _edit_json(lambda d: d[0].update(d=float("nan")))),
 ], ids=[
     "truncated-result", "unknown-device", "extra-param", "negative-level",
     "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
     "sideways-unexplained", "inf-level", "nan-level", "nan-threshold",
     "inf-threshold", "nan-min-level", "short-estimate",
     "truncated-scenario",
-    "scenario-without-devices", "nan-noise", "inf-noise",
-    "truncated-library", "library-entry-not-object",
+    "scenario-without-devices", "nan-noise", "inf-noise", "event-before-k0",
+    "truncated-library", "library-entry-not-object", "nan-feedthrough",
 ])
 def test_malformed_json_is_a_validation_error(
     pipeline_dir, tmp_path, capsys, name, edit
@@ -530,6 +536,16 @@ def test_malformed_json_is_a_validation_error(
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {path}: ")
+
+
+def test_simulate_rejects_scenario_event_before_k0(pipeline_dir, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    shutil.copy(pipeline_dir / "sim" / "scenario.json", path)
+    _edit_json(_event_before_k0)(path)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: event at k=-3 before k=0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

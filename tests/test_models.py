@@ -17,7 +17,7 @@ from disagg import (
     unit_step_values,
 )
 from disagg.models import (
-    SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _add_switch, _unit_step_rows,
+    SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _switch, _unit_step_rows,
 )
 from conftest import series
 
@@ -270,6 +270,15 @@ def test_caps_must_be_finite_and_positive(cap, value):
         DeviceModel("bad", A=[[0.5]], b=[1.0], c=[1.0], **{cap: value})
 
 
+@pytest.mark.parametrize("field", ["A", "b", "c", "d"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_entries(field, value):
+    entries = {"A": [[0.5]], "b": [1.0], "c": [1.0], "d": 0.0}
+    entries[field] = value if field == "d" else np.full_like(entries[field], value)
+    with pytest.raises(ValidationError, match="non-finite entries in model 'bad'"):
+        DeviceModel("bad", **entries)
+
+
 def test_dc_normalized_flag_checked():
     with pytest.raises(ValidationError):
         DeviceModel("bad", A=[[0.9]], b=[0.2], c=[1.0], dc_normalized=True)
@@ -518,7 +527,8 @@ def test_simulate_dense_input_superposes_every_change():
         g = unit_step_values(m, len(u))
         du = np.diff(u, prepend=0.0)
         for p in np.flatnonzero(du):
-            _add_switch(ref, g, int(p), float(du[p]), m.instant_off and u[p] == 0.0)
+            old = u[p - 1] if p > 0 else 0.0
+            _switch(ref, g, int(p), float(old), float(u[p]), m.instant_off)
         np.testing.assert_array_equal(y, ref, err_msg=m.name)
 
 

@@ -17,6 +17,7 @@ from disagg import (
     spectral_radius,
 )
 from disagg.models import STABILITY_MARGIN
+from test_models import _simulate_recursion
 
 
 def _two_device_scenario(noise_std=0.0, seed=0):
@@ -44,6 +45,47 @@ def test_render_truths_match_direct_simulation():
     for model, inp, truth in zip(sc.models, sc.inputs, truths):
         direct = simulate_zero_state(model, inp.expand(0, sc.horizon))
         assert truth == direct
+
+
+def test_render_truths_match_dense_simulation_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60, deadline=None)
+    @given(horizon=st.integers(1, 600), data=st.data())
+    def check(horizon, data):
+        # The ends are drawn on their own, so events at k = 0 and
+        # k = horizon - 1 are frequent; a level of 0 is a switch-off on
+        # either kind of device.
+        time = st.one_of(st.sampled_from([0, horizon - 1]), st.integers(0, horizon - 1))
+        models, inputs = [], []
+        for i in range(data.draw(st.integers(1, 4))):
+            order, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 500))
+            instant_off = data.draw(st.booleans())
+            models.append(
+                replace(random_stable_model(order, seed), name=f"m{i}", instant_off=instant_off)
+            )
+            events, level = [], 0.0
+            for k in sorted(data.draw(st.sets(time, max_size=8))):
+                level = data.draw(
+                    st.sampled_from([0.0, 0.5, 1.0, 2.5]).filter(lambda v: v != level)
+                )
+                events.append((k, level))
+            inputs.append(PiecewiseInput(tuple(events)))
+        sc = Scenario(models=tuple(models), inputs=tuple(inputs), horizon=horizon)
+        _, truths = render(sc)
+        # The state recursion checks the switch rule itself; the dense
+        # simulation shares the kernel, so it pins the bits.
+        for model, inp, truth in zip(sc.models, sc.inputs, truths):
+            u = inp.expand(0, horizon)
+            direct = simulate_zero_state(model, u)
+            assert truth.values.tobytes() == direct.values.tobytes()
+            np.testing.assert_allclose(
+                truth.values, _simulate_recursion(model, u.values), rtol=0, atol=1e-12
+            )
+            assert (truth.start_index, truth.sample_period) == (0, 1.0)
+
+    check()
 
 
 def test_render_deterministic_in_seed():
@@ -88,8 +130,12 @@ def test_scenario_validates_lengths():
 
 def test_scenario_validates_horizon_covers_events():
     models = (DeviceModel("a", A=[[0.5]], b=[0.5], c=[1.0]),)
-    with pytest.raises(ValidationError):
-        Scenario(models=models, inputs=(PiecewiseInput(((50, 1.0),)),), horizon=40)
+    for events, message in [
+        (((50, 1.0),), "event at k=50 beyond horizon 40"),
+        (((-3, 1.0), (10, 0.0)), "event at k=-3 before k=0"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            Scenario(models=models, inputs=(PiecewiseInput(events),), horizon=40)
 
 
 def test_reference_scenario_shape():

@@ -8,6 +8,9 @@ file):
 * on reference seeds 0-39 and 126: ``simulate --reference``, then
   ``disaggregate`` at beam widths 1 and 8, and ``evaluate`` and
   ``plot-data`` on each result;
+* the same after ``simulate --scenario`` on reference seeds 0-9 with
+  every device's ``instant_off`` cleared, so a switch-off superposes a
+  negative step instead of resetting the state;
 * the benchmark's own jobs (``perfbench/worker.py``) on their generated
   inputs: greedy-long seeds 1-6, beam8 seeds 100-119 and plug-identify
   seeds 100-115.
@@ -32,9 +35,11 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 REFERENCE_SEEDS = (*range(40), 126)
+NON_INSTANT_SEEDS = tuple(range(10))
 BEAM_WIDTHS = (1, 8)
 # (workload, first seed, input sets, tiles, beam width); tiles of None
 # marks the plug workload.  Tiles and widths are those of perfbench/run.py.
@@ -53,19 +58,32 @@ def _cli(cli, *argv: str) -> None:
 
 
 def _reference_outputs(cli, work: Path) -> None:
+    from disagg.scenario import reference_scenario, save_scenario
+
     for seed in REFERENCE_SEEDS:
-        base = work / "reference" / f"seed{seed}"
-        sim = base / "sim"
-        _cli(cli, "simulate", "--reference", "--seed", str(seed), "--out", str(sim))
-        for width in BEAM_WIDTHS:
-            res = base / f"res{width}"
-            _cli(cli, "disaggregate", "--library", str(sim / "library.json"),
-                 "--input", str(sim / "aggregate.csv"), "--out", str(res),
-                 "--beam-width", str(width))
-            _cli(cli, "evaluate", "--result", str(res), "--truth", str(sim / "scenario.json"),
-                 "--out", str(base / f"metrics{width}.json"))
-            _cli(cli, "plot-data", "--result", str(res), "--input", str(sim / "aggregate.csv"),
-                 "--out", str(base / f"plot{width}.csv"))
+        _pipeline(cli, work / "reference" / f"seed{seed}", "--reference", "--seed", str(seed))
+    for seed in NON_INSTANT_SEEDS:
+        base = work / "non-instant-off" / f"seed{seed}"
+        base.mkdir(parents=True)
+        scenario = reference_scenario(seed)
+        models = tuple(replace(m, instant_off=False) for m in scenario.models)
+        save_scenario(replace(scenario, models=models), base / "scenario.json")
+        _pipeline(cli, base, "--scenario", str(base / "scenario.json"))
+
+
+def _pipeline(cli, base: Path, *simulate_args: str) -> None:
+    """simulate into base/sim, then disaggregate, evaluate and plot-data per width."""
+    sim = base / "sim"
+    _cli(cli, "simulate", *simulate_args, "--out", str(sim))
+    for width in BEAM_WIDTHS:
+        res = base / f"res{width}"
+        _cli(cli, "disaggregate", "--library", str(sim / "library.json"),
+             "--input", str(sim / "aggregate.csv"), "--out", str(res),
+             "--beam-width", str(width))
+        _cli(cli, "evaluate", "--result", str(res), "--truth", str(sim / "scenario.json"),
+             "--out", str(base / f"metrics{width}.json"))
+        _cli(cli, "plot-data", "--result", str(res), "--input", str(sim / "aggregate.csv"),
+             "--out", str(base / f"plot{width}.csv"))
 
 
 def _bench_outputs(work: Path) -> None:
