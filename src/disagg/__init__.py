@@ -10,7 +10,6 @@ from .engine import (
     SwitchEvent,
     UnexplainedEvent,
     disaggregate,
-    disaggregate_beam,
     estimate_noise_std,
     resolve_threshold,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "dc_gain",
     "detect_plug_input",
     "disaggregate",
-    "disaggregate_beam",
     "estimate_noise_std",
     "find_gaps",
     "fit_arx",

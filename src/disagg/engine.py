@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_count, check_number
 from .models import (
     DeviceModel,
     _switch,
@@ -82,16 +82,14 @@ class EngineParams:
 
     def __post_init__(self):
         check_number("deviation_threshold", self.deviation_threshold, optional=True)
-        if self.persistence < 1:
-            raise ValidationError("persistence must be >= 1")
-        if self.lookahead < 1:
-            raise ValidationError("lookahead must be >= 1")
-        if self.backtrack_window < 0:
-            raise ValidationError("backtrack_window must be >= 0")
-        if self.min_on_duration < 0:
-            raise ValidationError("min_on_duration must be >= 0")
-        if self.beam_width < 1:
-            raise ValidationError("beam_width must be >= 1")
+        for name, low in (
+            ("persistence", 1),
+            ("lookahead", 1),
+            ("backtrack_window", 0),
+            ("min_on_duration", 0),
+            ("beam_width", 1),
+        ):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
         check_number("min_level", self.min_level, zero_ok=True)
 
 
@@ -275,7 +273,8 @@ class _Engine:
         self.sparsity_penalty = self.threshold**2 * params.lookahead
         self.gains = [dc_gain(m) for m in self.models]
         self.g = list(_unit_step_rows(self.models, self.T))
-        self.gg: dict[tuple[int, int], float] = {}  # (device, n) -> g[:n] @ g[:n]
+        # gg[dev][n] = g[:n] @ g[:n]; an on-event fit window spans at most needed + 1.
+        self.gg = [[float(g[:n] @ g[:n]) for n in range(needed + 2)] for g in self.g]
 
     # -- per-hypothesis mechanics ------------------------------------
 
@@ -373,11 +372,7 @@ class _Engine:
                 if k_abs in hyp.times or k_abs <= hyp.last_event_k[dev]:
                     continue
                 n = k_end - kp + 1
-                g = self.g[dev][:n]
-                gg = self.gg.get((dev, n))
-                if gg is None:
-                    gg = self.gg[dev, n] = float(g @ g)
-                fit = _project(g, resid[kp - k_lo :], gg)
+                fit = _project(self.g[dev][:n], resid[kp - k_lo :], self.gg[dev][n])
                 if fit is None:
                     continue
                 level, sse = fit

@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit."""
 
 import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -22,6 +23,16 @@ def check_number(name, value, *, zero_ok=False, optional=False):
             f"{name} must be finite and {'>=' if zero_ok else '>'} 0"
             f"{' when given' if optional else ''}, got {value!r}"
         )
+
+
+def check_count(name, value, low):
+    """Raise ValidationError unless value is an integer (not a bool) >= low;
+    return it as a Python int, so a numpy integer saves to JSON."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
 
 
 class UnstableModelError(ValidationError):

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .engine import DisaggregationResult, SwitchEvent
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .models import (
     _outputs,
     # Unused here, but perfbench/spans.py wraps disagg.evaluate.simulate_zero_state.
@@ -39,7 +39,7 @@ class EventMatch:
 @dataclass(frozen=True)
 class Metrics:
     switch_time_mae: float | None
-    level_relative_errors: tuple[float, ...]
+    level_errors: tuple[float, ...]
     per_device_energy_error: dict[str, float]
     aggregate_rmse: float
     precision: float
@@ -69,8 +69,7 @@ def match_events(
     pair; each event is used at most once.  Ties go to the earlier truth
     event, then the earlier estimate.
     """
-    if match_window < 0:
-        raise ValidationError(f"match_window must be >= 0, got {match_window}")
+    match_window = check_count("match_window", match_window, 0)
     groups: dict[tuple[int, str], list[tuple[int, int]]] = {}
     for ei, e in enumerate(estimate):
         groups.setdefault((e.device, e.kind), []).append((e.k, ei))
@@ -155,7 +154,7 @@ def score(
 
     return Metrics(
         switch_time_mae=mae,
-        level_relative_errors=level_errors,
+        level_errors=level_errors,
         per_device_energy_error=energy_error,
         aggregate_rmse=rmse,
         precision=precision,
@@ -163,18 +162,7 @@ def score(
     )
 
 
-def metrics_to_dict(metrics: Metrics) -> dict:
-    return {
-        "switch_time_mae": metrics.switch_time_mae,
-        "level_errors": list(metrics.level_relative_errors),
-        "per_device_energy_error": dict(metrics.per_device_energy_error),
-        "aggregate_rmse": metrics.aggregate_rmse,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-    }
-
-
 def save_metrics(metrics: Metrics, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(metrics_to_dict(metrics), indent=2, sort_keys=True) + "\n"
+        json.dumps(asdict(metrics), indent=2, sort_keys=True) + "\n"
     )

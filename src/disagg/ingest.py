@@ -337,7 +337,7 @@ def _signal_row(line: str) -> tuple[int, float]:
     return int(k_str), float(v_str)
 
 
-def read_signal_csv(path: str | Path, sample_period: float = 1.0) -> SignalSeries:
+def read_signal_csv(path: str | Path) -> SignalSeries:
     """Read the `k,value` form; k must be an integer counting up by one."""
     table, error = _read_table(path, "k,value", "signal header", _SIGNAL_DTYPE, _signal_row)
     if error is not None:
@@ -350,4 +350,4 @@ def read_signal_csv(path: str | Path, sample_period: float = 1.0) -> SignalSerie
     if bad.size:
         i = bad[0]
         raise ValidationError(f"non-contiguous index {ks[i + 1]} after {ks[i]}")
-    return SignalSeries(table["value"], sample_period=sample_period, start_index=int(ks[0]))
+    return SignalSeries(table["value"], start_index=int(ks[0]))

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import UnstableModelError, ValidationError, check_number, reading
+from .errors import UnstableModelError, ValidationError, check_count, check_number, reading
 from .rng import SeededStream
 from .series import SignalSeries
 
@@ -274,8 +274,7 @@ def random_stable_model(
     normalized step response is nonnegative everywhere: a power draw
     that dips below zero at switch-on is not a plausible appliance.
     """
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
+    order = check_count("order", order, 1)
     stream = SeededStream(seed)
     blocks: list[np.ndarray] = []
     remaining = order
@@ -332,21 +331,18 @@ def model_to_dict(model: DeviceModel) -> dict:
 
 
 def model_from_dict(entry: dict) -> DeviceModel:
-    try:
-        order = int(entry["order"])
-        return DeviceModel(
-            name=str(entry["name"]),
-            A=np.asarray(entry["A"], dtype=float).reshape(order, order),
-            b=np.asarray(entry["b"], dtype=float),
-            c=np.asarray(entry["c"], dtype=float),
-            d=float(entry["d"]),
-            instant_off=bool(entry["instant_off"]),
-            max_input=None if entry.get("max_input") is None else float(entry["max_input"]),
-            max_output=None if entry.get("max_output") is None else float(entry["max_output"]),
-            dc_normalized=bool(entry.get("dc_normalized", False)),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"device entry missing field {exc}") from exc
+    order = int(entry["order"])
+    return DeviceModel(
+        name=str(entry["name"]),
+        A=np.asarray(entry["A"], dtype=float).reshape(order, order),
+        b=np.asarray(entry["b"], dtype=float),
+        c=np.asarray(entry["c"], dtype=float),
+        d=float(entry["d"]),
+        instant_off=bool(entry["instant_off"]),
+        max_input=None if entry.get("max_input") is None else float(entry["max_input"]),
+        max_output=None if entry.get("max_output") is None else float(entry["max_output"]),
+        dc_normalized=bool(entry.get("dc_normalized", False)),
+    )
 
 
 def save_library(models: list[DeviceModel], path: str | Path) -> None:

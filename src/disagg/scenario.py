@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_number, reading
+from .errors import ValidationError, check_count, check_number, reading
 from .models import (
     DeviceModel,
     _outputs,
@@ -61,8 +61,7 @@ class Scenario:
                 f"{len(self.models)} models but {len(self.inputs)} inputs"
             )
         check_number("noise_std", self.noise_std, zero_ok=True)
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        object.__setattr__(self, "horizon", check_count("horizon", self.horizon, 1))
         for inp in self.inputs:
             if inp.events and inp.events[0][0] < 0:
                 raise ValidationError(f"event at k={inp.events[0][0]} before k=0")
@@ -147,7 +146,7 @@ def scenario_from_dict(
         inputs=tuple(inputs),
         noise_std=float(data["noise_std"]),
         seed=int(data["seed"]),
-        horizon=int(data["horizon"]),
+        horizon=data["horizon"],
     )
 
 

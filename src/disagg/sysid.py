@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import RankDeficientDataError, ValidationError, check_number
+from .errors import RankDeficientDataError, ValidationError, check_count, check_number
 from .models import DeviceModel
 from .series import PiecewiseInput, SignalSeries
 
@@ -39,8 +39,9 @@ class PlugRecordingLabel:
 
     def __post_init__(self):
         check_number("on_threshold", self.on_threshold)
-        if self.settle_skip < 0:
-            raise ValidationError(f"settle_skip must be >= 0, got {self.settle_skip}")
+        object.__setattr__(
+            self, "settle_skip", check_count("settle_skip", self.settle_skip, 0)
+        )
 
 
 @dataclass(frozen=True)
@@ -58,18 +59,17 @@ class ArxModel:
     residual_rms: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        _check_orders(self.na, self.nb, self.delay)
+        orders = _check_orders(self.na, self.nb, self.delay)
+        for name, value in zip(("na", "nb", "delay"), orders):
+            object.__setattr__(self, name, value)
         if len(self.a) != self.na or len(self.b_coef) != self.nb:
             raise ValidationError("coefficient lengths must match na and nb")
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "b_coef", tuple(float(v) for v in self.b_coef))
 
 
-def _check_orders(na: int, nb: int, delay: int) -> None:
-    if na < 1 or nb < 1:
-        raise ValidationError("na and nb must be >= 1")
-    if delay < 0:
-        raise ValidationError(f"delay must be >= 0, got {delay}")
+def _check_orders(na: int, nb: int, delay: int) -> tuple[int, int, int]:
+    return check_count("na", na, 1), check_count("nb", nb, 1), check_count("delay", delay, 0)
 
 
 def detect_plug_input(y: SignalSeries, label: PlugRecordingLabel) -> PiecewiseInput:
@@ -140,7 +140,7 @@ def fit_arx(
     order.  An unstable fit is returned; realizing it with
     arx_to_state_space raises UnstableModelError.
     """
-    _check_orders(na, nb, delay)
+    na, nb, delay = _check_orders(na, nb, delay)
     if len(y) != len(u):
         raise ValidationError(f"y and u lengths differ: {len(y)} vs {len(u)}")
     min_len = na + nb + delay + 10

@@ -14,7 +14,6 @@ from disagg import (
     PiecewiseInput,
     dc_gain,
     disaggregate,
-    disaggregate_beam,
     fit_arx,
     normalize_dc,
     random_stable_model,
@@ -133,7 +132,7 @@ def test_criterion_4_beam_matches_exhaustive_enumeration():
     for seed in range(50):
         y_m, lib = _random_instance(seed)
         best_events, n_leaves = _oracle_best(y_m, lib, params)
-        res = disaggregate_beam(y_m, lib, params)
+        res = disaggregate(y_m, lib, params)
         assert n_leaves < params.beam_width
         assert list(res.events) == sorted(
             best_events, key=_event_key

@@ -511,12 +511,15 @@ def _keep_rows(n):
     ("res/result.json", _edit_json(
         lambda d: d["params"].update(deviation_threshold=float("inf")))),
     ("res/result.json", _edit_json(lambda d: d["params"].update(min_level=float("nan")))),
+    ("res/result.json", _edit_json(lambda d: d["params"].update(lookahead=6.5))),
+    ("res/result.json", _edit_json(lambda d: d["params"].update(beam_width=True))),
     ("res/estimate_device1.csv", _keep_rows(100)),
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
     ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std=float("nan")))),
     ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std=float("inf")))),
     ("sim/scenario.json", _edit_json(_event_before_k0)),
+    ("sim/scenario.json", _edit_json(lambda d: d.update(horizon=450.5))),
     ("sim/library.json", _truncate),
     ("sim/library.json", _edit_json(lambda d: d.__setitem__(0, "device1"))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(d=float("nan")))),
@@ -524,9 +527,10 @@ def _keep_rows(n):
     "truncated-result", "unknown-device", "extra-param", "negative-level",
     "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
     "sideways-unexplained", "inf-level", "nan-level", "nan-threshold",
-    "inf-threshold", "nan-min-level", "short-estimate",
-    "truncated-scenario",
+    "inf-threshold", "nan-min-level", "fractional-lookahead", "bool-beam-width",
+    "short-estimate", "truncated-scenario",
     "scenario-without-devices", "nan-noise", "inf-noise", "event-before-k0",
+    "fractional-horizon",
     "truncated-library", "library-entry-not-object", "nan-feedthrough",
 ])
 def test_malformed_json_is_a_validation_error(

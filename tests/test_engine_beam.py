@@ -22,7 +22,6 @@ from disagg import (
     arx_to_state_space,
     dc_gain,
     disaggregate,
-    disaggregate_beam,
     random_stable_model,
     reference_scenario,
     render,
@@ -162,18 +161,16 @@ def _twin_pair():
 
 
 def test_beam_width_one_equals_greedy():
+    # Greedy is the beam of width one and the default; a run records the
+    # width it ran with.
+    assert EngineParams().beam_width == 1
     for seed in (0, 1, 2):
         sc = reference_scenario(seed)
         aggregate, _ = render(sc)
         lib = list(sc.models)
-        for width in (1, 4):
-            params = EngineParams(beam_width=width)
-            a = disaggregate(aggregate, lib, params)
-            b = disaggregate_beam(aggregate, lib, params)
-            assert a.events == b.events
-            assert a.unexplained == b.unexplained
-            assert a.residual_rms == b.residual_rms
-            assert a.params.beam_width == width
+        assert disaggregate(aggregate, lib).params.beam_width == 1
+        wide = disaggregate(aggregate, lib, EngineParams(beam_width=4))
+        assert wide.params.beam_width == 4
 
 
 def test_beam_off_events_never_precede_the_device_own_on():
@@ -182,6 +179,7 @@ def test_beam_off_events_never_precede_the_device_own_on():
     sc = reference_scenario(126)
     aggregate, _ = render(sc)
     res = disaggregate(aggregate, list(sc.models), EngineParams(beam_width=8))
+    assert res.params.beam_width == 8
     for dev in range(len(sc.models)):
         kinds = [e.kind for e in res.events if e.device == dev]
         assert kinds == ["on", "off"] * (len(kinds) // 2) + ["on"] * (len(kinds) % 2)
@@ -199,7 +197,7 @@ def test_beam_recovers_where_greedy_commits_to_wrong_twin():
 
     from dataclasses import replace
 
-    beam = disaggregate_beam(SignalSeries(y.values), lib, replace(base, beam_width=4))
+    beam = disaggregate(SignalSeries(y.values), lib, replace(base, beam_width=4))
     assert [(e.k, e.device, e.kind) for e in beam.events] == [(15, 1, "on")]
     assert beam.events[0].level == pytest.approx(2.0, abs=1e-9)
     assert beam.residual_rms <= 1e-9
@@ -215,7 +213,7 @@ def test_beam_matches_exhaustive_on_twin_instance():
         deviation_threshold=0.1, lookahead=1, backtrack_window=2, beam_width=10_000
     )
     best_events, n_leaves = _oracle_best(y_m, lib, params)
-    res = disaggregate_beam(y_m, lib, params)
+    res = disaggregate(y_m, lib, params)
     assert n_leaves >= 2
     assert list(res.events) == sorted(best_events, key=_event_key)
 
@@ -250,7 +248,7 @@ def test_beam_matches_exhaustive_on_random_instances():
     for seed in range(12):
         y_m, lib = _random_instance(seed)
         best_events, _ = _oracle_best(y_m, lib, params)
-        res = disaggregate_beam(y_m, lib, params)
+        res = disaggregate(y_m, lib, params)
         assert list(res.events) == sorted(best_events, key=_event_key), f"instance {seed}"
 
 
@@ -267,7 +265,7 @@ def test_wide_beam_never_scores_worse_than_greedy():
         from dataclasses import replace
 
         g = disaggregate(y_m, lib, base)
-        b = disaggregate_beam(y_m, lib, replace(base, beam_width=64))
+        b = disaggregate(y_m, lib, replace(base, beam_width=64))
         assert final_score(b, y_m) <= final_score(g, y_m) + 1e-12
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from disagg import (
     score,
     truth_events,
 )
-from disagg.evaluate import metrics_to_dict
+from disagg.evaluate import save_metrics
 
 
 def _ev(k, dev, kind, level=1.0):
@@ -166,7 +168,7 @@ def test_score_perfect_recovery():
     assert metrics.precision == 1.0
     assert metrics.recall == 1.0
     assert metrics.switch_time_mae == 0.0
-    assert max(metrics.level_relative_errors) <= 0.05
+    assert max(metrics.level_errors) <= 0.05
     assert metrics.aggregate_rmse < 0.05
     for name, err in metrics.per_device_energy_error.items():
         assert err < 0.1, name
@@ -261,10 +263,11 @@ def test_idle_device_energy_error_zero():
     assert metrics.per_device_energy_error["device5"] == 0.0
 
 
-def test_metrics_serialization_shape():
+def test_metrics_serialization_shape(tmp_path):
     sc = reference_scenario(0)
     result, _ = _perfect_result(sc)
-    data = metrics_to_dict(score(result, sc))
+    save_metrics(score(result, sc), tmp_path / "metrics.json")
+    data = json.loads((tmp_path / "metrics.json").read_text())
     assert set(data) == {
         "switch_time_mae", "level_errors", "per_device_energy_error",
         "aggregate_rmse", "precision", "recall",

@@ -584,14 +584,6 @@ def test_read_signal_csv_matches_line_reference_property(streamed):
     _assert_streamed_only_plain_names(streamed, "sig.csv")
 
 
-def test_read_signal_csv_rejects_non_finite_sample_period(tmp_path):
-    path = tmp_path / "sig.csv"
-    write_signal_csv(series([1.0, 2.0]), path)
-    for period in (math.nan, math.inf):
-        with pytest.raises(ValidationError, match="sample_period must be finite"):
-            read_signal_csv(path, sample_period=period)
-
-
 def test_read_signal_csv_peak_memory_is_near_its_table(tmp_path):
     # The streamed read holds no copy of the text: the list-of-lines
     # reader peaked at about 8 times the (k, value) table.

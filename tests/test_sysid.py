@@ -254,8 +254,8 @@ def test_fit_arx_returns_unstable_fit_that_cannot_be_realized():
 @pytest.mark.parametrize(
     "na, nb, delay, message",
     [
-        (0, 2, 1, "na and nb must be >= 1"),
-        (2, 0, 1, "na and nb must be >= 1"),
+        (0, 2, 1, "na must be >= 1, got 0"),
+        (2, 0, 1, "nb must be >= 1, got 0"),
         (2, 2, -1, "delay must be >= 0, got -1"),
     ],
 )
