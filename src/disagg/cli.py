@@ -21,7 +21,7 @@ from .engine import (
     # Unused here, but perfbench/spans.py wraps disagg.cli.disaggregate_beam.
     disaggregate_beam,  # noqa: F401
 )
-from .errors import ValidationError, reading
+from .errors import ValidationError, check_count, reading
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
 from .ingest import (
     CHANNELS,
@@ -72,7 +72,10 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
         if unknown:
             raise ValidationError(f"event of unknown device {unknown[0]!r}")
         events = tuple(
-            SwitchEvent(int(e["k"]), index[e["device"]], e["kind"], float(e["level"]))
+            SwitchEvent(
+                check_count("event k", e["k"]), index[e["device"]], e["kind"],
+                float(e["level"]),
+            )
             for e in data["events"]
         )
         for e in events:
@@ -85,7 +88,9 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
         for dev in range(len(names)):
             PiecewiseInput(tuple((e.k, e.level) for e in ordered if e.device == dev))
         unexplained = tuple(
-            UnexplainedEvent(int(u["k"]), u["kind"], float(u["magnitude"]))
+            UnexplainedEvent(
+                check_count("unexplained k", u["k"]), u["kind"], float(u["magnitude"])
+            )
             for u in data["unexplained"]
         )
         for u in unexplained:

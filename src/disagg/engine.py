@@ -22,12 +22,15 @@ Cost: the loop runs once per detection, not once per sample.  Each
 hypothesis keeps its next detection, found by a numpy scan of the mask
 |y - y_hat| > threshold, and the engine jumps to the earliest in the
 pool, so the Python work grows with the detections times the pool
-width.  An event costs one numpy pass of its device's row over the rest
-of the signal; y_hat and the mask are re-summed only as far as the next
-scan advances.  A beam step scores each branch from its parent's rows
-before building any, then clones only the survivors, which share device
-rows until they write one.  Ranking a branch still costs its prefix
-residual, O(p), and a clone its y_hat copy, O(T).
+width.  An increase costs one stacked fit of the off devices per start
+time in the backtrack window, and the hypotheses of one step whose fit
+inputs match share one candidate list.  An event costs one numpy pass
+of its device's row over the rest of the signal; y_hat and the mask are
+re-summed only as far as the next scan advances.  A beam step scores
+each branch from its parent's rows before building any, then clones only
+the survivors, which share device rows until they write one.  Ranking a
+branch still costs its prefix residual, O(p), and a clone its y_hat
+copy, O(T).
 """
 
 from __future__ import annotations
@@ -162,19 +165,17 @@ def resolve_threshold(y_m: SignalSeries, params: EngineParams) -> float:
     return max(NOISE_THRESHOLD_MULTIPLE * estimate_noise_std(y_m), floor)
 
 
-def _project(g: np.ndarray, e: np.ndarray, gg: float) -> tuple[float, float] | None:
-    """(level, sse) of the least-squares constant level for e; None if g is 0.
+def _fits(G: np.ndarray, e: np.ndarray, gg) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, sses) of the least-squares constant level for e, per row of G.
 
-    g is the device's zero-state unit-step response over the window; the
-    output is linear in the level, so the fit is the projection of e onto
-    g.  gg is g @ g, passed in so a caller fitting many windows computes
-    it once.
+    A row is a device's unit-step response over the window, gg its g @ g;
+    the output is linear in the level, so each fit projects e onto a row.
+    numpy takes the stacked (1, n) @ (n, 1) products as the 1-D g @ e, so a
+    row's bits do not depend on the others (2-D G @ e may round otherwise).
     """
-    if gg == 0.0:
-        return None
-    level = float(g @ e) / gg
-    diff = e - level * g
-    return level, float(diff @ diff)
+    levels = (G[:, None, :] @ e[:, None])[:, 0, 0] / gg
+    diff = e - levels[:, None] * G
+    return levels, (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
 
 
 class _Detection(NamedTuple):
@@ -273,8 +274,12 @@ class _Engine:
         self.sparsity_penalty = self.threshold**2 * params.lookahead
         self.gains = [dc_gain(m) for m in self.models]
         self.g = list(_unit_step_rows(self.models, self.T))
-        # gg[dev][n] = g[:n] @ g[:n]; an on-event fit window spans at most needed + 1.
-        self.gg = [[float(g[:n] @ g[:n]) for n in range(needed + 2)] for g in self.g]
+        # heads[dev] = g[:needed + 1] spans every on-event fit window; gg[dev, n]
+        # is g[:n] @ g[:n], or inf where that is 0 (no fit: a level 0 is dropped).
+        heads = self.heads = np.stack([g[: needed + 1] for g in self.g])
+        gg = np.stack([(heads[:, None, :n] @ heads[:, :n, None])[:, 0, 0]
+                       for n in range(needed + 2)], axis=1)
+        self.gg = np.where(gg == 0.0, np.inf, gg)
 
     # -- per-hypothesis mechanics ------------------------------------
 
@@ -349,44 +354,48 @@ class _Engine:
             j, step = a, 2 * step
         return 0
 
-    def _on_candidates(self, hyp: _Hypothesis, ks_pos: int) -> list[_Candidate]:
+    def _on_candidates(self, hyp: _Hypothesis, ks_pos: int, shared: dict) -> list:
         """All filtered on-event candidates for an increase at ks_pos, best first.
 
         Every off device is crossed with every start time in the backtrack
-        window and fit over the lookahead window.  Filters: nonnegative
-        level above min_level, max_input, the max-output prior on the
-        predicted steady draw, no collision with an already-logged event
-        time, and no rewind past the device's own last switch.
+        window and fit over the lookahead window, one stacked fit per start
+        time.  Filters: nonnegative level above min_level, max_input, the
+        max-output prior on the predicted steady draw, no collision with an
+        already-logged event time, and no rewind past the device's own last
+        switch.  The list depends on hyp only through key; shared keeps one per key.
         """
         params = self.params
         k_end = min(ks_pos + params.lookahead, self.T - 1)
         k_lo = max(0, ks_pos - params.backtrack_window)
         self._sync(hyp, k_end + 1)
-        resid = self.y[k_lo : k_end + 1] - hyp.y_hat[k_lo : k_end + 1]
+        y_hat = hyp.y_hat[k_lo : k_end + 1]
+        a, b = self.start + k_lo, self.start + ks_pos
+        devs = [dev for dev, level in enumerate(hyp.levels) if level == 0.0]
+        # Their last switches; all those before a bar no start time alike.
+        lasts = [max(hyp.last_event_k[dev], a - 1) for dev in devs]
+        times = tuple(k for k in range(a, b + 1) if k in hyp.times)
+        key = (ks_pos, y_hat.tobytes(), tuple(devs), tuple(lasts), times)
+        if key in shared:
+            return shared[key]
+        resid = self.y[k_lo : k_end + 1] - y_hat
+        heads, gg = self.heads[devs], self.gg[devs]
         out: list[_Candidate] = []
-        for dev, model in enumerate(self.models):
-            if hyp.levels[dev] != 0.0:
+        for kp in range(k_lo, ks_pos + 1):
+            k_abs, n = self.start + kp, k_end - kp + 1
+            if k_abs in times:
                 continue
-            for kp in range(k_lo, ks_pos + 1):
-                k_abs = self.start + kp
-                if k_abs in hyp.times or k_abs <= hyp.last_event_k[dev]:
-                    continue
-                n = k_end - kp + 1
-                fit = _project(self.g[dev][:n], resid[kp - k_lo :], self.gg[dev][n])
-                if fit is None:
-                    continue
-                level, sse = fit
-                if level <= 0.0 or level < params.min_level:
-                    continue
-                if model.max_input is not None and level > model.max_input:
-                    continue
+            levels, sses = _fits(heads[:, :n], resid[kp - k_lo :], gg[:, n])
+            for dev, last, level, sse in zip(devs, lasts, levels.tolist(), sses.tolist()):
+                m = self.models[dev]
                 if (
-                    model.max_output is not None
-                    and self.gains[dev] * level > model.max_output
+                    last >= k_abs or level <= 0.0 or level < params.min_level
+                    or (m.max_input is not None and level > m.max_input)
+                    or (m.max_output is not None and self.gains[dev] * level > m.max_output)
                 ):
                     continue
                 out.append(_Candidate(sse, k_abs, dev, level))
         out.sort()
+        shared[key] = out
         return out
 
     def _off_device(self, hyp: _Hypothesis, ks_pos: int, p: int) -> int | None:
@@ -463,13 +472,14 @@ class _Engine:
         branch reuses the parent.
         """
         entries: list[tuple[_Hypothesis, SwitchEvent | None]] = []
+        shared: dict = {}
         for hyp in pool:
             if hyp.detection is None or hyp.detection.p != p:
                 entries.append((hyp, None))
                 continue
             _, kind, ks_pos = hyp.detection
             if kind == "increase":
-                take = self._on_candidates(hyp, ks_pos)[: self.params.beam_width]
+                take = self._on_candidates(hyp, ks_pos, shared)[: self.params.beam_width]
                 events = [SwitchEvent(c.k_prime, c.device, "on", c.level) for c in take]
             else:
                 dev = self._off_device(hyp, ks_pos, p)

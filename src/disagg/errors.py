@@ -25,12 +25,13 @@ def check_number(name, value, *, zero_ok=False, optional=False):
         )
 
 
-def check_count(name, value, low):
-    """Raise ValidationError unless value is an integer (not a bool) >= low;
-    return it as a Python int, so a numpy integer saves to JSON."""
+def check_count(name, value, low=None):
+    """Raise ValidationError unless value is an integer (not a bool) >= low
+    (any integer when low is None); return it as a Python int, so a numpy
+    integer saves to JSON."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ValidationError(f"{name} must be >= {low}, got {value!r}")
     return int(value)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
+from functools import cmp_to_key
 from operator import itemgetter
 from pathlib import Path
 
@@ -149,7 +150,9 @@ def score(
             energy_error[model.name] = num / denom
     # Canonical summation order keeps the metric bit-identical under a
     # consistent relabeling of devices.
-    clean_total = sum(sorted(truth_outputs, key=tuple), np.zeros(truth.horizon))
+    clean_total = sum(
+        sorted(truth_outputs, key=cmp_to_key(_row_order)), np.zeros(truth.horizon)
+    )
     rmse = float(np.sqrt(np.mean((total.values - clean_total) ** 2)))
 
     return Metrics(
@@ -160,6 +163,16 @@ def score(
         precision=precision,
         recall=recall,
     )
+
+
+def _row_order(a: np.ndarray, b: np.ndarray) -> int:
+    """Compare two rows as tuples do: at the first sample where they differ
+    (so -0.0 equals 0.0), without building a Python float per sample."""
+    differ = a != b
+    i = int(differ.argmax())
+    if not differ[i]:
+        return 0
+    return -1 if a[i] < b[i] else 1
 
 
 def save_metrics(metrics: Metrics, path: str | Path) -> None:

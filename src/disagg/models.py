@@ -13,7 +13,9 @@ unit-step responses, one per switch, so outputs are built by one kernel
 switch to 0.  ``_outputs`` runs whole schedules of (position, level)
 changes through it; the engine calls it per event, so a simulated
 schedule and the engine's prediction of it agree bit for bit.  Every
-input takes this path, at one O(T) pass per change.
+input takes this path, at one pass per change that ends, for an
+instant-off device, at its next switch to 0 (the rest of the signal
+otherwise).
 """
 
 from __future__ import annotations
@@ -167,9 +169,17 @@ def _outputs(models: Sequence[DeviceModel], schedules: Sequence, length: int) ->
     rows = []
     for model, changes, g in zip(models, schedules, _unit_step_rows(models, length)):
         row = np.zeros(length)
+        # An instant-off row is 0 from each switch to 0 until the next
+        # change, so each write ends at the next such switch: a backward
+        # pass finds the ends, and a reset itself writes nothing.
+        changes, ends, end = list(changes), [], length
+        for p, new in reversed(changes):
+            if model.instant_off and new == 0.0:
+                end = p
+            ends.append(end)
         old = 0.0
-        for p, new in changes:
-            _switch(row, g, p, old, new, model.instant_off)
+        for (p, new), end in zip(changes, reversed(ends)):
+            _switch(row[:end], g, p, old, new, model.instant_off)
             old = new
         rows.append(row)
     return rows
@@ -331,7 +341,7 @@ def model_to_dict(model: DeviceModel) -> dict:
 
 
 def model_from_dict(entry: dict) -> DeviceModel:
-    order = int(entry["order"])
+    order = check_count("order", entry["order"])
     return DeviceModel(
         name=str(entry["name"]),
         A=np.asarray(entry["A"], dtype=float).reshape(order, order),

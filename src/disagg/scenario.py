@@ -140,12 +140,14 @@ def scenario_from_dict(
             models.append(by_name[ref])
         else:
             raise ValidationError("device entry needs 'model' or 'model_ref'")
-        inputs.append(PiecewiseInput(tuple((int(k), float(v)) for k, v in entry["events"])))
+        inputs.append(PiecewiseInput(
+            tuple((check_count("event k", k), float(v)) for k, v in entry["events"])
+        ))
     return Scenario(
         models=tuple(models),
         inputs=tuple(inputs),
         noise_std=float(data["noise_std"]),
-        seed=int(data["seed"]),
+        seed=check_count("seed", data["seed"]),
         horizon=data["horizon"],
     )
 

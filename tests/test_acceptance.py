@@ -23,7 +23,7 @@ from disagg import (
     spectral_radius,
     unit_step_values,
 )
-from disagg.engine import _project
+from disagg.engine import _fits
 from disagg.models import STABILITY_MARGIN
 from disagg.rng import SeededStream
 
@@ -104,7 +104,7 @@ def test_criterion_3_closed_form_fit_beats_grid():
         wlen = 5 + int(stream.uniform() * 35)
         e_vals = rng.normal(scale=1.5, size=wlen)
         g = unit_step_values(model, wlen)
-        level, sse = _project(g, e_vals, float(g @ g))
+        (level,), (sse,) = _fits(g[None], e_vals, float(g @ g))
         hi = 2.0 * max(abs(level), 1.0)
         grid = np.linspace(0.0, hi, 10_000)
         sse_grid = np.min(

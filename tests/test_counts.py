@@ -1,5 +1,6 @@
 """Every integer parameter follows errors.check_count where it enters."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from disagg import (
     EngineParams,
     PlugRecordingLabel,
     Scenario,
+    SignalSeries,
     ValidationError,
     disaggregate,
     load_scenario,
@@ -20,6 +22,7 @@ from disagg import (
     save_scenario,
 )
 from disagg.cli import load_result, save_result
+from disagg.scenario import scenario_from_dict, scenario_to_dict
 
 # (name, lower bound, call that passes the value as that parameter)
 COUNTS = [
@@ -59,3 +62,42 @@ def test_numpy_counts_save_as_json_integers(tmp_path):
     result = disaggregate(render(sc)[0], list(sc.models), params)
     save_result(result, tmp_path / "res")
     assert load_result(tmp_path / "res").params == result.params
+
+
+@pytest.mark.parametrize("bad", [50.9, 50.0, True, "50"])
+def test_loaded_integers_follow_the_count_rule(bad):
+    # A scenario's event times, seed and model orders are integers in the
+    # file too: a fraction is rejected, not truncated by int().
+    edits = {
+        "event k": lambda d: d["devices"][0]["events"][0].__setitem__(0, bad),
+        "seed": lambda d: d.__setitem__("seed", bad),
+        "order": lambda d: d["devices"][0]["model"].__setitem__("order", bad),
+    }
+    for name, edit in edits.items():
+        data = scenario_to_dict(reference_scenario(0))
+        edit(data)
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            scenario_from_dict(data)
+
+
+def test_loaded_result_times_follow_the_count_rule(tmp_path):
+    # Result times may be negative (the signal may start before k = 0),
+    # but they must be integers.
+    sc = reference_scenario(0)
+    y = render(sc)[0]
+    result = disaggregate(SignalSeries(y.values, start_index=-100), list(sc.models))
+    assert result.events[0].k < 0
+    save_result(result, tmp_path)
+    assert load_result(tmp_path).events == result.events
+    path = tmp_path / "result.json"
+    clean = path.read_text()
+    entries = {
+        "events": ("event k", {"k": -80.5, "device": "device1", "kind": "on", "level": 1.2}),
+        "unexplained": ("unexplained k", {"k": -80.5, "kind": "increase", "magnitude": 1.0}),
+    }
+    for field, (name, entry) in entries.items():
+        data = json.loads(clean)
+        data[field] = [entry]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=f"{name} must be an integer, got -80.5"):
+            load_result(tmp_path)

@@ -23,7 +23,7 @@ from disagg import (
     unit_step_values,
 )
 import disagg.engine as engine_module
-from disagg.engine import _Engine, _Hypothesis, _project
+from disagg.engine import _Engine, _Hypothesis, _fits
 from disagg.series import PiecewiseInput
 from conftest import series
 from test_engine_beam import _event_key, _random_instance
@@ -156,7 +156,8 @@ def _fit(values, model):
     """The engine's fit of values against model's step response from sample 0."""
     e = np.asarray(values, dtype=float)
     g = unit_step_values(model, len(e))
-    return _project(g, e, float(g @ g))
+    (level,), (sse,) = _fits(g[None], e, float(g @ g))
+    return float(level), float(sse)
 
 
 def test_fit_self_exact(lag_model):
@@ -183,10 +184,10 @@ def test_fit_degenerate_template_rejected(lag_model):
     # window (lookahead 1, no backtrack) has nothing to fit.
     params = EngineParams(deviation_threshold=0.1, lookahead=1, backtrack_window=0)
     y = series([1.0, 1.0], start=3)
-    assert _Engine(y, [m], params)._on_candidates(_Hypothesis([m], 2, 3), 0) == []
+    assert _Engine(y, [m], params)._on_candidates(_Hypothesis([m], 2, 3), 0, {}) == []
     # The same window does fit a device whose step response is nonzero there.
     assert len(_Engine(y, [lag_model], params)._on_candidates(
-        _Hypothesis([lag_model], 2, 3), 0)) == 1
+        _Hypothesis([lag_model], 2, 3), 0, {})) == 1
 
 
 def test_fit_rejects_unstable_model():
@@ -215,7 +216,7 @@ def _select(y_m, k_star, library, params, levels=(), since=()):
     """Best on-event candidate at k_star against a zero prediction, or None."""
     engine = _Engine(y_m, library, params)
     hyp = _hypothesis(engine, levels, since)
-    cands = engine._on_candidates(hyp, k_star - engine.start)
+    cands = engine._on_candidates(hyp, k_star - engine.start, {})
     return cands[0] if cands else None
 
 
@@ -273,6 +274,226 @@ def test_select_skips_on_devices(lag_model):
     y_m = simulate_zero_state(lag_model, PiecewiseInput(((5, 2.0),)).expand(0, 25))
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
     assert _select(y_m, 6, [lag_model], params, levels=[2.0], since=[5]) is None
+
+
+# ------------------------------------------------ stacked fits, shared lists
+
+def test_stacked_fit_rows_equal_one_dimensional_dots_property():
+    # _fits takes each row's dot products as one stacked (1, n) @ (n, 1)
+    # product; every row must keep the bits of the 1-D g @ e fit it
+    # replaced, whatever the other rows are and however G was indexed.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 64),
+        rows=st.lists(st.integers(0, 7), min_size=1, max_size=8),
+        fancy=st.booleans(),
+        offset=st.integers(0, 3),
+    )
+    def check(seed, n, rows, fancy, offset):
+        # Values over twelve decades, so a change of summation order shows.
+        rng = np.random.default_rng(seed)
+        H, e = (rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, shape)
+                for shape in ((8, 67), 67))
+        e = e[offset : offset + n]
+        gg = rng.uniform(1e-3, 1e3, len(rows))
+        if not fancy:
+            rows = list(range(len(rows)))
+        G = H[rows, offset : offset + n] if fancy else H[: len(rows), offset : offset + n]
+        levels, sses = _fits(G, e, gg)
+        assert levels.shape == sses.shape == (len(rows),)
+        for r, gg_r, level, sse in zip(rows, gg.tolist(), levels, sses):
+            g = H[r, offset : offset + n]
+            want = float(g @ e) / gg_r
+            diff = e - want * g
+            assert level.tobytes() == np.float64(want).tobytes()
+            assert sse.tobytes() == (diff @ diff).tobytes()
+
+    check()
+
+
+def _per_fit_candidates(engine, hyp, ks_pos, rejected=None):
+    """The on-event candidates as one 1-D fit per (off device, start time).
+
+    This is the loop the stacked fits replaced, kept as their oracle;
+    rejected, if given, counts the candidates each filter drops.
+    """
+    params = engine.params
+    k_end = min(ks_pos + params.lookahead, engine.T - 1)
+    k_lo = max(0, ks_pos - params.backtrack_window)
+    engine._sync(hyp, k_end + 1)
+    resid = engine.y[k_lo : k_end + 1] - hyp.y_hat[k_lo : k_end + 1]
+    rejected = {} if rejected is None else rejected
+    out = []
+    for dev, model in enumerate(engine.models):
+        if hyp.levels[dev] != 0.0:
+            continue
+        for kp in range(k_lo, ks_pos + 1):
+            k_abs = engine.start + kp
+            g = engine.g[dev][: k_end - kp + 1]
+            e = resid[kp - k_lo :]
+            gg = float(g @ g)
+            if k_abs in hyp.times:
+                reason = "time collision"
+            elif k_abs <= hyp.last_event_k[dev]:
+                reason = "rewind"
+            elif gg == 0.0:
+                reason = "gg == 0"
+            else:
+                level = float(g @ e) / gg
+                diff = e - level * g
+                sse = float(diff @ diff)
+                if level <= 0.0 or level < params.min_level:
+                    reason = "min_level"
+                elif model.max_input is not None and level > model.max_input:
+                    reason = "max_input"
+                elif (
+                    model.max_output is not None
+                    and engine.gains[dev] * level > model.max_output
+                ):
+                    reason = "max_output"
+                else:
+                    out.append(engine_module._Candidate(sse, k_abs, dev, level))
+                    continue
+            rejected[reason] = rejected.get(reason, 0) + 1
+    return sorted(out)
+
+
+def _candidate_states():
+    """Hypothesis strategy: (engine, hypothesis, ks_pos) in random states.
+
+    The library mixes a two-sample delay (its step response is 0 over
+    short windows) with random stable models, under random DC gains and
+    caps; device levels, last switches and logged times land inside and
+    outside the backtrack window.
+    """
+    from hypothesis import strategies as st
+
+    late = DeviceModel("late", A=[[0.0, 1.0], [0.0, 0.0]], b=[0.0, 1.0], c=[1.0, 0.0])
+    caps = st.sampled_from([None, None, 0.5, 2.0])
+
+    @st.composite
+    def states(draw):
+        models = []
+        for i in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                base = late
+            else:
+                base = random_stable_model(draw(st.integers(1, 3)), draw(st.integers(0, 20)))
+            # A DC gain other than 1 tells the max-output prior from max_input.
+            gain = draw(st.sampled_from([1.0, 0.4, 2.5]))
+            models.append(replace(base, name=f"d{i}", c=base.c * gain, dc_normalized=False,
+                                  max_input=draw(caps), max_output=draw(caps)))
+        params = EngineParams(
+            deviation_threshold=0.1,
+            lookahead=draw(st.integers(1, 6)),
+            backtrack_window=draw(st.integers(0, 4)),
+            min_level=draw(st.sampled_from([0.0, 0.0, 0.5])),
+        )
+        T = draw(st.integers(params.lookahead + params.backtrack_window + 1, 30))
+        start = draw(st.integers(-3, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        # The measurement is the prediction plus one device's step at some
+        # level and position, plus noise, so most fits find a positive level.
+        y_hat = rng.normal(scale=0.5, size=T)
+        pos = draw(st.integers(0, T - 1))
+        step = rng.uniform(0.2, 3.0) * unit_step_values(models[0], T - pos)
+        y = y_hat + np.concatenate([np.zeros(pos), step]) + rng.normal(scale=0.2, size=T)
+        engine = _Engine(series(y, start=start), models, params)
+        hyp = _Hypothesis(engine.models, T, start)
+        hyp.y_hat = y_hat
+        times = st.integers(start - 2, start + T - 1)
+        for dev in range(len(models)):
+            hyp.levels[dev] = draw(st.sampled_from([0.0, 0.0, 1.0]))
+            if draw(st.sampled_from([False, False, True])):
+                hyp.last_event_k[dev] = draw(times)
+        hyp.times = set(draw(st.lists(times, max_size=6)))
+        return engine, hyp, min(T - 1, pos + draw(st.integers(0, 2)))
+
+    return states()
+
+
+def test_on_candidates_equal_per_fit_oracle_property():
+    # Stacking the fits of one start time must not move a bit of any
+    # candidate, nor change which candidates each filter drops.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    rejected: dict = {}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(state=_candidate_states())
+    def check(state):
+        engine, hyp, ks_pos = state
+        want = _per_fit_candidates(engine, hyp, ks_pos, rejected)
+        assert repr(engine._on_candidates(hyp, ks_pos, {})) == repr(want)
+
+    check()
+    reasons = ("time collision", "rewind", "gg == 0", "min_level", "max_input", "max_output")
+    assert all(rejected.get(reason) for reason in reasons), rejected
+
+
+def test_shared_candidate_list_equals_a_fresh_call_property():
+    # A second hypothesis of the same step reuses the first one's list
+    # only when nothing the fits read differs: its list must equal its
+    # own fresh call and the oracle, and changes outside the window (an
+    # older last switch, a logged time, an on device's level) still share.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    changes = st.sampled_from(
+        ["none", "old switch", "old time", "on level", "y_hat outside",
+         "y_hat inside", "time inside", "switch inside", "device on", "swap"]
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(state=_candidate_states(), change=changes, data=st.data())
+    def check(state, change, data):
+        engine, first, ks_pos = state
+        params = engine.params
+        k_end = min(ks_pos + params.lookahead, engine.T - 1)
+        k_lo = max(0, ks_pos - params.backtrack_window)
+        a = engine.start + k_lo
+        second = first.clone()
+        devs = range(len(engine.models))
+        dev = data.draw(st.sampled_from(devs))
+        outside = [k for k in range(engine.start, engine.start + engine.T)
+                   if not a <= k <= engine.start + ks_pos]
+        if change == "old switch" and first.last_event_k[dev] < a:
+            second.last_event_k[dev] = data.draw(st.integers(engine.start - 2, a - 1))
+        elif change == "old time" and outside:
+            second.times.add(data.draw(st.sampled_from(outside)))
+        elif change == "on level" and first.levels[dev] != 0.0:
+            second.levels[dev] = 2.5
+        elif change == "y_hat outside" and k_lo + engine.T - 1 - k_end > 0:
+            second.y_hat[[k for k in range(engine.T) if not k_lo <= k <= k_end]] += 1.0
+        elif change == "y_hat inside":
+            second.y_hat[data.draw(st.integers(k_lo, k_end))] += 1e-9
+        elif change == "time inside":
+            second.times.add(data.draw(st.integers(a, engine.start + ks_pos)))
+        elif change == "switch inside":
+            second.last_event_k[dev] = data.draw(st.integers(a, engine.start + ks_pos))
+        elif change == "device on":
+            second.levels[dev] = 1.0
+        elif change == "swap" and 0.0 in first.levels and any(first.levels):
+            # As many devices off, but not the same ones.
+            on = next(i for i in devs if first.levels[i])
+            second.levels[on], second.levels[first.levels.index(0.0)] = 0.0, 1.0
+        else:
+            change = "none"
+        shared: dict = {}
+        got_first = engine._on_candidates(first, ks_pos, shared)
+        got_second = engine._on_candidates(second, ks_pos, shared)
+        assert repr(got_first) == repr(engine._on_candidates(first, ks_pos, {}))
+        assert repr(got_second) == repr(engine._on_candidates(second, ks_pos, {}))
+        assert repr(got_second) == repr(_per_fit_candidates(engine, second, ks_pos))
+        if change in ("none", "old switch", "old time", "on level", "y_hat outside"):
+            assert got_second is got_first
+
+    check()
 
 
 # ------------------------------------------------------------ off attribution

@@ -1,4 +1,5 @@
 import json
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from disagg import (
     score,
     truth_events,
 )
-from disagg.evaluate import save_metrics
+from disagg.evaluate import _row_order, save_metrics
 
 
 def _ev(k, dev, kind, level=1.0):
@@ -254,6 +255,26 @@ def test_score_symmetric_under_relabeling():
     assert permuted.switch_time_mae == base.switch_time_mae
     assert permuted.aggregate_rmse == base.aggregate_rmse
     assert permuted.per_device_energy_error == base.per_device_energy_error
+
+
+def test_row_order_sorts_as_tuples_property():
+    # score sums the true rows in the order tuple keys give them; the
+    # comparison at the first differing sample must give that order, with
+    # -0.0 equal to 0.0 and equal rows kept in their input order.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 6), count=st.integers(0, 7))
+    def check(data, length, count):
+        row = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                       min_size=length, max_size=length)
+        rows = [np.array(r) for r in data.draw(st.lists(row, min_size=count, max_size=count))]
+        key = cmp_to_key(_row_order)
+        order = sorted(range(count), key=lambda i: key(rows[i]))
+        assert order == sorted(range(count), key=lambda i: tuple(rows[i]))
+
+    check()
 
 
 def test_idle_device_energy_error_zero():

@@ -17,7 +17,7 @@ from disagg import (
     unit_step_values,
 )
 from disagg.models import (
-    SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _switch, _unit_step_rows,
+    SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _outputs, _switch, _unit_step_rows,
 )
 from conftest import series
 
@@ -563,5 +563,43 @@ def test_kernel_matches_recursion_property():
             u[k % length :] = level
         y = simulate_zero_state(m, series(u, start=start))
         np.testing.assert_allclose(y.values, _simulate_recursion(m, u), rtol=0, atol=1e-12)
+
+    check()
+
+
+def test_outputs_end_writes_at_resets_property():
+    # _outputs ends each write of an instant-off device at its next switch
+    # to 0; its rows must keep the bits of full-length writes, each reset
+    # zeroing the rest of the row, including the sign of every zero.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.integers(1, 3),
+        seed=st.integers(0, 1_000),
+        instant_off=st.booleans(),
+        d=st.sampled_from([0.0, 0.3, -0.2]),
+        length=st.integers(1, 400),
+        switches=st.lists(
+            st.tuples(st.integers(0, 399), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+            max_size=12,
+        ),
+    )
+    def check(order, seed, instant_off, d, length, switches):
+        base = random_stable_model(order, seed)
+        m = DeviceModel("p", A=base.A, b=base.b, c=base.c, d=d, instant_off=instant_off)
+        changes, old = [], 0.0
+        for k, level in sorted(dict(switches).items()):
+            if k < length and level != old:
+                changes.append((k, level))
+                old = level
+        ref, old = np.zeros(length), 0.0
+        g = unit_step_values(m, length)
+        for p, new in changes:
+            _switch(ref, g, p, old, new, instant_off)
+            old = new
+        (row,) = _outputs([m], [changes], length)
+        assert row.tobytes() == ref.tobytes()
 
     check()
