@@ -28,9 +28,12 @@ inputs match share one candidate list.  An event costs one numpy pass
 of its device's row over the rest of the signal; y_hat and the mask are
 re-summed only as far as the next scan advances.  A beam step scores
 each branch from its parent's rows before building any, then clones only
-the survivors, which share device rows until they write one.  Ranking a
-branch still costs its prefix residual, O(p), and a clone its y_hat
-copy, O(T).
+the survivors, which share device rows until they write one.  A parent's
+residual through p is formed once for all its branches, and each branch
+re-sums the rows only from the parent's earliest branch position.  Each
+ranked entry still costs one dot product over [0, p], O(p): a sum of
+shorter products would not have the score's bits.  A clone costs its
+y_hat copy, O(T).
 """
 
 from __future__ import annotations
@@ -304,9 +307,11 @@ class _Engine:
             _device_sum([row[a:b] for row in hyp.rows], hyp.y_hat[a:b])
             hyp.synced = b
 
-    def _violations(self, hyp: _Hypothesis, a: int, b: int) -> np.ndarray:
+    def _quiet(self, hyp: _Hypothesis, a: int, b: int) -> np.ndarray:
+        """Positions in [a, b), counted from a, where |y - y_hat| <= threshold."""
         self._sync(hyp, b)
-        return np.abs(self.y[a:b] - hyp.y_hat[a:b]) > self.threshold
+        resid = self.y[a:b] - hyp.y_hat[a:b]
+        return (np.abs(resid, out=resid) <= self.threshold).nonzero()[0]
 
     def _scan(self, hyp: _Hypothesis, p0: int) -> _Detection | None:
         """The first detection at or after p0, or None before the end.
@@ -327,19 +332,23 @@ class _Engine:
         a, last, chunk = lo, lo - 1, SCAN_CHUNK
         while a < T:
             b = min(T, a + chunk)
-            quiet = np.flatnonzero(~self._violations(hyp, a, b)) + a
+            quiet = self._quiet(hyp, a, b)
             if hyp.suppressed and quiet.size:
                 hyp.suppressed = False
-                last, quiet = int(quiet[0]), quiet[1:]
+                last, quiet = a + int(quiet[0]), quiet[1:]
             if not hyp.suppressed:
-                bounds = np.concatenate(([last], quiet, [b]))
-                runs = np.flatnonzero(np.diff(bounds) > pers)
+                # The last quiet position, this chunk's quiet ones and b,
+                # counted from a; a gap above pers between neighbours holds
+                # a violating run of at least pers samples.
+                bounds = np.empty(quiet.size + 2, dtype=quiet.dtype)
+                bounds[0], bounds[1:-1], bounds[-1] = last - a, quiet, b - a
+                runs = (np.subtract(bounds[1:], bounds[:-1]) > pers).nonzero()[0]
                 if runs.size:
-                    q = int(bounds[runs[0]])
+                    q = a + int(bounds[runs[0]])
                     ks = self._run_start(hyp, lo) if q == lo - 1 else q + 1
                     kind = "increase" if self.y[ks] - hyp.y_hat[ks] > 0 else "decrease"
                     return _Detection(q + pers, kind, ks)
-                last = int(bounds[-2])
+                last = a + int(bounds[-2])
             a, chunk = b, 2 * chunk
         return None
 
@@ -348,7 +357,7 @@ class _Engine:
         step = SCAN_CHUNK
         while j > 0:
             a = max(0, j - step)
-            quiet = np.flatnonzero(~self._violations(hyp, a, j))
+            quiet = self._quiet(hyp, a, j)
             if quiet.size:
                 return a + int(quiet[-1]) + 1
             j, step = a, 2 * step
@@ -427,41 +436,46 @@ class _Engine:
 
     # -- pool management ----------------------------------------------
 
-    def _score(
-        self, hyp: _Hypothesis, p: int, event: SwitchEvent | None = None
-    ) -> float:
-        """Squared residual through p plus the sparsity penalty.
+    def _score(self, hyp: _Hypothesis, p: int) -> float:
+        """Squared residual through p plus the sparsity penalty."""
+        self._sync(hyp, p + 1)
+        resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
+        return float(resid @ resid) + self.sparsity_penalty * len(hyp.events)
 
-        With an event, the score hyp will have once the event is applied:
-        the event's row is updated over [pos, p] with _apply's arithmetic
-        and summed in device order, so the bits are the child's own.
+    def _rank_key(self, hyp: _Hypothesis, p: int) -> tuple:
+        """Score, then fewer events, then the event log in SwitchEvent order."""
+        return (self._score(hyp, p), len(hyp.events), hyp.events)
+
+    def _branch_keys(
+        self, hyp: _Hypothesis, events: list[SwitchEvent], p: int
+    ) -> list[tuple]:
+        """The _rank_key at p of each child that one of events makes of hyp.
+
+        No child is built.  hyp's residual through p is formed once; for
+        each event, its device's row is switched over [lo, p] with _apply's
+        arithmetic, lo being the earliest event's position, and the rows
+        there are summed in device order.  Below the event's own position
+        that sum has y_hat's bits, so each residual, and its dot product,
+        has the built child's bits.
         """
         self._sync(hyp, p + 1)
         resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
-        n = len(hyp.events)
-        if event is not None:
-            dev, pos = event.device, event.k - self.start
-            segments = [row[pos : p + 1] for row in hyp.rows]
-            segments[dev] = segments[dev].copy()
-            off = self.models[dev].instant_off
-            _switch(segments[dev], self.g[dev], 0, hyp.levels[dev], event.level, off)
-            resid[pos:] = self.y[pos : p + 1] - _device_sum(
-                segments, np.empty(p + 1 - pos)
-            )
-            n += 1
-        return float(resid @ resid) + self.sparsity_penalty * n
-
-    def _rank_key(
-        self, entry: tuple[_Hypothesis, SwitchEvent | None], p: int
-    ) -> tuple:
-        """Score, then fewer events, then the event log in SwitchEvent order.
-
-        entry is a hypothesis and the event that would extend it (None to
-        rank the hypothesis as it is).
-        """
-        hyp, event = entry
-        events = hyp.events if event is None else [*hyp.events, event]
-        return (self._score(hyp, p, event), len(events), events)
+        lo = min(event.k for event in events) - self.start
+        y, tail = self.y[lo : p + 1], resid[lo:]
+        segments = [row[lo : p + 1] for row in hyp.rows]
+        penalty = self.sparsity_penalty * (len(hyp.events) + 1)
+        keys = []
+        for event in events:
+            dev = event.device
+            row = segments[dev]
+            segments[dev] = row.copy()
+            _switch(segments[dev], self.g[dev], event.k - self.start - lo,
+                    hyp.levels[dev], event.level, self.models[dev].instant_off)
+            np.subtract(y, _device_sum(segments, tail), out=tail)
+            segments[dev] = row
+            log = [*hyp.events, event]
+            keys.append((float(resid @ resid) + penalty, len(log), log))
+        return keys
 
     def _step(self, pool: list[_Hypothesis], p: int) -> list[_Hypothesis]:
         """Handle the detections at p; the next pool, ranked when it overflows.
@@ -471,11 +485,12 @@ class _Engine:
         survivors are cloned and applied; a parent's last surviving
         branch reuses the parent.
         """
-        entries: list[tuple[_Hypothesis, SwitchEvent | None]] = []
+        # (hyp, None) keeps hyp as it is; (parent, events) branches it.
+        groups: list[tuple[_Hypothesis, list[SwitchEvent] | None]] = []
         shared: dict = {}
         for hyp in pool:
             if hyp.detection is None or hyp.detection.p != p:
-                entries.append((hyp, None))
+                groups.append((hyp, None))
                 continue
             _, kind, ks_pos = hyp.detection
             if kind == "increase":
@@ -494,12 +509,15 @@ class _Engine:
                 )
                 hyp.suppressed = True
                 hyp.detection = self._scan(hyp, p + 1)
-                entries.append((hyp, None))
-                continue
-            entries.extend((hyp, event) for event in events)
+            groups.append((hyp, events or None))
+        entries = [(hyp, event) for hyp, events in groups for event in events or [None]]
         if len(entries) > self.params.beam_width:
-            entries.sort(key=lambda entry: self._rank_key(entry, p))
-            del entries[self.params.beam_width :]
+            keys = []
+            for hyp, events in groups:
+                keys += ([self._rank_key(hyp, p)] if events is None
+                         else self._branch_keys(hyp, events, p))
+            order = sorted(range(len(entries)), key=keys.__getitem__)
+            entries = [entries[i] for i in order[: self.params.beam_width]]
         last = {
             id(hyp): i for i, (hyp, event) in enumerate(entries) if event is not None
         }
@@ -522,7 +540,7 @@ class _Engine:
             if not due:
                 break
             pool = self._step(pool, min(due))
-        best = min(pool, key=lambda h: self._rank_key((h, None), self.T - 1))
+        best = min(pool, key=lambda h: self._rank_key(h, self.T - 1))
         return self._build_result(best)
 
     def _build_result(self, hyp: _Hypothesis) -> DisaggregationResult:

@@ -231,17 +231,19 @@ def _unit_step_rows(models: Sequence[DeviceModel], length: int) -> Iterator[np.n
     for n, group in by_order.items():
         As = np.stack([models[i].A for i in group])
         bs = np.stack([models[i].b for i in group])[:, :, None]
-        cs = np.stack([models[i].c for i in group])[:, None, None, :]
+        cs = np.stack([models[i].c for i in group])[:, None, :]
         # States as (n, 1) columns, so each slice of a product is the
-        # matrix-vector or dot product of a single model.
-        states = np.empty((len(group), head, n, 1))
-        x = np.zeros((len(group), n, 1))
-        for k in range(head):
-            states[:, k] = x
-            x = As @ x + bs
+        # matrix-vector or dot product of a single model; states[k] holds
+        # every model's state k, written in place from state k - 1.
+        states = np.empty((head, len(group), n, 1))
+        states[:1] = 0.0
+        product = np.empty((len(group), n, 1))
+        for state, following in zip(states, states[1:]):
+            np.matmul(As, state, out=product)
+            np.add(product, bs, out=following)
         outputs = (cs @ states)[:, :, 0, 0]
         for j, i in enumerate(group):
-            heads[i] = (outputs[j], states[j, :, :, 0])
+            heads[i] = (outputs[:, j], states[:, j, :, 0])
     for model, (g_head, X_head) in zip(models, heads):
         A, b, c, d = model.A, model.b, model.c, model.d
         n = model.order

@@ -61,6 +61,7 @@ class Scenario:
                 f"{len(self.models)} models but {len(self.inputs)} inputs"
             )
         check_number("noise_std", self.noise_std, zero_ok=True)
+        object.__setattr__(self, "seed", check_count("seed", self.seed))
         object.__setattr__(self, "horizon", check_count("horizon", self.horizon, 1))
         for inp in self.inputs:
             if inp.events and inp.events[0][0] < 0:
@@ -140,14 +141,12 @@ def scenario_from_dict(
             models.append(by_name[ref])
         else:
             raise ValidationError("device entry needs 'model' or 'model_ref'")
-        inputs.append(PiecewiseInput(
-            tuple((check_count("event k", k), float(v)) for k, v in entry["events"])
-        ))
+        inputs.append(PiecewiseInput(tuple(entry["events"])))
     return Scenario(
         models=tuple(models),
         inputs=tuple(inputs),
         noise_std=float(data["noise_std"]),
-        seed=check_count("seed", data["seed"]),
+        seed=data["seed"],
         horizon=data["horizon"],
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_count, check_number
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class PiecewiseInput:
     events: tuple[tuple[int, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        normalized = tuple((int(k), float(level)) for k, level in self.events)
+        normalized = tuple((check_count("event k", k), float(level)) for k, level in self.events)
         prev_k = None
         prev_level = 0.0
         for k, level in normalized:

@@ -9,6 +9,7 @@ import pytest
 from disagg import (
     ArxModel,
     EngineParams,
+    PiecewiseInput,
     PlugRecordingLabel,
     Scenario,
     SignalSeries,
@@ -78,6 +79,22 @@ def test_loaded_integers_follow_the_count_rule(bad):
         edit(data)
         with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
             scenario_from_dict(data)
+
+
+def test_constructed_times_and_seed_follow_the_count_rule():
+    # The constructors meet the loaders' rule: a fractional event time or
+    # seed is rejected, not truncated by int(); numpy integers pass and
+    # are stored as Python ints.
+    with pytest.raises(ValidationError, match="^event k must be an integer, got 50.9$"):
+        PiecewiseInput(((50.9, 1.2),))
+    with pytest.raises(ValidationError, match="^seed must be an integer, got 3.7$"):
+        replace(reference_scenario(0), seed=3.7)
+    u = PiecewiseInput(((np.int64(50), 1.2), (np.int32(60), 0.0)))
+    assert u == PiecewiseInput(((50, 1.2), (60, 0.0)))
+    assert all(type(k) is int for k, _ in u.events)
+    sc = replace(reference_scenario(0), seed=np.int64(3))
+    assert type(sc.seed) is int
+    assert sc == replace(reference_scenario(0), seed=3)
 
 
 def test_loaded_result_times_follow_the_count_rule(tmp_path):

@@ -7,6 +7,7 @@ configurations must return the oracle's minimum-score log exactly.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from disagg import (
     simulate_zero_state,
     unit_step_values,
 )
-from disagg.engine import _Engine, _Hypothesis
+from disagg.engine import _Detection, _Engine, _Hypothesis
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import tiled_reference_scenario  # noqa: E402
@@ -283,12 +284,11 @@ def test_rank_ties_on_score_and_count_break_by_event_log():
     engine._apply(built_a, on_a)
     engine._apply(built_b, on_b)
     p = 20
-    key_a = engine._rank_key((root, on_a), p)
-    key_b = engine._rank_key((root, on_b), p)
+    key_a, key_b = engine._branch_keys(root, [on_a, on_b], p)
     assert key_a[:2] == key_b[:2]
     assert key_a < key_b
-    assert key_a == engine._rank_key((built_a, None), p)
-    assert key_b == engine._rank_key((built_b, None), p)
+    assert key_a == engine._rank_key(built_a, p)
+    assert key_b == engine._rank_key(built_b, p)
     assert engine._step([built_b, built_a], p) == [built_a]
 
 
@@ -302,9 +302,9 @@ def test_beam_builds_only_the_branches_that_survive(monkeypatch):
     counts = {"apply": 0, "clone": 0, "ranked": 0}
     steps = []
 
-    def counting(name, fn):
+    def counting(name, fn, count=lambda *args: 1):
         def wrapped(*args):
-            counts[name] += 1
+            counts[name] += count(*args)
             return fn(*args)
         return wrapped
 
@@ -318,8 +318,115 @@ def test_beam_builds_only_the_branches_that_survive(monkeypatch):
     monkeypatch.setattr(_Engine, "_apply", counting("apply", _Engine._apply))
     monkeypatch.setattr(_Hypothesis, "clone", counting("clone", _Hypothesis.clone))
     monkeypatch.setattr(_Engine, "_rank_key", counting("ranked", _Engine._rank_key))
+    monkeypatch.setattr(_Engine, "_branch_keys", counting(
+        "ranked", _Engine._branch_keys, lambda self, hyp, events, p: len(events)))
     monkeypatch.setattr(_Engine, "_step", step)
     result = disaggregate(aggregate, list(sc.models), EngineParams(beam_width=width))
     assert result.events
     assert all(s["apply"] <= width and s["clone"] < width for s in steps)
     assert max(s["ranked"] for s in steps) > width
+
+
+def _parent_states():
+    """Hypothesis strategy: (engine, parent, ks, p) with the parent mid-run.
+
+    Random stable devices, instant off or not, and a parent holding random
+    on/off events before the backtrack window of a detection whose run
+    starts at ks; p is within the lookahead or the last sample, so the
+    window may lie far behind it.
+    """
+    from hypothesis import strategies as st
+
+    @st.composite
+    def states(draw):
+        models = [
+            replace(random_stable_model(draw(st.integers(1, 3)), draw(st.integers(0, 50)),
+                                        instant_off=draw(st.booleans())), name=f"d{i}")
+            for i in range(draw(st.integers(1, 4)))
+        ]
+        params = EngineParams(
+            deviation_threshold=0.1,
+            lookahead=draw(st.integers(1, 6)),
+            backtrack_window=draw(st.integers(0, 4)),
+            beam_width=draw(st.integers(1, 6)),
+        )
+        T = draw(st.integers(30, 80))
+        start = draw(st.integers(-3, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        engine = _Engine(SignalSeries(rng.normal(size=T), 1.0, start), models, params)
+        ks = draw(st.integers(params.backtrack_window, T - 1))
+        p = draw(st.sampled_from([T - 1, min(T - 1, ks + draw(st.integers(0, params.lookahead)))]))
+        parent = _Hypothesis(engine.models, T, start)
+        k_lo = ks - params.backtrack_window
+        prior = draw(st.lists(st.tuples(st.integers(0, k_lo - 1), st.integers(0, len(models) - 1)),
+                              max_size=6, unique_by=lambda t: t[0])) if k_lo else []
+        for pos, dev in sorted(prior):
+            level = 0.0 if parent.levels[dev] else float(rng.uniform(0.2, 3.0))
+            engine._apply(parent, SwitchEvent(start + pos, dev, "off" if not level else "on", level))
+        return engine, parent, ks, p
+
+    return states()
+
+
+def _ranked_built(engine, pool, p):
+    """The step's survivors by a plain reference: every child built, then ranked."""
+    entries = []
+    for hyp in pool:
+        events = []
+        if hyp.detection is not None and hyp.detection.p == p:
+            _, kind, ks = hyp.detection
+            if kind == "increase":
+                cands = engine._on_candidates(hyp, ks, {})[: engine.params.beam_width]
+                events = [SwitchEvent(c.k_prime, c.device, "on", c.level) for c in cands]
+            elif (dev := engine._off_device(hyp, ks, p)) is not None:
+                events = [SwitchEvent(engine.start + ks, dev, "off", 0.0)]
+        for event in events:
+            child = hyp.clone()
+            engine._apply(child, event)
+            entries.append(child)
+        if not events:
+            entries.append(hyp)
+    if len(entries) > engine.params.beam_width:
+        entries.sort(key=lambda hyp: engine._rank_key(hyp, p))
+    return entries[: engine.params.beam_width]
+
+
+def test_branch_keys_equal_built_children_property():
+    # A step ranks the branches of a parent from one residual of the
+    # parent: each branch's key must equal the built child's own, bit for
+    # bit, whatever the branch order, the devices and their positions in
+    # the window, and however far p lies past it; and the step must keep
+    # the children that ranking built children keeps.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(state=_parent_states(), data=st.data())
+    def check(state, data):
+        engine, parent, ks, p = state
+        k_lo, start = ks - engine.params.backtrack_window, engine.start
+        events = [
+            SwitchEvent(start + pos, dev, "on", 0.5 + dev + 0.25 * (pos - k_lo))
+            for dev, level in enumerate(parent.levels) if level == 0.0
+            for pos in range(k_lo, ks + 1) if parent.last_event_k[dev] < start + pos
+        ] + [SwitchEvent(start + ks, dev, "off", 0.0)
+             for dev, level in enumerate(parent.levels) if level != 0.0][:1]
+        events = data.draw(st.permutations(events))
+        keys = engine._branch_keys(parent, events, p)
+        for event, key in zip(events, keys, strict=True):
+            child = parent.clone()
+            engine._apply(child, event)
+            assert key == engine._rank_key(child, p)
+
+        kinds = st.sampled_from(["increase", "decrease"])
+        pool = [parent, parent.clone()]
+        engine._apply(pool[1], events[0])
+        pool[0].detection = _Detection(p, data.draw(kinds), ks)
+        pool[1].detection = data.draw(st.sampled_from([None, _Detection(p, data.draw(kinds), ks)]))
+        want = _ranked_built(engine, [hyp.clone() for hyp in pool], p)
+        got = engine._step(pool, p)
+        assert [hyp.events for hyp in got] == [hyp.events for hyp in want]
+        for hyp, ref in zip(got, want):
+            assert [row.tobytes() for row in hyp.rows] == [row.tobytes() for row in ref.rows]
+
+    check()

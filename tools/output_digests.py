@@ -6,7 +6,7 @@ Runs, from the source checkout CHECKOUT (default: the one holding this
 file):
 
 * on reference seeds 0-39 and 126: ``simulate --reference``, then
-  ``disaggregate`` at beam widths 1 and 8, and ``evaluate`` and
+  ``disaggregate`` at beam widths 1, 3 and 8, and ``evaluate`` and
   ``plot-data`` on each result;
 * the same after ``simulate --scenario`` on reference seeds 0-9 with
   every device's ``instant_off`` cleared, so a switch-off superposes a
@@ -40,7 +40,7 @@ from pathlib import Path
 
 REFERENCE_SEEDS = (*range(40), 126)
 NON_INSTANT_SEEDS = tuple(range(10))
-BEAM_WIDTHS = (1, 8)
+BEAM_WIDTHS = (1, 3, 8)
 # (workload, first seed, input sets, tiles, beam width); tiles of None
 # marks the plug workload.  Tiles and widths are those of perfbench/run.py.
 BENCH_SETS = (
