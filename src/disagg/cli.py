@@ -18,18 +18,19 @@ from .engine import (
     SwitchEvent,
     UnexplainedEvent,
     disaggregate,
-    # Unused here, but perfbench/spans.py wraps disagg.cli.disaggregate_beam.
+    # Unused here, like write_signal_csv below, but perfbench/spans.py wraps both.
     disaggregate_beam,  # noqa: F401
 )
 from .errors import ValidationError, check_count, reading
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
 from .ingest import (
     CHANNELS,
+    _write_signal_csvs,
     parse_emontx_csv,
     read_signal_csv,
     signal_rows,
     to_signal,
-    write_signal_csv,
+    write_signal_csv,  # noqa: F401
 )
 from .models import load_library, save_library
 from .scenario import load_scenario, reference_scenario, render, save_scenario
@@ -55,9 +56,8 @@ def save_result(result: DisaggregationResult, out_dir: str | Path) -> None:
     (out / "result.json").write_text(
         json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n"
     )
-    for name, series in zip(result.device_names, result.estimated_outputs):
-        write_signal_csv(series, out / f"estimate_{name}.csv")
-    write_signal_csv(result.estimated_total, out / "estimate_total.csv")
+    paths = [out / f"estimate_{name}.csv" for name in (*result.device_names, "total")]
+    _write_signal_csvs(list(zip((*result.estimated_outputs, result.estimated_total), paths)))
 
 
 def load_result(out_dir: str | Path) -> DisaggregationResult:
@@ -131,9 +131,8 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_scenario(scenario, out / "scenario.json")
     save_library(list(scenario.models), out / "library.json")
-    write_signal_csv(aggregate, out / "aggregate.csv")
-    for model, truth in zip(scenario.models, truths):
-        write_signal_csv(truth, out / f"truth_{model.name}.csv")
+    paths = [out / "aggregate.csv"] + [out / f"truth_{m.name}.csv" for m in scenario.models]
+    _write_signal_csvs(list(zip((aggregate, *truths), paths)))
     print(f"wrote scenario with {len(scenario.models)} devices to {out}")
     return 0
 
@@ -161,6 +160,8 @@ def _cmd_identify(args) -> int:
 
 def _cmd_disaggregate(args) -> int:
     library = load_library(args.library)
+    if "total" in (model.name for model in library):
+        raise ValidationError("device 'total' would overwrite estimate_total.csv")
     y_m = read_signal_csv(args.input)
     params = EngineParams(**{f.name: getattr(args, f.name) for f in fields(EngineParams)})
     result = disaggregate(y_m, library, params)

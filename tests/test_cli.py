@@ -2,7 +2,7 @@ import argparse
 import json
 import shutil
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +257,25 @@ def test_format_characters_in_a_device_name_are_written_as_they_are(tmp_path, le
         rows(result.estimated_total, "y_hat,"),
         rows(estimate, f"y_hat_{name},"),
     ])
+
+
+def test_disaggregate_rejects_a_device_named_total(tmp_path, capsys):
+    # Its estimate file would be the total's, estimate_total.csv.
+    sim, res = tmp_path / "sim", tmp_path / "res"
+    assert main(["simulate", "--reference", "--seed", "1", "--out", str(sim)]) == 0
+    library = load_library(sim / "library.json")
+    library[2] = replace(library[2], name="total")
+    save_library(library, sim / "library.json")
+    capsys.readouterr()
+    code = main([
+        "disaggregate", "--library", str(sim / "library.json"),
+        "--input", str(sim / "aggregate.csv"), "--out", str(res),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: device 'total' would overwrite estimate_total.csv\n"
+    )
+    assert not res.exists()
 
 
 def test_unknown_flag_exits_one(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import tracemalloc
@@ -18,7 +19,7 @@ from disagg import (
     to_signal,
     write_signal_csv,
 )
-from disagg.ingest import PF_TOL
+from disagg.ingest import PF_TOL, ROW_BLOCK
 from conftest import series
 
 HEADER = "timestamp_utc,irms,vrms,pva,pw,pf"
@@ -493,6 +494,59 @@ def test_write_signal_csv_matches_per_sample_format(tmp_path):
         write_signal_csv(s, path)
         expected = ["k,value"] + [f"{-3 + p},{float(v)!r}" for p, v in enumerate(values)]
         assert path.read_text() == "\n".join(expected) + "\n"
+
+
+def test_grouped_signal_writer_matches_per_row_oracle_property(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    # Runs long enough to straddle block edges, of both zeros, subnormals,
+    # repeated values or any float.
+    value = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1 / 3, 7.0]) | st.floats(
+        allow_nan=False
+    )
+    lengths = st.sampled_from([0, 1, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+
+    @st.composite
+    def signal_sets(draw):
+        n, start = draw(lengths), draw(st.integers(-(2**40), 2**40))
+        signals = []
+        for _ in range(draw(st.integers(1, 6))):
+            runs = draw(st.lists(st.tuples(value, st.integers(1, ROW_BLOCK + 3)), min_size=1))
+            values = np.concatenate([np.full(length, v) for v, length in runs])
+            signals.append(series(np.resize(values, n), start=start))
+        return signals
+
+    directories = itertools.count()
+
+    @settings(max_examples=60, deadline=None)
+    @given(signal_sets(), st.sampled_from(["start", "length", "path"]))
+    # A run of 0.0 meets a run of -0.0, which straddles the first block edge.
+    @example([series([0.0] * 1000 + [-0.0] * (ROW_BLOCK + 25), start=-7)] * 2, "start")
+    def check(signals, fault):
+        out = tmp_path / str(next(directories))
+        out.mkdir()
+        pairs = [(s, out / f"sig{i}.csv") for i, s in enumerate(signals)]
+        ingest._write_signal_csvs(pairs)
+        for s, path in pairs:
+            rows = (f"{s.start_index + p},{v!r}\n" for p, v in enumerate(s.values.tolist()))
+            assert path.read_bytes() == ("k,value\n" + "".join(rows)).encode()
+        bad = tmp_path / f"{out.name}-bad"
+        bad.mkdir()
+        first = signals[0]
+        extra = {
+            "start": (series(first.values, start=first.start_index - 1), bad / "extra.csv"),
+            "length": (series(np.append(first.values, 1.0), start=first.start_index),
+                       bad / "extra.csv"),
+            "path": (first, bad / "sig0.csv"),
+        }[fault]
+        with pytest.raises(ValidationError):
+            ingest._write_signal_csvs(
+                [(s, bad / f"sig{i}.csv") for i, s in enumerate(signals)] + [extra]
+            )
+        assert not any(bad.iterdir())
+
+    check()
 
 
 @pytest.mark.parametrize("body, message", [

@@ -11,6 +11,13 @@ file):
 * the same after ``simulate --scenario`` on reference seeds 0-9 with
   every device's ``instant_off`` cleared, so a switch-off superposes a
   negative step instead of resetting the state;
+* the same after ``simulate --scenario`` on the reference schedule tiled
+  3 times (``perfbench/inputs.tiled_reference_scenario``, T = 1,350) at
+  seeds 0-4, so every signal file and plot spans more than one block of
+  rows;
+* reference seed 0's aggregate re-indexed to start at k = 100,000, through
+  ``disaggregate`` at each width and ``plot-data``, so a nonzero start
+  index passes through the CLI;
 * the benchmark's own jobs (``perfbench/worker.py``) on their generated
   inputs: greedy-long seeds 1-6, beam8 seeds 100-119 and plug-identify
   seeds 100-115.
@@ -40,6 +47,9 @@ from pathlib import Path
 
 REFERENCE_SEEDS = (*range(40), 126)
 NON_INSTANT_SEEDS = tuple(range(10))
+TILED_SEEDS = tuple(range(5))
+TILES = 3
+SHIFTED_START = 100_000
 BEAM_WIDTHS = (1, 3, 8)
 # (workload, first seed, input sets, tiles, beam width); tiles of None
 # marks the plug workload.  Tiles and widths are those of perfbench/run.py.
@@ -58,6 +68,8 @@ def _cli(cli, *argv: str) -> None:
 
 
 def _reference_outputs(cli, work: Path) -> None:
+    import inputs
+    from disagg import read_signal_csv, write_signal_csv
     from disagg.scenario import reference_scenario, save_scenario
 
     for seed in REFERENCE_SEEDS:
@@ -69,6 +81,23 @@ def _reference_outputs(cli, work: Path) -> None:
         models = tuple(replace(m, instant_off=False) for m in scenario.models)
         save_scenario(replace(scenario, models=models), base / "scenario.json")
         _pipeline(cli, base, "--scenario", str(base / "scenario.json"))
+    for seed in TILED_SEEDS:
+        base = work / "tiled" / f"seed{seed}"
+        base.mkdir(parents=True)
+        save_scenario(inputs.tiled_reference_scenario(seed, TILES), base / "scenario.json")
+        _pipeline(cli, base, "--scenario", str(base / "scenario.json"))
+    sim = work / "reference" / "seed0" / "sim"
+    base = work / "shifted-start"
+    base.mkdir()
+    aggregate = read_signal_csv(sim / "aggregate.csv")
+    write_signal_csv(replace(aggregate, start_index=SHIFTED_START), base / "aggregate.csv")
+    for width in BEAM_WIDTHS:
+        res = base / f"res{width}"
+        _cli(cli, "disaggregate", "--library", str(sim / "library.json"),
+             "--input", str(base / "aggregate.csv"), "--out", str(res),
+             "--beam-width", str(width))
+        _cli(cli, "plot-data", "--result", str(res), "--input", str(base / "aggregate.csv"),
+             "--out", str(base / f"plot{width}.csv"))
 
 
 def _pipeline(cli, base: Path, *simulate_args: str) -> None:
