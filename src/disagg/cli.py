@@ -25,10 +25,10 @@ from .errors import ValidationError, check_count, reading
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
 from .ingest import (
     CHANNELS,
+    _signal_blocks,
     _write_signal_csvs,
     parse_emontx_csv,
     read_signal_csv,
-    signal_rows,
     to_signal,
     write_signal_csv,  # noqa: F401
 )
@@ -194,7 +194,7 @@ def _cmd_plot_data(args) -> int:
     with open(args.out, "w") as f:
         f.write("series,k,value\n")
         for name, series in named:
-            f.writelines(signal_rows(series, f"{name},"))
+            f.writelines(_signal_blocks((series,), f"{name},"))
     print(f"wrote {sum(len(series) for _, series in named)} rows -> {args.out}")
     return 0
 

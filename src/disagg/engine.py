@@ -99,15 +99,6 @@ class EngineParams:
         check_number("min_level", self.min_level, zero_ok=True)
 
 
-class _Candidate(NamedTuple):
-    """On-event candidate; tuple order is the selection tie-break order."""
-
-    sse: float
-    k_prime: int
-    device: int
-    level: float
-
-
 @dataclass(frozen=True, order=True)
 class SwitchEvent:
     """One nonzero entry of a device's input difference.
@@ -364,7 +355,8 @@ class _Engine:
         return 0
 
     def _on_candidates(self, hyp: _Hypothesis, ks_pos: int, shared: dict) -> list:
-        """All filtered on-event candidates for an increase at ks_pos, best first.
+        """Filtered on-event (sse, k, device, level) tuples for an increase at
+        ks_pos, sorted: by fit SSE, then time, then device.
 
         Every off device is crossed with every start time in the backtrack
         window and fit over the lookahead window, one stacked fit per start
@@ -388,7 +380,7 @@ class _Engine:
             return shared[key]
         resid = self.y[k_lo : k_end + 1] - y_hat
         heads, gg = self.heads[devs], self.gg[devs]
-        out: list[_Candidate] = []
+        out = []
         for kp in range(k_lo, ks_pos + 1):
             k_abs, n = self.start + kp, k_end - kp + 1
             if k_abs in times:
@@ -402,49 +394,42 @@ class _Engine:
                     or (m.max_output is not None and self.gains[dev] * level > m.max_output)
                 ):
                     continue
-                out.append(_Candidate(sse, k_abs, dev, level))
+                out.append((sse, k_abs, dev, level))
         out.sort()
         shared[key] = out
         return out
 
-    def _off_device(self, hyp: _Hypothesis, ks_pos: int, p: int) -> int | None:
-        """The on device whose steady contribution is nearest the drop at p.
+    def _off_events(self, hyp: _Hypothesis, ks_pos: int, p: int) -> list[SwitchEvent]:
+        """Switch off the on device whose steady contribution is nearest the drop at p.
 
         Only devices whose last switch precedes the off time qualify.
         Devices on for at least min_on_duration samples are preferred;
-        ties go to the lower device index.  None when nothing qualifies.
+        ties go to the lower device index.  No event when nothing qualifies.
         """
         k_abs = self.start + ks_pos
-        if k_abs in hyp.times:
-            return None
         on_devs = [
             i for i, level in enumerate(hyp.levels)
             if level != 0.0 and hyp.last_event_k[i] < k_abs
         ]
-        if not on_devs:
-            return None
-        eligible = [
-            i for i in on_devs
-            if k_abs - hyp.last_event_k[i] >= self.params.min_on_duration
-        ]
-        if not eligible:
-            eligible = on_devs
+        if k_abs in hyp.times or not on_devs:
+            return []
         drop = abs(self.y[p] - hyp.y_hat[p])
-        return min(
-            eligible, key=lambda i: (abs(self.gains[i] * hyp.levels[i] - drop), i)
-        )
+        dev = min(on_devs, key=lambda i: (
+            k_abs - hyp.last_event_k[i] < self.params.min_on_duration,
+            abs(self.gains[i] * hyp.levels[i] - drop),
+            i,
+        ))
+        return [SwitchEvent(k_abs, dev, "off", 0.0)]
 
     # -- pool management ----------------------------------------------
 
-    def _score(self, hyp: _Hypothesis, p: int) -> float:
-        """Squared residual through p plus the sparsity penalty."""
+    def _rank_key(self, hyp: _Hypothesis, p: int) -> tuple:
+        """Score (squared residual through p plus the sparsity penalty), then
+        fewer events, then the event log in SwitchEvent order."""
         self._sync(hyp, p + 1)
         resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
-        return float(resid @ resid) + self.sparsity_penalty * len(hyp.events)
-
-    def _rank_key(self, hyp: _Hypothesis, p: int) -> tuple:
-        """Score, then fewer events, then the event log in SwitchEvent order."""
-        return (self._score(hyp, p), len(hyp.events), hyp.events)
+        score = float(resid @ resid) + self.sparsity_penalty * len(hyp.events)
+        return (score, len(hyp.events), hyp.events)
 
     def _branch_keys(
         self, hyp: _Hypothesis, events: list[SwitchEvent], p: int
@@ -495,12 +480,9 @@ class _Engine:
             _, kind, ks_pos = hyp.detection
             if kind == "increase":
                 take = self._on_candidates(hyp, ks_pos, shared)[: self.params.beam_width]
-                events = [SwitchEvent(c.k_prime, c.device, "on", c.level) for c in take]
+                events = [SwitchEvent(k, dev, "on", level) for _, k, dev, level in take]
             else:
-                dev = self._off_device(hyp, ks_pos, p)
-                events = [] if dev is None else [
-                    SwitchEvent(self.start + ks_pos, dev, "off", 0.0)
-                ]
+                events = self._off_events(hyp, ks_pos, p)
             if not events:
                 hyp.unexplained.append(
                     UnexplainedEvent(

@@ -259,6 +259,7 @@ def find_gaps(
 ) -> list[Gap]:
     """Holes between consecutive records longer than gap_periods."""
     check_number("nominal_rate", nominal_rate)
+    check_number("gap_periods", gap_periods)
     ts = recording.timestamp_utc
     periods = np.diff(ts) * nominal_rate
     return [
@@ -278,8 +279,8 @@ def to_signal(
     The grid starts at the first record and the start index encodes
     absolute time (round(t_first * rate)) so that signals from separate
     recordings sharing a clock stay aligned.  Gaps longer than
-    gap_periods sample periods raise a GapWarning.  nominal_rate must be
-    finite and > 0 (find_gaps checks it).
+    gap_periods sample periods raise a GapWarning.  nominal_rate and
+    gap_periods must be finite and > 0 (find_gaps checks them).
     """
     if len(recording) < 2:
         raise ValidationError("need at least 2 records to build a signal")
@@ -318,11 +319,6 @@ def _signal_blocks(signals, prefix: str = "") -> Iterator[str]:
             texts = np.array(list(map(repr, block[starts].tolist())), dtype=object)
             fields[1::3] = np.repeat(texts, np.diff(starts, append=n)).tolist()
             yield "".join(fields)
-
-
-def signal_rows(signal: SignalSeries, prefix: str = "") -> Iterator[str]:
-    """A signal's `k,value` lines in blocks of ROW_BLOCK rows, each prefix as it is."""
-    return _signal_blocks((signal,), prefix)
 
 
 def _write_signal_csvs(pairs) -> None:

@@ -287,6 +287,7 @@ def random_stable_model(
     that dips below zero at switch-on is not a plausible appliance.
     """
     order = check_count("order", order, 1)
+    seed = check_count("seed", seed)
     stream = SeededStream(seed)
     blocks: list[np.ndarray] = []
     remaining = order

@@ -60,6 +60,8 @@ class Scenario:
             raise ValidationError(
                 f"{len(self.models)} models but {len(self.inputs)} inputs"
             )
+        if len(set(self.device_names)) != len(self.models):
+            raise ValidationError("duplicate device names in library")
         check_number("noise_std", self.noise_std, zero_ok=True)
         object.__setattr__(self, "seed", check_count("seed", self.seed))
         object.__setattr__(self, "horizon", check_count("horizon", self.horizon, 1))

@@ -72,6 +72,21 @@ def test_simulate_from_scenario_file(tmp_path):
     assert a == b
 
 
+def test_simulate_rejects_duplicate_device_names_before_writing(tmp_path, capsys):
+    first = tmp_path / "a"
+    assert main(["simulate", "--reference", "--out", str(first)]) == 0
+    path = first / "scenario.json"
+    data = json.loads(path.read_text())
+    data["devices"][1]["model"]["name"] = data["devices"][0]["model"]["name"]
+    path.write_text(json.dumps(data))
+    out = tmp_path / "b"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: duplicate device names in library\n"
+    assert list(out.iterdir()) == []
+
+
 def test_full_pipeline_and_metrics(tmp_path):
     _, res, metrics_path = _run_reference_pipeline(tmp_path, seed=0)
     data = json.loads(metrics_path.read_text())

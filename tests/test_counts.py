@@ -1,6 +1,7 @@
 """Every integer parameter follows errors.check_count where it enters."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,20 @@ def test_constructed_times_and_seed_follow_the_count_rule():
     sc = replace(reference_scenario(0), seed=np.int64(3))
     assert type(sc.seed) is int
     assert sc == replace(reference_scenario(0), seed=3)
+
+
+def test_model_seed_follows_the_count_rule():
+    # random_stable_model's seed, like a scenario's, is any integer: a
+    # float or a bool is rejected where it enters, not deep in the stream
+    # or in the model's name.
+    for bad in (2.5, np.float64(3), True, "2"):
+        with pytest.raises(ValidationError, match=f"^seed must be an integer, got {re.escape(repr(bad))}$"):
+            random_stable_model(3, bad)
+    with pytest.raises(ValidationError, match="^seed must be an integer, got "):
+        reference_scenario(1.5)
+    model = random_stable_model(3, np.int64(-4))
+    assert model.name == "rand_o3_s-4"
+    assert model == random_stable_model(3, -4)
 
 
 def test_loaded_result_times_follow_the_count_rule(tmp_path):

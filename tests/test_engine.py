@@ -2,6 +2,7 @@ import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -212,12 +213,21 @@ def test_fit_beats_grid_search():
 
 # --------------------------------------------------------- candidate selection
 
+class _Candidate(NamedTuple):
+    """An on-event candidate tuple with its fields named."""
+
+    sse: float
+    k_prime: int
+    device: int
+    level: float
+
+
 def _select(y_m, k_star, library, params, levels=(), since=()):
     """Best on-event candidate at k_star against a zero prediction, or None."""
     engine = _Engine(y_m, library, params)
     hyp = _hypothesis(engine, levels, since)
     cands = engine._on_candidates(hyp, k_star - engine.start, {})
-    return cands[0] if cands else None
+    return _Candidate(*cands[0]) if cands else None
 
 
 def test_select_single_device_exact(lag_model):
@@ -356,7 +366,7 @@ def _per_fit_candidates(engine, hyp, ks_pos, rejected=None):
                 ):
                     reason = "max_output"
                 else:
-                    out.append(engine_module._Candidate(sse, k_abs, dev, level))
+                    out.append((sse, k_abs, dev, level))
                     continue
             rejected[reason] = rejected.get(reason, 0) + 1
     return sorted(out)
@@ -504,7 +514,8 @@ def _attribute(levels, drop, k_star, since=(), params=PARAMS):
     engine = _Engine(series(np.zeros(k_star + 10)), lib, params)
     hyp = _hypothesis(engine, levels, since)
     hyp.y_hat[k_star] = drop  # the measurement is zero, so y - y_hat = -drop
-    return engine._off_device(hyp, k_star, k_star)
+    events = engine._off_events(hyp, k_star, k_star)
+    return events[0].device if events else None
 
 
 def test_attribute_nearest_contribution():
@@ -536,6 +547,95 @@ def test_attribute_never_rewinds_past_the_device_own_switch():
     params = replace(PARAMS, min_on_duration=0)
     assert _attribute([1.0, 3.0], 1.0, 50, since=[50, 0], params=params) == 1
     assert _attribute([1.0, 0.0], 1.0, 50, since=[52], params=params) is None
+
+
+def _two_stage_off_device(engine, hyp, ks_pos, p):
+    """The off device by the eligible-first rule with a fallback to every on
+    device, the form one keyed min replaced, kept as its oracle."""
+    k_abs = engine.start + ks_pos
+    if k_abs in hyp.times:
+        return None
+    on_devs = [
+        i for i, level in enumerate(hyp.levels)
+        if level != 0.0 and hyp.last_event_k[i] < k_abs
+    ]
+    if not on_devs:
+        return None
+    eligible = [
+        i for i in on_devs
+        if k_abs - hyp.last_event_k[i] >= engine.params.min_on_duration
+    ]
+    if not eligible:
+        eligible = on_devs
+    drop = abs(engine.y[p] - hyp.y_hat[p])
+    return min(
+        eligible, key=lambda i: (abs(engine.gains[i] * hyp.levels[i] - drop), i)
+    )
+
+
+def test_off_events_equal_the_two_stage_rule_property():
+    # One min keyed by (too young, distance to the drop, index) must pick
+    # the device the two-stage rule picks: with devices on too briefly,
+    # switched at or after the off time, or tied exactly on distance, and
+    # with the off time already logged.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    seen = {"preference decides": 0, "fallback": 0, "tie": 0, "time logged": 0,
+            "rewind": 0}
+    # Dyadic gains, levels and drops, so distances tie exactly.
+    dyadic = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        gains=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=5),
+        min_on=st.integers(0, 5),
+        start=st.integers(-3, 3),
+        ks_pos=st.integers(0, 12),
+        lag=st.integers(0, 2),
+        data=st.data(),
+    )
+    def check(gains, min_on, start, ks_pos, lag, data):
+        lib = [DeviceModel(f"d{i}", A=[[0.5]], b=[0.5], c=[gain])
+               for i, gain in enumerate(gains)]
+        params = replace(PARAMS, min_on_duration=min_on)
+        engine = _Engine(series(np.zeros(ks_pos + 20), start=start), lib, params)
+        hyp = _Hypothesis(engine.models, engine.T, start)
+        k_abs, p = start + ks_pos, ks_pos + lag
+        for i in range(len(lib)):
+            hyp.levels[i] = data.draw(st.one_of(st.just(0.0), dyadic))
+            hyp.last_event_k[i] = data.draw(st.integers(k_abs - 8, k_abs + 2))
+        hyp.times = set(data.draw(st.lists(st.integers(k_abs - 3, k_abs + 3), max_size=3)))
+        contributions = [g * level for g, level in zip(engine.gains, hyp.levels)]
+        drop = data.draw(st.one_of(
+            dyadic,
+            st.sampled_from(contributions),
+            st.tuples(st.sampled_from(contributions), st.sampled_from(contributions))
+            .map(lambda pair: (pair[0] + pair[1]) / 2),
+        ))
+        hyp.y_hat[p] = data.draw(st.sampled_from([drop, -drop]))
+
+        want = _two_stage_off_device(engine, hyp, ks_pos, p)
+        got = engine._off_events(hyp, ks_pos, p)
+        assert got == ([] if want is None else [SwitchEvent(k_abs, want, "off", 0.0)])
+
+        on = [i for i, level in enumerate(hyp.levels) if level != 0.0]
+        qualify = [i for i in on if hyp.last_event_k[i] < k_abs]
+        seen["rewind"] += len(qualify) < len(on)
+        if not qualify:
+            return
+        if k_abs in hyp.times:
+            seen["time logged"] += 1
+            return
+        young = [i for i in qualify if k_abs - hyp.last_event_k[i] < min_on]
+        distance = [abs(contributions[i] - drop) for i in qualify]
+        seen["fallback"] += len(young) == len(qualify) > 1
+        seen["tie"] += len(set(distance)) < len(distance)
+        nearest = qualify[distance.index(min(distance))]
+        seen["preference decides"] += nearest in young and len(young) < len(qualify)
+
+    check()
+    assert all(seen.values()), seen
 
 
 # ------------------------------------------------------------- full pipeline

@@ -377,9 +377,9 @@ def _ranked_built(engine, pool, p):
             _, kind, ks = hyp.detection
             if kind == "increase":
                 cands = engine._on_candidates(hyp, ks, {})[: engine.params.beam_width]
-                events = [SwitchEvent(c.k_prime, c.device, "on", c.level) for c in cands]
-            elif (dev := engine._off_device(hyp, ks, p)) is not None:
-                events = [SwitchEvent(engine.start + ks, dev, "off", 0.0)]
+                events = [SwitchEvent(k, dev, "on", level) for _, k, dev, level in cands]
+            else:
+                events = engine._off_events(hyp, ks, p)
         for event in events:
             child = hyp.clone()
             engine._apply(child, event)

@@ -3,6 +3,7 @@ import math
 import os
 import tracemalloc
 import urllib.request
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +441,18 @@ def test_to_signal_and_find_gaps_reject_bad_rate(rate):
     for convert in (to_signal, find_gaps):
         with pytest.raises(ValidationError, match="nominal_rate must be finite and > 0"):
             convert(records, nominal_rate=rate)
+
+
+@pytest.mark.parametrize("limit", [-1, 0.0, math.nan, math.inf])
+def test_to_signal_and_find_gaps_reject_bad_gap_periods(limit):
+    # Unchecked, -1 flagged all 9 steps of this gapless recording and NaN
+    # turned gap detection off; no warning comes before the error.
+    records = _steady_records(10)
+    for convert in (to_signal, find_gaps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GapWarning)
+            with pytest.raises(ValidationError, match="^gap_periods must be finite and > 0"):
+                convert(records, nominal_rate=12.0, gap_periods=limit)
 
 
 def test_to_signal_start_index_encodes_absolute_time():

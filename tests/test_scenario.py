@@ -128,6 +128,14 @@ def test_scenario_validates_lengths():
         Scenario(models=models, inputs=(), horizon=10)
 
 
+def test_scenario_rejects_duplicate_device_names():
+    # Saved, such a scenario would hold a library.json that does not load.
+    a = DeviceModel("a", A=[[0.5]], b=[0.5], c=[1.0])
+    twin = DeviceModel("a", A=[[0.0]], b=[1.0], c=[1.0])
+    with pytest.raises(ValidationError, match="^duplicate device names in library$"):
+        Scenario(models=(a, twin), inputs=(PiecewiseInput(),) * 2, horizon=10)
+
+
 def test_scenario_validates_horizon_covers_events():
     models = (DeviceModel("a", A=[[0.5]], b=[0.5], c=[1.0]),)
     for events, message in [
