@@ -2,8 +2,8 @@
 
 Reads emonTx-style CSV recordings (12 Hz RMS current/voltage, power,
 power factor, UTC timestamps) into one column per field, resamples one
-channel onto a uniform index grid by zero-order hold, and reads and
-writes signals in the `k,value` form.
+channel onto a uniform index grid from the nearest records, and reads
+and writes signals in the `k,value` form.
 
 Both CSV readers hand a plain ASCII file to ``np.loadtxt`` by name, so
 numpy reads it from disk in chunks with its C reader and no copy of the
@@ -114,7 +114,8 @@ def _check_rows(ts, irms, vrms, pva, pw, pf) -> None:
     Within that row the rules are tried in this order: finite, nonnegative,
     power factor, timestamp after the previous row's.
     """
-    nonfinite = ~np.isfinite(np.stack((ts, irms, vrms, pva, pw, pf))).all(axis=0)
+    finite = np.isfinite(ts) & np.isfinite(irms) & np.isfinite(vrms)
+    nonfinite = ~(finite & np.isfinite(pva) & np.isfinite(pw) & np.isfinite(pf))
     negative = (irms < 0) | (vrms < 0) | (pva < 0)
     bad_pf = np.abs(pf) > 1.0 + PF_TOL
     not_after = np.zeros(len(ts), dtype=bool)
@@ -274,13 +275,17 @@ def to_signal(
     nominal_rate: float = 12.0,
     gap_periods: float = 10.0,
 ) -> SignalSeries:
-    """Resample one channel onto a uniform grid by zero-order hold.
+    """Resample one channel onto a uniform grid.
 
-    The grid starts at the first record and the start index encodes
-    absolute time (round(t_first * rate)) so that signals from separate
-    recordings sharing a clock stay aligned.  Gaps longer than
-    gap_periods sample periods raise a GapWarning.  nominal_rate and
-    gap_periods must be finite and > 0 (find_gaps checks them).
+    A grid point takes the last record at or before it, unless the next
+    record is closer and less than half a period after it.  So records
+    stamped less than half a period off their grid points each land on
+    their own, and across a gap the last record is held.  The grid
+    starts at the first record and the start index encodes absolute time
+    (round(t_first * rate)) so that signals from separate recordings
+    sharing a clock stay aligned.  Gaps longer than gap_periods sample
+    periods raise a GapWarning.  nominal_rate and gap_periods must be
+    finite and > 0 (find_gaps checks them).
     """
     if len(recording) < 2:
         raise ValidationError("need at least 2 records to build a signal")
@@ -297,6 +302,9 @@ def to_signal(
     length = int(math.ceil(span * nominal_rate - _GRID_EPS)) + 1
     grid = ts[0] + np.arange(length) / nominal_rate
     src = np.searchsorted(ts, grid + _GRID_EPS, side="right") - 1
+    nxt = np.minimum(src + 1, len(ts) - 1)
+    ahead = ts[nxt] - grid
+    src = np.where((ahead < grid - ts[src]) & (ahead < 0.5 / nominal_rate - _GRID_EPS), nxt, src)
     start_index = round(ts[0] * nominal_rate)
     return SignalSeries(
         vals[src], sample_period=1.0 / nominal_rate, start_index=start_index

@@ -58,7 +58,7 @@ class PiecewiseInput:
     """Device input as an ordered list of switch events (k, level).
 
     The level is 0 before the first event and holds between events, so
-    the first difference of the expanded signal is nonzero exactly at
+    the first difference of the held signal is nonzero exactly at
     the event indices.
     """
 
@@ -90,21 +90,3 @@ class PiecewiseInput:
     @property
     def last_event_index(self) -> int | None:
         return self.events[-1][0] if self.events else None
-
-    def expand(
-        self, start_index: int, length: int, sample_period: float = 1.0
-    ) -> SignalSeries:
-        """Zero-order-hold expansion over [start_index, start_index + length)."""
-        values = np.empty(length)
-        level = 0.0
-        seg_start = 0
-        for ek, elevel in self.events:
-            p = ek - start_index
-            if p >= length:
-                break
-            if p > seg_start:
-                values[seg_start:p] = level
-                seg_start = p
-            level = elevel
-        values[seg_start:] = level
-        return SignalSeries(values, sample_period=sample_period, start_index=start_index)

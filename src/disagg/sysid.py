@@ -1,19 +1,25 @@
 """Build device models from individual plug recordings.
 
 Pipeline: threshold-based change detection turns a plug signal into a
-piecewise-constant input estimate, an ARX model is fit by least squares,
-and the fit is realized in observable canonical state-space form.
-Identified models keep their physical gain; only simulation models are
-DC-normalized.
+piecewise-constant input estimate; the on-transients, divided by their
+levels, are averaged (which cuts the noise that would bias an
+equation-error fit); an ARX model is fit by least squares to the average
+against a unit step and realized in observable canonical state-space
+form.  Identified models keep their physical gain; only simulation
+models are DC-normalized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import RankDeficientDataError, ValidationError, check_count, check_number
+from .engine import estimate_noise_std
+from .errors import (
+    RankDeficientDataError, UnstableModelError, ValidationError, check_count, check_number,
+)
 from .models import DeviceModel
 from .series import PiecewiseInput, SignalSeries
 
@@ -27,6 +33,15 @@ INSTANT_OFF_FRACTION = 0.05
 INSTANT_OFF_WINDOW = 2
 
 MAX_OUTPUT_HEADROOM = 1.25
+
+# A transient's onset lies above ONSET_SIGMAS standard deviations of the
+# first differences; its window holds PRE_STEP_SAMPLES before the unit
+# step and POST_STEP_SAMPLES from it on.
+ONSET_SIGMAS = 3.0
+PRE_STEP_SAMPLES = 10
+POST_STEP_SAMPLES = 120
+# Caps on na and nb to refit with, in turn, while a fit is unstable.
+FALLBACK_ORDERS = (2, 1)
 
 
 @dataclass(frozen=True)
@@ -129,15 +144,11 @@ def fit_arx(
     na: int,
     nb: int,
     delay: int = 1,
-    exclude_rows: frozenset[int] | set[int] = frozenset(),
 ) -> ArxModel:
     """Least-squares ARX fit of y against u.
 
-    Rows whose target position appears in exclude_rows are dropped; the
-    identification pipeline uses this to skip samples around off-switches
-    where the input labeling is unreliable.  Raises
-    RankDeficientDataError when the data does not excite the requested
-    order.  An unstable fit is returned; realizing it with
+    Raises RankDeficientDataError when the data does not excite the
+    requested order.  An unstable fit is returned; realizing it with
     arx_to_state_space raises UnstableModelError.
     """
     na, nb, delay = _check_orders(na, nb, delay)
@@ -149,16 +160,6 @@ def fit_arx(
             f"need at least {min_len} samples for na={na}, nb={nb}, delay={delay}"
         )
     phi, target = _regression(y.values, u.values, na, nb, delay)
-    if exclude_rows:
-        p0 = max(na, delay + nb - 1)
-        excluded = np.fromiter(exclude_rows, dtype=np.int64, count=len(exclude_rows)) - p0
-        keep = np.ones(len(target), dtype=bool)
-        keep[excluded[(excluded >= 0) & (excluded < len(target))]] = False
-        phi, target = phi[keep], target[keep]
-        if len(target) < na + nb:
-            raise RankDeficientDataError(
-                f"only {len(target)} rows left after exclusions"
-            )
     theta, _, rank, _ = np.linalg.lstsq(phi, target, rcond=None)
     if rank < na + nb:
         raise RankDeficientDataError(
@@ -204,9 +205,13 @@ def identify_device(
     nb: int = 3,
     delay: int = 1,
 ) -> DeviceModel:
-    """Full plug-recording pipeline: detect input, fit ARX, realize.
+    """Full plug-recording pipeline: detect input, average transients, fit, realize.
 
-    The identified model keeps the physical gain of the recording.  The
+    The windows of _transient_windows are averaged and fit once against
+    a unit step; an unstable fit is refit with na and nb capped at each
+    of FALLBACK_ORDERS in turn, raising the last UnstableModelError, and
+    no window raises ValidationError naming the device.  The identified
+    model keeps the physical gain of the recording.  The
     instant_off flag is set when every detected off-switch collapses
     below INSTANT_OFF_FRACTION of its on-level within INSTANT_OFF_WINDOW
     samples, and max_output gets MAX_OUTPUT_HEADROOM times the observed
@@ -218,51 +223,55 @@ def identify_device(
             f"no switch events detected for '{label.device_name}'; "
             "check on_threshold"
         )
-    u_fit = _lead_on_events(u_pw)
-    u = u_fit.expand(y.start_index, len(y), y.sample_period)
-    exclude = _off_transition_rows(u_pw, y.start_index, na, nb, delay)
-    arx = fit_arx(y, u, na=na, nb=nb, delay=delay, exclude_rows=exclude)
+    windows = _transient_windows(y, u_pw, delay)
+    if not windows:
+        raise ValidationError(
+            f"no on interval of '{label.device_name}' holds the "
+            f"{PRE_STEP_SAMPLES + POST_STEP_SAMPLES}-sample identification window"
+        )
+    transient = SignalSeries(np.mean(windows, axis=0))
+    step = SignalSeries(np.arange(PRE_STEP_SAMPLES + POST_STEP_SAMPLES) >= PRE_STEP_SAMPLES)
+    orders = dict.fromkeys([(na, nb), *((min(na, o), min(nb, o)) for o in FALLBACK_ORDERS)])
+    for i, (na_i, nb_i) in enumerate(orders):
+        arx = fit_arx(transient, step, na=na_i, nb=nb_i, delay=delay)
+        try:
+            model = arx_to_state_space(arx, name=label.device_name)
+            break
+        except UnstableModelError:
+            if i == len(orders) - 1:
+                raise
     return replace(
-        arx_to_state_space(arx, name=label.device_name),
+        model,
         instant_off=_offs_are_instant(y, u_pw),
         max_output=MAX_OUTPUT_HEADROOM * float(np.max(y.values)),
     )
 
 
-def _lead_on_events(u_pw: PiecewiseInput) -> PiecewiseInput:
-    """Place each on event one sample before its detected crossing.
+def _transient_windows(y: SignalSeries, u_pw: PiecewiseInput, delay: int) -> list[np.ndarray]:
+    """Each on interval's response around its onset, divided by its level.
 
-    The state-space form responds one sample after its input; detection
-    sees the first response sample, so the underlying switch happened
-    the sample before.  Off events are left at the detected index (for
-    devices that collapse instantly the detection is already exact).
+    The onset is the first sample of the run above the onset level that
+    holds the detected crossing, and the unit step sits delay samples
+    before it.  A window that starts before the last off at or before the
+    onset, or ends after the interval's own off, is skipped.  Intervals
+    split by a transient that dips below on_threshold share an onset and
+    give one window.
     """
-    shifted: list[tuple[int, float]] = []
-    for k, level in u_pw.events:
-        if level > 0.0 and (not shifted or shifted[-1][0] < k - 1):
-            shifted.append((k - 1, level))
-        else:
-            shifted.append((k, level))
-    return PiecewiseInput(tuple(shifted))
-
-
-def _off_transition_rows(
-    u_pw: PiecewiseInput, start_index: int, na: int, nb: int, delay: int
-) -> frozenset[int]:
-    """Regression rows contaminated by an off-switch.
-
-    After a detected off, the measured output need not follow the linear
-    recursion (instant-off devices clamp to zero) and the exact switch
-    sample is ambiguous, so rows whose regressors straddle the event are
-    dropped.
-    """
-    span = max(na, nb + delay) + 1
-    rows: set[int] = set()
-    for k, level in u_pw.events:
-        if level == 0.0:
-            p = k - start_index
-            rows.update(range(p, p + span))
-    return frozenset(rows)
+    values = y.values
+    # The first differences spread sqrt(2) times the noise level.
+    onset_level = ONSET_SIGMAS * math.sqrt(2.0) * estimate_noise_std(y)
+    # Quiet samples and offs, each behind a sentinel: -1 and the start.
+    quiet = np.flatnonzero(np.append(True, values <= onset_level)) - 1
+    positions = [k - y.start_index for k, _ in u_pw.events] + [len(values)]
+    offs = np.array([0] + [p for p, (_, lv) in zip(positions, u_pw.events) if lv == 0.0])
+    windows: dict[int, np.ndarray] = {}
+    for p, end, (_, level) in zip(positions, positions[1:], u_pw.events):
+        onset = int(quiet[np.searchsorted(quiet, p) - 1]) + 1
+        start, stop = onset - delay, onset - delay + POST_STEP_SAMPLES
+        prev_off = offs[np.searchsorted(offs, onset, side="right") - 1]
+        if level > 0.0 and start - PRE_STEP_SAMPLES >= prev_off and stop <= end:
+            windows.setdefault(start, values[start - PRE_STEP_SAMPLES : stop] / level)
+    return list(windows.values())
 
 
 def _offs_are_instant(y: SignalSeries, u_pw: PiecewiseInput) -> bool:

@@ -23,3 +23,15 @@ def delay_model():
 
 def series(values, start=0, period=1.0) -> SignalSeries:
     return SignalSeries(np.asarray(values, dtype=float), sample_period=period, start_index=start)
+
+
+def hold(inp, start, length, period=1.0) -> SignalSeries:
+    """A PiecewiseInput held from event to event over [start, start + length).
+
+    The level is 0 before the first event; each event sets every sample
+    from its index on, so a later event overrides an earlier one.
+    """
+    values = np.zeros(length)
+    for k, level in inp.events:
+        values[max(k - start, 0) :] = level
+    return series(values, start, period)

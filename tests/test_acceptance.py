@@ -27,7 +27,7 @@ from disagg.engine import _fits
 from disagg.models import STABILITY_MARGIN
 from disagg.rng import SeededStream
 
-from conftest import series
+from conftest import hold, series
 from test_cli import _run_reference_pipeline
 from test_engine_beam import _event_key, _oracle_best, _random_instance
 
@@ -82,7 +82,7 @@ def test_criterion_2_noiseless_exactness():
         model = random_stable_model(3, seed, instant_off=True)
         level = 1.0 + 0.5 * seed
         u = PiecewiseInput(((25, level), (70, 0.0)))
-        y_m = simulate_zero_state(model, u.expand(0, 120))
+        y_m = simulate_zero_state(model, hold(u, 0, 120))
         res = disaggregate(y_m, [model])
         assert [(e.k, e.kind) for e in res.events] == [(25, "on"), (70, "off")]
         on = res.events[0]
@@ -203,7 +203,7 @@ def test_criterion_6_max_power_prior_fixes_monitor_confusion():
 
     event_level = 12.0  # microwave-scale draw; a monitor stays under 10
     y_m = simulate_zero_state(
-        microwave, PiecewiseInput(((30, event_level),)).expand(0, 120)
+        microwave, hold(PiecewiseInput(((30, event_level),)), 0, 120)
     )
     params = EngineParams(deviation_threshold=0.1)
 

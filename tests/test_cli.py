@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import disagg.sysid as sysid
 from disagg import (
     DeviceModel,
     EngineParams,
@@ -18,10 +19,12 @@ from disagg import (
     read_signal_csv,
     save_library,
     simulate_zero_state,
+    UnstableModelError,
     write_signal_csv,
 )
 from disagg.cli import build_parser, load_result, main
 from disagg.ingest import ROW_BLOCK
+from conftest import hold
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -130,7 +133,7 @@ def test_result_round_trip(tmp_path):
 def _write_plug_recording(path):
     model = random_stable_model(3, 4, instant_off=True)
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0), (280, 5.0), (430, 0.0)))
-    y = simulate_zero_state(model, schedule.expand(0, 520, 1 / 12.0))
+    y = simulate_zero_state(model, hold(schedule, 0, 520, 1 / 12.0))
     n = len(y)
     columns = (
         np.arange(n) / 12.0, y.values, np.full(n, 120.0), 120.0 * y.values,
@@ -198,6 +201,33 @@ def test_identify_rejects_non_finite_settings(tmp_path, capsys, flag, value, mes
     assert not lib_path.exists()
 
 
+def test_identify_exits_1_and_writes_no_library_when_every_order_is_unstable(
+    tmp_path, capsys, monkeypatch
+):
+    orders = []
+
+    def unstable(arx, name="arx"):
+        orders.append((arx.na, arx.nb))
+        raise UnstableModelError(name, 1.5, 1e-9)
+
+    monkeypatch.setattr(sysid, "arx_to_state_space", unstable)
+    rec_path = tmp_path / "plug.csv"
+    _write_plug_recording(rec_path)
+    lib_path = tmp_path / "lib.json"
+    code = main([
+        "identify",
+        "--input", str(rec_path),
+        "--name", "kettle",
+        "--threshold", "1.0",
+        "--settle-skip", "20",
+        "--library", str(lib_path),
+    ])
+    assert code == 1
+    assert orders == [(3, 3), (2, 2), (1, 1)]
+    assert capsys.readouterr().err.startswith("error: unstable model 'kettle'")
+    assert not lib_path.exists()
+
+
 def test_identify_is_deterministic_on_a_benchmark_plug(tmp_path):
     write_plug_set(7, tmp_path / "in")
     plug = json.loads((tmp_path / "in" / "plugs.json").read_text())[0]
@@ -245,7 +275,7 @@ def test_format_characters_in_a_device_name_are_written_as_they_are(tmp_path, le
     name = "fan%d{}"
     model = DeviceModel(name, A=[[0.5]], b=[0.5], c=[1.0], instant_off=True)
     schedule = PiecewiseInput(((40, 2.0), (length - 300, 0.0)))
-    y_m = simulate_zero_state(model, schedule.expand(7, length))
+    y_m = simulate_zero_state(model, hold(schedule, 7, length))
     save_library([model], tmp_path / "library.json")
     write_signal_csv(y_m, tmp_path / "aggregate.csv")
     res, plot = tmp_path / "res", tmp_path / "plot.csv"

@@ -26,7 +26,7 @@ from disagg import (
 import disagg.engine as engine_module
 from disagg.engine import _Engine, _Hypothesis, _fits
 from disagg.series import PiecewiseInput
-from conftest import series
+from conftest import hold, series
 from test_engine_beam import _event_key, _random_instance
 
 # The long-signal test runs the benchmark's own tiled workload generator.
@@ -139,7 +139,7 @@ def test_scan_matches_the_per_sample_rule_property(lag_model):
         if event is not None:
             pos = int(event[0] * (T - 1))
             engine._apply(hyp, SwitchEvent(pos, 0, "on", event[1]))
-            u = PiecewiseInput(((pos, event[1]),)).expand(0, T)
+            u = hold(PiecewiseInput(((pos, event[1]),)), 0, T)
             y_hat = simulate_zero_state(lag_model, u).values
         hyp.suppressed = suppressed
         p0 = int(start * T)
@@ -233,7 +233,7 @@ def _select(y_m, k_star, library, params, levels=(), since=()):
 def test_select_single_device_exact(lag_model):
     level, k0 = 2.0, 10
     y_m = simulate_zero_state(
-        lag_model, PiecewiseInput(((k0, level),)).expand(0, 30)
+        lag_model, hold(PiecewiseInput(((k0, level),)), 0, 30)
     )
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
     cand = _select(y_m, k0 + 1, [lag_model], params)
@@ -246,7 +246,7 @@ def test_select_single_device_exact(lag_model):
 def test_select_identical_models_lower_index_wins(lag_model):
     twin = DeviceModel("twin", A=[[0.5]], b=[0.5], c=[1.0])
     y_m = simulate_zero_state(
-        lag_model, PiecewiseInput(((5, 2.0),)).expand(0, 25)
+        lag_model, hold(PiecewiseInput(((5, 2.0),)), 0, 25)
     )
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
     cand = _select(y_m, 6, [twin, lag_model], params)
@@ -258,7 +258,7 @@ def test_select_max_output_prior_rejects_capped_model():
     monitor = DeviceModel("monitor", max_output=10.0, **dynamics)
     microwave = DeviceModel("microwave", **dynamics)
     y_m = simulate_zero_state(
-        microwave, PiecewiseInput(((5, 12.0),)).expand(0, 25)
+        microwave, hold(PiecewiseInput(((5, 12.0),)), 0, 25)
     )
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
     cand = _select(y_m, 6, [monitor, microwave], params)
@@ -267,13 +267,13 @@ def test_select_max_output_prior_rejects_capped_model():
 
 def test_select_respects_max_input():
     m = DeviceModel("small", A=[[0.5]], b=[0.5], c=[1.0], max_input=1.0)
-    y_m = simulate_zero_state(m, PiecewiseInput(((5, 3.0),)).expand(0, 25))
+    y_m = simulate_zero_state(m, hold(PiecewiseInput(((5, 3.0),)), 0, 25))
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
     assert _select(y_m, 6, [m], params) is None
 
 
 def test_select_min_level_filter(lag_model):
-    y_m = simulate_zero_state(lag_model, PiecewiseInput(((5, 2.0),)).expand(0, 25))
+    y_m = simulate_zero_state(lag_model, hold(PiecewiseInput(((5, 2.0),)), 0, 25))
     params = EngineParams(
         deviation_threshold=0.05, lookahead=6, backtrack_window=3, min_level=5.0
     )
@@ -281,7 +281,7 @@ def test_select_min_level_filter(lag_model):
 
 
 def test_select_skips_on_devices(lag_model):
-    y_m = simulate_zero_state(lag_model, PiecewiseInput(((5, 2.0),)).expand(0, 25))
+    y_m = simulate_zero_state(lag_model, hold(PiecewiseInput(((5, 2.0),)), 0, 25))
     params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
     assert _select(y_m, 6, [lag_model], params, levels=[2.0], since=[5]) is None
 
@@ -649,7 +649,7 @@ def test_disaggregate_zero_signal_empty_log(lag_model):
 
 def test_disaggregate_noiseless_single_device_exact(lag_model_instant):
     u = PiecewiseInput(((12, 2.0), (40, 0.0)))
-    y_m = simulate_zero_state(lag_model_instant, u.expand(0, 70))
+    y_m = simulate_zero_state(lag_model_instant, hold(u, 0, 70))
     res = disaggregate(y_m, [lag_model_instant])
     assert [(e.k, e.kind) for e in res.events] == [(12, "on"), (40, "off")]
     on = res.events[0]
@@ -683,9 +683,7 @@ def _assert_resimulation_matches(res, y_m, library):
     total = np.zeros(T)
     for model, schedule, out in zip(library, schedules, res.estimated_outputs):
         # PiecewiseInput rejects out-of-order times, repeated and negative levels.
-        u = PiecewiseInput(tuple(schedule)).expand(
-            y_m.start_index, T, y_m.sample_period
-        )
+        u = hold(PiecewiseInput(tuple(schedule)), y_m.start_index, T, y_m.sample_period)
         resim = simulate_zero_state(model, u)
         assert out == resim
         assert out.values.tobytes() == resim.values.tobytes()
@@ -844,7 +842,7 @@ def test_disaggregate_with_absolute_start_index(lag_model_instant):
     # Signals resampled from timestamped recordings carry large absolute
     # start indices; events must come back in the same index space.
     u = PiecewiseInput(((1012, 2.0), (1040, 0.0)))
-    y_m = simulate_zero_state(lag_model_instant, u.expand(1000, 70, 1 / 12))
+    y_m = simulate_zero_state(lag_model_instant, hold(u, 1000, 70, 1 / 12))
     res = disaggregate(y_m, [lag_model_instant])
     assert [(e.k, e.kind) for e in res.events] == [(1012, "on"), (1040, "off")]
     assert res.estimated_total.start_index == 1000

@@ -30,6 +30,7 @@ from disagg import (
     unit_step_values,
 )
 from disagg.engine import _Detection, _Engine, _Hypothesis
+from conftest import hold
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import tiled_reference_scenario  # noqa: E402
@@ -46,7 +47,7 @@ def _predict(library, events, T):
         per_dev[e.device].append((e.k, e.level))
     total = np.zeros(T)
     for model, evs in zip(library, per_dev):
-        u = PiecewiseInput(tuple(evs)).expand(0, T)
+        u = hold(PiecewiseInput(tuple(evs)), 0, T)
         total = total + simulate_zero_state(model, u).values
     return total
 
@@ -189,7 +190,7 @@ def test_beam_off_events_never_precede_the_device_own_on():
 def test_beam_recovers_where_greedy_commits_to_wrong_twin():
     twin, true_dev = _twin_pair()
     lib = [twin, true_dev]
-    y = simulate_zero_state(true_dev, PiecewiseInput(((15, 2.0),)).expand(0, 70))
+    y = simulate_zero_state(true_dev, hold(PiecewiseInput(((15, 2.0),)), 0, 70))
     base = EngineParams(deviation_threshold=0.1, lookahead=1, backtrack_window=2)
 
     greedy = disaggregate(SignalSeries(y.values), lib, base)
@@ -208,7 +209,7 @@ def test_beam_recovers_where_greedy_commits_to_wrong_twin():
 def test_beam_matches_exhaustive_on_twin_instance():
     twin, true_dev = _twin_pair()
     lib = [twin, true_dev]
-    y = simulate_zero_state(true_dev, PiecewiseInput(((15, 2.0),)).expand(0, 70))
+    y = simulate_zero_state(true_dev, hold(PiecewiseInput(((15, 2.0),)), 0, 70))
     y_m = SignalSeries(y.values)
     params = EngineParams(
         deviation_threshold=0.1, lookahead=1, backtrack_window=2, beam_width=10_000
@@ -232,8 +233,8 @@ def _random_instance(seed):
     u0 = PiecewiseInput(((k_on0, lvl0),))
     u1 = PiecewiseInput(((k_on1, lvl1), (k_off, 0.0)))
     y = (
-        simulate_zero_state(m0, u0.expand(0, T)).values
-        + simulate_zero_state(m1, u1.expand(0, T)).values
+        simulate_zero_state(m0, hold(u0, 0, T)).values
+        + simulate_zero_state(m1, hold(u1, 0, T)).values
         + rng.normal(scale=0.01, size=T)
     )
     return SignalSeries(y), [m0, m1]

@@ -243,6 +243,60 @@ def test_recording_rejects_unequal_columns_and_names_a_bad_row():
         EmonRecording(np.zeros(2), *(np.ones(2) for _ in range(5)))
 
 
+def _stacked_row_error(columns):
+    """(row, reason) of the first bad row, None if none: the reference.
+
+    Finiteness is tested on the stacked (6, N) array, one row at a time.
+    """
+    finite = np.isfinite(np.stack(columns)).all(axis=0)
+    ts, irms, vrms, pva, _, pf = columns
+    for i in range(len(ts)):
+        if not finite[i]:
+            return i, "non-finite field in record"
+        if irms[i] < 0 or vrms[i] < 0 or pva[i] < 0:
+            return i, "irms, vrms and pva must be nonnegative"
+        if abs(pf[i]) > 1.0 + PF_TOL:
+            return i, f"power factor {float(pf[i])} outside [-1, 1]"
+        if i and ts[i] <= ts[i - 1]:
+            return i, f"timestamp {float(ts[i])!r} not after {float(ts[i - 1])!r}"
+    return None
+
+
+def test_row_checks_match_the_stacked_reference_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # (row, column, value) faults: non-finite, negative, power factor
+    # out of range, and timestamps that repeat or go back.
+    faults = st.tuples(
+        st.integers(0, 29), st.integers(0, 5),
+        st.sampled_from([
+            math.nan, math.inf, -math.inf, -1.0, -5e-324, 1.0 + 2 * PF_TOL,
+            1.0 + PF_TOL, -1.5, 0.0, "repeat",
+        ]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30), st.lists(faults, max_size=4))
+    def check(n, planted):
+        columns = [np.array(c) for c in zip(*_steady_rows(n))]
+        for row, column, value in planted:
+            row %= n
+            if value == "repeat":
+                columns[0][row] = columns[0][row - 1] if row else columns[0][row]
+            else:
+                columns[column][row] = value
+        expected = _stacked_row_error(columns)
+        if expected is None:
+            assert len(EmonRecording(*columns)) == n
+            return
+        with pytest.raises(ValidationError) as err:
+            EmonRecording(*columns)
+        assert (err.value.row, err.value.reason) == expected
+
+    check()
+
+
 def _spell(rng, value, exact):
     """One of the spellings float() reads back as value (exactly, if exact)."""
     spellings = [repr(value), f"{value:.17g}", f"{value:.17e}", f"+{value!r}".replace("+-", "-")]
@@ -413,6 +467,36 @@ def test_to_signal_gap_held_and_flagged():
     # Held samples carry the last value before the hole.
     np.testing.assert_array_equal(s.values[2:8], np.full(6, 4.25))
     assert s.values[8] == 1.0
+
+
+def _records_at(periods, rate=12.0):
+    """Records stamped at the given multiples of the period, irms 1, 2, ..."""
+    return _recording([
+        (t / rate, i + 1.0, 120.0, 120.0, 118.0, 0.98) for i, t in enumerate(periods)
+    ])
+
+
+def test_to_signal_takes_a_late_record_at_its_own_grid_point():
+    # The third record is 0.4 of a period late: nearer its own grid point
+    # than the second record, which is held there under zero-order hold.
+    s = to_signal(_records_at([0, 1, 2.4, 3]), nominal_rate=12.0)
+    np.testing.assert_array_equal(s.values, [1.0, 2.0, 3.0, 4.0])
+
+
+def test_to_signal_keeps_the_earlier_record_at_exactly_half_a_period():
+    s = to_signal(_records_at([0, 1, 2.5, 3]), nominal_rate=12.0)
+    np.testing.assert_array_equal(s.values, [1.0, 2.0, 2.0, 4.0])
+
+
+def test_to_signal_recovers_records_jittered_under_half_a_period():
+    # The benchmark's plug recordings: first and last stamp on the grid,
+    # every other one up to 0.45 of a period early or late.
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        jitter = rng.uniform(-0.45, 0.45, size=60)
+        jitter[[0, -1]] = 0.0
+        s = to_signal(_records_at(np.arange(60) + jitter), nominal_rate=12.0)
+        np.testing.assert_array_equal(s.values, np.arange(1.0, 61.0), err_msg=str(trial))
 
 
 def test_to_signal_default_gap_threshold_tolerates_small_holes():

@@ -17,6 +17,7 @@ from disagg import (
     spectral_radius,
 )
 from disagg.models import STABILITY_MARGIN
+from conftest import hold
 from test_models import _simulate_recursion
 
 
@@ -43,7 +44,7 @@ def test_render_truths_match_direct_simulation():
     sc = _two_device_scenario()
     _, truths = render(sc)
     for model, inp, truth in zip(sc.models, sc.inputs, truths):
-        direct = simulate_zero_state(model, inp.expand(0, sc.horizon))
+        direct = simulate_zero_state(model, hold(inp, 0, sc.horizon))
         assert truth == direct
 
 
@@ -77,7 +78,7 @@ def test_render_truths_match_dense_simulation_property():
         # The state recursion checks the switch rule itself; the dense
         # simulation shares the kernel, so it pins the bits.
         for model, inp, truth in zip(sc.models, sc.inputs, truths):
-            u = inp.expand(0, horizon)
+            u = hold(inp, 0, horizon)
             direct = simulate_zero_state(model, u)
             assert truth.values.tobytes() == direct.values.tobytes()
             np.testing.assert_allclose(
@@ -167,7 +168,7 @@ def test_reference_scenario_schedule():
 
 def test_reference_scenario_overlap_at_260():
     sc = reference_scenario(0)
-    on = [inp.expand(0, sc.horizon).values[260] > 0 for inp in sc.inputs]
+    on = [hold(inp, 0, sc.horizon).values[260] > 0 for inp in sc.inputs]
     assert on == [False, True, True, True, False]
 
 

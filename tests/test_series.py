@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from disagg import PiecewiseInput, SignalSeries, ValidationError
+from conftest import hold
 
 
 def test_signal_basic_indexing():
@@ -34,39 +35,39 @@ def test_signal_equality_is_by_value():
     assert a != c
 
 
-def test_piecewise_expand_zero_order_hold():
+def test_hold_is_zero_order():
     u = PiecewiseInput(((2, 5.0), (5, 0.0)))
-    s = u.expand(0, 8)
+    s = hold(u, 0, 8)
     np.testing.assert_array_equal(s.values, [0, 0, 5, 5, 5, 0, 0, 0])
 
 
-def test_piecewise_expand_window_offsets():
+def test_hold_window_offsets():
     u = PiecewiseInput(((2, 5.0), (5, 0.0), (7, 1.5)))
-    s = u.expand(3, 6)
+    s = hold(u, 3, 6)
     np.testing.assert_array_equal(s.values, [5, 5, 0, 0, 1.5, 1.5])
     assert s.start_index == 3
 
 
 def test_piecewise_empty_is_all_zero():
-    s = PiecewiseInput().expand(0, 4)
+    s = hold(PiecewiseInput(), 0, 4)
     np.testing.assert_array_equal(s.values, [0, 0, 0, 0])
 
 
 def test_piecewise_level_at():
     u = PiecewiseInput(((2, 5.0), (5, 0.0)))
-    s = u.expand(0, 8)
+    s = hold(u, 0, 8)
     assert s.values[1] == 0.0
     assert s.values[2] == 5.0
     assert s.values[4] == 5.0
     assert s.values[5] == 0.0
 
 
-def test_piecewise_expand_jumps_at_event_times():
+def test_hold_jumps_at_event_times():
     u = PiecewiseInput(((2, 5.0), (5, 0.0)))
     event_times = tuple(k for k, _ in u.events)
     assert event_times == (2, 5)
-    expanded = u.expand(0, 8)
-    jumps = tuple(int(k) + 1 for k in np.flatnonzero(np.diff(expanded.values)))
+    held = hold(u, 0, 8)
+    jumps = tuple(int(k) + 1 for k in np.flatnonzero(np.diff(held.values)))
     assert jumps == event_times
 
 

@@ -1,6 +1,11 @@
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import disagg.sysid as sysid
 from disagg import (
     ArxModel,
     PlugRecordingLabel,
@@ -12,14 +17,21 @@ from disagg import (
     detect_plug_input,
     fit_arx,
     identify_device,
+    load_library,
+    parse_emontx_csv,
     random_stable_model,
     simulate_zero_state,
     spectral_radius,
+    to_signal,
+    unit_step_values,
 )
 from disagg.models import STABILITY_MARGIN
 from disagg.series import PiecewiseInput
-from disagg.sysid import HYSTERESIS_SAMPLES, _regression
-from conftest import series
+from disagg.sysid import HYSTERESIS_SAMPLES, _transient_windows
+from conftest import hold, series
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import write_plug_set  # noqa: E402
 
 
 # ---------------------------------------------------------------- detection
@@ -204,22 +216,6 @@ def test_fit_arx_noisy_recovery_within_tolerance():
         assert abs(m.b_coef[0] - 0.5) < 0.05
 
 
-def test_fit_arx_exclude_rows_drops_exactly_the_listed_rows():
-    rng = np.random.default_rng(5)
-    u = rng.normal(size=300)
-    y = _arx_generate([0.6, -0.1], [0.4, 0.2], 1, u, rng=rng, noise=0.05)
-    na, nb, delay = 2, 2, 1
-    # Rows before the first regression row and past the end are ignored.
-    exclude = {-3, 0, 1, 2, 5, 40, 41, 299, 300, 1000}
-    m = fit_arx(series(y), series(u), na, nb, delay, exclude_rows=exclude)
-    phi, target = _regression(y, u, na, nb, delay)
-    p0 = max(na, delay + nb - 1)
-    keep = [p0 + i not in exclude for i in range(len(target))]
-    theta = np.linalg.lstsq(phi[keep], target[keep], rcond=None)[0]
-    assert m.a == tuple(theta[:na])
-    assert m.b_coef == tuple(theta[na:])
-
-
 def test_fit_arx_third_order_exact():
     rng = np.random.default_rng(5)
     a = [1.2, -0.5, 0.06]
@@ -321,7 +317,7 @@ def test_identify_round_trip_constant_input_response():
     label = PlugRecordingLabel("dev", on_threshold=1.0, settle_skip=20)
     for seed in (1, 2, 3, 4, 5):
         truth = random_stable_model(3, seed, instant_off=True)
-        y = simulate_zero_state(truth, schedule.expand(0, 520))
+        y = simulate_zero_state(truth, hold(schedule, 0, 520))
         fitted = identify_device(y, label)
         s_true = simulate_zero_state(truth, SignalSeries(np.full(80, 5.0))).values
         s_fit = simulate_zero_state(fitted, SignalSeries(np.full(80, 5.0))).values
@@ -332,7 +328,7 @@ def test_identify_sets_instant_off_for_collapsing_trace():
     # Overshoot at switch-on, hard zero at switch-off: toaster-like.
     truth = random_stable_model(3, 3, instant_off=True)
     schedule = PiecewiseInput(((30, 4.0), (220, 0.0)))
-    y = simulate_zero_state(truth, schedule.expand(0, 300))
+    y = simulate_zero_state(truth, hold(schedule, 0, 300))
     fitted = identify_device(y, PlugRecordingLabel("toaster", on_threshold=1.0, settle_skip=10))
     assert fitted.instant_off
 
@@ -342,7 +338,7 @@ def test_identify_clears_instant_off_for_slow_decay():
 
     truth = DeviceModel("slow", A=[[0.9]], b=[0.1], c=[1.0])  # 14 samples to halve twice
     schedule = PiecewiseInput(((30, 4.0), (220, 0.0)))
-    y = simulate_zero_state(truth, schedule.expand(0, 300))
+    y = simulate_zero_state(truth, hold(schedule, 0, 300))
     fitted = identify_device(
         y, PlugRecordingLabel("fridge", on_threshold=1.0, settle_skip=10), na=1, nb=1
     )
@@ -352,7 +348,7 @@ def test_identify_clears_instant_off_for_slow_decay():
 def test_identify_max_output_headroom():
     truth = random_stable_model(3, 1, instant_off=True)
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0)))
-    y = simulate_zero_state(truth, schedule.expand(0, 300))
+    y = simulate_zero_state(truth, hold(schedule, 0, 300))
     peak = float(np.max(y.values))
     fitted = identify_device(y, PlugRecordingLabel("d", on_threshold=1.0, settle_skip=10))
     assert fitted.max_output == pytest.approx(1.25 * peak)
@@ -362,7 +358,7 @@ def test_identify_max_output_simple_value():
     # A trace peaking at exactly 8 caps the device at 10.
     m = random_stable_model(3, 1, instant_off=True)
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0)))
-    y = simulate_zero_state(m, schedule.expand(0, 300))
+    y = simulate_zero_state(m, hold(schedule, 0, 300))
     scaled = series(y.values * (8.0 / float(np.max(y.values))))
     fitted = identify_device(scaled, PlugRecordingLabel("d", on_threshold=1.0, settle_skip=10))
     assert fitted.max_output == pytest.approx(10.0)
@@ -372,3 +368,59 @@ def test_identify_errors_without_events():
     y = series(np.zeros(100))
     with pytest.raises(ValidationError):
         identify_device(y, PlugRecordingLabel("d", on_threshold=1.0))
+
+
+def test_identify_names_the_device_without_a_long_enough_interval():
+    # On intervals of 70 and 100 samples cannot hold the 130-sample window.
+    truth = random_stable_model(3, 1, instant_off=True)
+    schedule = PiecewiseInput(((30, 5.0), (100, 0.0), (160, 5.0), (260, 0.0)))
+    y = simulate_zero_state(truth, hold(schedule, 0, 300))
+    with pytest.raises(ValidationError, match="no on interval of 'short' holds the 130-sample"):
+        identify_device(y, PlugRecordingLabel("short", on_threshold=1.0, settle_skip=10))
+
+
+def test_transient_split_by_a_dip_gives_one_window_from_its_onset():
+    # The response dips below on_threshold for two samples, so detection
+    # sees two on intervals; both walk back to the onset at 20.
+    values = np.zeros(200)
+    values[20:180] = 4.0
+    values[22:24] = 0.5
+    y = series(values)
+    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0))
+    assert [k for k, level in u.events if level > 0] == [20, 24]
+    windows = _transient_windows(y, u, delay=1)
+    assert len(windows) == 1
+    np.testing.assert_array_equal(windows[0], values[9:139] / 4.0)
+
+
+def test_identify_refits_at_order_two_when_the_first_fit_is_unstable(monkeypatch):
+    realize = sysid.arx_to_state_space
+    orders = []
+
+    def unstable_once(arx, name="arx"):
+        orders.append((arx.na, arx.nb))
+        if len(orders) == 1:
+            raise UnstableModelError(name, 1.5, STABILITY_MARGIN)
+        return realize(arx, name)
+
+    monkeypatch.setattr(sysid, "arx_to_state_space", unstable_once)
+    truth = random_stable_model(3, 1, instant_off=True)
+    y = simulate_zero_state(truth, hold(PiecewiseInput(((30, 5.0), (200, 0.0))), 0, 300))
+    fitted = identify_device(y, PlugRecordingLabel("d", on_threshold=1.0, settle_skip=10))
+    assert orders == [(3, 3), (2, 2)]
+    assert fitted.order == 2
+
+
+@pytest.mark.parametrize("seed", [100, 101])
+def test_identify_recovers_benchmark_plug_step_responses(tmp_path, seed):
+    # The benchmark's first two plug sets: each identified unit-step
+    # response stays within 0.05 of the true one over 120 samples, so the
+    # rating-scaled responses agree within 5% of the rating.
+    write_plug_set(seed, tmp_path)
+    truth = {model.name: model for model in load_library(tmp_path / "library.json")}
+    for plug in json.loads((tmp_path / "plugs.json").read_text()):
+        y = to_signal(parse_emontx_csv(tmp_path / plug["file"]))
+        label = PlugRecordingLabel(plug["name"], plug["threshold"], plug["settle_skip"])
+        g_fit = unit_step_values(identify_device(y, label), 120)
+        g_true = unit_step_values(truth[plug["name"]], 120)
+        assert np.max(np.abs(g_fit - g_true)) <= 0.05, plug["name"]
