@@ -301,14 +301,11 @@ def to_signal(
     span = ts[-1] - ts[0]
     length = int(math.ceil(span * nominal_rate - _GRID_EPS)) + 1
     grid = ts[0] + np.arange(length) / nominal_rate
-    src = np.searchsorted(ts, grid + _GRID_EPS, side="right") - 1
-    nxt = np.minimum(src + 1, len(ts) - 1)
-    ahead = ts[nxt] - grid
-    src = np.where((ahead < grid - ts[src]) & (ahead < 0.5 / nominal_rate - _GRID_EPS), nxt, src)
+    # A grid point past bound[i] takes record i + 1 over record i.
+    bound = np.maximum(0.5 * (ts[:-1] + ts[1:]), ts[1:] - (0.5 / nominal_rate - _GRID_EPS))
+    src = np.searchsorted(bound, grid)
     start_index = round(ts[0] * nominal_rate)
-    return SignalSeries(
-        vals[src], sample_period=1.0 / nominal_rate, start_index=start_index
-    )
+    return SignalSeries(vals[src], sample_period=1.0 / nominal_rate, start_index=start_index)
 
 
 def _signal_blocks(signals, prefix: str = "") -> Iterator[str]:

@@ -1,17 +1,16 @@
 """Build device models from individual plug recordings.
 
 Pipeline: threshold-based change detection turns a plug signal into a
-piecewise-constant input estimate; the on-transients, divided by their
-levels, are averaged (which cuts the noise that would bias an
-equation-error fit); an ARX model is fit by least squares to the average
-against a unit step and realized in observable canonical state-space
-form.  Identified models keep their physical gain; only simulation
-models are DC-normalized.
+piecewise-constant input estimate; the on-transients, each less its
+pre-step mean and divided by its step, are averaged (which cuts the
+noise that would bias an equation-error fit); an ARX model is fit by
+least squares to the average against a unit step and realized in
+observable canonical state-space form.  Identified models keep their
+physical gain; only simulation models are DC-normalized.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -211,26 +210,22 @@ def identify_device(
     a unit step; an unstable fit is refit with na and nb capped at each
     of FALLBACK_ORDERS in turn, raising the last UnstableModelError, and
     no window raises ValidationError naming the device.  The identified
-    model keeps the physical gain of the recording.  The
-    instant_off flag is set when every detected off-switch collapses
-    below INSTANT_OFF_FRACTION of its on-level within INSTANT_OFF_WINDOW
-    samples, and max_output gets MAX_OUTPUT_HEADROOM times the observed
-    peak.
+    model keeps the recording's physical gain.  instant_off is set when
+    every detected off-switch collapses below INSTANT_OFF_FRACTION of its
+    on-level within INSTANT_OFF_WINDOW samples, and max_output gets
+    MAX_OUTPUT_HEADROOM times the observed peak.
     """
     u_pw = detect_plug_input(y, label)
     if not u_pw.events:
-        raise ValidationError(
-            f"no switch events detected for '{label.device_name}'; "
-            "check on_threshold"
-        )
-    windows = _transient_windows(y, u_pw, delay)
+        raise ValidationError(f"no switch events detected for '{label.device_name}'; "
+                              "check on_threshold")
+    windows = _transient_windows(y, u_pw, label.on_threshold, delay)
+    length = PRE_STEP_SAMPLES + POST_STEP_SAMPLES
     if not windows:
-        raise ValidationError(
-            f"no on interval of '{label.device_name}' holds the "
-            f"{PRE_STEP_SAMPLES + POST_STEP_SAMPLES}-sample identification window"
-        )
+        raise ValidationError(f"no on interval of '{label.device_name}' holds the "
+                              f"{length}-sample identification window")
     transient = SignalSeries(np.mean(windows, axis=0))
-    step = SignalSeries(np.arange(PRE_STEP_SAMPLES + POST_STEP_SAMPLES) >= PRE_STEP_SAMPLES)
+    step = SignalSeries(np.arange(length) >= PRE_STEP_SAMPLES)
     orders = dict.fromkeys([(na, nb), *((min(na, o), min(nb, o)) for o in FALLBACK_ORDERS)])
     for i, (na_i, nb_i) in enumerate(orders):
         arx = fit_arx(transient, step, na=na_i, nb=nb_i, delay=delay)
@@ -240,37 +235,44 @@ def identify_device(
         except UnstableModelError:
             if i == len(orders) - 1:
                 raise
-    return replace(
-        model,
-        instant_off=_offs_are_instant(y, u_pw),
-        max_output=MAX_OUTPUT_HEADROOM * float(np.max(y.values)),
-    )
+    peak = MAX_OUTPUT_HEADROOM * float(np.max(y.values))
+    return replace(model, instant_off=_offs_are_instant(y, u_pw), max_output=peak)
 
 
-def _transient_windows(y: SignalSeries, u_pw: PiecewiseInput, delay: int) -> list[np.ndarray]:
-    """Each on interval's response around its onset, divided by its level.
+def _transient_windows(y: SignalSeries, u_pw: PiecewiseInput, on_threshold: float, delay: int):
+    """Each on interval's rise around its onset, per unit of its step.
 
-    The onset is the first sample of the run above the onset level that
-    holds the detected crossing, and the unit step sits delay samples
-    before it.  A window that starts before the last off at or before the
-    onset, or ends after the interval's own off, is skipped.  Intervals
-    split by a transient that dips below on_threshold share an onset and
-    give one window.
+    An off shorter than PRE_STEP_SAMPLES is a dip of one transient and
+    counts as on.  The onset follows the last quiet sample before the
+    crossing: one that is off, not alone, and at most the median of the
+    samples at or below on_threshold plus ONSET_SIGMAS of the first
+    differences.  The step sits delay samples before it.  A window that
+    starts before the last longer off or ends after its interval's off is
+    skipped, so an interval split by dips gives one window; each is offset
+    by its pre-step mean and divided by the level above that.
     """
     values = y.values
+    off_values = values[values <= on_threshold]
+    floor = float(np.median(off_values, overwrite_input=True)) if off_values.size else 0.0
     # The first differences spread sqrt(2) times the noise level.
-    onset_level = ONSET_SIGMAS * math.sqrt(2.0) * estimate_noise_std(y)
-    # Quiet samples and offs, each behind a sentinel: -1 and the start.
-    quiet = np.flatnonzero(np.append(True, values <= onset_level)) - 1
+    onset_level = floor + ONSET_SIGMAS * np.sqrt(2.0) * estimate_noise_std(y)
     positions = [k - y.start_index for k, _ in u_pw.events] + [len(values)]
-    offs = np.array([0] + [p for p, (_, lv) in zip(positions, u_pw.events) if lv == 0.0])
+    spans = list(zip(positions, positions[1:], (level for _, level in u_pw.events)))
+    on = [level > 0.0 or end - p < PRE_STEP_SAMPLES for p, end, level in spans]
+    held = np.repeat([False, *on], np.diff([0, *positions]))
+    quiet = (values <= onset_level) & ~held
+    quiet[1:-1] &= quiet[:-2] | quiet[2:]  # a lone quiet sample is a dip in a rise
+    # Quiet samples and longer offs, each behind a sentinel: -1 and the start.
+    quiet = np.flatnonzero(np.append(True, quiet)) - 1
+    offs = np.array([0] + [p for (p, _, _), is_on in zip(spans, on) if not is_on])
     windows: dict[int, np.ndarray] = {}
-    for p, end, (_, level) in zip(positions, positions[1:], u_pw.events):
+    for p, end, level in spans:
         onset = int(quiet[np.searchsorted(quiet, p) - 1]) + 1
-        start, stop = onset - delay, onset - delay + POST_STEP_SAMPLES
-        prev_off = offs[np.searchsorted(offs, onset, side="right") - 1]
-        if level > 0.0 and start - PRE_STEP_SAMPLES >= prev_off and stop <= end:
-            windows.setdefault(start, values[start - PRE_STEP_SAMPLES : stop] / level)
+        start, stop = onset - delay - PRE_STEP_SAMPLES, onset - delay + POST_STEP_SAMPLES
+        if level > 0.0 and start >= offs[np.searchsorted(offs, p) - 1] and stop <= end:
+            base = float(np.mean(values[start : start + PRE_STEP_SAMPLES]))
+            if level > base:
+                windows.setdefault(start, (values[start:stop] - base) / (level - base))
     return list(windows.values())
 
 

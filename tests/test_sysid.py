@@ -388,9 +388,88 @@ def test_transient_split_by_a_dip_gives_one_window_from_its_onset():
     y = series(values)
     u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0))
     assert [k for k, level in u.events if level > 0] == [20, 24]
-    windows = _transient_windows(y, u, delay=1)
+    windows = _transient_windows(y, u, 1.0, delay=1)
     assert len(windows) == 1
     np.testing.assert_array_equal(windows[0], values[9:139] / 4.0)
+
+
+def test_a_lone_quiet_sample_in_a_rise_does_not_end_the_walk():
+    # A one-sample spike at 20 and a quiet sample at 21, both too short for
+    # detection, which puts the switch-on at 22; the onset is the spike.
+    values = np.zeros(200)
+    values[20] = 4.0
+    values[22:] = 4.0
+    y = series(values)
+    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0))
+    assert u.events == ((22, 4.0),)
+    windows = _transient_windows(y, u, 1.0, delay=1)
+    assert len(windows) == 1
+    np.testing.assert_array_equal(windows[0], values[9:139] / 4.0)
+
+
+@pytest.mark.parametrize("gap, first", [(2, 9), (9, 9), (10, None), (11, 60)])
+def test_an_off_shorter_than_the_pre_step_is_a_dip_even_when_quiet(gap, first):
+    # Off and quiet for `gap` samples at 60.  Under PRE_STEP_SAMPLES it is
+    # a dip: one window from the onset at 20.  Longer, it ends the first
+    # transient, and the second's window needs 10 quiet samples before
+    # its step at 60 + gap (delay 1), so a gap of 10 gives no window.
+    values = np.zeros(260)
+    values[20:60] = 4.0
+    values[60 + gap : 240] = 4.0
+    y = series(values)
+    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0))
+    assert u.events == ((20, 4.0), (60, 0.0), (60 + gap, 4.0), (240, 0.0))
+    windows = _transient_windows(y, u, 1.0, delay=1)
+    if first is None:
+        assert windows == []
+    else:
+        assert len(windows) == 1
+        np.testing.assert_array_equal(windows[0], values[first : first + 130] / 4.0)
+
+
+def test_identify_crosses_a_dip_to_the_noise_floor(tmp_path):
+    # Plug seed 528's tv spikes at switch-on and falls to the noise floor
+    # for a sample, below on_threshold for 3, before it rises to its level.
+    write_plug_set(528, tmp_path)
+    plug = next(p for p in json.loads((tmp_path / "plugs.json").read_text()) if p["name"] == "tv")
+    y = to_signal(parse_emontx_csv(tmp_path / plug["file"]))
+    label = PlugRecordingLabel("tv", plug["threshold"], plug["settle_skip"])
+    assert identify_device(y, label).name == "tv"
+
+
+def test_identify_measures_onsets_and_steps_above_a_standby_floor():
+    # A constant off level of 0.2 under 0.01 noise: no sample is within
+    # 3 sigma of zero, so the onsets and the steps are measured from it.
+    truth = random_stable_model(3, 2, instant_off=True)
+    schedule = PiecewiseInput(((30, 2.0), (200, 0.0), (280, 2.0), (450, 0.0)))
+    noise = np.random.default_rng(7).normal(0.0, 0.01, 520)
+    y = series(simulate_zero_state(truth, hold(schedule, 0, 520)).values + 0.2 + noise)
+    fitted = identify_device(y, PlugRecordingLabel("tv", on_threshold=0.8, settle_skip=20))
+    g_fit = unit_step_values(fitted, 120)
+    g_true = unit_step_values(truth, 120)
+    assert np.max(np.abs(g_fit - g_true)) <= 0.03
+
+
+def test_decay_bridging_two_intervals_gives_no_mixed_window():
+    # The first interval is too short for a window, and its decay stays
+    # above the floor until the second switch-on, so the walk back from
+    # the second crossing passes the first off; that window holds two
+    # switch-ons and is skipped.  The third interval gives the only window.
+    from disagg import DeviceModel
+
+    truth = DeviceModel("slow", A=[[0.9]], b=[0.1], c=[1.0])
+    schedule = PiecewiseInput(
+        ((30, 4.0), (80, 0.0), (115, 4.0), (300, 0.0), (400, 4.0), (600, 0.0))
+    )
+    y = simulate_zero_state(truth, hold(schedule, 0, 700))
+    label = PlugRecordingLabel("fridge", on_threshold=1.0, settle_skip=60)
+    u = detect_plug_input(y, label)
+    windows = _transient_windows(y, u, label.on_threshold, delay=1)
+    assert len(windows) == 1
+    # The level includes the slow decay after the off, so compare shapes.
+    g_fit = unit_step_values(identify_device(y, label, na=1, nb=1), 120)
+    g_true = unit_step_values(truth, 120)
+    assert np.max(np.abs(g_fit / g_fit[-1] - g_true / g_true[-1])) <= 0.02
 
 
 def test_identify_refits_at_order_two_when_the_first_fit_is_unstable(monkeypatch):

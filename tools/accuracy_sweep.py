@@ -1,6 +1,6 @@
 """Print plug-identify accuracy, pooled over fixed seed ranges, as diffable text.
 
-    python3 tools/accuracy_sweep.py --plugs [--root CHECKOUT] > sweep.txt
+    python3 tools/accuracy_sweep.py [--plugs] [--root CHECKOUT] > sweep.txt
 
 For each range of plug seeds in PLUG_RANGES, generates the benchmark's
 plug input sets (``perfbench/inputs.write_plug_set``), runs the
@@ -53,8 +53,9 @@ def plug_sweep(seeds, work: Path) -> tuple[dict[str, float], list[int]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--plugs", action="store_true", required=True,
-                        help="sweep the plug-identify seeds")
+    parser.add_argument("--plugs", action="store_true",
+                        help="sweep the plug-identify seeds (the default, and the only sweep "
+                        "until the scenario half is written)")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="source checkout to import disagg and perfbench from")
     args = parser.parse_args(argv)
