@@ -209,11 +209,7 @@ class _UsageError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="disagg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", parents=[], help="render a scenario to CSV")
+def _simulate_arguments(p_sim) -> None:
     source = p_sim.add_mutually_exclusive_group(required=True)
     source.add_argument("--reference", action="store_true",
                         help="use the built-in five-device benchmark scenario")
@@ -224,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="device library for model_ref resolution")
     p_sim.add_argument("--out", required=True)
 
-    p_id = sub.add_parser("identify", help="fit a device model from a plug recording")
+
+def _identify_arguments(p_id) -> None:
     p_id.add_argument("--input", required=True, help="emonTx-style CSV recording")
     p_id.add_argument("--name", required=True)
     p_id.add_argument("--threshold", type=float, required=True,
@@ -237,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--rate", type=float, default=12.0)
     p_id.add_argument("--library", required=True, help="library JSON to append to")
 
-    p_dis = sub.add_parser("disaggregate", help="recover device inputs from an aggregate")
+
+def _disaggregate_arguments(p_dis) -> None:
     p_dis.add_argument("--library", required=True)
     p_dis.add_argument("--input", required=True, help="aggregate signal CSV")
     p_dis.add_argument("--out", required=True)
@@ -252,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis.add_argument("--min-level", type=float, default=engine.min_level)
     p_dis.add_argument("--beam-width", type=int, default=engine.beam_width)
 
-    p_eval = sub.add_parser("evaluate", help="score a result against ground truth")
+
+def _evaluate_arguments(p_eval) -> None:
     p_eval.add_argument("--result", required=True, help="directory written by disaggregate")
     p_eval.add_argument("--truth", required=True, help="scenario JSON")
     p_eval.add_argument("--library", default=None)
@@ -260,21 +259,47 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="match_window")
     p_eval.add_argument("--out", required=True)
 
-    p_plot = sub.add_parser("plot-data", help="emit overlaid series for plotting")
+
+def _plot_data_arguments(p_plot) -> None:
     p_plot.add_argument("--result", required=True)
     p_plot.add_argument("--input", required=True, help="aggregate signal CSV")
     p_plot.add_argument("--out", required=True)
 
-    p_sim.set_defaults(func=_cmd_simulate)
-    p_id.set_defaults(func=_cmd_identify)
-    p_dis.set_defaults(func=_cmd_disaggregate)
-    p_eval.set_defaults(func=_cmd_evaluate)
-    p_plot.set_defaults(func=_cmd_plot_data)
+
+# name: (help, function adding the command's arguments, handler), in help order.
+_COMMANDS = {
+    "simulate": ("render a scenario to CSV", _simulate_arguments, _cmd_simulate),
+    "identify": ("fit a device model from a plug recording", _identify_arguments,
+                 _cmd_identify),
+    "disaggregate": ("recover device inputs from an aggregate", _disaggregate_arguments,
+                     _cmd_disaggregate),
+    "evaluate": ("score a result against ground truth", _evaluate_arguments, _cmd_evaluate),
+    "plot-data": ("emit overlaid series for plotting", _plot_data_arguments,
+                  _cmd_plot_data),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a command name, with that subcommand only.
+
+    The usage line then still names every command, as argparse forms it
+    from all of them, so usage and error text do not depend on command.
+    """
+    parser = _Parser(prog="disagg", description=__doc__)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments, func) in _COMMANDS.items():
+        if command in (None, name):
+            p_cmd = sub.add_parser(name, help=help_text)
+            add_arguments(p_cmd)
+            p_cmd.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the command argv names is parsed, so only it needs its arguments.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

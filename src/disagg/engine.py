@@ -15,8 +15,8 @@ unit-step responses, one per event: an event at position p that moves
 the device from level old to new adds (new - old) * g[:T - p] to its
 row, or zeroes the row from p at an instant-off switch to 0
 (``models._switch``, the kernel that ``simulate_zero_state`` uses for
-the same schedule).  Each device's full-length step response g is
-computed once per run; the on-event fits score slices of it.
+the same schedule).  Each device's step response g is computed once per
+run, only as far as some read reaches; the on-event fits score its head.
 
 Cost: the loop runs once per detection, not once per sample.  Each
 hypothesis keeps its next detection, found by a numpy scan of the mask
@@ -24,16 +24,20 @@ hypothesis keeps its next detection, found by a numpy scan of the mask
 pool, so the Python work grows with the detections times the pool
 width.  An increase costs one stacked fit of the off devices per start
 time in the backtrack window, and the hypotheses of one step whose fit
-inputs match share one candidate list.  An event costs one numpy pass
-of its device's row over the rest of the signal; y_hat and the mask are
-re-summed only as far as the next scan advances.  A beam step scores
-each branch from its parent's rows before building any, then clones only
-the survivors, which share device rows until they write one.  A parent's
-residual through p is formed once for all its branches, and each branch
-re-sums the rows only from the parent's earliest branch position.  Each
-ranked entry still costs one dot product over [0, p], O(p): a sum of
-shorter products would not have the score's bits.  A clone costs its
-y_hat copy, O(T).
+inputs match share one candidate list.  An instant-off device's row is
+written only up to a frontier that moves with the reads (the scan, a
+fit window, a ranked prefix), and a reset ends its pending term, so an
+event costs numpy work over the samples read while its device is on,
+not over the rest of the signal; any other row is written to the end
+at each event.  y_hat and the mask are re-summed only as far as the next
+scan advances.  A beam step scores each branch from its parent's rows
+before building any, then clones only the survivors, which share device
+rows until they write one; the writer copies the row's written part.
+A parent's residual through p is formed once for all its branches, and
+each branch re-sums the rows only from the parent's earliest branch
+position.  Each ranked entry still costs one dot product over [0, p],
+O(p): a sum of shorter products would not have the score's bits.  A
+clone costs its y_hat copy, O(T).
 """
 
 from __future__ import annotations
@@ -180,6 +184,29 @@ class _Detection(NamedTuple):
     ks: int
 
 
+class _Row:
+    """A device's prediction, written only below its frontier.
+
+    values[:frontier] has the bits of the device's switches, each written
+    to the end of the signal with models._switch; values[frontier:] is
+    still 0.0, and pending holds the switches (p, old, new), all at or
+    below the frontier, whose terms go on past it.  A row with nothing
+    pending is complete whatever its frontier.  Clones share rows, so a
+    row's frontier moves once for all who hold it.
+    """
+
+    __slots__ = ("values", "frontier", "pending")
+
+    def __init__(self, values: np.ndarray, frontier: int, pending: list):
+        self.values, self.frontier, self.pending = values, frontier, pending
+
+    def copy(self) -> "_Row":
+        """An unshared copy; only the written part is copied."""
+        values = np.zeros(len(self.values))
+        values[: self.frontier] = self.values[: self.frontier]
+        return _Row(values, self.frontier, list(self.pending))
+
+
 class _Hypothesis:
     """One configuration tracked by the engine, with its predictions.
 
@@ -199,7 +226,10 @@ class _Hypothesis:
         D = len(models)
         self.levels = [0.0] * D
         self.last_event_k = [start - 1] * D
-        self.rows = [np.zeros(T) for _ in models]
+        # An instant-off row's terms end at its next reset, so it is
+        # written as far as it is read; any other row's terms run to the
+        # end of the signal, so it is written there at once.
+        self.rows = [_Row(np.zeros(T), 0 if m.instant_off else T, []) for m in models]
         self.owned = [True] * D
         self.y_hat = np.zeros(T)
         self.synced = T
@@ -267,10 +297,11 @@ class _Engine:
         self.threshold = resolve_threshold(y_m, params)
         self.sparsity_penalty = self.threshold**2 * params.lookahead
         self.gains = [dc_gain(m) for m in self.models]
-        self.g = list(_unit_step_rows(self.models, self.T))
+        # Each device's step response g, grown as far as the reads reach.
+        self.steps = list(_unit_step_rows(self.models, [self.T] * len(self.models)))
         # heads[dev] = g[:needed + 1] spans every on-event fit window; gg[dev, n]
         # is g[:n] @ g[:n], or inf where that is 0 (no fit: a level 0 is dropped).
-        heads = self.heads = np.stack([g[: needed + 1] for g in self.g])
+        heads = self.heads = np.stack([step.upto(needed + 1) for step in self.steps])
         gg = np.stack([(heads[:, None, :n] @ heads[:, :n, None])[:, 0, 0]
                        for n in range(needed + 2)], axis=1)
         self.gg = np.where(gg == 0.0, np.inf, gg)
@@ -278,24 +309,47 @@ class _Engine:
     # -- per-hypothesis mechanics ------------------------------------
 
     def _apply(self, hyp: _Hypothesis, event: SwitchEvent):
-        """Log event and set its device's input to its level from its time on."""
+        """Log event and set its device's input to its level from its time on.
+
+        The switch is written up to the row's frontier, brought to at least
+        its position first, and kept pending past it; a reset ends every
+        pending term, and what lies past the frontier is already 0.0.
+        """
         dev, pos = event.device, event.k - self.start
+        row = hyp.rows[dev]
+        self._extend(row, dev, pos)
         if not hyp.owned[dev]:
-            hyp.rows[dev] = hyp.rows[dev].copy()
+            row = hyp.rows[dev] = row.copy()
             hyp.owned[dev] = True
-        off = self.models[dev].instant_off
-        _switch(hyp.rows[dev], self.g[dev], pos, hyp.levels[dev], event.level, off)
+        off, old, f = self.models[dev].instant_off, hyp.levels[dev], row.frontier
+        _switch(row.values[:f], self.steps[dev].upto(f - pos), pos, old, event.level, off)
+        if off and event.level == 0.0:
+            row.pending = []
+        elif f < self.T:
+            row.pending.append((pos, old, event.level))
         hyp.events.append(event)
         hyp.times.add(event.k)
         hyp.levels[dev] = event.level
         hyp.last_event_k[dev] = event.k
         hyp.synced = min(hyp.synced, pos)
 
+    def _extend(self, row: _Row, dev: int, b: int):
+        """Write device dev's row up to b, each pending term with _switch."""
+        f = row.frontier
+        if f < b:
+            for p, old, new in row.pending:
+                g = self.steps[dev].upto(b - p)[f - p :]
+                _switch(row.values[f:b], g, 0, old, new, self.models[dev].instant_off)
+            row.frontier = b
+
     def _sync(self, hyp: _Hypothesis, b: int):
-        """Bring hyp.y_hat up to date below b."""
+        """Bring hyp.y_hat, and the rows it sums, up to date below b."""
         a = hyp.synced
         if a < b:
-            _device_sum([row[a:b] for row in hyp.rows], hyp.y_hat[a:b])
+            for dev, row in enumerate(hyp.rows):
+                if row.pending:
+                    self._extend(row, dev, b)
+            _device_sum([row.values[a:b] for row in hyp.rows], hyp.y_hat[a:b])
             hyp.synced = b
 
     def _quiet(self, hyp: _Hypothesis, a: int, b: int) -> np.ndarray:
@@ -447,14 +501,14 @@ class _Engine:
         resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
         lo = min(event.k for event in events) - self.start
         y, tail = self.y[lo : p + 1], resid[lo:]
-        segments = [row[lo : p + 1] for row in hyp.rows]
+        segments = [row.values[lo : p + 1] for row in hyp.rows]
         penalty = self.sparsity_penalty * (len(hyp.events) + 1)
         keys = []
         for event in events:
-            dev = event.device
+            dev, pos = event.device, event.k - self.start
             row = segments[dev]
             segments[dev] = row.copy()
-            _switch(segments[dev], self.g[dev], event.k - self.start - lo,
+            _switch(segments[dev], self.steps[dev].upto(p + 1 - pos), pos - lo,
                     hyp.levels[dev], event.level, self.models[dev].instant_off)
             np.subtract(y, _device_sum(segments, tail), out=tail)
             segments[dev] = row
@@ -531,7 +585,7 @@ class _Engine:
         return DisaggregationResult(
             device_names=tuple(m.name for m in self.models),
             estimated_outputs=tuple(
-                SignalSeries(row, self.period, self.start) for row in hyp.rows
+                SignalSeries(row.values, self.period, self.start) for row in hyp.rows
             ),
             estimated_total=SignalSeries(hyp.y_hat, self.period, self.start),
             residual_rms=float(np.sqrt(np.mean(resid**2))),

@@ -15,7 +15,9 @@ changes through it; the engine calls it per event, so a simulated
 schedule and the engine's prediction of it agree bit for bit.  Every
 input takes this path, at one pass per change that ends, for an
 instant-off device, at its next switch to 0 (the rest of the signal
-otherwise).
+otherwise).  Each model's step response is computed only as far as
+some write reads it: ``_outputs`` asks for its longest write, and the
+engine grows g as its reads advance (``_StepResponse``).
 """
 
 from __future__ import annotations
@@ -166,9 +168,8 @@ def _outputs(models: Sequence[DeviceModel], schedules: Sequence, length: int) ->
     schedules[i] holds model i's input changes as (position, level) in
     time order, positions in [0, length); the input is 0 before the first.
     """
-    rows = []
-    for model, changes, g in zip(models, schedules, _unit_step_rows(models, length)):
-        row = np.zeros(length)
+    plans = []
+    for model, changes in zip(models, schedules):
         # An instant-off row is 0 from each switch to 0 until the next
         # change, so each write ends at the next such switch: a backward
         # pass finds the ends, and a reset itself writes nothing.
@@ -177,8 +178,13 @@ def _outputs(models: Sequence[DeviceModel], schedules: Sequence, length: int) ->
             if model.instant_off and new == 0.0:
                 end = p
             ends.append(end)
-        old = 0.0
-        for (p, new), end in zip(changes, reversed(ends)):
+        plans.append(list(zip(changes, reversed(ends))))
+    # Each model's step response is needed only as far as its longest write.
+    longest = [max((end - p for (p, _), end in plan), default=0) for plan in plans]
+    rows = []
+    for model, plan, step in zip(models, plans, _unit_step_rows(models, longest)):
+        row, old, g = np.zeros(length), 0.0, step.upto(step.cap)
+        for (p, new), end in plan:
             _switch(row[:end], g, p, old, new, model.instant_off)
             old = new
         rows.append(row)
@@ -209,26 +215,82 @@ def unit_step_values(model: DeviceModel, length: int) -> np.ndarray:
     extension is elementwise, so a shorter call returns a prefix of a
     longer one bit for bit.
     """
-    return next(_unit_step_rows([model], length))
+    (step,) = _unit_step_rows([model], [length])
+    return step.upto(length)
 
 
-def _unit_step_rows(models: Sequence[DeviceModel], length: int) -> Iterator[np.ndarray]:
-    """unit_step_values(model, length) for each model in turn, bit for bit.
+class _StepResponse:
+    """One model's unit-step response g, computed only as far as it is read.
+
+    g holds the samples computed so far, at most cap of them: first the
+    STEP_HEAD samples of the state recursion, then whole doubling passes
+    of unit_step_values, each run when upto first reads past g.  A pass
+    fills its samples the same way however far g has grown, so every
+    prefix has the bits of one full-length call.  The states that the
+    next pass reads are kept until g reaches cap.
+    """
+
+    __slots__ = ("model", "cap", "g", "_X", "_AL")
+
+    def __init__(self, model: DeviceModel, cap: int, g_head: np.ndarray, X_head: np.ndarray):
+        self.model, self.cap = model, cap
+        self.g = g_head + model.d
+        # State component r over time is row X[r].
+        self._X = X_head.T
+        self._AL = np.linalg.matrix_power(model.A, len(self.g)) if len(self.g) < cap else None
+
+    def upto(self, length: int) -> np.ndarray:
+        """g[:length], for a length up to cap, running passes as needed."""
+        while len(self.g) < length:
+            self._double()
+        return self.g[:length]
+
+    def _double(self) -> None:
+        """Run the next doubling pass: samples [L, min(2L, cap)) from the first L."""
+        A, b, c, d = self.model.A, self.model.b, self.model.c, self.model.d
+        n, L = self.model.order, len(self.g)
+        end = min(2 * L, self.cap)
+        if end == L:
+            raise ValueError(f"unit-step response of '{self.model.name}' ends at {L}")
+        m, AL = end - L, self._AL
+        g = np.empty(end)
+        g[:L] = self.g
+        X = np.empty((n, end))
+        X[:, :L] = self._X
+        # Each product goes through one scratch row.
+        product = np.empty(m)
+        x_L = A @ np.ascontiguousarray(X[:, L - 1]) + b
+        for r in range(n):
+            block = X[r, L:end]
+            block[:] = x_L[r]
+            for i in range(n):
+                block += np.multiply(X[i, :m], AL[r, i], out=product)
+        g_block = g[L:end]
+        g_block[:] = d
+        for i in range(n):
+            g_block += np.multiply(X[i, L:end], c[i], out=product)
+        self.g, self._AL = g, AL @ AL
+        self._X = X if end < self.cap else None
+
+
+def _unit_step_rows(
+    models: Sequence[DeviceModel], lengths: Sequence[int]
+) -> Iterator[_StepResponse]:
+    """Each model's _StepResponse, of at most lengths[i] samples, in turn.
 
     The STEP_HEAD recursion runs once per model order for all models of
     that order: one stacked A @ x + b per step, then the head's outputs
     as one stacked c @ x.  numpy makes the same BLAS call per slice as
     for one model, so a model's bits do not depend on the others.  The
-    doubling tail runs as each row is taken, so a caller that keeps only
-    what it builds from a row holds one row and one order x length state
-    block at a time.
+    doubling tail runs only as each response is read, so a caller that
+    reads one response at a time holds one order x length state block.
     """
-    head = min(length, STEP_HEAD)
     heads: list = [None] * len(models)
     by_order: dict[int, list[int]] = {}
     for i, model in enumerate(models):
         by_order.setdefault(model.order, []).append(i)
     for n, group in by_order.items():
+        head = min(STEP_HEAD, max(lengths[i] for i in group))
         As = np.stack([models[i].A for i in group])
         bs = np.stack([models[i].b for i in group])[:, :, None]
         cs = np.stack([models[i].c for i in group])[:, None, :]
@@ -243,35 +305,10 @@ def _unit_step_rows(models: Sequence[DeviceModel], length: int) -> Iterator[np.n
             np.add(product, bs, out=following)
         outputs = (cs @ states)[:, :, 0, 0]
         for j, i in enumerate(group):
-            heads[i] = (outputs[:, j], states[:, j, :, 0])
-    for model, (g_head, X_head) in zip(models, heads):
-        A, b, c, d = model.A, model.b, model.c, model.d
-        n = model.order
-        L = head
-        g = np.empty(length)
-        g[:L] = g_head + d
-        # State component r over time is row X[r]; each product goes
-        # through one scratch row, so a pass allocates no row-sized array.
-        X = np.empty((n, length))
-        X[:, :L] = X_head.T
-        scratch = np.empty(length // 2)
-        AL = np.linalg.matrix_power(A, L)
-        while L < length:
-            m = min(L, length - L)
-            x_L = A @ np.ascontiguousarray(X[:, L - 1]) + b
-            product = scratch[:m]
-            for r in range(n):
-                block = X[r, L : L + m]
-                block[:] = x_L[r]
-                for i in range(n):
-                    block += np.multiply(X[i, :m], AL[r, i], out=product)
-            g_block = g[L : L + m]
-            g_block[:] = d
-            for i in range(n):
-                g_block += np.multiply(X[i, L : L + m], c[i], out=product)
-            L += m
-            AL = AL @ AL
-        yield g
+            h = min(STEP_HEAD, lengths[i])
+            heads[i] = (outputs[:h, j], states[:h, j, :, 0])
+    for model, length, (g_head, X_head) in zip(models, lengths, heads):
+        yield _StepResponse(model, length, g_head, X_head)
 
 
 def random_stable_model(

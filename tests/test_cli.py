@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import disagg.cli as cli_module
 import disagg.sysid as sysid
 from disagg import (
     DeviceModel,
@@ -488,6 +489,29 @@ def test_disaggregate_reports_a_byte_that_is_not_utf8(pipeline_dir, tmp_path, ca
         "error: line 3: could not convert string to float: '\ufffd2.0'\n"
     )
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["definitely-not-a-command"], ["--bogus"],
+    ["simulate", "--help"], ["identify", "--help"], ["disaggregate", "-h"],
+    ["evaluate", "--help"], ["plot-data", "--help"],
+    ["simulate", "--reference"], ["simulate", "--out", "x"], ["simulate", "--bogus"],
+    ["identify", "--input", "x"], ["disaggregate"], ["evaluate", "--out", "x"],
+    ["plot-data", "--result", "r"], ["disaggregate", "--beam-width", "two"],
+    ["identify", "--channel", "volts"], ["plot-data", "--result", "r", "--input", "i",
+                                         "--out", "o", "extra"],
+])
+def test_usage_output_equals_the_full_parser(argv, capsys, monkeypatch):
+    # main builds only the named command's arguments; help, usage and
+    # error text must be those of the parser with every command built.
+    code = main(argv)
+    partial = capsys.readouterr()
+    full_parser = build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda command=None: full_parser())
+    assert main(argv) == code
+    full = capsys.readouterr()
+    assert (partial.out, partial.err) == (full.out, full.err)
+    assert partial.out or partial.err
 
 
 def test_disaggregate_has_one_flag_per_engine_param():

@@ -25,6 +25,7 @@ from disagg import (
 )
 import disagg.engine as engine_module
 from disagg.engine import _Engine, _Hypothesis, _fits
+from disagg.models import STEP_HEAD, _switch
 from disagg.series import PiecewiseInput
 from conftest import hold, series
 from test_engine_beam import _event_key, _random_instance
@@ -343,7 +344,7 @@ def _per_fit_candidates(engine, hyp, ks_pos, rejected=None):
             continue
         for kp in range(k_lo, ks_pos + 1):
             k_abs = engine.start + kp
-            g = engine.g[dev][: k_end - kp + 1]
+            g = engine.steps[dev].upto(k_end - kp + 1)
             e = resid[kp - k_lo :]
             gg = float(g @ g)
             if k_abs in hyp.times:
@@ -910,9 +911,82 @@ def test_engine_step_rows_equal_unit_step_values(lag_model):
     # Orders 3 (five reference devices), 1 and 2 in one library.
     models = [*reference_scenario(0).models, lag_model, random_stable_model(2, 7)]
     engine = _Engine(series(np.zeros(500)), models, PARAMS)
-    assert len(engine.g) == len(models)
-    for m, g in zip(models, engine.g):
+    assert len(engine.steps) == len(models)
+    for m, step in zip(models, engine.steps):
+        g = step.upto(engine.T)
         assert g.tobytes() == unit_step_values(m, engine.T).tobytes(), m.name
+
+
+def test_lazy_rows_equal_eager_switch_rows_property():
+    # An instant-off row is written only as far as it is read.  Wherever
+    # its frontier stands, the written part must have the bits of the
+    # eager row (every switch run through models._switch to the end of
+    # the signal) and the rest 0.0; y_hat must be the device-order sum of
+    # the eager rows below synced; and clones that share a row must each
+    # keep their own.  Any other row is written to the end at once.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # negzero's step response is -0.0 from STEP_HEAD on: a term assigned
+    # onto a zero row, not added, would keep the -0.0 of level * g where
+    # the eager row has 0.0 + -0.0 = +0.0.
+    negzero = DeviceModel("negzero", A=[[0.5]], b=[0.0], c=[-1.0], d=-0.0, instant_off=True)
+    models = [replace(random_stable_model(3, 5), instant_off=True),
+              random_stable_model(2, 9), negzero]
+    T_max = 3 * STEP_HEAD
+    full = [unit_step_values(m, T_max) for m in models]
+    assert np.signbit(full[2][STEP_HEAD:]).all()
+
+    def eager_rows(T, switches):
+        rows = []
+        for m, g, row_switches in zip(models, full, switches):
+            row = np.zeros(T)
+            for p, old, new in row_switches:
+                _switch(row, g, p, old, new, m.instant_off)
+            rows.append(row)
+        return rows
+
+    def check_pool(engine, pool):
+        T = engine.T
+        for hyp, switches in pool:
+            eager = eager_rows(T, switches)
+            for row, ref in zip(hyp.rows, eager):
+                f = row.frontier
+                assert row.values[:f].tobytes() == ref[:f].tobytes()
+                assert row.values[f:].tobytes() == bytes(8 * (T - f))
+            total = engine_module._device_sum(eager, np.empty(T))
+            assert hyp.y_hat[: hyp.synced].tobytes() == total[: hyp.synced].tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        T = data.draw(st.integers(30, T_max))
+        engine = _Engine(series(np.zeros(T)), models, PARAMS)
+        pool = [(_Hypothesis(engine.models, T, 0), [[] for _ in models])]
+        for _ in range(data.draw(st.integers(1, 24))):
+            hyp, switches = data.draw(st.sampled_from(pool))
+            op = data.draw(st.sampled_from(["switch", "switch", "sync", "extend", "clone"]))
+            dev = data.draw(st.integers(0, len(models) - 1))
+            if op == "clone":
+                pool.append((hyp.clone(), [list(s) for s in switches]))
+            elif op == "sync":
+                engine._sync(hyp, data.draw(st.integers(0, T)))
+            elif op == "extend":
+                engine._extend(hyp.rows[dev], dev, data.draw(st.integers(0, T)))
+            elif hyp.last_event_k[dev] < T - 1:
+                pos = data.draw(st.integers(hyp.last_event_k[dev] + 1, T - 1))
+                old = hyp.levels[dev]
+                new = 0.0 if old else data.draw(st.sampled_from([0.5, 1.25, 3.0]))
+                engine._apply(hyp, SwitchEvent(pos, dev, "on" if new else "off", new))
+                switches[dev].append((pos, old, new))
+            check_pool(engine, pool)
+        for hyp, _ in pool:
+            engine._sync(hyp, T)
+            for dev, row in enumerate(hyp.rows):
+                engine._extend(row, dev, T)
+        check_pool(engine, pool)
+
+    check()
 
 
 # ----------------------------------------------------------------- utilities

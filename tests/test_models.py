@@ -408,15 +408,42 @@ def test_unit_step_values_matches_recursion_up_to_day_scale():
 
 def test_unit_step_rows_equal_single_model_calls():
     # Orders 1-4 with two or three models each (d != 0 in one), so every
-    # stacked head recursion serves several models.
+    # stacked head recursion serves several models, and each model asks
+    # for its own length: 0, 1, below STEP_HEAD, or either side of a pass
+    # edge.  Each response is the prefix of one full-length call.
     models = _kernel_models() + [random_stable_model(4, s) for s in (41, 42)]
-    for length in (0, 1, STEP_HEAD - 1, STEP_HEAD, STEP_HEAD + 1, 3_000):
-        rows = list(_unit_step_rows(models, length))
-        assert len(rows) == len(models)
-        head = min(length, STEP_HEAD)
-        for m, g in zip(models, rows):
+    full = 3_000
+    expected = {m.name: _outer_doubling_step(m, full).tobytes() for m in models}
+    choices = (0, 1, STEP_HEAD - 1, STEP_HEAD, STEP_HEAD + 1, 2 * STEP_HEAD,
+               2 * STEP_HEAD + 1, 4 * STEP_HEAD - 1, full)
+    for shift in range(len(choices)):
+        lengths = [choices[(i + shift) % len(choices)] for i in range(len(models))]
+        steps = list(_unit_step_rows(models, lengths))
+        assert len(steps) == len(models)
+        for m, length, step in zip(models, lengths, steps):
+            head = min(length, STEP_HEAD)
+            g = step.upto(length)
             assert g.tobytes()[: 8 * head] == _step_recursion(m, head).tobytes(), m.name
-            assert g.tobytes() == unit_step_values(m, length).tobytes(), m.name
+            assert g.tobytes() == expected[m.name][: 8 * length], (m.name, length)
+
+
+def test_step_response_grown_in_steps_equals_one_full_call():
+    # The engine grows g as its reads advance; however the reads come,
+    # every prefix keeps the bits of one full-length call.
+    models = _kernel_models() + [_slow_dense_model(n) for n in (2, 3)]
+    full = 8 * STEP_HEAD + 5
+    reads = (
+        [1, STEP_HEAD, STEP_HEAD + 1, 3 * STEP_HEAD, full],
+        [2 * STEP_HEAD, 2 * STEP_HEAD - 1, 5 * STEP_HEAD + 3, 4 * STEP_HEAD, full],
+        [full, 7],
+    )
+    for m in models:
+        expected = _outer_doubling_step(m, full).tobytes()
+        for lengths in reads:
+            (step,) = _unit_step_rows([m], [full])
+            for n in lengths:
+                assert step.upto(n).tobytes() == expected[: 8 * n], (m.name, n)
+            assert len(step.g) == full
 
 
 def _outer_doubling_step(model, length):
