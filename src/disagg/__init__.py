@@ -2,107 +2,75 @@
 
 Recovers sparse piecewise-constant device inputs that reproduce a
 whole-building power signal, given a library of appliance models.
+
+Each exported name is imported from its submodule on first use (PEP 562),
+so ``import disagg`` loads no submodule and ``disagg.load_library`` loads
+only the modules that reading a library needs.
 """
 
-from .engine import (
-    DisaggregationResult,
-    EngineParams,
-    SwitchEvent,
-    UnexplainedEvent,
-    disaggregate,
-    estimate_noise_std,
-    resolve_threshold,
-)
-from .errors import (
-    DisaggError,
-    RankDeficientDataError,
-    UnstableModelError,
-    ValidationError,
-)
-from .evaluate import EventMatch, Metrics, match_events, score, truth_events
-from .ingest import (
-    EmonRecording,
-    Gap,
-    GapWarning,
-    find_gaps,
-    parse_emontx_csv,
-    read_signal_csv,
-    to_signal,
-    write_signal_csv,
-)
-from .models import (
-    DeviceModel,
-    dc_gain,
-    load_library,
-    normalize_dc,
-    random_stable_model,
-    save_library,
-    simulate_zero_state,
-    spectral_radius,
-    unit_step_values,
-)
-from .scenario import (
-    Scenario,
-    load_scenario,
-    reference_scenario,
-    render,
-    save_scenario,
-)
-from .series import PiecewiseInput, SignalSeries
-from .sysid import (
-    ArxModel,
-    PlugRecordingLabel,
-    arx_to_state_space,
-    detect_plug_input,
-    fit_arx,
-    identify_device,
-)
+import importlib
 
-__all__ = [
-    "ArxModel",
-    "DeviceModel",
-    "DisaggError",
-    "DisaggregationResult",
-    "EmonRecording",
-    "EngineParams",
-    "EventMatch",
-    "Gap",
-    "GapWarning",
-    "Metrics",
-    "PiecewiseInput",
-    "PlugRecordingLabel",
-    "RankDeficientDataError",
-    "Scenario",
-    "SignalSeries",
-    "SwitchEvent",
-    "UnexplainedEvent",
-    "UnstableModelError",
-    "ValidationError",
-    "arx_to_state_space",
-    "dc_gain",
-    "detect_plug_input",
-    "disaggregate",
-    "estimate_noise_std",
-    "find_gaps",
-    "fit_arx",
-    "identify_device",
-    "load_library",
-    "load_scenario",
-    "match_events",
-    "normalize_dc",
-    "parse_emontx_csv",
-    "random_stable_model",
-    "read_signal_csv",
-    "reference_scenario",
-    "render",
-    "resolve_threshold",
-    "save_library",
-    "save_scenario",
-    "score",
-    "simulate_zero_state",
-    "spectral_radius",
-    "to_signal",
-    "truth_events",
-    "unit_step_values",
-    "write_signal_csv",
-]
+# Exported name -> the submodule that defines it.
+_SOURCES = {
+    "DisaggregationResult": "engine",
+    "EngineParams": "engine",
+    "SwitchEvent": "engine",
+    "UnexplainedEvent": "engine",
+    "disaggregate": "engine",
+    "estimate_noise_std": "engine",
+    "resolve_threshold": "engine",
+    "DisaggError": "errors",
+    "RankDeficientDataError": "errors",
+    "UnstableModelError": "errors",
+    "ValidationError": "errors",
+    "EventMatch": "evaluate",
+    "Metrics": "evaluate",
+    "match_events": "evaluate",
+    "score": "evaluate",
+    "truth_events": "evaluate",
+    "EmonRecording": "ingest",
+    "Gap": "ingest",
+    "GapWarning": "ingest",
+    "find_gaps": "ingest",
+    "parse_emontx_csv": "ingest",
+    "read_signal_csv": "ingest",
+    "to_signal": "ingest",
+    "write_signal_csv": "ingest",
+    "DeviceModel": "models",
+    "dc_gain": "models",
+    "load_library": "models",
+    "normalize_dc": "models",
+    "random_stable_model": "models",
+    "save_library": "models",
+    "simulate_zero_state": "models",
+    "spectral_radius": "models",
+    "unit_step_values": "models",
+    "Scenario": "scenario",
+    "load_scenario": "scenario",
+    "reference_scenario": "scenario",
+    "render": "scenario",
+    "save_scenario": "scenario",
+    "PiecewiseInput": "series",
+    "SignalSeries": "series",
+    "ArxModel": "sysid",
+    "PlugRecordingLabel": "sysid",
+    "arx_to_state_space": "sysid",
+    "detect_plug_input": "sysid",
+    "fit_arx": "sysid",
+    "identify_device": "sysid",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    """Import an exported name from its submodule and keep it here."""
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .engine import (
@@ -39,14 +39,18 @@ from .sysid import PlugRecordingLabel, identify_device
 
 
 def result_to_dict(result: DisaggregationResult) -> dict:
-    """The result.json content; events name their device."""
+    """The result.json content; events name their device.
+
+    Every field is a scalar, so shallow copies of each frozen instance's
+    ``vars`` stand in for ``dataclasses.asdict``'s deep copy.
+    """
     names = result.device_names
     return {
-        "params": asdict(result.params),
+        "params": {**vars(result.params)},
         "devices": list(names),
-        "events": [{**asdict(e), "device": names[e.device]} for e in result.events],
+        "events": [{**vars(e), "device": names[e.device]} for e in result.events],
         "residual_rms": result.residual_rms,
-        "unexplained": [asdict(u) for u in result.unexplained],
+        "unexplained": [{**vars(u)} for u in result.unexplained],
     }
 
 

@@ -380,6 +380,14 @@ def model_to_dict(model: DeviceModel) -> dict:
     }
 
 
+def _check_flag(name: str, value) -> bool:
+    """Raise ValidationError unless value is a JSON boolean; a string such as
+    "false" is truthy, so bool() would silently turn the flag on."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def model_from_dict(entry: dict) -> DeviceModel:
     order = check_count("order", entry["order"])
     return DeviceModel(
@@ -388,10 +396,10 @@ def model_from_dict(entry: dict) -> DeviceModel:
         b=np.asarray(entry["b"], dtype=float),
         c=np.asarray(entry["c"], dtype=float),
         d=float(entry["d"]),
-        instant_off=bool(entry["instant_off"]),
+        instant_off=_check_flag("instant_off", entry["instant_off"]),
         max_input=None if entry.get("max_input") is None else float(entry["max_input"]),
         max_output=None if entry.get("max_output") is None else float(entry["max_output"]),
-        dc_normalized=bool(entry.get("dc_normalized", False)),
+        dc_normalized=_check_flag("dc_normalized", entry.get("dc_normalized", False)),
     )
 
 

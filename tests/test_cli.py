@@ -399,6 +399,25 @@ def test_disaggregate_rejects_bad_min_level(pipeline_dir, tmp_path, capsys, min_
     assert not (tmp_path / "res").exists()
 
 
+def test_disaggregate_rejects_string_flag_in_library(pipeline_dir, tmp_path, capsys):
+    sim = pipeline_dir / "sim"
+    library = tmp_path / "library.json"
+    entries = json.loads((sim / "library.json").read_text())
+    entries[0]["instant_off"] = "false"
+    library.write_text(json.dumps(entries))
+    code = main([
+        "disaggregate",
+        "--library", str(library),
+        "--input", str(sim / "aggregate.csv"),
+        "--out", str(tmp_path / "res"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {library}: instant_off must be true or false, got 'false'\n"
+    )
+    assert not (tmp_path / "res").exists()
+
+
 @pytest.mark.parametrize("cap", ["max_input", "max_output"])
 def test_disaggregate_rejects_nan_cap_in_library(pipeline_dir, tmp_path, capsys, cap):
     sim = pipeline_dir / "sim"

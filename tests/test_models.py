@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -305,6 +308,35 @@ def test_library_rejects_unstable_entry(tmp_path):
     path.write_text(f"[{__import__('json').dumps(entry)}]")
     with pytest.raises(UnstableModelError):
         load_library(path)
+
+
+def _one_entry_library(path) -> dict:
+    """Write a one-model library to path; return its entry for editing."""
+    save_library([DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0])], path)
+    return json.loads(path.read_text())[0]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("instant_off", "false"), ("instant_off", 2), ("instant_off", None),
+    ("dc_normalized", "no"), ("dc_normalized", 0),
+])
+def test_library_flags_must_be_json_booleans(tmp_path, key, value):
+    # bool("false") is True: a truthy non-boolean would turn the flag on.
+    path = tmp_path / "lib.json"
+    entry = _one_entry_library(path)
+    entry[key] = value
+    path.write_text(json.dumps([entry]))
+    message = f"^{re.escape(str(path))}: {key} must be true or false, got "
+    with pytest.raises(ValidationError, match=message):
+        load_library(path)
+
+
+def test_library_dc_normalized_may_be_absent(tmp_path):
+    path = tmp_path / "lib.json"
+    entry = _one_entry_library(path)
+    del entry["dc_normalized"]
+    path.write_text(json.dumps([entry]))
+    assert load_library(path)[0].dc_normalized is False
 
 
 def test_construction_succeeds_iff_radius_below_margin(tmp_path):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import disagg
@@ -15,6 +18,62 @@ def test_all_is_sorted_unique_and_resolves():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(disagg, name), name
+
+
+def _fresh(code: str, *args: str) -> str:
+    """Run code in a new interpreter that imports disagg from src; its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('disagg', 'numpy')))"
+
+
+def test_import_loads_no_submodule_and_not_numpy():
+    assert _fresh(f"import sys, disagg; {_LOADED}") == "['disagg']\n"
+
+
+def test_load_library_loads_only_what_reading_a_library_needs(tmp_path):
+    path = tmp_path / "library.json"
+    disagg.save_library([disagg.random_stable_model(2, 1, True)], path)
+    out = _fresh(f"import sys, disagg; disagg.load_library(sys.argv[1]); {_LOADED}", str(path))
+    disagg_modules = [m for m in ast.literal_eval(out) if m.split(".")[0] == "disagg"]
+    assert disagg_modules == [
+        "disagg", "disagg.errors", "disagg.models", "disagg.rng", "disagg.series",
+    ]
+
+
+def test_star_import_binds_every_exported_name():
+    out = _fresh(
+        "before = set(globals())\n"
+        "from disagg import *\n"
+        "import disagg\n"
+        "bound = set(globals()) - before - {'before', 'disagg'}\n"
+        "assert sorted(bound) == disagg.__all__, sorted(bound)\n"
+        "assert all(globals()[name] is getattr(disagg, name) for name in bound)\n"
+        "print(len(bound))"
+    )
+    assert out == f"{len(disagg.__all__)}\n"
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    out = _fresh(
+        "import disagg\n"
+        "try:\n"
+        "    disagg.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == "module 'disagg' has no attribute 'no_such_name'\n"
+
+
+def test_dir_lists_every_exported_name_before_any_is_read():
+    out = _fresh("import disagg; print(sorted(set(disagg.__all__) - set(dir(disagg))))")
+    assert out == "[]\n"
 
 
 def _trees(paths):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -206,3 +208,13 @@ def test_scenario_model_ref_resolution(tmp_path):
     assert sc.models[0] == lib[0]
     with pytest.raises(ValidationError):
         load_scenario(path, library=[])
+
+
+def test_scenario_embedded_model_flag_must_be_boolean(tmp_path):
+    path = tmp_path / "scenario.json"
+    save_scenario(reference_scenario(0), path)
+    data = json.loads(path.read_text())
+    data["devices"][2]["model"]["instant_off"] = "false"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match="instant_off must be true or false, got 'false'"):
+        load_scenario(path)

@@ -1,20 +1,30 @@
-"""Print plug-identify accuracy, pooled over fixed seed ranges, as diffable text.
+"""Print exact reference seeds per beam width and plug-identify accuracy as diffable text.
 
-    python3 tools/accuracy_sweep.py [--plugs] [--root CHECKOUT] > sweep.txt
+    python3 tools/accuracy_sweep.py [--scenarios] [--plugs] [--root CHECKOUT] > sweep.txt
 
-For each range of plug seeds in PLUG_RANGES, generates the benchmark's
-plug input sets (``perfbench/inputs.write_plug_set``), runs the
-benchmark's plug job on each (``perfbench/worker._plug_job``: identify
-the four plugs, convert the meter, disaggregate, evaluate) and prints
-the precision and recall pooled as ``perfbench/outputs.pool_accuracy``
-pools them, followed by the seeds whose job exited non-zero or left
-outputs that ``perfbench/outputs.check_job`` rejects.  Every figure is
-a pure function of the checkout, so running this on a parent and on a
+``--scenarios``: for each beam width in WIDTHS and each range of
+reference seeds in SCENARIO_RANGES, renders ``reference_scenario(seed)``,
+disaggregates it with its own library and prints how many seeds are
+exact, followed by the seeds that are not.  A seed is exact when the
+result's (k, device, kind) events equal ``truth_events`` and nothing is
+unexplained.
+
+``--plugs``: for each range of plug seeds in PLUG_RANGES, generates the
+benchmark's plug input sets (``perfbench/inputs.write_plug_set``), runs
+the benchmark's plug job on each (``perfbench/worker._plug_job``:
+identify the four plugs, convert the meter, disaggregate, evaluate) and
+prints the precision and recall pooled as
+``perfbench/outputs.pool_accuracy`` pools them, followed by the seeds
+whose job exited non-zero or left outputs that
+``perfbench/outputs.check_job`` rejects.
+
+With neither flag both sweeps run, scenarios first.  Every figure is a
+pure function of the checkout, so running this on a parent and on a
 change and diffing the two outputs shows what the change did to
-accuracy.  It takes about a minute; the package and the benchmark
-modules are imported from CHECKOUT (default: the one holding this
-file).  The scenario half of the sweep (exact seeds per beam width) is
-not written yet.
+accuracy.  It takes about 70 s (scenarios 30 s, plugs 40 s); the
+package and the benchmark modules are imported from CHECKOUT (default:
+the one holding this file).  Classifying each failing seed (twin,
+pruned or pick) is not written yet: it needs the engine's final pool.
 """
 
 from __future__ import annotations
@@ -27,7 +37,24 @@ import sys
 import tempfile
 from pathlib import Path
 
+WIDTHS = (1, 2, 4, 8, 16)
+SCENARIO_RANGES = (range(0, 200), range(200, 600))
 PLUG_RANGES = (range(100, 116), range(200, 232))
+
+
+def scenario_sweep(seeds, width: int) -> list[int]:
+    """The reference seeds that beam width `width` does not recover exactly."""
+    from disagg import EngineParams, disaggregate, reference_scenario, render, truth_events
+
+    params = EngineParams(beam_width=width)
+    failed = []
+    for seed in seeds:
+        sc = reference_scenario(seed)
+        result = disaggregate(render(sc)[0], list(sc.models), params)
+        got = sorted((e.k, e.device, e.kind) for e in result.events)
+        if got != [(e.k, e.device, e.kind) for e in truth_events(sc)] or result.unexplained:
+            failed.append(seed)
+    return failed
 
 
 def plug_sweep(seeds, work: Path) -> tuple[dict[str, float], list[int]]:
@@ -53,20 +80,30 @@ def plug_sweep(seeds, work: Path) -> tuple[dict[str, float], list[int]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--scenarios", action="store_true",
+                        help="sweep the reference seeds at each beam width")
     parser.add_argument("--plugs", action="store_true",
-                        help="sweep the plug-identify seeds (the default, and the only sweep "
-                        "until the scenario half is written)")
+                        help="sweep the plug-identify seeds")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="source checkout to import disagg and perfbench from")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    for seeds in PLUG_RANGES:
-        with tempfile.TemporaryDirectory() as tmp:
-            pooled, failed = plug_sweep(seeds, Path(tmp))
-        print(f"plug seeds {seeds.start}-{seeds.stop - 1}: "
-              f"precision {pooled['precision']:.3f} recall {pooled['recall']:.3f} "
-              f"failed {' '.join(map(str, failed)) or 'none'}")
+    both = not (args.scenarios or args.plugs)
+    if args.scenarios or both:
+        for width in WIDTHS:
+            for seeds in SCENARIO_RANGES:
+                failed = scenario_sweep(seeds, width)
+                print(f"width {width} seeds {seeds.start}-{seeds.stop - 1}: "
+                      f"{len(seeds) - len(failed)}/{len(seeds)} exact, "
+                      f"failed {' '.join(map(str, failed)) or 'none'}")
+    if args.plugs or both:
+        for seeds in PLUG_RANGES:
+            with tempfile.TemporaryDirectory() as tmp:
+                pooled, failed = plug_sweep(seeds, Path(tmp))
+            print(f"plug seeds {seeds.start}-{seeds.stop - 1}: "
+                  f"precision {pooled['precision']:.3f} recall {pooled['recall']:.3f} "
+                  f"failed {' '.join(map(str, failed)) or 'none'}")
     return 0
 
 
