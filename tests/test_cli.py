@@ -2,6 +2,8 @@ import argparse
 import json
 import shutil
 import sys
+import types
+import typing
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -20,6 +22,8 @@ from disagg import (
     read_signal_csv,
     save_library,
     simulate_zero_state,
+    SwitchEvent,
+    UnexplainedEvent,
     UnstableModelError,
     write_signal_csv,
 )
@@ -129,6 +133,21 @@ def test_result_round_trip(tmp_path):
 
     summed = reduce(np.add, (o.values for o in result.estimated_outputs))
     np.testing.assert_array_equal(summed, result.estimated_total.values)
+
+
+def _is_scalar(hint) -> bool:
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return all(_is_scalar(arg) for arg in typing.get_args(hint))
+    return hint in (bool, int, float, str, type(None))
+
+
+@pytest.mark.parametrize("cls", [EngineParams, SwitchEvent, UnexplainedEvent])
+def test_result_dataclasses_hold_only_scalars(cls):
+    # result_to_dict copies each instance's vars() shallowly, which is a
+    # full copy only while every field is a scalar.
+    hints = typing.get_type_hints(cls)
+    assert [name for name, hint in hints.items() if not _is_scalar(hint)] == []
+    assert set(hints) == {f.name for f in fields(cls)}
 
 
 def _write_plug_recording(path):
