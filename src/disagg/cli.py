@@ -21,7 +21,7 @@ from .engine import (
     # Unused here, like write_signal_csv below, but perfbench/spans.py wraps both.
     disaggregate_beam,  # noqa: F401
 )
-from .errors import ValidationError, check_count, reading
+from .errors import ValidationError, check_count, check_real, reading
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
 from .ingest import (
     CHANNELS,
@@ -78,7 +78,7 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
         events = tuple(
             SwitchEvent(
                 check_count("event k", e["k"]), index[e["device"]], e["kind"],
-                float(e["level"]),
+                check_real("event level", e["level"]),
             )
             for e in data["events"]
         )
@@ -93,14 +93,15 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
             PiecewiseInput(tuple((e.k, e.level) for e in ordered if e.device == dev))
         unexplained = tuple(
             UnexplainedEvent(
-                check_count("unexplained k", u["k"]), u["kind"], float(u["magnitude"])
+                check_count("unexplained k", u["k"]), u["kind"],
+                check_real("unexplained magnitude", u["magnitude"]),
             )
             for u in data["unexplained"]
         )
         for u in unexplained:
             if u.kind not in ("increase", "decrease"):
                 raise ValidationError(f"unexplained event at k={u.k} has kind {u.kind!r}")
-        residual_rms = float(data["residual_rms"])
+        residual_rms = check_real("residual_rms", data["residual_rms"])
         params = EngineParams(**data["params"])
     outputs = tuple(read_signal_csv(out / f"estimate_{name}.csv") for name in names)
     total = read_signal_csv(out / "estimate_total.csv")

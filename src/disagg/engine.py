@@ -150,8 +150,24 @@ def estimate_noise_std(y: SignalSeries) -> float:
     if len(y) < 2:
         return 0.0
     d = np.diff(y.values)
-    mad = float(np.median(np.abs(d - np.median(d))))
+    mad = _median(np.abs(d - _median(d)))
     return mad / MAD_CONSISTENCY / math.sqrt(2.0)
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array, bit for bit, from one partition.
+
+    np.median also partitions at the last position to find a NaN, which
+    costs several times the one-position partition; a NaN is found by a
+    scan here.  The 0.0 start is np.mean's, so -0.0 comes out as 0.0.
+    """
+    if np.isnan(values).any():
+        return math.nan
+    half = len(values) // 2
+    part = np.partition(values, half)
+    if len(values) % 2:
+        return 0.0 + float(part[half])
+    return (0.0 + float(part[:half].max()) + float(part[half])) / 2.0
 
 
 def resolve_threshold(y_m: SignalSeries, params: EngineParams) -> float:

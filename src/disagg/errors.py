@@ -25,6 +25,15 @@ def check_number(name, value, *, zero_ok=False, optional=False):
         )
 
 
+def check_real(name, value):
+    """Raise ValidationError unless value is a JSON number, an int or a float
+    (not a bool, nor a string that float() would parse); return it as a
+    Python float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_count(name, value, low=None):
     """Raise ValidationError unless value is an integer (not a bool) >= low
     (any integer when low is None); return it as a Python int, so a numpy

@@ -303,7 +303,10 @@ def to_signal(
     grid = ts[0] + np.arange(length) / nominal_rate
     # A grid point past bound[i] takes record i + 1 over record i.
     bound = np.maximum(0.5 * (ts[:-1] + ts[1:]), ts[1:] - (0.5 / nominal_rate - _GRID_EPS))
-    src = np.searchsorted(bound, grid)
+    # The bounds before each grid point, as searchsorted(bound, grid) counts
+    # them: one stable merge of the two sorted runs, grid first on a tie.
+    merged = np.argsort(np.concatenate((grid, bound)), kind="stable")
+    src = np.flatnonzero(merged < length) - np.arange(length)
     start_index = round(ts[0] * nominal_rate)
     return SignalSeries(vals[src], sample_period=1.0 / nominal_rate, start_index=start_index)
 

@@ -29,7 +29,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import UnstableModelError, ValidationError, check_count, check_number, reading
+from .errors import (
+    UnstableModelError, ValidationError, check_count, check_number, check_real, reading,
+)
 from .rng import SeededStream
 from .series import SignalSeries
 
@@ -390,15 +392,19 @@ def _check_flag(name: str, value) -> bool:
 
 def model_from_dict(entry: dict) -> DeviceModel:
     order = check_count("order", entry["order"])
+    A, b, c = ([check_real(key, v) for v in entry[key]] for key in ("A", "b", "c"))
+    caps = {
+        key: check_real(key, entry[key])
+        for key in ("max_input", "max_output") if entry.get(key) is not None
+    }
     return DeviceModel(
         name=str(entry["name"]),
-        A=np.asarray(entry["A"], dtype=float).reshape(order, order),
-        b=np.asarray(entry["b"], dtype=float),
-        c=np.asarray(entry["c"], dtype=float),
-        d=float(entry["d"]),
+        A=np.reshape(A, (order, order)),
+        b=b,
+        c=c,
+        d=check_real("d", entry["d"]),
         instant_off=_check_flag("instant_off", entry["instant_off"]),
-        max_input=None if entry.get("max_input") is None else float(entry["max_input"]),
-        max_output=None if entry.get("max_output") is None else float(entry["max_output"]),
+        **caps,
         dc_normalized=_check_flag("dc_normalized", entry.get("dc_normalized", False)),
     )
 

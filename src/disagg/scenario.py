@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_number, reading
+from .errors import ValidationError, check_count, check_number, check_real, reading
 from .models import (
     DeviceModel,
     _outputs,
@@ -143,11 +143,12 @@ def scenario_from_dict(
             models.append(by_name[ref])
         else:
             raise ValidationError("device entry needs 'model' or 'model_ref'")
-        inputs.append(PiecewiseInput(tuple(entry["events"])))
+        events = tuple((k, check_real("event level", level)) for k, level in entry["events"])
+        inputs.append(PiecewiseInput(events))
     return Scenario(
         models=tuple(models),
         inputs=tuple(inputs),
-        noise_std=float(data["noise_std"]),
+        noise_std=check_real("noise_std", data["noise_std"]),
         seed=data["seed"],
         horizon=data["horizon"],
     )

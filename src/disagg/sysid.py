@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import estimate_noise_std
+from .engine import _median, estimate_noise_std
 from .errors import (
     RankDeficientDataError, UnstableModelError, ValidationError, check_count, check_number,
 )
@@ -253,7 +253,7 @@ def _transient_windows(y: SignalSeries, u_pw: PiecewiseInput, on_threshold: floa
     """
     values = y.values
     off_values = values[values <= on_threshold]
-    floor = float(np.median(off_values, overwrite_input=True)) if off_values.size else 0.0
+    floor = _median(off_values) if off_values.size else 0.0
     # The first differences spread sqrt(2) times the noise level.
     onset_level = floor + ONSET_SIGMAS * np.sqrt(2.0) * estimate_noise_std(y)
     positions = [k - y.start_index for k, _ in u_pw.events] + [len(values)]

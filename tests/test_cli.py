@@ -639,6 +639,11 @@ def _keep_rows(n):
     ("res/result.json", _edit_json(lambda d: d["params"].update(min_level=float("nan")))),
     ("res/result.json", _edit_json(lambda d: d["params"].update(lookahead=6.5))),
     ("res/result.json", _edit_json(lambda d: d["params"].update(beam_width=True))),
+    ("res/result.json", _edit_json(lambda d: _first_on(d).update(level="1.5"))),
+    ("res/result.json", _edit_json(lambda d: _first_off(d).update(level=False))),
+    ("res/result.json", _edit_json(lambda d: d["unexplained"].append(
+        {"k": 5, "kind": "increase", "magnitude": "1.0"}))),
+    ("res/result.json", _edit_json(lambda d: d.update(residual_rms="0.01"))),
     ("res/estimate_device1.csv", _keep_rows(100)),
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
@@ -646,18 +651,22 @@ def _keep_rows(n):
     ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std=float("inf")))),
     ("sim/scenario.json", _edit_json(_event_before_k0)),
     ("sim/scenario.json", _edit_json(lambda d: d.update(horizon=450.5))),
+    ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std="0.02"))),
     ("sim/library.json", _truncate),
     ("sim/library.json", _edit_json(lambda d: d.__setitem__(0, "device1"))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(d=float("nan")))),
+    ("sim/library.json", _edit_json(lambda d: d[0].update(max_input="4"))),
 ], ids=[
     "truncated-result", "unknown-device", "extra-param", "negative-level",
     "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
     "sideways-unexplained", "inf-level", "nan-level", "nan-threshold",
     "inf-threshold", "nan-min-level", "fractional-lookahead", "bool-beam-width",
+    "string-level", "bool-level", "string-magnitude", "string-residual-rms",
     "short-estimate", "truncated-scenario",
     "scenario-without-devices", "nan-noise", "inf-noise", "event-before-k0",
-    "fractional-horizon",
+    "fractional-horizon", "string-noise",
     "truncated-library", "library-entry-not-object", "nan-feedthrough",
+    "string-max-input",
 ])
 def test_malformed_json_is_a_validation_error(
     pipeline_dir, tmp_path, capsys, name, edit

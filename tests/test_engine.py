@@ -1,4 +1,5 @@
 import functools
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -997,6 +998,36 @@ def test_estimate_noise_std_recovers_sigma():
     noisy = clean + rng.normal(scale=0.02, size=clean.size)
     est = estimate_noise_std(series(noisy))
     assert abs(est - 0.02) < 0.005
+
+
+def test_median_has_np_median_bits_property():
+    # Odd and even lengths, ties, signed zeros and infinities: the one
+    # partition gives np.median's bits (0.0 + -0.0 is 0.0 in both); a NaN
+    # anywhere gives nan.
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    specials = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 2.5])
+    values = st.floats(allow_nan=False) | specials
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=st.lists(values, min_size=1, max_size=60), nan_at=st.none() | st.integers(0))
+    @example(a=[-0.0], nan_at=None)
+    @example(a=[-0.0, -0.0], nan_at=None)
+    @example(a=[-math.inf, math.inf], nan_at=None)
+    @example(a=[1.0, 1.0, 2.0, 2.0], nan_at=None)
+    @example(a=[3.0], nan_at=0)
+    def check(a, nan_at):
+        a = np.array(a)
+        if nan_at is not None:
+            a[nan_at % a.size] = np.nan
+            assert math.isnan(engine_module._median(a))
+            return
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.float64(np.median(a)).tobytes()
+            assert np.float64(engine_module._median(a)).tobytes() == expected, a
+
+    check()
 
 
 def test_resolve_threshold_default_five_sigma():

@@ -499,6 +499,44 @@ def test_to_signal_recovers_records_jittered_under_half_a_period():
         np.testing.assert_array_equal(s.values, np.arange(1.0, 61.0), err_msg=str(trial))
 
 
+def _to_signal_reference(recording, rate):
+    """to_signal's irms values by the rule's own np.searchsorted over the bounds."""
+    ts = recording.timestamp_utc
+    length = int(math.ceil((ts[-1] - ts[0]) * rate - ingest._GRID_EPS)) + 1
+    grid = ts[0] + np.arange(length) / rate
+    bound = np.maximum(0.5 * (ts[:-1] + ts[1:]), ts[1:] - (0.5 / rate - ingest._GRID_EPS))
+    return recording.irms[np.searchsorted(bound, grid, side="left")]
+
+
+def test_to_signal_equals_the_searchsorted_reference_property():
+    # Stamps jittered under half a period, on a grid point (jitter 0) or
+    # on a bound (jitter +-0.5), skipped periods, and an epoch near 1.7e9 s,
+    # where a stamp's rounding makes bounds repeat and meet grid points.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    jitters = st.floats(-0.49, 0.49) | st.sampled_from([0.0, 0.5, -0.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(st.integers(1, 3), min_size=1, max_size=40),
+        data=st.data(),
+        t0=st.sampled_from([0.0, 1.7e9, 1_700_000_123.0625]) | st.floats(1.6e9, 1.8e9),
+    )
+    def check(steps, data, t0):
+        periods = np.cumsum([0, *steps], dtype=float)
+        periods += data.draw(st.lists(jitters, min_size=periods.size, max_size=periods.size))
+        ts = np.unique(t0 + periods / 12.0)  # strictly increasing after rounding
+        if ts.size < 2:
+            return
+        ones = np.ones(ts.size)
+        recording = EmonRecording(ts, np.arange(1.0, ts.size + 1.0), *(ones for _ in range(4)))
+        s = to_signal(recording, nominal_rate=12.0)
+        np.testing.assert_array_equal(s.values, _to_signal_reference(recording, 12.0))
+
+    check()
+
+
 def test_to_signal_default_gap_threshold_tolerates_small_holes():
     before = _steady_rows(3)
     t_resume = before[-1][0] + 0.5

@@ -331,6 +331,21 @@ def test_library_flags_must_be_json_booleans(tmp_path, key, value):
         load_library(path)
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("max_input", "4", "'4'"), ("max_output", True, "True"), ("d", "0.25", "'0.25'"),
+    ("A", ["-0.73"], "'-0.73'"), ("b", [False], "False"), ("c", [None], "None"),
+])
+def test_library_numbers_must_be_json_numbers(tmp_path, key, value, shown):
+    # float("4") and float(True) would load a string or a boolean as a number.
+    path = tmp_path / "lib.json"
+    entry = _one_entry_library(path)
+    entry[key] = value
+    path.write_text(json.dumps([entry]))
+    message = f"^{re.escape(str(path))}: {key} must be a number, got {re.escape(shown)}$"
+    with pytest.raises(ValidationError, match=message):
+        load_library(path)
+
+
 def test_library_dc_normalized_may_be_absent(tmp_path):
     path = tmp_path / "lib.json"
     entry = _one_entry_library(path)

@@ -131,3 +131,16 @@ def test_every_public_name_is_used_by_the_program():
     referenced = _attributes(program) | _attributes(benchmark)
     unused = [m for m in _public_methods(program) if m.split(".")[1] not in referenced]
     assert unused == []
+
+
+def test_the_program_takes_no_np_median():
+    """np.median partitions at the last position too, to find a NaN, and
+    costs several times the one partition of engine._median; the package
+    calls engine._median instead."""
+    trees = _trees(sorted(PACKAGE.glob("*.py")))
+    attributes = [node.attr for node in _nodes(trees, ast.Attribute)]
+    imported = [
+        alias.name for node in _nodes(trees, ast.ImportFrom) if node.module == "numpy"
+        for alias in node.names
+    ]
+    assert [name for name in attributes + imported if name == "median"] == []

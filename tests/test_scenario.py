@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -217,4 +218,21 @@ def test_scenario_embedded_model_flag_must_be_boolean(tmp_path):
     data["devices"][2]["model"]["instant_off"] = "false"
     path.write_text(json.dumps(data))
     with pytest.raises(ValidationError, match="instant_off must be true or false, got 'false'"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(noise_std="0.02"), "noise_std must be a number, got '0.02'"),
+    (lambda d: d["devices"][0]["events"][0].__setitem__(1, "1.5"),
+     "event level must be a number, got '1.5'"),
+    (lambda d: d["devices"][1]["events"][0].__setitem__(1, True),
+     "event level must be a number, got True"),
+], ids=["string-noise-std", "string-level", "bool-level"])
+def test_scenario_numbers_must_be_json_numbers(tmp_path, edit, message):
+    path = tmp_path / "scenario.json"
+    save_scenario(reference_scenario(0), path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_scenario(path)
