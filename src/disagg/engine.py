@@ -11,12 +11,12 @@ adds exactly one nonzero entry to the global input difference, so the
 event count is the sparsity of the reconstruction.
 
 By linearity each hypothesis's per-device prediction is a sum of shifted
-unit-step responses, one per event: an event at position p that moves
-the device from level old to new adds (new - old) * g[:T - p] to its
-row, or zeroes the row from p at an instant-off switch to 0
-(``models._switch``, the kernel that ``simulate_zero_state`` uses for
-the same schedule).  Each device's step response g is computed once per
-run, only as far as some read reaches; the on-event fits score its head.
+unit-step responses, one per event.  Each device's prediction is a
+``models._Row``, which also holds the device's input level and last
+switch; an event switches it, with the kernel and the row that
+``simulate_zero_state`` uses for the same schedule.  Each device's step
+response g is computed once per run, only as far as some read reaches;
+the on-event fits score its head.
 
 Cost: the loop runs once per detection, not once per sample.  Each
 hypothesis keeps its next detection, found by a numpy scan of the mask
@@ -25,19 +25,19 @@ pool, so the Python work grows with the detections times the pool
 width.  An increase costs one stacked fit of the off devices per start
 time in the backtrack window, and the hypotheses of one step whose fit
 inputs match share one candidate list.  An instant-off device's row is
-written only up to a frontier that moves with the reads (the scan, a
-fit window, a ranked prefix), and a reset ends its pending term, so an
-event costs numpy work over the samples read while its device is on,
-not over the rest of the signal; any other row is written to the end
-at each event.  y_hat and the mask are re-summed only as far as the next
-scan advances.  A beam step scores each branch from its parent's rows
-before building any, then clones only the survivors, which share device
-rows until they write one; the writer copies the row's written part.
-A parent's residual through p is formed once for all its branches, and
-each branch re-sums the rows only from the parent's earliest branch
-position.  Each ranked entry still costs one dot product over [0, p],
-O(p): a sum of shorter products would not have the score's bits.  A
-clone costs its y_hat copy, O(T).
+written only as far as the engine reads it (the scan, a fit window, a
+ranked prefix), and a reset ends its pending terms, so an event costs
+numpy work over the samples read while its device is on, not over the
+rest of the signal; any other row is written to the end at each event.
+y_hat and the mask are re-summed only as far as the next scan advances.
+A beam step scores each branch from its parent's rows before building
+any, then clones only the survivors, which share device rows until they
+switch one; the switcher copies the row's written part.  A parent's
+residual through p is formed once for all its branches, and each branch
+re-sums the rows only from the parent's earliest branch position.  Each
+ranked entry still costs one dot product over [0, p], O(p): a sum of
+shorter products would not have the score's bits.  A clone costs its
+y_hat copy, O(T).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import numpy as np
 from .errors import ValidationError, check_count, check_number
 from .models import (
     DeviceModel,
+    _Row,
     _switch,
     _unit_step_rows,
     dc_gain,
@@ -200,55 +201,25 @@ class _Detection(NamedTuple):
     ks: int
 
 
-class _Row:
-    """A device's prediction, written only below its frontier.
-
-    values[:frontier] has the bits of the device's switches, each written
-    to the end of the signal with models._switch; values[frontier:] is
-    still 0.0, and pending holds the switches (p, old, new), all at or
-    below the frontier, whose terms go on past it.  A row with nothing
-    pending is complete whatever its frontier.  Clones share rows, so a
-    row's frontier moves once for all who hold it.
-    """
-
-    __slots__ = ("values", "frontier", "pending")
-
-    def __init__(self, values: np.ndarray, frontier: int, pending: list):
-        self.values, self.frontier, self.pending = values, frontier, pending
-
-    def copy(self) -> "_Row":
-        """An unshared copy; only the written part is copied."""
-        values = np.zeros(len(self.values))
-        values[: self.frontier] = self.values[: self.frontier]
-        return _Row(values, self.frontier, list(self.pending))
-
-
 class _Hypothesis:
     """One configuration tracked by the engine, with its predictions.
 
-    rows are the per-device predictions.  A clone shares them with its
-    parent until one side writes a row; owned marks the rows this
-    hypothesis may write in place.  y_hat, the device-order sum of the
-    rows, is current below `synced` only.  detection is the next
-    detection at or after the last step this hypothesis took part in.
+    rows are the per-device models._Row: input level, last switch and
+    prediction.  A clone shares them with its parent until one side
+    switches a row, so a shared row has one switch history for all who
+    hold it; owned marks the rows this hypothesis may switch in place.
+    y_hat, the device-order sum of the rows, is current below `synced`
+    only.  detection is the next detection at or after the last step
+    this hypothesis took part in.
     """
 
-    __slots__ = (
-        "levels", "last_event_k", "rows", "owned", "y_hat", "synced",
-        "events", "times", "unexplained", "suppressed", "detection",
-    )
+    __slots__ = ("rows", "owned", "y_hat", "synced", "events", "times", "unexplained",
+                 "suppressed", "detection")
 
-    def __init__(self, models: list[DeviceModel], T: int, start: int):
-        D = len(models)
-        self.levels = [0.0] * D
-        self.last_event_k = [start - 1] * D
-        # An instant-off row's terms end at its next reset, so it is
-        # written as far as it is read; any other row's terms run to the
-        # end of the signal, so it is written there at once.
-        self.rows = [_Row(np.zeros(T), 0 if m.instant_off else T, []) for m in models]
-        self.owned = [True] * D
-        self.y_hat = np.zeros(T)
-        self.synced = T
+    def __init__(self, rows: list[_Row]):
+        self.rows, self.owned = rows, [True] * len(rows)
+        self.y_hat = np.zeros(len(rows[0].values))
+        self.synced = len(self.y_hat)
         self.events: list[SwitchEvent] = []
         self.times: set[int] = set()
         self.unexplained: list[UnexplainedEvent] = []
@@ -257,8 +228,6 @@ class _Hypothesis:
 
     def clone(self) -> "_Hypothesis":
         new = object.__new__(_Hypothesis)
-        new.levels = list(self.levels)
-        new.last_event_k = list(self.last_event_k)
         new.rows = list(self.rows)
         new.owned = [False] * len(self.rows)
         self.owned = [False] * len(self.rows)
@@ -314,7 +283,7 @@ class _Engine:
         self.sparsity_penalty = self.threshold**2 * params.lookahead
         self.gains = [dc_gain(m) for m in self.models]
         # Each device's step response g, grown as far as the reads reach.
-        self.steps = list(_unit_step_rows(self.models, [self.T] * len(self.models)))
+        self.steps = _unit_step_rows(self.models, self.T)
         # heads[dev] = g[:needed + 1] spans every on-event fit window; gg[dev, n]
         # is g[:n] @ g[:n], or inf where that is 0 (no fit: a level 0 is dropped).
         heads = self.heads = np.stack([step.upto(needed + 1) for step in self.steps])
@@ -325,46 +294,29 @@ class _Engine:
     # -- per-hypothesis mechanics ------------------------------------
 
     def _apply(self, hyp: _Hypothesis, event: SwitchEvent):
-        """Log event and set its device's input to its level from its time on.
+        """Log event and switch its device's row to its level from its time on.
 
-        The switch is written up to the row's frontier, brought to at least
-        its position first, and kept pending past it; a reset ends every
-        pending term, and what lies past the frontier is already 0.0.
+        A shared row is written up to the event before it is copied, so
+        that write is made once for all who hold it.
         """
         dev, pos = event.device, event.k - self.start
         row = hyp.rows[dev]
-        self._extend(row, dev, pos)
+        row.extend(pos)
         if not hyp.owned[dev]:
             row = hyp.rows[dev] = row.copy()
             hyp.owned[dev] = True
-        off, old, f = self.models[dev].instant_off, hyp.levels[dev], row.frontier
-        _switch(row.values[:f], self.steps[dev].upto(f - pos), pos, old, event.level, off)
-        if off and event.level == 0.0:
-            row.pending = []
-        elif f < self.T:
-            row.pending.append((pos, old, event.level))
+        row.switch(pos, event.level)
         hyp.events.append(event)
         hyp.times.add(event.k)
-        hyp.levels[dev] = event.level
-        hyp.last_event_k[dev] = event.k
         hyp.synced = min(hyp.synced, pos)
-
-    def _extend(self, row: _Row, dev: int, b: int):
-        """Write device dev's row up to b, each pending term with _switch."""
-        f = row.frontier
-        if f < b:
-            for p, old, new in row.pending:
-                g = self.steps[dev].upto(b - p)[f - p :]
-                _switch(row.values[f:b], g, 0, old, new, self.models[dev].instant_off)
-            row.frontier = b
 
     def _sync(self, hyp: _Hypothesis, b: int):
         """Bring hyp.y_hat, and the rows it sums, up to date below b."""
         a = hyp.synced
         if a < b:
-            for dev, row in enumerate(hyp.rows):
+            for row in hyp.rows:
                 if row.pending:
-                    self._extend(row, dev, b)
+                    row.extend(b)
             _device_sum([row.values[a:b] for row in hyp.rows], hyp.y_hat[a:b])
             hyp.synced = b
 
@@ -441,9 +393,9 @@ class _Engine:
         self._sync(hyp, k_end + 1)
         y_hat = hyp.y_hat[k_lo : k_end + 1]
         a, b = self.start + k_lo, self.start + ks_pos
-        devs = [dev for dev, level in enumerate(hyp.levels) if level == 0.0]
-        # Their last switches; all those before a bar no start time alike.
-        lasts = [max(hyp.last_event_k[dev], a - 1) for dev in devs]
+        devs = [dev for dev, row in enumerate(hyp.rows) if row.level == 0.0]
+        # Their last switches; all those before k_lo bar no start time alike.
+        lasts = [max(hyp.rows[dev].last, k_lo - 1) for dev in devs]
         times = tuple(k for k in range(a, b + 1) if k in hyp.times)
         key = (ks_pos, y_hat.tobytes(), tuple(devs), tuple(lasts), times)
         if key in shared:
@@ -459,7 +411,7 @@ class _Engine:
             for dev, last, level, sse in zip(devs, lasts, levels.tolist(), sses.tolist()):
                 m = self.models[dev]
                 if (
-                    last >= k_abs or level <= 0.0 or level < params.min_level
+                    last >= kp or level <= 0.0 or level < params.min_level
                     or (m.max_input is not None and level > m.max_input)
                     or (m.max_output is not None and self.gains[dev] * level > m.max_output)
                 ):
@@ -476,17 +428,14 @@ class _Engine:
         Devices on for at least min_on_duration samples are preferred;
         ties go to the lower device index.  No event when nothing qualifies.
         """
-        k_abs = self.start + ks_pos
-        on_devs = [
-            i for i, level in enumerate(hyp.levels)
-            if level != 0.0 and hyp.last_event_k[i] < k_abs
-        ]
+        k_abs, rows = self.start + ks_pos, hyp.rows
+        on_devs = [i for i, row in enumerate(rows) if row.level != 0.0 and row.last < ks_pos]
         if k_abs in hyp.times or not on_devs:
             return []
         drop = abs(self.y[p] - hyp.y_hat[p])
         dev = min(on_devs, key=lambda i: (
-            k_abs - hyp.last_event_k[i] < self.params.min_on_duration,
-            abs(self.gains[i] * hyp.levels[i] - drop),
+            ks_pos - rows[i].last < self.params.min_on_duration,
+            abs(self.gains[i] * rows[i].level - drop),
             i,
         ))
         return [SwitchEvent(k_abs, dev, "off", 0.0)]
@@ -521,13 +470,13 @@ class _Engine:
         penalty = self.sparsity_penalty * (len(hyp.events) + 1)
         keys = []
         for event in events:
-            dev, pos = event.device, event.k - self.start
-            row = segments[dev]
-            segments[dev] = row.copy()
-            _switch(segments[dev], self.steps[dev].upto(p + 1 - pos), pos - lo,
-                    hyp.levels[dev], event.level, self.models[dev].instant_off)
+            dev, pos, row = event.device, event.k - self.start, hyp.rows[event.device]
+            segment = segments[dev]
+            segments[dev] = segment.copy()
+            _switch(segments[dev], row.step.upto(p + 1 - pos), pos - lo,
+                    row.level, event.level, row.instant_off)
             np.subtract(y, _device_sum(segments, tail), out=tail)
-            segments[dev] = row
+            segments[dev] = segment
             log = [*hyp.events, event]
             keys.append((float(resid @ resid) + penalty, len(log), log))
         return keys
@@ -585,7 +534,7 @@ class _Engine:
         return pool
 
     def run(self) -> DisaggregationResult:
-        pool = [_Hypothesis(self.models, self.T, self.start)]
+        pool = [_Hypothesis([_Row(step, self.T) for step in self.steps])]
         pool[0].detection = self._scan(pool[0], 0)
         while True:
             due = [hyp.detection.p for hyp in pool if hyp.detection is not None]

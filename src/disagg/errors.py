@@ -14,10 +14,12 @@ class ValidationError(DisaggError, ValueError):
 
 
 def check_number(name, value, *, zero_ok=False, optional=False):
-    """Raise ValidationError unless value is finite and > 0 (>= 0 if
-    zero_ok); None passes when optional."""
+    """Raise ValidationError unless value is a real number, not a bool, finite
+    and > 0 (>= 0 if zero_ok); None passes when optional."""
     if optional and value is None:
         return
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
         raise ValidationError(
             f"{name} must be finite and {'>=' if zero_ok else '>'} 0"

@@ -10,14 +10,15 @@ times.  By linearity the zero-state output is then a sum of shifted
 unit-step responses, one per switch, so outputs are built by one kernel
 (``_switch``): a switch from level old to new at position p adds
 (new - old) * g[:T - p], or zeroes the output from p at an instant-off
-switch to 0.  ``_outputs`` runs whole schedules of (position, level)
-changes through it; the engine calls it per event, so a simulated
-schedule and the engine's prediction of it agree bit for bit.  Every
-input takes this path, at one pass per change that ends, for an
-instant-off device, at its next switch to 0 (the rest of the signal
-otherwise).  Each model's step response is computed only as far as
-some write reads it: ``_outputs`` asks for its longest write, and the
-engine grows g as its reads advance (``_StepResponse``).
+switch to 0.  A device's ``_Row`` holds its input level, last switch
+and output, and is the one writer of that output: ``_outputs`` switches
+one row per model through a schedule of (position, level) changes, and
+the engine switches its rows per event, so a simulated schedule and the
+engine's prediction of it agree bit for bit.  An instant-off row is
+written only as far as it is read, and a reset ends its pending terms,
+so each change costs one pass that ends at the device's next switch to
+0 (the rest of the signal otherwise).  A step response is computed only
+as far as some write reads it (``_StepResponse``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -170,26 +171,13 @@ def _outputs(models: Sequence[DeviceModel], schedules: Sequence, length: int) ->
     schedules[i] holds model i's input changes as (position, level) in
     time order, positions in [0, length); the input is 0 before the first.
     """
-    plans = []
-    for model, changes in zip(models, schedules):
-        # An instant-off row is 0 from each switch to 0 until the next
-        # change, so each write ends at the next such switch: a backward
-        # pass finds the ends, and a reset itself writes nothing.
-        changes, ends, end = list(changes), [], length
-        for p, new in reversed(changes):
-            if model.instant_off and new == 0.0:
-                end = p
-            ends.append(end)
-        plans.append(list(zip(changes, reversed(ends))))
-    # Each model's step response is needed only as far as its longest write.
-    longest = [max((end - p for (p, _), end in plan), default=0) for plan in plans]
     rows = []
-    for model, plan, step in zip(models, plans, _unit_step_rows(models, longest)):
-        row, old, g = np.zeros(length), 0.0, step.upto(step.cap)
-        for (p, new), end in plan:
-            _switch(row[:end], g, p, old, new, model.instant_off)
-            old = new
-        rows.append(row)
+    for step, changes in zip(_unit_step_rows(models, length), schedules):
+        row = _Row(step, length)
+        for p, new in changes:
+            row.switch(p, new)
+        row.extend(length)
+        rows.append(row.values)
     return rows
 
 
@@ -206,6 +194,62 @@ def _switch(row, g, p: int, old: float, new: float, instant_off: bool) -> None:
         row[p:] += (new - old) * g[: len(row) - p]
 
 
+class _Row:
+    """One device's input level, last switch and output row.
+
+    level is the input from position last on (-1 before any switch).
+    values[:frontier] has the bits of every switch written to the end of
+    the row with _switch, values[frontier:] is still 0.0, and pending
+    holds the switches (p, old, new), at or below the frontier, whose
+    terms go on past it.  An instant-off row is written as far as it is
+    read, and a reset ends its pending terms; any other row is written to
+    its end at each switch.
+    """
+
+    __slots__ = ("step", "instant_off", "values", "frontier", "pending", "level", "last")
+
+    def __init__(self, step: _StepResponse, length: int):
+        self.step, self.instant_off = step, step.model.instant_off
+        self.values = np.zeros(length)
+        self.frontier = 0 if self.instant_off else length
+        self.pending: list = []
+        self.level, self.last = 0.0, -1
+
+    def switch(self, p: int, new: float) -> None:
+        """Switch the input to new from position p on, p after the last switch.
+
+        The switch is written up to the frontier, brought to p first, and
+        kept pending past it; past the frontier a reset has nothing to zero.
+        """
+        self.extend(p)
+        f = self.frontier
+        if p < f:  # at the frontier the write is empty
+            _switch(self.values[:f], self.step.upto(f - p), p, self.level, new, self.instant_off)
+        if self.instant_off and new == 0.0:
+            self.pending = []
+        elif f < len(self.values):
+            self.pending.append((p, self.level, new))
+        self.level, self.last = new, p
+
+    def extend(self, b: int) -> None:
+        """Write the row up to b, each pending term with _switch."""
+        f = self.frontier
+        if f < b:
+            for p, old, new in self.pending:
+                _switch(self.values[f:b], self.step.upto(b - p)[f - p :], 0, old, new,
+                        self.instant_off)
+            self.frontier = b
+
+    def copy(self) -> "_Row":
+        """An unshared copy; only the written part is copied."""
+        new = object.__new__(_Row)
+        new.step, new.instant_off, new.frontier = self.step, self.instant_off, self.frontier
+        new.values = np.zeros(len(self.values))
+        new.values[: self.frontier] = self.values[: self.frontier]
+        new.pending, new.level, new.last = list(self.pending), self.level, self.last
+        return new
+
+
 def unit_step_values(model: DeviceModel, length: int) -> np.ndarray:
     """Zero-state unit-step response samples g[0..length).
 
@@ -217,7 +261,8 @@ def unit_step_values(model: DeviceModel, length: int) -> np.ndarray:
     extension is elementwise, so a shorter call returns a prefix of a
     longer one bit for bit.
     """
-    (step,) = _unit_step_rows([model], [length])
+    length = check_count("length", length, 0)
+    (step,) = _unit_step_rows([model], length)
     return step.upto(length)
 
 
@@ -229,7 +274,8 @@ class _StepResponse:
     of unit_step_values, each run when upto first reads past g.  A pass
     fills its samples the same way however far g has grown, so every
     prefix has the bits of one full-length call.  The states that the
-    next pass reads are kept until g reaches cap.
+    next pass reads are kept until g reaches cap, and A^L is first
+    computed by the first pass.
     """
 
     __slots__ = ("model", "cap", "g", "_X", "_AL")
@@ -239,7 +285,7 @@ class _StepResponse:
         self.g = g_head + model.d
         # State component r over time is row X[r].
         self._X = X_head.T
-        self._AL = np.linalg.matrix_power(model.A, len(self.g)) if len(self.g) < cap else None
+        self._AL = None
 
     def upto(self, length: int) -> np.ndarray:
         """g[:length], for a length up to cap, running passes as needed."""
@@ -254,7 +300,8 @@ class _StepResponse:
         end = min(2 * L, self.cap)
         if end == L:
             raise ValueError(f"unit-step response of '{self.model.name}' ends at {L}")
-        m, AL = end - L, self._AL
+        AL = self._AL if self._AL is not None else np.linalg.matrix_power(A, L)
+        m = end - L
         g = np.empty(end)
         g[:L] = self.g
         X = np.empty((n, end))
@@ -275,24 +322,21 @@ class _StepResponse:
         self._X = X if end < self.cap else None
 
 
-def _unit_step_rows(
-    models: Sequence[DeviceModel], lengths: Sequence[int]
-) -> Iterator[_StepResponse]:
-    """Each model's _StepResponse, of at most lengths[i] samples, in turn.
+def _unit_step_rows(models: Sequence[DeviceModel], length: int) -> list[_StepResponse]:
+    """Each model's _StepResponse, of at most length samples.
 
     The STEP_HEAD recursion runs once per model order for all models of
     that order: one stacked A @ x + b per step, then the head's outputs
     as one stacked c @ x.  numpy makes the same BLAS call per slice as
     for one model, so a model's bits do not depend on the others.  The
-    doubling tail runs only as each response is read, so a caller that
-    reads one response at a time holds one order x length state block.
+    doubling tail runs only as each response is read.
     """
-    heads: list = [None] * len(models)
+    head = min(STEP_HEAD, length)
+    steps: list = [None] * len(models)
     by_order: dict[int, list[int]] = {}
     for i, model in enumerate(models):
         by_order.setdefault(model.order, []).append(i)
     for n, group in by_order.items():
-        head = min(STEP_HEAD, max(lengths[i] for i in group))
         As = np.stack([models[i].A for i in group])
         bs = np.stack([models[i].b for i in group])[:, :, None]
         cs = np.stack([models[i].c for i in group])[:, None, :]
@@ -307,10 +351,8 @@ def _unit_step_rows(
             np.add(product, bs, out=following)
         outputs = (cs @ states)[:, :, 0, 0]
         for j, i in enumerate(group):
-            h = min(STEP_HEAD, lengths[i])
-            heads[i] = (outputs[:h, j], states[:h, j, :, 0])
-    for model, length, (g_head, X_head) in zip(models, lengths, heads):
-        yield _StepResponse(model, length, g_head, X_head)
+            steps[i] = _StepResponse(models[i], length, outputs[:, j], states[:, j, :, 0])
+    return steps
 
 
 def random_stable_model(

@@ -637,6 +637,8 @@ def _keep_rows(n):
     ("res/result.json", _edit_json(
         lambda d: d["params"].update(deviation_threshold=float("inf")))),
     ("res/result.json", _edit_json(lambda d: d["params"].update(min_level=float("nan")))),
+    ("res/result.json", _edit_json(lambda d: d["params"].update(min_level=True))),
+    ("res/result.json", _edit_json(lambda d: d["params"].update(deviation_threshold=True))),
     ("res/result.json", _edit_json(lambda d: d["params"].update(lookahead=6.5))),
     ("res/result.json", _edit_json(lambda d: d["params"].update(beam_width=True))),
     ("res/result.json", _edit_json(lambda d: _first_on(d).update(level="1.5"))),
@@ -660,7 +662,8 @@ def _keep_rows(n):
     "truncated-result", "unknown-device", "extra-param", "negative-level",
     "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
     "sideways-unexplained", "inf-level", "nan-level", "nan-threshold",
-    "inf-threshold", "nan-min-level", "fractional-lookahead", "bool-beam-width",
+    "inf-threshold", "nan-min-level", "bool-min-level", "bool-threshold",
+    "fractional-lookahead", "bool-beam-width",
     "string-level", "bool-level", "string-magnitude", "string-residual-rms",
     "short-estimate", "truncated-scenario",
     "scenario-without-devices", "nan-noise", "inf-noise", "event-before-k0",

@@ -1,4 +1,5 @@
-"""Every integer parameter follows errors.check_count where it enters."""
+"""Every integer parameter follows errors.check_count, and every real one
+errors.check_number, where it enters."""
 
 import json
 import re
@@ -9,6 +10,8 @@ import pytest
 
 from disagg import (
     ArxModel,
+    DeviceModel,
+    EmonRecording,
     EngineParams,
     PiecewiseInput,
     PlugRecordingLabel,
@@ -16,12 +19,14 @@ from disagg import (
     SignalSeries,
     ValidationError,
     disaggregate,
+    find_gaps,
     load_scenario,
     match_events,
     random_stable_model,
     reference_scenario,
     render,
     save_scenario,
+    unit_step_values,
 )
 from disagg.cli import load_result, save_result
 from disagg.scenario import scenario_from_dict, scenario_to_dict
@@ -40,6 +45,22 @@ COUNTS = [
     ("na", 1, lambda v: ArxModel(na=v, nb=1, a=(0.5, 0.1), b_coef=(1.0,))),
     ("nb", 1, lambda v: ArxModel(na=1, nb=v, a=(0.5,), b_coef=(1.0, 0.1))),
     ("delay", 0, lambda v: ArxModel(na=1, nb=1, a=(0.5,), b_coef=(1.0,), delay=v)),
+    ("length", 0, lambda v: unit_step_values(DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0]), v)),
+]
+
+RECORDING = EmonRecording(np.arange(2.0), *(np.ones(2) for _ in range(5)))
+
+# (name, call that passes the value as that parameter)
+NUMBERS = [
+    ("deviation_threshold", lambda v: EngineParams(deviation_threshold=v)),
+    ("min_level", lambda v: EngineParams(min_level=v)),
+    ("noise_std", lambda v: Scenario(models=(), inputs=(), horizon=1, noise_std=v)),
+    ("sample_period", lambda v: SignalSeries(np.zeros(1), sample_period=v)),
+    ("on_threshold", lambda v: PlugRecordingLabel("kettle", v)),
+    ("max_input", lambda v: DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0], max_input=v)),
+    ("max_output", lambda v: DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0], max_output=v)),
+    ("nominal_rate", lambda v: find_gaps(RECORDING, v)),
+    ("gap_periods", lambda v: find_gaps(RECORDING, 12.0, v)),
 ]
 
 
@@ -51,6 +72,19 @@ def test_count_parameter_rule(name, low, build):
     with pytest.raises(ValidationError, match=f"^{name} must be >= {low}, got {low - 1}$"):
         build(low - 1)
     build(np.int64(low + 1))
+
+
+@pytest.mark.parametrize("name, build", NUMBERS, ids=[c[0] for c in NUMBERS])
+def test_number_parameter_rule(name, build):
+    # A bool is not taken as 0 or 1, nor a string parsed: each is rejected
+    # with the parameter's name; Python and numpy reals pass.
+    for bad in (True, False, "0.5", [0.5]):
+        with pytest.raises(
+            ValidationError, match=f"^{name} must be a number, got {re.escape(repr(bad))}$"
+        ):
+            build(bad)
+    for good in (2, 0.5, np.float64(0.5), np.int64(2)):
+        build(good)
 
 
 def test_numpy_counts_save_as_json_integers(tmp_path):

@@ -25,11 +25,11 @@ from disagg import (
     unit_step_values,
 )
 import disagg.engine as engine_module
-from disagg.engine import _Engine, _Hypothesis, _fits
+from disagg.engine import _Engine, _fits
 from disagg.models import STEP_HEAD, _switch
 from disagg.series import PiecewiseInput
 from conftest import hold, series
-from test_engine_beam import _event_key, _random_instance
+from test_engine_beam import _event_key, _random_instance, _root
 
 # The long-signal test runs the benchmark's own tiled workload generator.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -42,11 +42,11 @@ PARAMS = EngineParams(deviation_threshold=0.1, persistence=2, lookahead=4,
 
 def _hypothesis(engine, levels=(), since=()):
     """A hand-set hypothesis: device i is on at levels[i] > 0 since since[i] (or 0)."""
-    hyp = _Hypothesis(engine.models, engine.T, engine.start)
+    hyp = _root(engine)
     for i, lv in enumerate(levels):
         if lv > 0:
-            hyp.levels[i] = lv
-            hyp.last_event_k[i] = since[i] if since else 0
+            hyp.rows[i].level = lv
+            hyp.rows[i].last = (since[i] if since else 0) - engine.start
     return hyp
 
 
@@ -187,10 +187,11 @@ def test_fit_degenerate_template_rejected(lag_model):
     # window (lookahead 1, no backtrack) has nothing to fit.
     params = EngineParams(deviation_threshold=0.1, lookahead=1, backtrack_window=0)
     y = series([1.0, 1.0], start=3)
-    assert _Engine(y, [m], params)._on_candidates(_Hypothesis([m], 2, 3), 0, {}) == []
+    engine = _Engine(y, [m], params)
+    assert engine._on_candidates(_root(engine), 0, {}) == []
     # The same window does fit a device whose step response is nonzero there.
-    assert len(_Engine(y, [lag_model], params)._on_candidates(
-        _Hypothesis([lag_model], 2, 3), 0, {})) == 1
+    engine = _Engine(y, [lag_model], params)
+    assert len(engine._on_candidates(_root(engine), 0, {})) == 1
 
 
 def test_fit_rejects_unstable_model():
@@ -341,7 +342,7 @@ def _per_fit_candidates(engine, hyp, ks_pos, rejected=None):
     rejected = {} if rejected is None else rejected
     out = []
     for dev, model in enumerate(engine.models):
-        if hyp.levels[dev] != 0.0:
+        if hyp.rows[dev].level != 0.0:
             continue
         for kp in range(k_lo, ks_pos + 1):
             k_abs = engine.start + kp
@@ -350,7 +351,7 @@ def _per_fit_candidates(engine, hyp, ks_pos, rejected=None):
             gg = float(g @ g)
             if k_abs in hyp.times:
                 reason = "time collision"
-            elif k_abs <= hyp.last_event_k[dev]:
+            elif kp <= hyp.rows[dev].last:
                 reason = "rewind"
             elif gg == 0.0:
                 reason = "gg == 0"
@@ -415,13 +416,13 @@ def _candidate_states():
         step = rng.uniform(0.2, 3.0) * unit_step_values(models[0], T - pos)
         y = y_hat + np.concatenate([np.zeros(pos), step]) + rng.normal(scale=0.2, size=T)
         engine = _Engine(series(y, start=start), models, params)
-        hyp = _Hypothesis(engine.models, T, start)
+        hyp = _root(engine)
         hyp.y_hat = y_hat
         times = st.integers(start - 2, start + T - 1)
         for dev in range(len(models)):
-            hyp.levels[dev] = draw(st.sampled_from([0.0, 0.0, 1.0]))
+            hyp.rows[dev].level = draw(st.sampled_from([0.0, 0.0, 1.0]))
             if draw(st.sampled_from([False, False, True])):
-                hyp.last_event_k[dev] = draw(times)
+                hyp.rows[dev].last = draw(times) - start
         hyp.times = set(draw(st.lists(times, max_size=6)))
         return engine, hyp, min(T - 1, pos + draw(st.integers(0, 2)))
 
@@ -470,16 +471,19 @@ def test_shared_candidate_list_equals_a_fresh_call_property():
         k_lo = max(0, ks_pos - params.backtrack_window)
         a = engine.start + k_lo
         second = first.clone()
+        # Clones share rows; the second's edits must not reach the first.
+        second.rows = [row.copy() for row in second.rows]
+        levels = [row.level for row in first.rows]
         devs = range(len(engine.models))
         dev = data.draw(st.sampled_from(devs))
         outside = [k for k in range(engine.start, engine.start + engine.T)
                    if not a <= k <= engine.start + ks_pos]
-        if change == "old switch" and first.last_event_k[dev] < a:
-            second.last_event_k[dev] = data.draw(st.integers(engine.start - 2, a - 1))
+        if change == "old switch" and first.rows[dev].last < k_lo:
+            second.rows[dev].last = data.draw(st.integers(-2, k_lo - 1))
         elif change == "old time" and outside:
             second.times.add(data.draw(st.sampled_from(outside)))
-        elif change == "on level" and first.levels[dev] != 0.0:
-            second.levels[dev] = 2.5
+        elif change == "on level" and levels[dev] != 0.0:
+            second.rows[dev].level = 2.5
         elif change == "y_hat outside" and k_lo + engine.T - 1 - k_end > 0:
             second.y_hat[[k for k in range(engine.T) if not k_lo <= k <= k_end]] += 1.0
         elif change == "y_hat inside":
@@ -487,13 +491,13 @@ def test_shared_candidate_list_equals_a_fresh_call_property():
         elif change == "time inside":
             second.times.add(data.draw(st.integers(a, engine.start + ks_pos)))
         elif change == "switch inside":
-            second.last_event_k[dev] = data.draw(st.integers(a, engine.start + ks_pos))
+            second.rows[dev].last = data.draw(st.integers(k_lo, ks_pos))
         elif change == "device on":
-            second.levels[dev] = 1.0
-        elif change == "swap" and 0.0 in first.levels and any(first.levels):
+            second.rows[dev].level = 1.0
+        elif change == "swap" and 0.0 in levels and any(levels):
             # As many devices off, but not the same ones.
-            on = next(i for i in devs if first.levels[i])
-            second.levels[on], second.levels[first.levels.index(0.0)] = 0.0, 1.0
+            on = next(i for i in devs if levels[i])
+            second.rows[on].level, second.rows[levels.index(0.0)].level = 0.0, 1.0
         else:
             change = "none"
         shared: dict = {}
@@ -557,21 +561,18 @@ def _two_stage_off_device(engine, hyp, ks_pos, p):
     k_abs = engine.start + ks_pos
     if k_abs in hyp.times:
         return None
-    on_devs = [
-        i for i, level in enumerate(hyp.levels)
-        if level != 0.0 and hyp.last_event_k[i] < k_abs
-    ]
+    on_devs = [i for i, row in enumerate(hyp.rows) if row.level != 0.0 and row.last < ks_pos]
     if not on_devs:
         return None
     eligible = [
         i for i in on_devs
-        if k_abs - hyp.last_event_k[i] >= engine.params.min_on_duration
+        if ks_pos - hyp.rows[i].last >= engine.params.min_on_duration
     ]
     if not eligible:
         eligible = on_devs
     drop = abs(engine.y[p] - hyp.y_hat[p])
     return min(
-        eligible, key=lambda i: (abs(engine.gains[i] * hyp.levels[i] - drop), i)
+        eligible, key=lambda i: (abs(engine.gains[i] * hyp.rows[i].level - drop), i)
     )
 
 
@@ -602,13 +603,14 @@ def test_off_events_equal_the_two_stage_rule_property():
                for i, gain in enumerate(gains)]
         params = replace(PARAMS, min_on_duration=min_on)
         engine = _Engine(series(np.zeros(ks_pos + 20), start=start), lib, params)
-        hyp = _Hypothesis(engine.models, engine.T, start)
+        hyp = _root(engine)
         k_abs, p = start + ks_pos, ks_pos + lag
-        for i in range(len(lib)):
-            hyp.levels[i] = data.draw(st.one_of(st.just(0.0), dyadic))
-            hyp.last_event_k[i] = data.draw(st.integers(k_abs - 8, k_abs + 2))
+        for row in hyp.rows:
+            row.level = data.draw(st.one_of(st.just(0.0), dyadic))
+            row.last = data.draw(st.integers(ks_pos - 8, ks_pos + 2))
         hyp.times = set(data.draw(st.lists(st.integers(k_abs - 3, k_abs + 3), max_size=3)))
-        contributions = [g * level for g, level in zip(engine.gains, hyp.levels)]
+        levels, lasts = [row.level for row in hyp.rows], [row.last for row in hyp.rows]
+        contributions = [g * level for g, level in zip(engine.gains, levels)]
         drop = data.draw(st.one_of(
             dyadic,
             st.sampled_from(contributions),
@@ -621,15 +623,15 @@ def test_off_events_equal_the_two_stage_rule_property():
         got = engine._off_events(hyp, ks_pos, p)
         assert got == ([] if want is None else [SwitchEvent(k_abs, want, "off", 0.0)])
 
-        on = [i for i, level in enumerate(hyp.levels) if level != 0.0]
-        qualify = [i for i in on if hyp.last_event_k[i] < k_abs]
+        on = [i for i, level in enumerate(levels) if level != 0.0]
+        qualify = [i for i in on if lasts[i] < ks_pos]
         seen["rewind"] += len(qualify) < len(on)
         if not qualify:
             return
         if k_abs in hyp.times:
             seen["time logged"] += 1
             return
-        young = [i for i in qualify if k_abs - hyp.last_event_k[i] < min_on]
+        young = [i for i in qualify if ks_pos - lasts[i] < min_on]
         distance = [abs(contributions[i] - drop) for i in qualify]
         seen["fallback"] += len(young) == len(qualify) > 1
         seen["tie"] += len(set(distance)) < len(distance)
@@ -923,8 +925,9 @@ def test_lazy_rows_equal_eager_switch_rows_property():
     # its frontier stands, the written part must have the bits of the
     # eager row (every switch run through models._switch to the end of
     # the signal) and the rest 0.0; y_hat must be the device-order sum of
-    # the eager rows below synced; and clones that share a row must each
-    # keep their own.  Any other row is written to the end at once.
+    # the eager rows below synced; each row's level and last switch must
+    # be those of its device's last switch; and clones that share a row
+    # must each keep their own.  Any other row is written to the end at once.
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -951,10 +954,12 @@ def test_lazy_rows_equal_eager_switch_rows_property():
         T = engine.T
         for hyp, switches in pool:
             eager = eager_rows(T, switches)
-            for row, ref in zip(hyp.rows, eager):
+            for row, ref, row_switches in zip(hyp.rows, eager, switches):
                 f = row.frontier
                 assert row.values[:f].tobytes() == ref[:f].tobytes()
                 assert row.values[f:].tobytes() == bytes(8 * (T - f))
+                p, _, new = row_switches[-1] if row_switches else (-1, 0.0, 0.0)
+                assert (row.level, row.last) == (new, p)
             total = engine_module._device_sum(eager, np.empty(T))
             assert hyp.y_hat[: hyp.synced].tobytes() == total[: hyp.synced].tobytes()
 
@@ -963,7 +968,7 @@ def test_lazy_rows_equal_eager_switch_rows_property():
     def check(data):
         T = data.draw(st.integers(30, T_max))
         engine = _Engine(series(np.zeros(T)), models, PARAMS)
-        pool = [(_Hypothesis(engine.models, T, 0), [[] for _ in models])]
+        pool = [(_root(engine), [[] for _ in models])]
         for _ in range(data.draw(st.integers(1, 24))):
             hyp, switches = data.draw(st.sampled_from(pool))
             op = data.draw(st.sampled_from(["switch", "switch", "sync", "extend", "clone"]))
@@ -973,18 +978,18 @@ def test_lazy_rows_equal_eager_switch_rows_property():
             elif op == "sync":
                 engine._sync(hyp, data.draw(st.integers(0, T)))
             elif op == "extend":
-                engine._extend(hyp.rows[dev], dev, data.draw(st.integers(0, T)))
-            elif hyp.last_event_k[dev] < T - 1:
-                pos = data.draw(st.integers(hyp.last_event_k[dev] + 1, T - 1))
-                old = hyp.levels[dev]
+                hyp.rows[dev].extend(data.draw(st.integers(0, T)))
+            elif hyp.rows[dev].last < T - 1:
+                pos = data.draw(st.integers(hyp.rows[dev].last + 1, T - 1))
+                old = hyp.rows[dev].level
                 new = 0.0 if old else data.draw(st.sampled_from([0.5, 1.25, 3.0]))
                 engine._apply(hyp, SwitchEvent(pos, dev, "on" if new else "off", new))
                 switches[dev].append((pos, old, new))
             check_pool(engine, pool)
         for hyp, _ in pool:
             engine._sync(hyp, T)
-            for dev, row in enumerate(hyp.rows):
-                engine._extend(row, dev, T)
+            for row in hyp.rows:
+                row.extend(T)
         check_pool(engine, pool)
 
     check()

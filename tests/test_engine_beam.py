@@ -30,10 +30,16 @@ from disagg import (
     unit_step_values,
 )
 from disagg.engine import _Detection, _Engine, _Hypothesis
+from disagg.models import _Row
 from conftest import hold
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import tiled_reference_scenario  # noqa: E402
+
+
+def _root(engine):
+    """engine's root hypothesis: every device off, no row written."""
+    return _Hypothesis([_Row(step, engine.T) for step in engine.steps])
 
 
 def _event_key(e):
@@ -279,7 +285,7 @@ def test_rank_ties_on_score_and_count_break_by_event_log():
     twins = [DeviceModel(name, A=[[0.5]], b=[0.5], c=[1.0]) for name in ("a", "b")]
     y = SignalSeries(np.concatenate([np.zeros(10), np.full(20, 2.0)]))
     engine = _Engine(y, twins, EngineParams(deviation_threshold=0.1))
-    root = _Hypothesis(engine.models, engine.T, engine.start)
+    root = _root(engine)
     on_a, on_b = (SwitchEvent(10, dev, "on", 2.0) for dev in (0, 1))
     built_a, built_b = root.clone(), root.clone()
     engine._apply(built_a, on_a)
@@ -357,12 +363,12 @@ def _parent_states():
         engine = _Engine(SignalSeries(rng.normal(size=T), 1.0, start), models, params)
         ks = draw(st.integers(params.backtrack_window, T - 1))
         p = draw(st.sampled_from([T - 1, min(T - 1, ks + draw(st.integers(0, params.lookahead)))]))
-        parent = _Hypothesis(engine.models, T, start)
+        parent = _root(engine)
         k_lo = ks - params.backtrack_window
         prior = draw(st.lists(st.tuples(st.integers(0, k_lo - 1), st.integers(0, len(models) - 1)),
                               max_size=6, unique_by=lambda t: t[0])) if k_lo else []
         for pos, dev in sorted(prior):
-            level = 0.0 if parent.levels[dev] else float(rng.uniform(0.2, 3.0))
+            level = 0.0 if parent.rows[dev].level else float(rng.uniform(0.2, 3.0))
             engine._apply(parent, SwitchEvent(start + pos, dev, "off" if not level else "on", level))
         return engine, parent, ks, p
 
@@ -371,8 +377,8 @@ def _parent_states():
 
 def _full_rows(engine, hyp):
     """hyp's rows written to the end of the signal, as bytes."""
-    for dev, row in enumerate(hyp.rows):
-        engine._extend(row, dev, engine.T)
+    for row in hyp.rows:
+        row.extend(engine.T)
     return [row.values.tobytes() for row in hyp.rows]
 
 
@@ -415,10 +421,10 @@ def test_branch_keys_equal_built_children_property():
         k_lo, start = ks - engine.params.backtrack_window, engine.start
         events = [
             SwitchEvent(start + pos, dev, "on", 0.5 + dev + 0.25 * (pos - k_lo))
-            for dev, level in enumerate(parent.levels) if level == 0.0
-            for pos in range(k_lo, ks + 1) if parent.last_event_k[dev] < start + pos
+            for dev, row in enumerate(parent.rows) if row.level == 0.0
+            for pos in range(k_lo, ks + 1) if row.last < pos
         ] + [SwitchEvent(start + ks, dev, "off", 0.0)
-             for dev, level in enumerate(parent.levels) if level != 0.0][:1]
+             for dev, row in enumerate(parent.rows) if row.level != 0.0][:1]
         events = data.draw(st.permutations(events))
         keys = engine._branch_keys(parent, events, p)
         for event, key in zip(events, keys, strict=True):

@@ -20,7 +20,7 @@ from disagg import (
     unit_step_values,
 )
 from disagg.models import (
-    SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _outputs, _switch, _unit_step_rows,
+    SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _outputs, _Row, _switch, _unit_step_rows,
 )
 from conftest import series
 
@@ -455,20 +455,21 @@ def test_unit_step_values_matches_recursion_up_to_day_scale():
 
 def test_unit_step_rows_equal_single_model_calls():
     # Orders 1-4 with two or three models each (d != 0 in one), so every
-    # stacked head recursion serves several models, and each model asks
-    # for its own length: 0, 1, below STEP_HEAD, or either side of a pass
-    # edge.  Each response is the prefix of one full-length call.
+    # stacked head recursion serves several models, passed in a different
+    # order at each call; each call asks for one length: 0, 1, either side
+    # of STEP_HEAD or of a pass edge.  Each response is the prefix of one
+    # full-length call.
     models = _kernel_models() + [random_stable_model(4, s) for s in (41, 42)]
     full = 3_000
     expected = {m.name: _outer_doubling_step(m, full).tobytes() for m in models}
     choices = (0, 1, STEP_HEAD - 1, STEP_HEAD, STEP_HEAD + 1, 2 * STEP_HEAD,
                2 * STEP_HEAD + 1, 4 * STEP_HEAD - 1, full)
-    for shift in range(len(choices)):
-        lengths = [choices[(i + shift) % len(choices)] for i in range(len(models))]
-        steps = list(_unit_step_rows(models, lengths))
-        assert len(steps) == len(models)
-        for m, length, step in zip(models, lengths, steps):
-            head = min(length, STEP_HEAD)
+    for shift, length in enumerate(choices):
+        order = (models[shift:] + models[:shift])[:: -1 if shift % 2 else 1]
+        steps = _unit_step_rows(order, length)
+        assert len(steps) == len(order)
+        head = min(length, STEP_HEAD)
+        for m, step in zip(order, steps):
             g = step.upto(length)
             assert g.tobytes()[: 8 * head] == _step_recursion(m, head).tobytes(), m.name
             assert g.tobytes() == expected[m.name][: 8 * length], (m.name, length)
@@ -487,7 +488,7 @@ def test_step_response_grown_in_steps_equals_one_full_call():
     for m in models:
         expected = _outer_doubling_step(m, full).tobytes()
         for lengths in reads:
-            (step,) = _unit_step_rows([m], [full])
+            (step,) = _unit_step_rows([m], full)
             for n in lengths:
                 assert step.upto(n).tobytes() == expected[: 8 * n], (m.name, n)
             assert len(step.g) == full
@@ -675,5 +676,73 @@ def test_outputs_end_writes_at_resets_property():
             old = new
         (row,) = _outputs([m], [changes], length)
         assert row.tobytes() == ref.tobytes()
+
+    check()
+
+
+def test_row_equals_eager_switch_rows_property():
+    # A _Row writes an instant-off device's switches only as far as it is
+    # read, and any other device's to the end at each switch.  Under any
+    # order of switch, extend and copy, the written part of each row must
+    # have the bits of the eager row (every switch run through _switch to
+    # the end of the row) and the rest +0.0; level and last must be those
+    # of the row's last switch; and a copy must keep its own.  Reads and
+    # switches are drawn next to the frontier and the row's end, and one
+    # instant-off model has d != 0, so a write that misses one sample
+    # (where g[0] = d) shows.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # negzero's step response is -0.0 from STEP_HEAD on: a term assigned
+    # onto a zero row, not added, would keep the -0.0 of level * g where
+    # the eager row has 0.0 + -0.0 = +0.0.
+    negzero = DeviceModel("negzero", A=[[0.5]], b=[0.0], c=[-1.0], d=-0.0, instant_off=True)
+    base = random_stable_model(3, 5)
+    models = [replace(base, instant_off=True), random_stable_model(2, 9), negzero,
+              replace(base, d=0.25, dc_normalized=False, instant_off=True)]
+    T_max = 3 * STEP_HEAD
+    full = [unit_step_values(m, T_max) for m in models]
+    assert np.signbit(full[2][STEP_HEAD:]).all()
+
+    def near(lo, hi, *edges):
+        """An integer in [lo, hi], often one of edges or next to one."""
+        close = [e + j for e in edges for j in (-1, 0, 1) if lo <= e + j <= hi]
+        return st.one_of(st.integers(lo, hi), *([st.sampled_from(close)] if close else []))
+
+    def check_row(dev, row, switches, T):
+        ref = np.zeros(T)
+        for p, old, new in switches:
+            _switch(ref, full[dev], p, old, new, models[dev].instant_off)
+        f = row.frontier
+        assert f == T or models[dev].instant_off
+        assert row.values[:f].tobytes() == ref[:f].tobytes()
+        assert row.values[f:].tobytes() == bytes(8 * (T - f))
+        p, _, new = switches[-1] if switches else (-1, 0.0, 0.0)
+        assert (row.level, row.last) == (new, p)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        T = data.draw(st.integers(0, T_max))
+        # The rows of one model share its step response, as the engine's do.
+        pool = [(dev, _Row(step, T), []) for dev, step in enumerate(_unit_step_rows(models, T))]
+        for _ in range(data.draw(st.integers(1, 30))):
+            dev, row, switches = data.draw(st.sampled_from(pool))
+            op = data.draw(st.sampled_from(["switch", "switch", "extend", "copy"]))
+            if op == "copy":
+                pool.append((dev, row.copy(), list(switches)))
+            elif op == "extend":
+                row.extend(data.draw(near(0, T, row.frontier, T)))
+            elif row.last < T - 1:
+                p = data.draw(near(row.last + 1, T - 1, row.frontier, T))
+                new = data.draw(st.sampled_from([0.0, 0.0, 0.5, 1.25, 3.0]))
+                switches.append((p, row.level, new))
+                row.switch(p, new)
+            for entry in pool:
+                check_row(*entry, T)
+        for dev, row, switches in pool:
+            row.extend(T)
+            check_row(dev, row, switches, T)
+            assert row.frontier == T
 
     check()

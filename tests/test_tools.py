@@ -1,0 +1,31 @@
+"""The scripts under tools/ run: each parses its options, and day_scale.py
+disaggregates one tile of the reference schedule exactly."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _run(*args):
+    return subprocess.run(
+        [sys.executable, *map(str, args)], capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("tool", ["output_digests.py", "accuracy_sweep.py", "day_scale.py"])
+def test_tool_help_exits_zero(tool):
+    done = _run(TOOLS / tool, "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ")
+
+
+def test_day_scale_one_tile_is_exact():
+    done = _run(TOOLS / "day_scale.py", "--tiles", "1", "--width", "1")
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    assert "T=450 width=1 " in line
+    assert line.endswith(" 8 events, exact True")
