@@ -242,11 +242,10 @@ class _Row:
 
     def copy(self) -> "_Row":
         """An unshared copy; only the written part is copied."""
-        new = object.__new__(_Row)
-        new.step, new.instant_off, new.frontier = self.step, self.instant_off, self.frontier
-        new.values = np.zeros(len(self.values))
+        new = _Row(self.step, len(self.values))
         new.values[: self.frontier] = self.values[: self.frontier]
-        new.pending, new.level, new.last = list(self.pending), self.level, self.last
+        new.frontier, new.pending = self.frontier, list(self.pending)
+        new.level, new.last = self.level, self.last
         return new
 
 
