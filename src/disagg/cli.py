@@ -21,7 +21,7 @@ from .engine import (
     # Unused here, like write_signal_csv below, but perfbench/spans.py wraps both.
     disaggregate_beam,  # noqa: F401
 )
-from .errors import ValidationError, check_count, check_real, reading
+from .errors import ValidationError, check_count, check_name, check_real, reading
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
 from .ingest import (
     CHANNELS,
@@ -70,7 +70,9 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
     path = out / "result.json"
     with reading(path):
         data = json.loads(path.read_text())
-        names = tuple(data["devices"])
+        names = tuple(check_name(name) for name in data["devices"])
+        if len(set(names)) != len(names):
+            raise ValidationError("duplicate device names in result")
         index = {name: i for i, name in enumerate(names)}
         unknown = [e["device"] for e in data["events"] if e["device"] not in index]
         if unknown:
@@ -143,6 +145,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_identify(args) -> int:
+    check_name(args.name)
     recording = parse_emontx_csv(args.input)
     signal = to_signal(recording, channel=args.channel, nominal_rate=args.rate)
     label = PlugRecordingLabel(

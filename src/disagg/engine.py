@@ -22,9 +22,10 @@ Cost: the loop runs once per detection, not once per sample.  Each
 hypothesis keeps its next detection, found by a numpy scan of the mask
 |y - y_hat| > threshold, and the engine jumps to the earliest in the
 pool, so the Python work grows with the detections times the pool
-width.  An increase costs one stacked fit of the off devices per start
-time in the backtrack window, and the hypotheses of one step whose fit
-inputs match share one candidate list.  An instant-off device's row is
+width.  The increases of one step whose runs start at one position are
+fit together: one stacked fit per start time in the backtrack window,
+a row per (hypothesis, off device), each against its hypothesis's
+residual.  An instant-off device's row is
 written only as far as the engine reads it (the scan, a fit window, a
 ranked prefix), and a reset ends its pending terms, so an event costs
 numpy work over the samples read while its device is on, not over the
@@ -33,26 +34,29 @@ y_hat and the mask are re-summed only as far as the next scan advances.
 A beam step scores each branch from its parent's rows before building
 any, then clones only the survivors, which share device rows until they
 switch one; the switcher copies the row's written part.  A parent's
-residual through p is formed once for all its branches, and each branch
-re-sums the rows only from the parent's earliest branch position.  Each
-ranked entry still costs one dot product over [0, p], O(p): a sum of
-shorter products would not have the score's bits.  A clone costs its
-y_hat copy, O(T).
+residual through p is formed once for all its branches.  From the
+earliest branch position on, its branches are the rows of one array,
+each its branch's switched step, to which the parent's rows are added
+in device order once for all branches, so a parent's numpy calls do not
+grow with its branches.  Each ranked entry still costs one dot product
+over [0, p], O(p): a sum of shorter products would not have the score's
+bits.  A clone costs its y_hat copy, O(T).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, check_count, check_number
 from .models import (
     DeviceModel,
     _Row,
-    _switch,
     _unit_step_rows,
     dc_gain,
     # Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state
@@ -185,10 +189,11 @@ def _fits(G: np.ndarray, e: np.ndarray, gg) -> tuple[np.ndarray, np.ndarray]:
 
     A row is a device's unit-step response over the window, gg its g @ g;
     the output is linear in the level, so each fit projects e onto a row.
+    e is one window for every row, or one row of e per row of G.
     numpy takes the stacked (1, n) @ (n, 1) products as the 1-D g @ e, so a
     row's bits do not depend on the others (2-D G @ e may round otherwise).
     """
-    levels = (G[:, None, :] @ e[:, None])[:, 0, 0] / gg
+    levels = (G[:, None, :] @ e[..., None])[:, 0, 0] / gg
     diff = e - levels[:, None] * G
     return levels, (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
 
@@ -241,6 +246,15 @@ class _Hypothesis:
         return new
 
 
+def _delayed(g: np.ndarray) -> np.ndarray:
+    """out[i, n - s] is row i of g delayed by s samples, cut to its length n.
+
+    A read-only view of g behind n zeros, for s from 0 to n.
+    """
+    n = g.shape[1]
+    return sliding_window_view(np.concatenate([np.zeros_like(g), g], axis=1), n, axis=1)
+
+
 def _device_sum(segments: list[np.ndarray], out: np.ndarray) -> np.ndarray:
     """Sum row segments into out in device order, as simulated outputs add up."""
     out[:] = segments[0]
@@ -287,6 +301,7 @@ class _Engine:
         # heads[dev] = g[:needed + 1] spans every on-event fit window; gg[dev, n]
         # is g[:n] @ g[:n], or inf where that is 0 (no fit: a level 0 is dropped).
         heads = self.heads = np.stack([step.upto(needed + 1) for step in self.steps])
+        self.delayed = _delayed(heads)
         gg = np.stack([(heads[:, None, :n] @ heads[:, :n, None])[:, 0, 0]
                        for n in range(needed + 2)], axis=1)
         self.gg = np.where(gg == 0.0, np.inf, gg)
@@ -376,50 +391,64 @@ class _Engine:
             j, step = a, 2 * step
         return 0
 
-    def _on_candidates(self, hyp: _Hypothesis, ks_pos: int, shared: dict) -> list:
-        """Filtered on-event (sse, k, device, level) tuples for an increase at
-        ks_pos, sorted: by fit SSE, then time, then device.
+    def _on_candidates(self, hyps: list[_Hypothesis], ks_pos: int) -> list[list]:
+        """Per hypothesis, its filtered on-event (sse, k, device, level)
+        tuples for an increase at ks_pos, sorted: by fit SSE, then time,
+        then device.
 
         Every off device is crossed with every start time in the backtrack
-        window and fit over the lookahead window, one stacked fit per start
-        time.  Filters: nonnegative level above min_level, max_input, the
-        max-output prior on the predicted steady draw, no collision with an
-        already-logged event time, and no rewind past the device's own last
-        switch.  The list depends on hyp only through key; shared keeps one per key.
+        window and fit over the lookahead window.  The fits of one start
+        time are one stacked fit of every (hypothesis, off device) row, each
+        row against its hypothesis's residual; a start time that every
+        hypothesis has logged is not fit.  Filters: nonnegative level above
+        min_level, max_input, the max-output prior on the predicted steady
+        draw, no collision with an already-logged event time, and no rewind
+        past the device's own last switch.
         """
         params = self.params
         k_end = min(ks_pos + params.lookahead, self.T - 1)
         k_lo = max(0, ks_pos - params.backtrack_window)
-        self._sync(hyp, k_end + 1)
-        y_hat = hyp.y_hat[k_lo : k_end + 1]
-        a, b = self.start + k_lo, self.start + ks_pos
-        devs = [dev for dev, row in enumerate(hyp.rows) if row.level == 0.0]
-        # Their last switches; all those before k_lo bar no start time alike.
-        lasts = [max(hyp.rows[dev].last, k_lo - 1) for dev in devs]
-        times = tuple(k for k in range(a, b + 1) if k in hyp.times)
-        key = (ks_pos, y_hat.tobytes(), tuple(devs), tuple(lasts), times)
-        if key in shared:
-            return shared[key]
-        resid = self.y[k_lo : k_end + 1] - y_hat
+        for hyp in hyps:
+            self._sync(hyp, k_end + 1)
+        # One (hypothesis, off device, its last switch) per fit row.
+        rows = [(i, dev, row.last) for i, hyp in enumerate(hyps)
+                for dev, row in enumerate(hyp.rows) if row.level == 0.0]
+        outs: list[list] = [[] for _ in hyps]
+        if not rows:
+            return outs
+        y = self.y[k_lo : k_end + 1]
+        if len(hyps) == 1:
+            resid = y - hyps[0].y_hat[k_lo : k_end + 1]
+        else:
+            resid = y - np.array([hyp.y_hat[k_lo : k_end + 1] for hyp in hyps])
+            resid = resid[[i for i, _, _ in rows]]
+        devs = [dev for _, dev, _ in rows]
         heads, gg = self.heads[devs], self.gg[devs]
-        out = []
+        # The start times each hypothesis has logged, if any has.
+        a, b = self.start + k_lo, self.start + ks_pos
+        marks = [[k for k in range(a, b + 1) if k in hyp.times] for hyp in hyps]
+        logged = any(marks)
+        skip = ()
         for kp in range(k_lo, ks_pos + 1):
             k_abs, n = self.start + kp, k_end - kp + 1
-            if k_abs in times:
-                continue
-            levels, sses = _fits(heads[:, :n], resid[kp - k_lo :], gg[:, n])
-            for dev, last, level, sse in zip(devs, lasts, levels.tolist(), sses.tolist()):
+            if logged:
+                skip = {i for i, times in enumerate(marks) if k_abs in times}
+                if len(skip) == len(hyps):
+                    continue
+            levels, sses = _fits(heads[:, :n], resid[..., kp - k_lo :], gg[:, n])
+            for (i, dev, last), level, sse in zip(rows, levels.tolist(), sses.tolist()):
                 m = self.models[dev]
                 if (
                     last >= kp or level <= 0.0 or level < params.min_level
                     or (m.max_input is not None and level > m.max_input)
                     or (m.max_output is not None and self.gains[dev] * level > m.max_output)
+                    or i in skip
                 ):
                     continue
-                out.append((sse, k_abs, dev, level))
-        out.sort()
-        shared[key] = out
-        return out
+                outs[i].append((sse, k_abs, dev, level))
+        for out in outs:
+            out.sort()
+        return outs
 
     def _off_events(self, hyp: _Hypothesis, ks_pos: int, p: int) -> list[SwitchEvent]:
         """Switch off the on device whose steady contribution is nearest the drop at p.
@@ -447,7 +476,7 @@ class _Engine:
         fewer events, then the event log in SwitchEvent order."""
         self._sync(hyp, p + 1)
         resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
-        score = float(resid @ resid) + self.sparsity_penalty * len(hyp.events)
+        score = float(resid.dot(resid)) + self.sparsity_penalty * len(hyp.events)
         return (score, len(hyp.events), hyp.events)
 
     def _branch_keys(
@@ -455,50 +484,82 @@ class _Engine:
     ) -> list[tuple]:
         """The _rank_key at p of each child that one of events makes of hyp.
 
-        No child is built.  hyp's residual through p is formed once; for
-        each event, its device's row is switched over [lo, p] with _apply's
-        arithmetic, lo being the earliest event's position, and the rows
-        there are summed in device order.  Below the event's own position
-        that sum has y_hat's bits, so each residual, and its dot product,
-        has the built child's bits.
+        No child is built.  Over [lo, p], lo being the earliest event's
+        position, the branches are the rows of one (branches x tail) array.
+        A row starts as its level change times its device's step response
+        from its event on; hyp's rows are then added to every row in device
+        order, so that each row becomes its child's device-order sum of
+        rows, its own device's term being its switched row (an instant-off
+        switch to 0 zeroes that term from the event on instead).  The zeros
+        before an event may flip the sign of a zero sum there, never a
+        square.  Each tail, copied into hyp's residual through p, gives the
+        child's score by one dot product, with the built child's bits.
         """
         self._sync(hyp, p + 1)
         resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
         lo = min(event.k for event in events) - self.start
-        y, tail = self.y[lo : p + 1], resid[lo:]
-        segments = [row.values[lo : p + 1] for row in hyp.rows]
+        n, rows = p + 1 - lo, hyp.rows
+        # Branches by device, so those of the devices before d are a prefix.
+        order = sorted(range(len(events)), key=[event.device for event in events].__getitem__)
+        branches = [events[j] for j in order]
+        devs = [event.device for event in branches]
+        table = self.delayed if n <= self.delayed.shape[2] else _delayed(
+            np.array([step.upto(n) for step in self.steps]))
+        base = self.start + lo + table.shape[2]
+        # Each row: its device's step response from its event on, 0 before.
+        tails = table[devs, [base - event.k for event in branches], :n]
+        tails *= np.array([event.level - rows[event.device].level for event in branches])[:, None]
+        resets = {j: event.k - self.start - lo for j, event in enumerate(branches)
+                  if event.level == 0.0 and rows[event.device].instant_off}
+        # Rows [0, below) switch a device before dev, rows [below, mine) dev
+        # itself; head is the device-order sum of hyp's rows before dev.
+        head, below = None, 0
+        for dev, row in enumerate(rows):
+            segment = row.values[lo : p + 1]
+            mine = bisect_right(devs, dev, below)
+            if mine:
+                tails[:mine] += segment
+            for j in resets:
+                if below <= j < mine:
+                    tails[j, resets[j] :] = 0.0
+            if head is not None and mine > below:
+                tails[below:mine] += head
+            if dev < devs[-1]:
+                head = segment if head is None else head + segment
+            below = mine
+        np.subtract(self.y[lo : p + 1], tails, out=tails)
         penalty = self.sparsity_penalty * (len(hyp.events) + 1)
-        keys = []
-        for event in events:
-            dev, pos, row = event.device, event.k - self.start, hyp.rows[event.device]
-            segment = segments[dev]
-            segments[dev] = segment.copy()
-            _switch(segments[dev], row.step.upto(p + 1 - pos), pos - lo,
-                    row.level, event.level, row.instant_off)
-            np.subtract(y, _device_sum(segments, tail), out=tail)
-            segments[dev] = segment
-            log = [*hyp.events, event]
-            keys.append((float(resid @ resid) + penalty, len(log), log))
+        keys: list = [None] * len(events)
+        for j, tail in zip(order, tails):
+            resid[lo:] = tail
+            log = [*hyp.events, events[j]]
+            keys[j] = (float(resid.dot(resid)) + penalty, len(log), log)
         return keys
 
     def _step(self, pool: list[_Hypothesis], p: int) -> list[_Hypothesis]:
         """Handle the detections at p; the next pool, ranked when it overflows.
 
         Each entry is a hypothesis kept as it is or a (parent, event)
-        branch.  Branches are ranked before they are built, so only the
-        survivors are cloned and applied; a parent's last surviving
-        branch reuses the parent.
+        branch.  The increases whose runs start at one position have their
+        candidates fit together.  Branches are ranked before they are
+        built, so only the survivors are cloned and applied; a parent's
+        last surviving branch reuses the parent.
         """
         # (hyp, None) keeps hyp as it is; (parent, events) branches it.
         groups: list[tuple[_Hypothesis, list[SwitchEvent] | None]] = []
-        shared: dict = {}
+        candidates: dict = {}
         for hyp in pool:
-            if hyp.detection is None or hyp.detection.p != p:
+            detection = hyp.detection
+            if detection is None or detection.p != p:
                 groups.append((hyp, None))
                 continue
-            _, kind, ks_pos = hyp.detection
+            _, kind, ks_pos = detection
             if kind == "increase":
-                take = self._on_candidates(hyp, ks_pos, shared)[: self.params.beam_width]
+                if hyp not in candidates:
+                    # Every hypothesis with this detection is fit now, together.
+                    group = [other for other in pool if other.detection == detection]
+                    candidates.update(zip(group, self._on_candidates(group, ks_pos)))
+                take = candidates[hyp][: self.params.beam_width]
                 events = [SwitchEvent(k, dev, "on", level) for _, k, dev, level in take]
             else:
                 events = self._off_events(hyp, ks_pos, p)

@@ -47,6 +47,19 @@ def check_count(name, value, low=None):
     return int(value)
 
 
+def check_name(value):
+    """Raise ValidationError unless value is a device name: a non-empty string
+    without '/', NUL, ',', CR or LF, since it names the file
+    estimate_<name>.csv and prefixes a field of plot-data's CSV rows;
+    return it."""
+    if not isinstance(value, str) or not value or any(ch in value for ch in "/\0,\r\n"):
+        raise ValidationError(
+            f"device name {value!r} must be a non-empty string without '/', NUL, ',', "
+            "CR or LF"
+        )
+    return value
+
+
 class UnstableModelError(ValidationError):
     """A device model's spectral radius is not below 1 - margin."""
 

@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    UnstableModelError, ValidationError, check_count, check_number, check_real, reading,
+    UnstableModelError, ValidationError, check_count, check_name, check_number, check_real,
+    reading,
 )
 from .rng import SeededStream
 from .series import SignalSeries
@@ -68,6 +69,7 @@ class DeviceModel:
     dc_normalized: bool = False
 
     def __post_init__(self):
+        check_name(self.name)
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         b = np.asarray(self.b, dtype=float).reshape(-1)
         c = np.asarray(self.c, dtype=float).reshape(-1)

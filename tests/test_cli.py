@@ -36,6 +36,11 @@ import spans  # noqa: E402
 from inputs import PLUG_ROWS, write_plug_set  # noqa: E402
 
 
+# Device names that would break a file name or a CSV row.
+BAD_NAMES = pytest.mark.parametrize("bad", ["x/y", "a,b", "", "a\nb", "a\rb", "a\0b"],
+                                    ids=["slash", "comma", "empty", "lf", "cr", "nul"])
+
+
 def _run_reference_pipeline(tmp_path, seed=0):
     sim = tmp_path / "sim"
     res = tmp_path / "res"
@@ -198,6 +203,22 @@ def test_identify_rejects_negative_delay(tmp_path, capsys):
     assert not lib_path.exists()
 
 
+@BAD_NAMES
+def test_identify_rejects_a_device_name_before_reading_the_recording(tmp_path, capsys, bad):
+    # The recording does not exist: the name is checked before any work.
+    lib_path = tmp_path / "lib.json"
+    code = main([
+        "identify", "--input", str(tmp_path / "missing.csv"), "--name", bad,
+        "--threshold", "1.0", "--library", str(lib_path),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: device name {bad!r} must be a non-empty string without '/', NUL, ',', "
+        "CR or LF\n"
+    )
+    assert not lib_path.exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--rate", "nan", "nominal_rate must be finite and > 0, got nan"),
     ("--rate", "inf", "nominal_rate must be finite and > 0, got inf"),
@@ -341,6 +362,47 @@ def test_disaggregate_rejects_a_device_named_total(tmp_path, capsys):
         "error: device 'total' would overwrite estimate_total.csv\n"
     )
     assert not res.exists()
+
+
+@BAD_NAMES
+def test_disaggregate_rejects_a_device_name_that_breaks_a_file_or_a_row(
+    tmp_path, capsys, bad
+):
+    # x/y would run the engine and then fail to write estimate_x/y.csv, a,b
+    # would add a field to plot-data's rows, and '' would write estimate_.csv.
+    sim, res = tmp_path / "sim", tmp_path / "res"
+    assert main(["simulate", "--reference", "--seed", "1", "--out", str(sim)]) == 0
+    _edit_json(lambda d: d[2].update(name=bad))(sim / "library.json")
+    capsys.readouterr()
+    code = main([
+        "disaggregate", "--library", str(sim / "library.json"),
+        "--input", str(sim / "aggregate.csv"), "--out", str(res),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {sim / 'library.json'}: device name {bad!r} must be a non-empty "
+        "string without '/', NUL, ',', CR or LF\n"
+    )
+    assert not res.exists()
+
+
+@BAD_NAMES
+def test_plot_data_rejects_a_result_whose_device_name_breaks_a_row(
+    pipeline_dir, tmp_path, capsys, bad
+):
+    work = tmp_path / "run"
+    shutil.copytree(pipeline_dir, work)
+    _edit_json(lambda d: d["devices"].__setitem__(0, bad))(work / "res" / "result.json")
+    plot = work / "plot.csv"
+    code = main([
+        "plot-data", "--result", str(work / "res"),
+        "--input", str(work / "sim" / "aggregate.csv"), "--out", str(plot),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {work / 'res' / 'result.json'}: device name {bad!r} must be "
+    )
+    assert not plot.exists()
 
 
 def test_unknown_flag_exits_one(tmp_path, capsys):
@@ -611,6 +673,15 @@ def _event_before_k0(data):
     data["devices"][0]["events"][0][0] = -3
 
 
+def _rename_device(data, index, name):
+    """Rename a result's device index, in its device list and its events."""
+    old = data["devices"][index]
+    data["devices"][index] = name
+    for event in data["events"]:
+        if event["device"] == old:
+            event["device"] = name
+
+
 def _keep_rows(n):
     def edit(path):
         lines = path.read_text().splitlines(keepends=True)
@@ -646,6 +717,8 @@ def _keep_rows(n):
     ("res/result.json", _edit_json(lambda d: d["unexplained"].append(
         {"k": 5, "kind": "increase", "magnitude": "1.0"}))),
     ("res/result.json", _edit_json(lambda d: d.update(residual_rms="0.01"))),
+    ("res/result.json", _edit_json(lambda d: _rename_device(d, 1, d["devices"][0]))),
+    ("res/result.json", _edit_json(lambda d: _rename_device(d, 0, 5))),
     ("res/estimate_device1.csv", _keep_rows(100)),
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
@@ -665,6 +738,7 @@ def _keep_rows(n):
     "inf-threshold", "nan-min-level", "bool-min-level", "bool-threshold",
     "fractional-lookahead", "bool-beam-width",
     "string-level", "bool-level", "string-magnitude", "string-residual-rms",
+    "duplicate-device-names", "number-device-name",
     "short-estimate", "truncated-scenario",
     "scenario-without-devices", "nan-noise", "inf-noise", "event-before-k0",
     "fractional-horizon", "string-noise",

@@ -390,7 +390,8 @@ def _ranked_built(engine, pool, p):
         if hyp.detection is not None and hyp.detection.p == p:
             _, kind, ks = hyp.detection
             if kind == "increase":
-                cands = engine._on_candidates(hyp, ks, {})[: engine.params.beam_width]
+                (cands,) = engine._on_candidates([hyp], ks)
+                cands = cands[: engine.params.beam_width]
                 events = [SwitchEvent(k, dev, "on", level) for _, k, dev, level in cands]
             else:
                 events = engine._off_events(hyp, ks, p)

@@ -282,6 +282,18 @@ def test_model_rejects_non_finite_entries(field, value):
         DeviceModel("bad", **entries)
 
 
+@pytest.mark.parametrize("name", ["x/y", "a,b", "", "a\nb", "a\rb", "a\0b", None])
+def test_model_rejects_a_name_that_breaks_a_file_or_a_row(name):
+    # The name forms estimate_<name>.csv and a field of plot-data's rows.
+    with pytest.raises(ValidationError, match=re.escape(f"device name {name!r} must be")):
+        DeviceModel(name, A=[[0.5]], b=[1.0], c=[1.0])
+
+
+@pytest.mark.parametrize("name", ["fan%d{}", "a b", "kettle.2", "tv\\1", "total"])
+def test_model_keeps_other_names(name):
+    assert DeviceModel(name, A=[[0.5]], b=[1.0], c=[1.0]).name == name
+
+
 def test_dc_normalized_flag_checked():
     with pytest.raises(ValidationError):
         DeviceModel("bad", A=[[0.9]], b=[0.2], c=[1.0], dc_normalized=True)

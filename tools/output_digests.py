@@ -15,6 +15,9 @@ file):
   3 times (``perfbench/inputs.tiled_reference_scenario``, T = 1,350) at
   seeds 0-4, so every signal file and plot spans more than one block of
   rows;
+* the same on the reference schedule tiled 16 times (T = 7,200) at seeds
+  0 and 1, at beam widths 3 and 8 only, so a beam run's ranked prefix
+  spans many blocks of rows;
 * reference seed 0's aggregate re-indexed to start at k = 100,000, through
   ``disaggregate`` at each width and ``plot-data``, so a nonzero start
   index passes through the CLI;
@@ -49,6 +52,9 @@ REFERENCE_SEEDS = (*range(40), 126)
 NON_INSTANT_SEEDS = tuple(range(10))
 TILED_SEEDS = tuple(range(5))
 TILES = 3
+LONG_SEEDS = (0, 1)
+LONG_TILES = 16
+LONG_WIDTHS = (3, 8)
 SHIFTED_START = 100_000
 BEAM_WIDTHS = (1, 3, 8)
 # (workload, first seed, input sets, tiles, beam width); tiles of None
@@ -86,6 +92,11 @@ def _reference_outputs(cli, work: Path) -> None:
         base.mkdir(parents=True)
         save_scenario(inputs.tiled_reference_scenario(seed, TILES), base / "scenario.json")
         _pipeline(cli, base, "--scenario", str(base / "scenario.json"))
+    for seed in LONG_SEEDS:
+        base = work / "tiled-long" / f"seed{seed}"
+        base.mkdir(parents=True)
+        save_scenario(inputs.tiled_reference_scenario(seed, LONG_TILES), base / "scenario.json")
+        _pipeline(cli, base, "--scenario", str(base / "scenario.json"), widths=LONG_WIDTHS)
     sim = work / "reference" / "seed0" / "sim"
     base = work / "shifted-start"
     base.mkdir()
@@ -100,11 +111,11 @@ def _reference_outputs(cli, work: Path) -> None:
              "--out", str(base / f"plot{width}.csv"))
 
 
-def _pipeline(cli, base: Path, *simulate_args: str) -> None:
+def _pipeline(cli, base: Path, *simulate_args: str, widths=BEAM_WIDTHS) -> None:
     """simulate into base/sim, then disaggregate, evaluate and plot-data per width."""
     sim = base / "sim"
     _cli(cli, "simulate", *simulate_args, "--out", str(sim))
-    for width in BEAM_WIDTHS:
+    for width in widths:
         res = base / f"res{width}"
         _cli(cli, "disaggregate", "--library", str(sim / "library.json"),
              "--input", str(sim / "aggregate.csv"), "--out", str(res),
