@@ -21,7 +21,9 @@ from .engine import (
     # Unused here, like write_signal_csv below, but perfbench/spans.py wraps both.
     disaggregate_beam,  # noqa: F401
 )
-from .errors import ValidationError, check_count, check_name, check_real, reading
+from .errors import (
+    ValidationError, check_array, check_count, check_name, check_number, check_real, reading,
+)
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
 from .ingest import (
     CHANNELS,
@@ -70,11 +72,12 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
     path = out / "result.json"
     with reading(path):
         data = json.loads(path.read_text())
-        names = tuple(check_name(name) for name in data["devices"])
+        names = tuple(check_name(name) for name in check_array("devices", data["devices"]))
         if len(set(names)) != len(names):
             raise ValidationError("duplicate device names in result")
         index = {name: i for i, name in enumerate(names)}
-        unknown = [e["device"] for e in data["events"] if e["device"] not in index]
+        raw_events = check_array("events", data["events"])
+        unknown = [e["device"] for e in raw_events if e["device"] not in index]
         if unknown:
             raise ValidationError(f"event of unknown device {unknown[0]!r}")
         events = tuple(
@@ -82,7 +85,7 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
                 check_count("event k", e["k"]), index[e["device"]], e["kind"],
                 check_real("event level", e["level"]),
             )
-            for e in data["events"]
+            for e in raw_events
         )
         for e in events:
             if e.kind != ("off" if e.level == 0.0 else "on"):
@@ -98,12 +101,13 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
                 check_count("unexplained k", u["k"]), u["kind"],
                 check_real("unexplained magnitude", u["magnitude"]),
             )
-            for u in data["unexplained"]
+            for u in check_array("unexplained", data["unexplained"])
         )
         for u in unexplained:
             if u.kind not in ("increase", "decrease"):
                 raise ValidationError(f"unexplained event at k={u.k} has kind {u.kind!r}")
         residual_rms = check_real("residual_rms", data["residual_rms"])
+        check_number("residual_rms", residual_rms, zero_ok=True)
         params = EngineParams(**data["params"])
     outputs = tuple(read_signal_csv(out / f"estimate_{name}.csv") for name in names)
     total = read_signal_csv(out / "estimate_total.csv")

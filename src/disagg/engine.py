@@ -35,18 +35,19 @@ A beam step scores each branch from its parent's rows before building
 any, then clones only the survivors, which share device rows until they
 switch one; the switcher copies the row's written part.  A parent's
 residual through p is formed once for all its branches.  From the
-earliest branch position on, its branches are the rows of one array,
-each its branch's switched step, to which the parent's rows are added
-in device order once for all branches, so a parent's numpy calls do not
-grow with its branches.  Each ranked entry still costs one dot product
-over [0, p], O(p): a sum of shorter products would not have the score's
-bits.  A clone costs its y_hat copy, O(T).
+earliest branch position on, each branch's rows are one slice of a
+(devices x branches) stack: the parent's rows, its own device's
+switched in one indexed add for all branches, summed in device order as
+_sync sums them, so a child's key has its built bits by construction
+and a parent's numpy calls do not grow with its branches.  Each ranked
+entry still costs one dot product over [0, p], O(p): a sum of shorter
+products would not have the score's bits.  A clone costs its y_hat
+copy, O(T).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -255,7 +256,7 @@ def _delayed(g: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([np.zeros_like(g), g], axis=1), n, axis=1)
 
 
-def _device_sum(segments: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+def _device_sum(segments: list[np.ndarray] | np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sum row segments into out in device order, as simulated outputs add up."""
     out[:] = segments[0]
     for seg in segments[1:]:
@@ -471,13 +472,15 @@ class _Engine:
 
     # -- pool management ----------------------------------------------
 
-    def _rank_key(self, hyp: _Hypothesis, p: int) -> tuple:
-        """Score (squared residual through p plus the sparsity penalty), then
+    def _key(self, resid: np.ndarray, log: list[SwitchEvent]) -> tuple:
+        """Score (squared residual plus the sparsity penalty per event), then
         fewer events, then the event log in SwitchEvent order."""
+        return (float(resid.dot(resid)) + self.sparsity_penalty * len(log), len(log), log)
+
+    def _rank_key(self, hyp: _Hypothesis, p: int) -> tuple:
+        """The _key of hyp's residual through p."""
         self._sync(hyp, p + 1)
-        resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
-        score = float(resid.dot(resid)) + self.sparsity_penalty * len(hyp.events)
-        return (score, len(hyp.events), hyp.events)
+        return self._key(self.y[: p + 1] - hyp.y_hat[: p + 1], hyp.events)
 
     def _branch_keys(
         self, hyp: _Hypothesis, events: list[SwitchEvent], p: int
@@ -485,55 +488,36 @@ class _Engine:
         """The _rank_key at p of each child that one of events makes of hyp.
 
         No child is built.  Over [lo, p], lo being the earliest event's
-        position, the branches are the rows of one (branches x tail) array.
-        A row starts as its level change times its device's step response
-        from its event on; hyp's rows are then added to every row in device
-        order, so that each row becomes its child's device-order sum of
-        rows, its own device's term being its switched row (an instant-off
-        switch to 0 zeroes that term from the event on instead).  The zeros
-        before an event may flip the sign of a zero sum there, never a
-        square.  Each tail, copied into hyp's residual through p, gives the
-        child's score by one dot product, with the built child's bits.
+        position, stack[dev, j] is child j's row of dev: hyp's row, plus,
+        for j's own device, its level change times the step response from
+        its event on (an instant-off switch to 0 zeroes it from the event
+        on instead).  The rows are summed by _device_sum, as _sync sums
+        them, so each tail is its child's y_hat; the zeros added before an
+        event may flip the sign of a zero there, never a square.  Each
+        tail, copied into hyp's residual through p, gives the child's key.
         """
         self._sync(hyp, p + 1)
         resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
         lo = min(event.k for event in events) - self.start
         n, rows = p + 1 - lo, hyp.rows
-        # Branches by device, so those of the devices before d are a prefix.
-        order = sorted(range(len(events)), key=[event.device for event in events].__getitem__)
-        branches = [events[j] for j in order]
-        devs = [event.device for event in branches]
+        devs = [event.device for event in events]
         table = self.delayed if n <= self.delayed.shape[2] else _delayed(
             np.array([step.upto(n) for step in self.steps]))
         base = self.start + lo + table.shape[2]
-        # Each row: its device's step response from its event on, 0 before.
-        tails = table[devs, [base - event.k for event in branches], :n]
-        tails *= np.array([event.level - rows[event.device].level for event in branches])[:, None]
-        resets = {j: event.k - self.start - lo for j, event in enumerate(branches)
-                  if event.level == 0.0 and rows[event.device].instant_off}
-        # Rows [0, below) switch a device before dev, rows [below, mine) dev
-        # itself; head is the device-order sum of hyp's rows before dev.
-        head, below = None, 0
-        for dev, row in enumerate(rows):
-            segment = row.values[lo : p + 1]
-            mine = bisect_right(devs, dev, below)
-            if mine:
-                tails[:mine] += segment
-            for j in resets:
-                if below <= j < mine:
-                    tails[j, resets[j] :] = 0.0
-            if head is not None and mine > below:
-                tails[below:mine] += head
-            if dev < devs[-1]:
-                head = segment if head is None else head + segment
-            below = mine
+        steps = table[devs, [base - event.k for event in events], :n] * np.array(
+            [event.level - rows[event.device].level for event in events])[:, None]
+        stack = np.repeat(np.array([row.values[lo : p + 1] for row in rows])[:, None],
+                          len(events), axis=1)
+        stack[devs, np.arange(len(events))] += steps
+        for j, event in enumerate(events):
+            if event.level == 0.0 and rows[event.device].instant_off:
+                stack[event.device, j, event.k - self.start - lo :] = 0.0
+        tails = _device_sum(stack, steps)
         np.subtract(self.y[lo : p + 1], tails, out=tails)
-        penalty = self.sparsity_penalty * (len(hyp.events) + 1)
-        keys: list = [None] * len(events)
-        for j, tail in zip(order, tails):
+        keys = []
+        for event, tail in zip(events, tails):
             resid[lo:] = tail
-            log = [*hyp.events, events[j]]
-            keys[j] = (float(resid.dot(resid)) + penalty, len(log), log)
+            keys.append(self._key(resid, [*hyp.events, event]))
         return keys
 
     def _step(self, pool: list[_Hypothesis], p: int) -> list[_Hypothesis]:

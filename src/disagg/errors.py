@@ -47,6 +47,14 @@ def check_count(name, value, low=None):
     return int(value)
 
 
+def check_array(name, value):
+    """Raise ValidationError unless value is a JSON array (a Python list);
+    return it."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def check_name(value):
     """Raise ValidationError unless value is a device name: a non-empty string
     without '/', NUL, ',', CR or LF, since it names the file

@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    UnstableModelError, ValidationError, check_count, check_name, check_number, check_real,
-    reading,
+    UnstableModelError, ValidationError, check_array, check_count, check_name, check_number,
+    check_real, reading,
 )
 from .rng import SeededStream
 from .series import SignalSeries
@@ -441,7 +441,7 @@ def model_from_dict(entry: dict) -> DeviceModel:
         for key in ("max_input", "max_output") if entry.get(key) is not None
     }
     return DeviceModel(
-        name=str(entry["name"]),
+        name=entry["name"],
         A=np.reshape(A, (order, order)),
         b=b,
         c=c,
@@ -461,9 +461,7 @@ def load_library(path: str | Path) -> list[DeviceModel]:
     """Read a device library, validating every entry's invariants."""
     with reading(path):
         raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, list):
-            raise ValidationError("device library must be a JSON array")
-        models = [model_from_dict(entry) for entry in raw]
+        models = [model_from_dict(entry) for entry in check_array("device library", raw)]
     names = [m.name for m in models]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate device names in library")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_number, check_real, reading
+from .errors import ValidationError, check_array, check_count, check_number, check_real, reading
 from .models import (
     DeviceModel,
     _outputs,
@@ -133,7 +133,7 @@ def scenario_from_dict(
     by_name = {m.name: m for m in library} if library else {}
     models = []
     inputs = []
-    for entry in data["devices"]:
+    for entry in check_array("devices", data["devices"]):
         if "model" in entry:
             models.append(model_from_dict(entry["model"]))
         elif "model_ref" in entry:
@@ -143,7 +143,8 @@ def scenario_from_dict(
             models.append(by_name[ref])
         else:
             raise ValidationError("device entry needs 'model' or 'model_ref'")
-        events = tuple((k, check_real("event level", level)) for k, level in entry["events"])
+        events = tuple((k, check_real("event level", level))
+                       for k, level in check_array("events", entry["events"]))
         inputs.append(PiecewiseInput(events))
     return Scenario(
         models=tuple(models),

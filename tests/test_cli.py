@@ -689,6 +689,20 @@ def _keep_rows(n):
     return edit
 
 
+# (file, key, edit): each key's JSON array replaced by an object.
+ARRAY_CASES = [
+    ("res/result.json", "devices", _edit_json(
+        lambda d: d.update(devices={name: i for i, name in enumerate(d["devices"])}))),
+    ("res/result.json", "events", _edit_json(lambda d: d.update(events={}))),
+    ("res/result.json", "unexplained", _edit_json(lambda d: d.update(unexplained={}))),
+    ("sim/scenario.json", "devices", _edit_json(lambda d: d.update(devices={}))),
+    ("sim/scenario.json", "events", _edit_json(lambda d: d["devices"][0].update(events={}))),
+]
+ARRAY_EDITS = [(name, edit) for name, _, edit in ARRAY_CASES]
+ARRAY_IDS = ["result-devices-object", "result-events-object", "result-unexplained-object",
+             "scenario-devices-object", "scenario-events-object"]
+
+
 @pytest.mark.parametrize("name, edit", [
     ("res/result.json", _truncate),
     ("res/result.json", _edit_json(lambda d: d["events"][0].update(device="kettle"))),
@@ -719,6 +733,9 @@ def _keep_rows(n):
     ("res/result.json", _edit_json(lambda d: d.update(residual_rms="0.01"))),
     ("res/result.json", _edit_json(lambda d: _rename_device(d, 1, d["devices"][0]))),
     ("res/result.json", _edit_json(lambda d: _rename_device(d, 0, 5))),
+    *ARRAY_EDITS,
+    ("res/result.json", _edit_json(lambda d: d.update(residual_rms=float("nan")))),
+    ("res/result.json", _edit_json(lambda d: d.update(residual_rms=-1.0))),
     ("res/estimate_device1.csv", _keep_rows(100)),
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
@@ -731,6 +748,8 @@ def _keep_rows(n):
     ("sim/library.json", _edit_json(lambda d: d.__setitem__(0, "device1"))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(d=float("nan")))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(max_input="4"))),
+    ("sim/library.json", _edit_json(lambda d: d[0].update(name=None))),
+    ("sim/library.json", _edit_json(lambda d: d[0].update(name=5))),
 ], ids=[
     "truncated-result", "unknown-device", "extra-param", "negative-level",
     "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
@@ -738,12 +757,13 @@ def _keep_rows(n):
     "inf-threshold", "nan-min-level", "bool-min-level", "bool-threshold",
     "fractional-lookahead", "bool-beam-width",
     "string-level", "bool-level", "string-magnitude", "string-residual-rms",
-    "duplicate-device-names", "number-device-name",
+    "duplicate-device-names", "number-device-name", *ARRAY_IDS,
+    "nan-residual-rms", "negative-residual-rms",
     "short-estimate", "truncated-scenario",
     "scenario-without-devices", "nan-noise", "inf-noise", "event-before-k0",
     "fractional-horizon", "string-noise",
     "truncated-library", "library-entry-not-object", "nan-feedthrough",
-    "string-max-input",
+    "string-max-input", "library-name-null", "library-name-number",
 ])
 def test_malformed_json_is_a_validation_error(
     pipeline_dir, tmp_path, capsys, name, edit
@@ -752,6 +772,15 @@ def test_malformed_json_is_a_validation_error(
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("name, key, edit", ARRAY_CASES, ids=ARRAY_IDS)
+def test_loaders_name_the_key_that_must_be_an_array(
+    pipeline_dir, tmp_path, capsys, name, key, edit
+):
+    code, path = _evaluate_copy(pipeline_dir, tmp_path, name, edit)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {key} must be a JSON array, got dict\n"
 
 
 def test_simulate_rejects_scenario_event_before_k0(pipeline_dir, tmp_path, capsys):

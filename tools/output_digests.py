@@ -18,6 +18,10 @@ file):
 * the same on the reference schedule tiled 16 times (T = 7,200) at seeds
   0 and 1, at beam widths 3 and 8 only, so a beam run's ranked prefix
   spans many blocks of rows;
+* reference seeds 0-9 again at beam widths 3 and 8, disaggregated with
+  ``--persistence 3 --lookahead 1 --backtrack 0``, so a ranked branch's
+  tail is longer than the engine's step-response heads (the long-tail
+  table of ``_Engine._branch_keys``);
 * reference seed 0's aggregate re-indexed to start at k = 100,000, through
   ``disaggregate`` at each width and ``plot-data``, so a nonzero start
   index passes through the CLI;
@@ -55,6 +59,8 @@ TILES = 3
 LONG_SEEDS = (0, 1)
 LONG_TILES = 16
 LONG_WIDTHS = (3, 8)
+SHORT_HEAD_SEEDS = tuple(range(10))
+SHORT_HEAD_ARGS = ("--persistence", "3", "--lookahead", "1", "--backtrack", "0")
 SHIFTED_START = 100_000
 BEAM_WIDTHS = (1, 3, 8)
 # (workload, first seed, input sets, tiles, beam width); tiles of None
@@ -97,6 +103,9 @@ def _reference_outputs(cli, work: Path) -> None:
         base.mkdir(parents=True)
         save_scenario(inputs.tiled_reference_scenario(seed, LONG_TILES), base / "scenario.json")
         _pipeline(cli, base, "--scenario", str(base / "scenario.json"), widths=LONG_WIDTHS)
+    for seed in SHORT_HEAD_SEEDS:
+        _pipeline(cli, work / "short-head" / f"seed{seed}", "--reference", "--seed", str(seed),
+                  widths=LONG_WIDTHS, disaggregate_args=SHORT_HEAD_ARGS)
     sim = work / "reference" / "seed0" / "sim"
     base = work / "shifted-start"
     base.mkdir()
@@ -111,15 +120,17 @@ def _reference_outputs(cli, work: Path) -> None:
              "--out", str(base / f"plot{width}.csv"))
 
 
-def _pipeline(cli, base: Path, *simulate_args: str, widths=BEAM_WIDTHS) -> None:
-    """simulate into base/sim, then disaggregate, evaluate and plot-data per width."""
+def _pipeline(cli, base: Path, *simulate_args: str, widths=BEAM_WIDTHS,
+              disaggregate_args=()) -> None:
+    """simulate into base/sim, then disaggregate (with disaggregate_args),
+    evaluate and plot-data per width."""
     sim = base / "sim"
     _cli(cli, "simulate", *simulate_args, "--out", str(sim))
     for width in widths:
         res = base / f"res{width}"
         _cli(cli, "disaggregate", "--library", str(sim / "library.json"),
              "--input", str(sim / "aggregate.csv"), "--out", str(res),
-             "--beam-width", str(width))
+             "--beam-width", str(width), *disaggregate_args)
         _cli(cli, "evaluate", "--result", str(res), "--truth", str(sim / "scenario.json"),
              "--out", str(base / f"metrics{width}.json"))
         _cli(cli, "plot-data", "--result", str(res), "--input", str(sim / "aggregate.csv"),
