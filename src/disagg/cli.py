@@ -136,6 +136,8 @@ def _cmd_simulate(args) -> int:
         library = load_library(args.library) if args.library else None
         scenario = load_scenario(args.scenario, library=library)
     else:
+        if args.library is not None:
+            raise ValidationError("--library applies only to --scenario")
         scenario = reference_scenario(0 if args.seed is None else args.seed)
     aggregate, truths = render(scenario)
     out = Path(args.out)

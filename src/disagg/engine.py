@@ -37,12 +37,11 @@ switch one; the switcher copies the row's written part.  A parent's
 residual through p is formed once for all its branches.  From the
 earliest branch position on, each branch's rows are one slice of a
 (devices x branches) stack: the parent's rows, its own device's
-switched in one indexed add for all branches, summed in device order as
-_sync sums them, so a child's key has its built bits by construction
-and a parent's numpy calls do not grow with its branches.  Each ranked
-entry still costs one dot product over [0, p], O(p): a sum of shorter
-products would not have the score's bits.  A clone costs its y_hat
-copy, O(T).
+switched by the one _switch call that building the child makes, summed
+in device order as _sync sums them, so a child's key has its built bits
+by construction.  Each ranked entry still costs one dot product over
+[0, p], O(p): a sum of shorter products would not have the score's
+bits.  A clone costs its y_hat copy, O(T).
 """
 
 from __future__ import annotations
@@ -52,12 +51,12 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, check_count, check_number
 from .models import (
     DeviceModel,
     _Row,
+    _switch,
     _unit_step_rows,
     dc_gain,
     # Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state
@@ -247,15 +246,6 @@ class _Hypothesis:
         return new
 
 
-def _delayed(g: np.ndarray) -> np.ndarray:
-    """out[i, n - s] is row i of g delayed by s samples, cut to its length n.
-
-    A read-only view of g behind n zeros, for s from 0 to n.
-    """
-    n = g.shape[1]
-    return sliding_window_view(np.concatenate([np.zeros_like(g), g], axis=1), n, axis=1)
-
-
 def _device_sum(segments: list[np.ndarray] | np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sum row segments into out in device order, as simulated outputs add up."""
     out[:] = segments[0]
@@ -302,7 +292,6 @@ class _Engine:
         # heads[dev] = g[:needed + 1] spans every on-event fit window; gg[dev, n]
         # is g[:n] @ g[:n], or inf where that is 0 (no fit: a level 0 is dropped).
         heads = self.heads = np.stack([step.upto(needed + 1) for step in self.steps])
-        self.delayed = _delayed(heads)
         gg = np.stack([(heads[:, None, :n] @ heads[:, :n, None])[:, 0, 0]
                        for n in range(needed + 2)], axis=1)
         self.gg = np.where(gg == 0.0, np.inf, gg)
@@ -488,31 +477,25 @@ class _Engine:
         """The _rank_key at p of each child that one of events makes of hyp.
 
         No child is built.  Over [lo, p], lo being the earliest event's
-        position, stack[dev, j] is child j's row of dev: hyp's row, plus,
-        for j's own device, its level change times the step response from
-        its event on (an instant-off switch to 0 zeroes it from the event
-        on instead).  The rows are summed by _device_sum, as _sync sums
-        them, so each tail is its child's y_hat; the zeros added before an
-        event may flip the sign of a zero there, never a square.  Each
-        tail, copied into hyp's residual through p, gives the child's key.
+        position, stack[dev, j] is child j's row of dev: hyp's row, its
+        own device's switched by the models._switch call that _Row.switch
+        makes when the child is built.  The rows are summed by
+        _device_sum, as _sync sums them, so each tail is its child's
+        y_hat bit for bit.  Each tail, copied into hyp's residual through
+        p, gives the child's key.
         """
         self._sync(hyp, p + 1)
         resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
         lo = min(event.k for event in events) - self.start
         n, rows = p + 1 - lo, hyp.rows
-        devs = [event.device for event in events]
-        table = self.delayed if n <= self.delayed.shape[2] else _delayed(
-            np.array([step.upto(n) for step in self.steps]))
-        base = self.start + lo + table.shape[2]
-        steps = table[devs, [base - event.k for event in events], :n] * np.array(
-            [event.level - rows[event.device].level for event in events])[:, None]
         stack = np.repeat(np.array([row.values[lo : p + 1] for row in rows])[:, None],
                           len(events), axis=1)
-        stack[devs, np.arange(len(events))] += steps
         for j, event in enumerate(events):
-            if event.level == 0.0 and rows[event.device].instant_off:
-                stack[event.device, j, event.k - self.start - lo :] = 0.0
-        tails = _device_sum(stack, steps)
+            dev, pos = event.device, event.k - self.start - lo
+            row = rows[dev]
+            _switch(stack[dev, j], self.steps[dev].upto(n - pos), pos, row.level,
+                    event.level, row.instant_off)
+        tails = _device_sum(stack, np.empty((len(events), n)))
         np.subtract(self.y[lo : p + 1], tails, out=tails)
         keys = []
         for event, tail in zip(events, tails):

@@ -20,7 +20,7 @@ def check_number(name, value, *, zero_ok=False, optional=False):
         return
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+    if not (math.isfinite(_float(name, value)) and (value >= 0 if zero_ok else value > 0)):
         raise ValidationError(
             f"{name} must be finite and {'>=' if zero_ok else '>'} 0"
             f"{' when given' if optional else ''}, got {value!r}"
@@ -33,7 +33,15 @@ def check_real(name, value):
     Python float."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return _float(name, value)
+
+
+def _float(name, value):
+    """float(value), or ValidationError for an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be within the float range, got {value!r}") from None
 
 
 def check_count(name, value, low=None):

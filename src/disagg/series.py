@@ -28,6 +28,7 @@ class SignalSeries:
         if arr.ndim != 1:
             raise ValidationError(f"signal must be 1-D, got shape {arr.shape}")
         check_number("sample_period", self.sample_period)
+        object.__setattr__(self, "start_index", check_count("start_index", self.start_index))
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

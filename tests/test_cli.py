@@ -444,6 +444,17 @@ def test_simulate_seed_needs_reference(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+def test_simulate_library_needs_scenario(tmp_path, capsys):
+    out = tmp_path / "sim"
+    code = main([
+        "simulate", "--reference", "--library", str(tmp_path / "missing.json"),
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --library applies only to --scenario\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0"])
 def test_disaggregate_rejects_non_finite_threshold(
     pipeline_dir, tmp_path, capsys, threshold
@@ -689,6 +700,9 @@ def _keep_rows(n):
     return edit
 
 
+# An integer that JSON carries but a float cannot hold.
+HUGE = 10**400
+
 # (file, key, edit): each key's JSON array replaced by an object.
 ARRAY_CASES = [
     ("res/result.json", "devices", _edit_json(
@@ -736,6 +750,8 @@ ARRAY_IDS = ["result-devices-object", "result-events-object", "result-unexplaine
     *ARRAY_EDITS,
     ("res/result.json", _edit_json(lambda d: d.update(residual_rms=float("nan")))),
     ("res/result.json", _edit_json(lambda d: d.update(residual_rms=-1.0))),
+    ("res/result.json", _edit_json(lambda d: d.update(residual_rms=HUGE))),
+    ("res/result.json", _edit_json(lambda d: d["params"].update(min_level=HUGE))),
     ("res/estimate_device1.csv", _keep_rows(100)),
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
@@ -744,10 +760,13 @@ ARRAY_IDS = ["result-devices-object", "result-events-object", "result-unexplaine
     ("sim/scenario.json", _edit_json(_event_before_k0)),
     ("sim/scenario.json", _edit_json(lambda d: d.update(horizon=450.5))),
     ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std="0.02"))),
+    ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std=HUGE))),
     ("sim/library.json", _truncate),
     ("sim/library.json", _edit_json(lambda d: d.__setitem__(0, "device1"))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(d=float("nan")))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(max_input="4"))),
+    ("sim/library.json", _edit_json(lambda d: d[0].update(d=HUGE))),
+    ("sim/library.json", _edit_json(lambda d: d[0].update(max_input=HUGE))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(name=None))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(name=5))),
 ], ids=[
@@ -758,12 +777,13 @@ ARRAY_IDS = ["result-devices-object", "result-events-object", "result-unexplaine
     "fractional-lookahead", "bool-beam-width",
     "string-level", "bool-level", "string-magnitude", "string-residual-rms",
     "duplicate-device-names", "number-device-name", *ARRAY_IDS,
-    "nan-residual-rms", "negative-residual-rms",
+    "nan-residual-rms", "negative-residual-rms", "huge-residual-rms", "huge-min-level",
     "short-estimate", "truncated-scenario",
     "scenario-without-devices", "nan-noise", "inf-noise", "event-before-k0",
-    "fractional-horizon", "string-noise",
+    "fractional-horizon", "string-noise", "huge-noise",
     "truncated-library", "library-entry-not-object", "nan-feedthrough",
-    "string-max-input", "library-name-null", "library-name-number",
+    "string-max-input", "huge-feedthrough", "huge-max-input", "library-name-null",
+    "library-name-number",
 ])
 def test_malformed_json_is_a_validation_error(
     pipeline_dir, tmp_path, capsys, name, edit

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from disagg import PiecewiseInput, SignalSeries, ValidationError
+from disagg import (
+    PiecewiseInput, SignalSeries, ValidationError, disaggregate, reference_scenario, render,
+)
+from disagg.cli import load_result, save_result
 from conftest import hold
 
 
@@ -94,3 +97,24 @@ def test_piecewise_rejects_non_finite_levels():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match="at k=4"):
             PiecewiseInput(((2, 1.0), (4, bad)))
+
+
+def test_signal_start_index_is_a_python_int():
+    s = SignalSeries(np.array([1.0, 2.0]), start_index=np.int64(5))
+    assert type(s.start_index) is int and s.start_index == 5
+    assert type(s.end_index) is int
+
+
+@pytest.mark.parametrize("start", [0.5, 5.0, True, "5", None])
+def test_signal_rejects_non_integer_start_index(start):
+    with pytest.raises(ValidationError, match="start_index must be an integer"):
+        SignalSeries(np.array([1.0, 2.0]), start_index=start)
+
+
+def test_numpy_start_index_saves_a_result(tmp_path):
+    aggregate, _ = render(reference_scenario(0))
+    shifted = SignalSeries(aggregate.values, start_index=np.int64(5))
+    result = disaggregate(shifted, list(reference_scenario(0).models))
+    assert result.events and all(type(e.k) is int for e in result.events)
+    save_result(result, tmp_path)
+    assert load_result(tmp_path).events == result.events

@@ -20,8 +20,8 @@ file):
   spans many blocks of rows;
 * reference seeds 0-9 again at beam widths 3 and 8, disaggregated with
   ``--persistence 3 --lookahead 1 --backtrack 0``, so a ranked branch's
-  tail is longer than the engine's step-response heads (the long-tail
-  table of ``_Engine._branch_keys``);
+  tail is longer than the engine's step-response heads, which the
+  on-event fits read;
 * reference seed 0's aggregate re-indexed to start at k = 100,000, through
   ``disaggregate`` at each width and ``plot-data``, so a nonzero start
   index passes through the CLI;
