@@ -19,29 +19,31 @@ response g is computed once per run, only as far as some read reaches;
 the on-event fits score its head.
 
 Cost: the loop runs once per detection, not once per sample.  Each
-hypothesis keeps its next detection, found by a numpy scan of the mask
-|y - y_hat| > threshold, and the engine jumps to the earliest in the
-pool, so the Python work grows with the detections times the pool
-width.  The increases of one step whose runs start at one position are
-fit together: one stacked fit per start time in the backtrack window,
-a row per (hypothesis, off device), each against its hypothesis's
-residual.  An instant-off device's row is
-written only as far as the engine reads it (the scan, a fit window, a
-ranked prefix), and a reset ends its pending terms, so an event costs
-numpy work over the samples read while its device is on, not over the
-rest of the signal; any other row is written to the end at each event.
-y_hat and the mask are re-summed only as far as the next scan advances.
+hypothesis keeps its residual, the measurement less its prediction, and
+its next detection, found by a numpy scan of the mask |residual| >
+threshold; the engine jumps to the earliest in the pool, so the Python
+work grows with the detections times the pool width.  The increases of
+one step whose runs start at one position are fit together: one stacked
+fit per start time in the backtrack window, a row per (hypothesis, off
+device), each against its hypothesis's residual.  An instant-off
+device's row is written only as far as the engine reads it (the scan, a
+fit window, a ranked prefix), and a reset ends its pending terms, so an
+event costs numpy work over the samples read while its device is on, not
+over the rest of the signal; any other row is written to the end at each
+event.  The residual, which every decision reads, is formed in one place
+and only as far as the next scan advances.
 A beam step scores each branch from its parent's rows before building
 any, then clones only the survivors, which share device rows until they
 switch one; the switcher copies the row's written part.  A parent's
-residual through p is formed once for all its branches.  From the
+residual through p is copied once for all its branches.  From the
 earliest branch position on, each branch's rows are one slice of a
 (devices x branches) stack: the parent's rows, its own device's
 switched by the one _switch call that building the child makes, summed
-in device order as _sync sums them, so a child's key has its built bits
-by construction.  Each ranked entry still costs one dot product over
-[0, p], O(p): a sum of shorter products would not have the score's
-bits.  A clone costs its y_hat copy, O(T).
+in device order and subtracted from y as _sync forms a residual, so a
+child's key has its built bits by construction.  Each ranked entry
+still costs one dot product over [0, p], O(p): a sum of shorter
+products would not have the score's bits.  A clone costs its residual
+copy, O(T).
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ NOISE_THRESHOLD_MULTIPLE = 5.0
 THRESHOLD_FLOOR_RELATIVE = 1e-9
 # First chunk, in samples, of a detection scan; later chunks double.  It
 # is about one event gap of the reference schedule (29-81 samples), so
-# most scans take one or two chunks and little of y_hat is summed past
-# the next detection.
+# most scans take one or two chunks and little of the residual is formed
+# past the next detection.
 SCAN_CHUNK = 64
 
 
@@ -213,18 +215,19 @@ class _Hypothesis:
     prediction.  A clone shares them with its parent until one side
     switches a row, so a shared row has one switch history for all who
     hold it; owned marks the rows this hypothesis may switch in place.
-    y_hat, the device-order sum of the rows, is current below `synced`
-    only.  detection is the next detection at or after the last step
-    this hypothesis took part in.
+    resid, the measurement y less the device-order sum of the rows, is
+    current below `synced` only; rows that are all zero start it as a
+    copy of y.  detection is the next detection at or after the last
+    step this hypothesis took part in.
     """
 
-    __slots__ = ("rows", "owned", "y_hat", "synced", "events", "times", "unexplained",
+    __slots__ = ("rows", "owned", "resid", "synced", "events", "times", "unexplained",
                  "suppressed", "detection")
 
-    def __init__(self, rows: list[_Row]):
+    def __init__(self, rows: list[_Row], y: np.ndarray):
         self.rows, self.owned = rows, [True] * len(rows)
-        self.y_hat = np.zeros(len(rows[0].values))
-        self.synced = len(self.y_hat)
+        self.resid = y.copy()
+        self.synced = len(y)
         self.events: list[SwitchEvent] = []
         self.times: set[int] = set()
         self.unexplained: list[UnexplainedEvent] = []
@@ -236,7 +239,7 @@ class _Hypothesis:
         new.rows = list(self.rows)
         new.owned = [False] * len(self.rows)
         self.owned = [False] * len(self.rows)
-        new.y_hat = self.y_hat.copy()
+        new.resid = self.resid.copy()
         new.synced = self.synced
         new.events = list(self.events)
         new.times = set(self.times)
@@ -316,20 +319,22 @@ class _Engine:
         hyp.synced = min(hyp.synced, pos)
 
     def _sync(self, hyp: _Hypothesis, b: int):
-        """Bring hyp.y_hat, and the rows it sums, up to date below b."""
+        """Bring hyp.resid, and the rows it subtracts, up to date below b:
+        the one place y less the rows' device-order sum is formed."""
         a = hyp.synced
         if a < b:
             for row in hyp.rows:
                 if row.pending:
                     row.extend(b)
-            _device_sum([row.values[a:b] for row in hyp.rows], hyp.y_hat[a:b])
+            out = hyp.resid[a:b]
+            _device_sum([row.values[a:b] for row in hyp.rows], out)
+            np.subtract(self.y[a:b], out, out)
             hyp.synced = b
 
     def _quiet(self, hyp: _Hypothesis, a: int, b: int) -> np.ndarray:
-        """Positions in [a, b), counted from a, where |y - y_hat| <= threshold."""
+        """Positions in [a, b), counted from a, where |resid| <= threshold."""
         self._sync(hyp, b)
-        resid = self.y[a:b] - hyp.y_hat[a:b]
-        return (np.abs(resid, out=resid) <= self.threshold).nonzero()[0]
+        return (np.abs(hyp.resid[a:b]) <= self.threshold).nonzero()[0]
 
     def _scan(self, hyp: _Hypothesis, p0: int) -> _Detection | None:
         """The first detection at or after p0, or None before the end.
@@ -364,7 +369,7 @@ class _Engine:
                 if runs.size:
                     q = a + int(bounds[runs[0]])
                     ks = self._run_start(hyp, lo) if q == lo - 1 else q + 1
-                    kind = "increase" if self.y[ks] - hyp.y_hat[ks] > 0 else "decrease"
+                    kind = "increase" if hyp.resid[ks] > 0 else "decrease"
                     return _Detection(q + pers, kind, ks)
                 last = a + int(bounds[-2])
             a, chunk = b, 2 * chunk
@@ -406,17 +411,12 @@ class _Engine:
         outs: list[list] = [[] for _ in hyps]
         if not rows:
             return outs
-        y = self.y[k_lo : k_end + 1]
-        if len(hyps) == 1:
-            resid = y - hyps[0].y_hat[k_lo : k_end + 1]
-        else:
-            resid = y - np.array([hyp.y_hat[k_lo : k_end + 1] for hyp in hyps])
-            resid = resid[[i for i, _, _ in rows]]
+        resid = np.array([hyps[i].resid[k_lo : k_end + 1] for i, _, _ in rows])
         devs = [dev for _, dev, _ in rows]
         heads, gg = self.heads[devs], self.gg[devs]
         # The start times each hypothesis has logged, if any has.
         a, b = self.start + k_lo, self.start + ks_pos
-        marks = [[k for k in range(a, b + 1) if k in hyp.times] for hyp in hyps]
+        marks = [hyp.times.intersection(range(a, b + 1)) for hyp in hyps]
         logged = any(marks)
         skip = ()
         for kp in range(k_lo, ks_pos + 1):
@@ -425,7 +425,7 @@ class _Engine:
                 skip = {i for i, times in enumerate(marks) if k_abs in times}
                 if len(skip) == len(hyps):
                     continue
-            levels, sses = _fits(heads[:, :n], resid[..., kp - k_lo :], gg[:, n])
+            levels, sses = _fits(heads[:, :n], resid[:, kp - k_lo :], gg[:, n])
             for (i, dev, last), level, sse in zip(rows, levels.tolist(), sses.tolist()):
                 m = self.models[dev]
                 if (
@@ -451,7 +451,7 @@ class _Engine:
         on_devs = [i for i, row in enumerate(rows) if row.level != 0.0 and row.last < ks_pos]
         if k_abs in hyp.times or not on_devs:
             return []
-        drop = abs(self.y[p] - hyp.y_hat[p])
+        drop = abs(hyp.resid[p])
         dev = min(on_devs, key=lambda i: (
             ks_pos - rows[i].last < self.params.min_on_duration,
             abs(self.gains[i] * rows[i].level - drop),
@@ -469,7 +469,7 @@ class _Engine:
     def _rank_key(self, hyp: _Hypothesis, p: int) -> tuple:
         """The _key of hyp's residual through p."""
         self._sync(hyp, p + 1)
-        return self._key(self.y[: p + 1] - hyp.y_hat[: p + 1], hyp.events)
+        return self._key(hyp.resid[: p + 1], hyp.events)
 
     def _branch_keys(
         self, hyp: _Hypothesis, events: list[SwitchEvent], p: int
@@ -480,12 +480,12 @@ class _Engine:
         position, stack[dev, j] is child j's row of dev: hyp's row, its
         own device's switched by the models._switch call that _Row.switch
         makes when the child is built.  The rows are summed by
-        _device_sum, as _sync sums them, so each tail is its child's
-        y_hat bit for bit.  Each tail, copied into hyp's residual through
-        p, gives the child's key.
+        _device_sum and subtracted from y, as _sync forms a residual, so
+        each tail is its child's residual bit for bit.  Each tail, written
+        into a copy of hyp's residual through p, gives the child's key.
         """
         self._sync(hyp, p + 1)
-        resid = self.y[: p + 1] - hyp.y_hat[: p + 1]
+        resid = hyp.resid[: p + 1].copy()
         lo = min(event.k for event in events) - self.start
         n, rows = p + 1 - lo, hyp.rows
         stack = np.repeat(np.array([row.values[lo : p + 1] for row in rows])[:, None],
@@ -532,9 +532,7 @@ class _Engine:
                 events = self._off_events(hyp, ks_pos, p)
             if not events:
                 hyp.unexplained.append(
-                    UnexplainedEvent(
-                        self.start + ks_pos, kind, float(self.y[p] - hyp.y_hat[p])
-                    )
+                    UnexplainedEvent(self.start + ks_pos, kind, float(hyp.resid[p]))
                 )
                 hyp.suppressed = True
                 hyp.detection = self._scan(hyp, p + 1)
@@ -562,7 +560,7 @@ class _Engine:
         return pool
 
     def run(self) -> DisaggregationResult:
-        pool = [_Hypothesis([_Row(step, self.T) for step in self.steps])]
+        pool = [_Hypothesis([_Row(step, self.T) for step in self.steps], self.y)]
         pool[0].detection = self._scan(pool[0], 0)
         while True:
             due = [hyp.detection.p for hyp in pool if hyp.detection is not None]
@@ -574,14 +572,14 @@ class _Engine:
 
     def _build_result(self, hyp: _Hypothesis) -> DisaggregationResult:
         self._sync(hyp, self.T)
-        resid = self.y - hyp.y_hat
+        total = _device_sum([row.values for row in hyp.rows], np.empty(self.T))
         return DisaggregationResult(
             device_names=tuple(m.name for m in self.models),
             estimated_outputs=tuple(
                 SignalSeries(row.values, self.period, self.start) for row in hyp.rows
             ),
-            estimated_total=SignalSeries(hyp.y_hat, self.period, self.start),
-            residual_rms=float(np.sqrt(np.mean(resid**2))),
+            estimated_total=SignalSeries(total, self.period, self.start),
+            residual_rms=float(np.sqrt(np.mean(hyp.resid**2))),
             events=tuple(sorted(hyp.events)),
             unexplained=tuple(hyp.unexplained),
             params=replace(self.params, deviation_threshold=self.threshold),

@@ -32,6 +32,8 @@ DEFAULT_HORIZON = 450
 REFERENCE_NOISE_STD = 0.02
 REFERENCE_DEVICE_COUNT = 5
 REFERENCE_ORDER = 3
+# The longest float64 array numpy can shape; render fails beyond it.
+MAX_HORIZON = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 # (device index, first on sample, first off sample, level); the second
 # interval bound is exclusive: the device is on for k in [on, off).
@@ -65,6 +67,8 @@ class Scenario:
         check_number("noise_std", self.noise_std, zero_ok=True)
         object.__setattr__(self, "seed", check_count("seed", self.seed))
         object.__setattr__(self, "horizon", check_count("horizon", self.horizon, 1))
+        if self.horizon > MAX_HORIZON:
+            raise ValidationError(f"horizon must be <= {MAX_HORIZON}, got {self.horizon!r}")
         for inp in self.inputs:
             if inp.events and inp.events[0][0] < 0:
                 raise ValidationError(f"event at k={inp.events[0][0]} before k=0")

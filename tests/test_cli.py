@@ -29,6 +29,7 @@ from disagg import (
 )
 from disagg.cli import build_parser, load_result, main
 from disagg.ingest import ROW_BLOCK
+from disagg.scenario import MAX_HORIZON
 from conftest import hold
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -761,6 +762,8 @@ ARRAY_IDS = ["result-devices-object", "result-events-object", "result-unexplaine
     ("sim/scenario.json", _edit_json(lambda d: d.update(horizon=450.5))),
     ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std="0.02"))),
     ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std=HUGE))),
+    ("sim/scenario.json", _edit_json(lambda d: d.update(horizon=HUGE))),
+    ("sim/scenario.json", _edit_json(lambda d: d.update(horizon=2**62))),
     ("sim/library.json", _truncate),
     ("sim/library.json", _edit_json(lambda d: d.__setitem__(0, "device1"))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(d=float("nan")))),
@@ -780,8 +783,8 @@ ARRAY_IDS = ["result-devices-object", "result-events-object", "result-unexplaine
     "nan-residual-rms", "negative-residual-rms", "huge-residual-rms", "huge-min-level",
     "short-estimate", "truncated-scenario",
     "scenario-without-devices", "nan-noise", "inf-noise", "event-before-k0",
-    "fractional-horizon", "string-noise", "huge-noise",
-    "truncated-library", "library-entry-not-object", "nan-feedthrough",
+    "fractional-horizon", "string-noise", "huge-noise", "huge-horizon",
+    "unshapeable-horizon", "truncated-library", "library-entry-not-object", "nan-feedthrough",
     "string-max-input", "huge-feedthrough", "huge-max-input", "library-name-null",
     "library-name-number",
 ])
@@ -810,6 +813,22 @@ def test_simulate_rejects_scenario_event_before_k0(pipeline_dir, tmp_path, capsy
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {path}: event at k=-3 before k=0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["devices"][0].pop("model"), "device entry needs 'model' or 'model_ref'"),
+    # Beyond what numpy can shape: render would fail outside the loader.
+    (lambda d: d.update(horizon=HUGE), f"horizon must be <= {MAX_HORIZON}, got {HUGE!r}"),
+    (lambda d: d.update(horizon=2**62), f"horizon must be <= {MAX_HORIZON}, got {2**62}"),
+], ids=["device-without-model", "huge-horizon", "unshapeable-horizon"])
+def test_simulate_names_the_malformed_scenario(pipeline_dir, tmp_path, capsys, edit, message):
+    path = tmp_path / "scenario.json"
+    shutil.copy(pipeline_dir / "sim" / "scenario.json", path)
+    _edit_json(edit)(path)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
 
 

@@ -347,7 +347,7 @@ def _per_fit_candidates(engine, hyp, ks_pos, rejected=None):
     k_end = min(ks_pos + params.lookahead, engine.T - 1)
     k_lo = max(0, ks_pos - params.backtrack_window)
     engine._sync(hyp, k_end + 1)
-    resid = engine.y[k_lo : k_end + 1] - hyp.y_hat[k_lo : k_end + 1]
+    resid = hyp.resid[k_lo : k_end + 1]
     rejected = {} if rejected is None else rejected
     out = []
     for dev, model in enumerate(engine.models):
@@ -426,7 +426,7 @@ def _candidate_states():
         y = y_hat + np.concatenate([np.zeros(pos), step]) + rng.normal(scale=0.2, size=T)
         engine = _Engine(series(y, start=start), models, params)
         hyp = _root(engine)
-        hyp.y_hat = y_hat
+        hyp.resid = y - y_hat
         times = st.integers(start - 2, start + T - 1)
         for dev in range(len(models)):
             hyp.rows[dev].level = draw(st.sampled_from([0.0, 0.0, 1.0]))
@@ -444,7 +444,7 @@ def _group_members(engine, first, ks_pos, data):
     Each further member is built from an earlier one: the same hypothesis
     again, a clone sharing its rows, or a clone whose own rows or log
     differ: another device switched on or off, a last switch or a logged
-    time inside the backtrack window, or a prediction moved in the fit
+    time inside the backtrack window, or a residual moved in the fit
     window.
     """
     from hypothesis import strategies as st
@@ -456,7 +456,7 @@ def _group_members(engine, first, ks_pos, data):
     members = [first]
     for change in data.draw(st.lists(st.sampled_from(
         ["same", "clone", "device on", "device off", "switch inside", "time inside",
-         "y_hat inside"]), max_size=3)):
+         "resid inside"]), max_size=3)):
         base = data.draw(st.sampled_from(members))
         if change == "same":
             members.append(base)
@@ -473,8 +473,8 @@ def _group_members(engine, first, ks_pos, data):
             member.rows[dev].last = data.draw(st.integers(k_lo, ks_pos))
         elif change == "time inside":
             member.times.add(engine.start + data.draw(st.integers(k_lo, ks_pos)))
-        elif change == "y_hat inside":
-            member.y_hat[data.draw(st.integers(k_lo, k_end))] += data.draw(
+        elif change == "resid inside":
+            member.resid[data.draw(st.integers(k_lo, k_end))] -= data.draw(
                 st.sampled_from([1e-9, 0.5, -2.0]))
         members.append(member)
     return members
@@ -512,14 +512,14 @@ def test_member_candidates_do_not_depend_on_the_group_property():
     # A hypothesis fit with another of the same step gets the list it gets
     # alone, in either order, and the oracle's; a change outside what the
     # fits read (an older last switch, a logged time outside the window,
-    # an on device's level, the prediction outside the window) leaves the
+    # an on device's level, the residual outside the window) leaves the
     # two lists equal.
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
     changes = st.sampled_from(
-        ["none", "old switch", "old time", "on level", "y_hat outside",
-         "y_hat inside", "time inside", "switch inside", "device on", "swap"]
+        ["none", "old switch", "old time", "on level", "resid outside",
+         "resid inside", "time inside", "switch inside", "device on", "swap"]
     )
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -544,10 +544,10 @@ def test_member_candidates_do_not_depend_on_the_group_property():
             second.times.add(data.draw(st.sampled_from(outside)))
         elif change == "on level" and levels[dev] != 0.0:
             second.rows[dev].level = 2.5
-        elif change == "y_hat outside" and k_lo + engine.T - 1 - k_end > 0:
-            second.y_hat[[k for k in range(engine.T) if not k_lo <= k <= k_end]] += 1.0
-        elif change == "y_hat inside":
-            second.y_hat[data.draw(st.integers(k_lo, k_end))] += 1e-9
+        elif change == "resid outside" and k_lo + engine.T - 1 - k_end > 0:
+            second.resid[[k for k in range(engine.T) if not k_lo <= k <= k_end]] -= 1.0
+        elif change == "resid inside":
+            second.resid[data.draw(st.integers(k_lo, k_end))] -= 1e-9
         elif change == "time inside":
             second.times.add(data.draw(st.integers(a, engine.start + ks_pos)))
         elif change == "switch inside":
@@ -568,7 +568,7 @@ def test_member_candidates_do_not_depend_on_the_group_property():
         assert repr(got_first) == repr(alone_first)
         assert repr(got_second) == repr(alone_second)
         assert repr(got_second) == repr(_per_fit_candidates(engine, second, ks_pos))
-        if change in ("none", "old switch", "old time", "on level", "y_hat outside"):
+        if change in ("none", "old switch", "old time", "on level", "resid outside"):
             assert repr(got_second) == repr(got_first)
 
     check()
@@ -581,7 +581,7 @@ def _attribute(levels, drop, k_star, since=(), params=PARAMS):
     lib = [DeviceModel(f"d{i}", A=[[0.5]], b=[0.5], c=[1.0]) for i in range(len(levels))]
     engine = _Engine(series(np.zeros(k_star + 10)), lib, params)
     hyp = _hypothesis(engine, levels, since)
-    hyp.y_hat[k_star] = drop  # the measurement is zero, so y - y_hat = -drop
+    hyp.resid[k_star] = -drop  # the measurement is zero, so the prediction is drop
     events = engine._off_events(hyp, k_star, k_star)
     return events[0].device if events else None
 
@@ -632,7 +632,7 @@ def _two_stage_off_device(engine, hyp, ks_pos, p):
     ]
     if not eligible:
         eligible = on_devs
-    drop = abs(engine.y[p] - hyp.y_hat[p])
+    drop = abs(hyp.resid[p])
     return min(
         eligible, key=lambda i: (abs(engine.gains[i] * hyp.rows[i].level - drop), i)
     )
@@ -679,7 +679,7 @@ def test_off_events_equal_the_two_stage_rule_property():
             st.tuples(st.sampled_from(contributions), st.sampled_from(contributions))
             .map(lambda pair: (pair[0] + pair[1]) / 2),
         ))
-        hyp.y_hat[p] = data.draw(st.sampled_from([drop, -drop]))
+        hyp.resid[p] = data.draw(st.sampled_from([-drop, drop]))
 
         want = _two_stage_off_device(engine, hyp, ks_pos, p)
         got = engine._off_events(hyp, ks_pos, p)
@@ -950,6 +950,17 @@ def test_disaggregate_length_precondition(lag_model):
         disaggregate(series(np.zeros(10)), [lag_model], EngineParams(lookahead=15))
 
 
+def test_disaggregate_rejects_empty_library():
+    with pytest.raises(ValidationError, match="^device library is empty$"):
+        disaggregate(series(np.zeros(60)), [])
+
+
+def test_disaggregate_rejects_two_models_of_one_name(lag_model):
+    twin = replace(random_stable_model(2, 1), name=lag_model.name)
+    with pytest.raises(ValidationError, match="^duplicate device names in library$"):
+        disaggregate(series(np.zeros(60)), [lag_model, twin])
+
+
 def test_disaggregate_rejects_non_finite_sample_with_index(lag_model):
     for bad in (np.nan, np.inf, -np.inf):
         y = np.zeros(300)
@@ -986,8 +997,8 @@ def test_lazy_rows_equal_eager_switch_rows_property():
     # An instant-off row is written only as far as it is read.  Wherever
     # its frontier stands, the written part must have the bits of the
     # eager row (every switch run through models._switch to the end of
-    # the signal) and the rest 0.0; y_hat must be the device-order sum of
-    # the eager rows below synced; each row's level and last switch must
+    # the signal) and the rest 0.0; resid must be y less the device-order
+    # sum of the eager rows below synced; each row's level and last switch must
     # be those of its device's last switch; and clones that share a row
     # must each keep their own.  Any other row is written to the end at once.
     pytest.importorskip("hypothesis")
@@ -1022,14 +1033,16 @@ def test_lazy_rows_equal_eager_switch_rows_property():
                 assert row.values[f:].tobytes() == bytes(8 * (T - f))
                 p, _, new = row_switches[-1] if row_switches else (-1, 0.0, 0.0)
                 assert (row.level, row.last) == (new, p)
-            total = engine_module._device_sum(eager, np.empty(T))
-            assert hyp.y_hat[: hyp.synced].tobytes() == total[: hyp.synced].tobytes()
+            resid = engine.y - engine_module._device_sum(eager, np.empty(T))
+            assert hyp.resid[: hyp.synced].tobytes() == resid[: hyp.synced].tobytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def check(data):
         T = data.draw(st.integers(30, T_max))
-        engine = _Engine(series(np.zeros(T)), models, PARAMS)
+        # A measurement of mixed signs, so the residual is not just -total.
+        y = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=T)
+        engine = _Engine(series(y), models, PARAMS)
         pool = [(_root(engine), [[] for _ in models])]
         for _ in range(data.draw(st.integers(1, 24))):
             hyp, switches = data.draw(st.sampled_from(pool))
@@ -1065,6 +1078,11 @@ def test_estimate_noise_std_recovers_sigma():
     noisy = clean + rng.normal(scale=0.02, size=clean.size)
     est = estimate_noise_std(series(noisy))
     assert abs(est - 0.02) < 0.005
+
+
+def test_estimate_noise_std_of_one_sample_is_zero():
+    # One sample has no first difference to take the spread of.
+    assert estimate_noise_std(series(np.array([3.0]))) == 0.0
 
 
 def test_median_has_np_median_bits_property():

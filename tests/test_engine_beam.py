@@ -39,7 +39,7 @@ from inputs import tiled_reference_scenario  # noqa: E402
 
 def _root(engine):
     """engine's root hypothesis: every device off, no row written."""
-    return _Hypothesis([_Row(step, engine.T) for step in engine.steps])
+    return _Hypothesis([_Row(step, engine.T) for step in engine.steps], engine.y)
 
 
 def _event_key(e):

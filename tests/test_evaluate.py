@@ -277,6 +277,20 @@ def test_row_order_sorts_as_tuples_property():
     check()
 
 
+def test_score_without_a_matched_event_has_no_switch_time_mae(tmp_path):
+    from dataclasses import replace
+
+    sc = reference_scenario(0)
+    result, _ = _perfect_result(sc)
+    metrics = score(replace(result, events=()), sc)
+    assert metrics.switch_time_mae is None
+    assert (metrics.precision, metrics.recall) == (1.0, 0.0)
+    save_metrics(metrics, tmp_path / "metrics.json")
+    text = (tmp_path / "metrics.json").read_text()
+    assert '"switch_time_mae": null' in text
+    assert json.loads(text)["switch_time_mae"] is None
+
+
 def test_idle_device_energy_error_zero():
     sc = reference_scenario(0)
     result, _ = _perfect_result(sc)

@@ -20,6 +20,7 @@ from disagg import (
     spectral_radius,
 )
 from disagg.models import STABILITY_MARGIN
+from disagg.scenario import MAX_HORIZON
 from conftest import hold
 from test_models import _simulate_recursion
 
@@ -148,6 +149,17 @@ def test_scenario_validates_horizon_covers_events():
     ]:
         with pytest.raises(ValidationError, match=message):
             Scenario(models=models, inputs=(PiecewiseInput(events),), horizon=40)
+
+
+def test_scenario_horizon_is_at_most_what_numpy_can_shape():
+    # 2**60 - 1 samples on a 64-bit build; nothing is allocated until render.
+    assert MAX_HORIZON == np.iinfo(np.intp).max // 8
+    models = (DeviceModel("a", A=[[0.5]], b=[0.5], c=[1.0]),)
+    inputs = (PiecewiseInput(),)
+    assert Scenario(models=models, inputs=inputs, horizon=MAX_HORIZON).horizon == MAX_HORIZON
+    with pytest.raises(ValidationError,
+                       match=f"^horizon must be <= {MAX_HORIZON}, got {MAX_HORIZON + 1}$"):
+        Scenario(models=models, inputs=inputs, horizon=MAX_HORIZON + 1)
 
 
 def test_reference_scenario_shape():

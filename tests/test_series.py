@@ -24,6 +24,11 @@ def test_signal_rejects_bad_period(period):
         SignalSeries(np.array([1.0]), sample_period=period)
 
 
+def test_signal_rejects_2d_values():
+    with pytest.raises(ValidationError, match=r"^signal must be 1-D, got shape \(2, 3\)$"):
+        SignalSeries(np.zeros((2, 3)))
+
+
 def test_signal_immutable():
     s = SignalSeries(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

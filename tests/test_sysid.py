@@ -268,6 +268,17 @@ def test_fit_arx_length_precondition():
         fit_arx(series(np.ones(5)), series(np.ones(5)), na=3, nb=3, delay=1)
 
 
+def test_fit_arx_rejects_y_and_u_of_different_lengths():
+    with pytest.raises(ValidationError, match="^y and u lengths differ: 40 vs 39$"):
+        fit_arx(series(np.ones(40)), series(np.ones(39)), na=1, nb=1)
+
+
+@pytest.mark.parametrize("a, b_coef", [((0.5, 0.1), (0.5,)), ((0.5,), (0.5, 0.2)), ((), ())])
+def test_arx_model_rejects_coefficients_off_its_orders(a, b_coef):
+    with pytest.raises(ValidationError, match="^coefficient lengths must match na and nb$"):
+        ArxModel(na=1, nb=1, a=a, b_coef=b_coef)
+
+
 # ------------------------------------------------------- state-space export
 
 def test_realization_first_order_canonical():

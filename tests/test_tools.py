@@ -1,5 +1,5 @@
 """The scripts under tools/ run: each parses its options, and day_scale.py
-disaggregates one tile of the reference schedule exactly."""
+disaggregates one tile of the reference schedule exactly, once or repeated."""
 
 import subprocess
 import sys
@@ -28,4 +28,12 @@ def test_day_scale_one_tile_is_exact():
     assert done.returncode == 0, done.stderr
     (line,) = done.stdout.splitlines()
     assert "T=450 width=1 " in line
+    assert line.endswith(" 8 events, exact True")
+
+
+def test_day_scale_repeats_in_one_process():
+    done = _run(TOOLS / "day_scale.py", "--tiles", "1", "--width", "1", "--repeat", "2")
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    assert "T=450 width=1 wall min " in line and " over 2 runs, " in line
     assert line.endswith(" 8 events, exact True")

@@ -16,12 +16,17 @@ identify the four plugs, convert the meter, disaggregate, evaluate) and
 prints the precision and recall pooled as
 ``perfbench/outputs.pool_accuracy`` pools them, followed by the seeds
 whose job exited non-zero or left outputs that
-``perfbench/outputs.check_job`` rejects.
+``perfbench/outputs.check_job`` rejects.  A second line per range judges
+identification by its step responses: the error of an identified plug is
+max |``unit_step_values(identified, STEP_SAMPLES)`` -
+``unit_step_values(true, STEP_SAMPLES)``|, the true models being the plug
+set's ``library.json``; it prints how many errors exceed STEP_BOUND, the
+worst, and the seed, device and error of each above it.
 
 With neither flag both sweeps run, scenarios first.  Every figure is a
 pure function of the checkout, so running this on a parent and on a
 change and diffing the two outputs shows what the change did to
-accuracy.  It takes about 70 s (scenarios 30 s, plugs 40 s); the
+accuracy.  It takes about 30 s on a 2-vCPU VM (scenarios 22 s, plugs 9 s); the
 package and the benchmark modules are imported from CHECKOUT (default:
 the one holding this file).  Classifying each failing seed (twin,
 pruned or pick) is not written yet: it needs the engine's final pool.
@@ -40,6 +45,8 @@ from pathlib import Path
 WIDTHS = (1, 2, 4, 8, 16)
 SCENARIO_RANGES = (range(0, 200), range(200, 600))
 PLUG_RANGES = (range(100, 116), range(200, 232))
+STEP_SAMPLES = 120
+STEP_BOUND = 0.05
 
 
 def scenario_sweep(seeds, width: int) -> list[int]:
@@ -57,13 +64,27 @@ def scenario_sweep(seeds, width: int) -> list[int]:
     return failed
 
 
-def plug_sweep(seeds, work: Path) -> tuple[dict[str, float], list[int]]:
-    """Pooled accuracy over the seeds' plug jobs, and the seeds that failed."""
+def step_errors(true_library: Path, identified_library: Path) -> dict[str, float]:
+    """Per identified device, max |identified - true| of the unit-step responses."""
+    import numpy as np
+    from disagg import load_library, unit_step_values
+
+    truth = {m.name: m for m in load_library(true_library)}
+    return {
+        m.name: float(np.max(np.abs(unit_step_values(m, STEP_SAMPLES)
+                                    - unit_step_values(truth[m.name], STEP_SAMPLES))))
+        for m in load_library(identified_library)
+    }
+
+
+def plug_sweep(seeds, work: Path) -> tuple[dict[str, float], list[int], list[tuple]]:
+    """Pooled accuracy over the seeds' plug jobs, the seeds that failed, and
+    (seed, device, step error) per identified plug."""
     import inputs
     import outputs
     import worker
 
-    jobs, failed = [], []
+    jobs, failed, errors = [], [], []
     for seed in seeds:
         inp, out = work / f"seed{seed}" / "in", work / f"seed{seed}" / "out"
         info = inputs.write_plug_set(seed, inp)
@@ -71,11 +92,14 @@ def plug_sweep(seeds, work: Path) -> tuple[dict[str, float], list[int]]:
         plugs = json.loads((inp / "plugs.json").read_text())
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = worker._plug_job(inp, out, plugs)
+        if (out / "library.json").exists():
+            errors += [(seed, name, err) for name, err in
+                       step_errors(inp / "library.json", out / "library.json").items()]
         if code != 0 or outputs.check_job(out, info["horizon"]):
             failed.append(seed)
         else:
             jobs.append(outputs.job_accuracy(out, info["truth_events"]))
-    return outputs.pool_accuracy(jobs), failed
+    return outputs.pool_accuracy(jobs), failed, errors
 
 
 def main(argv=None) -> int:
@@ -100,10 +124,17 @@ def main(argv=None) -> int:
     if args.plugs or both:
         for seeds in PLUG_RANGES:
             with tempfile.TemporaryDirectory() as tmp:
-                pooled, failed = plug_sweep(seeds, Path(tmp))
-            print(f"plug seeds {seeds.start}-{seeds.stop - 1}: "
+                pooled, failed, errors = plug_sweep(seeds, Path(tmp))
+            label = f"plug seeds {seeds.start}-{seeds.stop - 1}"
+            print(f"{label}: "
                   f"precision {pooled['precision']:.3f} recall {pooled['recall']:.3f} "
                   f"failed {' '.join(map(str, failed)) or 'none'}")
+            above = [f"{seed} {name} {err:.3f}" for seed, name, err in errors
+                     if err > STEP_BOUND]
+            worst = max((err for _, _, err in errors), default=0.0)
+            print(f"{label}: {len(above)}/{len(errors)} step responses off by more than "
+                  f"{STEP_BOUND} within {STEP_SAMPLES} samples, worst {worst:.3f}, "
+                  f"above: {', '.join(above) or 'none'}")
     return 0
 
 
