@@ -12,11 +12,14 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .engine import (
     DisaggregationResult,
     EngineParams,
     SwitchEvent,
     UnexplainedEvent,
+    _device_sum,
     disaggregate,
     # Unused here, like write_signal_csv below, but perfbench/spans.py wraps both.
     disaggregate_beam,  # noqa: F401
@@ -34,25 +37,32 @@ from .ingest import (
     to_signal,
     write_signal_csv,  # noqa: F401
 )
-from .models import load_library, save_library
-from .scenario import load_scenario, reference_scenario, render, save_scenario
-from .series import PiecewiseInput
+from .models import _outputs, load_library, model_from_dict, model_to_dict, save_library
+from .scenario import MAX_HORIZON, load_scenario, reference_scenario, render, save_scenario
+from .series import PiecewiseInput, SignalSeries
 from .sysid import PlugRecordingLabel, identify_device
 
 
 def result_to_dict(result: DisaggregationResult) -> dict:
     """The result.json content; events name their device.
 
-    Every field is a scalar, so shallow copies of each frozen instance's
-    ``vars`` stand in for ``dataclasses.asdict``'s deep copy.
+    Every field of params, events and unexplained is a scalar, so shallow
+    copies of each frozen instance's ``vars`` stand in for
+    ``dataclasses.asdict``'s deep copy.  The library and the estimates'
+    range and period let load_result re-render every estimate.
     """
     names = result.device_names
+    total = result.estimated_total
     return {
         "params": {**vars(result.params)},
         "devices": list(names),
         "events": [{**vars(e), "device": names[e.device]} for e in result.events],
         "residual_rms": result.residual_rms,
         "unexplained": [{**vars(u)} for u in result.unexplained],
+        "library": [model_to_dict(m) for m in result.models],
+        "start_index": total.start_index,
+        "length": len(total),
+        "sample_period": total.sample_period,
     }
 
 
@@ -67,9 +77,13 @@ def save_result(result: DisaggregationResult, out_dir: str | Path) -> None:
 
 
 def load_result(out_dir: str | Path) -> DisaggregationResult:
-    """Rebuild a result object from the files save_result wrote."""
-    out = Path(out_dir)
-    path = out / "result.json"
+    """Rebuild a result object from the result.json save_result wrote.
+
+    The estimates are re-rendered from the events with the result's own
+    library, as the engine wrote them, so they equal the saved result's
+    bit for bit; the estimate CSVs are not read.
+    """
+    path = Path(out_dir) / "result.json"
     with reading(path):
         data = json.loads(path.read_text())
         names = tuple(check_name(name) for name in check_array("devices", data["devices"]))
@@ -94,8 +108,10 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
                 )
         # Reject a device schedule with repeated times or levels, or negative ones.
         ordered = sorted(events)
-        for dev in range(len(names)):
+        inputs = [
             PiecewiseInput(tuple((e.k, e.level) for e in ordered if e.device == dev))
+            for dev in range(len(names))
+        ]
         unexplained = tuple(
             UnexplainedEvent(
                 check_count("unexplained k", u["k"]), u["kind"],
@@ -109,23 +125,34 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
         residual_rms = check_real("residual_rms", data["residual_rms"])
         check_number("residual_rms", residual_rms, zero_ok=True)
         params = EngineParams(**data["params"])
-    outputs = tuple(read_signal_csv(out / f"estimate_{name}.csv") for name in names)
-    total = read_signal_csv(out / "estimate_total.csv")
-    for name, series in zip(names, outputs):
-        if (series.start_index, series.end_index) != (total.start_index, total.end_index):
+        library = tuple(model_from_dict(m) for m in check_array("library", data["library"]))
+        if tuple(m.name for m in library) != names:
             raise ValidationError(
-                f"{out / f'estimate_{name}.csv'}: index range "
-                f"[{series.start_index}, {series.end_index}) differs from "
-                f"estimate_total.csv's [{total.start_index}, {total.end_index})"
+                f"library names {[m.name for m in library]} differ from devices {list(names)}"
             )
+        start = check_count("start_index", data["start_index"])
+        length = check_count("length", data["length"], 1)
+        if length > MAX_HORIZON:
+            raise ValidationError(f"length must be <= {MAX_HORIZON}, got {length!r}")
+        period = check_real("sample_period", data["sample_period"])
+        check_number("sample_period", period)
+        for k in [e.k for e in events] + [u.k for u in unexplained]:
+            if not start <= k < start + length:
+                raise ValidationError(
+                    f"event at k={k} outside the estimates' [{start}, {start + length})"
+                )
+    rows = _outputs(library, [[(k - start, level) for k, level in inp.events]
+                              for inp in inputs], length)
+    total = _device_sum(rows, np.empty(length))
     return DisaggregationResult(
         device_names=names,
-        estimated_outputs=outputs,
-        estimated_total=total,
+        estimated_outputs=tuple(SignalSeries(row, period, start) for row in rows),
+        estimated_total=SignalSeries(total, period, start),
         residual_rms=residual_rms,
         events=events,
         unexplained=unexplained,
         params=params,
+        models=library,
     )
 
 

@@ -135,7 +135,10 @@ class DisaggregationResult:
     """The winning hypothesis: its switch events and its own predictions.
 
     estimated_outputs are the per-device predictions the engine scored,
-    estimated_total their device-order sum.
+    estimated_total their device-order sum, and models the library the
+    engine ran with, one per device name.  Each estimate is the
+    zero-state output of its model under its device's events, bit for
+    bit, so the events and models determine the estimates.
     """
 
     device_names: tuple[str, ...]
@@ -145,6 +148,7 @@ class DisaggregationResult:
     events: tuple[SwitchEvent, ...]
     unexplained: tuple[UnexplainedEvent, ...]
     params: EngineParams
+    models: tuple[DeviceModel, ...]
 
 
 def estimate_noise_std(y: SignalSeries) -> float:
@@ -583,6 +587,7 @@ class _Engine:
             events=tuple(sorted(hyp.events)),
             unexplained=tuple(hyp.unexplained),
             params=replace(self.params, deviation_threshold=self.threshold),
+            models=tuple(self.models),
         )
 
 

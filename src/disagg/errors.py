@@ -48,7 +48,10 @@ def check_count(name, value, low=None):
     """Raise ValidationError unless value is an integer (not a bool) >= low
     (any integer when low is None); return it as a Python int, so a numpy
     integer saves to JSON."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    # A plain int skips the slower abstract-class check.
+    if type(value) is not int and (
+        not isinstance(value, numbers.Integral) or isinstance(value, bool)
+    ):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValidationError(f"{name} must be >= {low}, got {value!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cmp_to_key
 from operator import itemgetter
 from pathlib import Path
@@ -176,6 +176,6 @@ def _row_order(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def save_metrics(metrics: Metrics, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(asdict(metrics), indent=2, sort_keys=True) + "\n"
-    )
+    """Write metrics as JSON from a shallow copy of the instance's vars;
+    json.dumps only reads the fields, so no deep copy is needed."""
+    Path(path).write_text(json.dumps({**vars(metrics)}, indent=2, sort_keys=True) + "\n")

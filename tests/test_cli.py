@@ -16,10 +16,13 @@ from disagg import (
     DeviceModel,
     EngineParams,
     PiecewiseInput,
+    SignalSeries,
     disaggregate,
     load_library,
     random_stable_model,
     read_signal_csv,
+    reference_scenario,
+    render,
     save_library,
     simulate_zero_state,
     SwitchEvent,
@@ -27,7 +30,7 @@ from disagg import (
     UnstableModelError,
     write_signal_csv,
 )
-from disagg.cli import build_parser, load_result, main
+from disagg.cli import build_parser, load_result, main, save_result
 from disagg.ingest import ROW_BLOCK
 from disagg.scenario import MAX_HORIZON
 from conftest import hold
@@ -139,6 +142,36 @@ def test_result_round_trip(tmp_path):
 
     summed = reduce(np.add, (o.values for o in result.estimated_outputs))
     np.testing.assert_array_equal(summed, result.estimated_total.values)
+
+
+def test_saved_result_loads_as_the_engines_result_property(tmp_path):
+    # The loaded result is the engine's, estimates re-rendered from the
+    # events and library bit for bit, with their start index and period.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 199), width=st.sampled_from([1, 3, 8]),
+           start=st.one_of(st.just(0), st.just(100_000), st.integers(-10**6, 10**6)),
+           period=st.sampled_from([1.0, 1 / 12]), instant_off=st.booleans())
+    def check(seed, width, start, period, instant_off):
+        scenario = reference_scenario(seed)
+        if not instant_off:
+            models = tuple(replace(m, instant_off=False) for m in scenario.models)
+            scenario = replace(scenario, models=models)
+        aggregate = render(scenario)[0]
+        y_m = SignalSeries(aggregate.values, period, start)
+        result = disaggregate(y_m, list(scenario.models), EngineParams(beam_width=width))
+        out = tmp_path / "res"
+        save_result(result, out)
+        loaded = load_result(out)
+        assert loaded == result
+        for a, b in zip((*loaded.estimated_outputs, loaded.estimated_total),
+                        (*result.estimated_outputs, result.estimated_total)):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert (a.start_index, a.sample_period) == (start, period)
+
+    check()
 
 
 def _is_scalar(hint) -> bool:
@@ -309,6 +342,34 @@ def test_plot_data_series_set(tmp_path):
     expected = {"y_m", "y_hat"} | {f"y_hat_device{i}" for i in range(1, 6)}
     assert set(names) == expected
     assert len(set(names.values())) == 1  # all series share one length
+
+
+def test_evaluate_and_plot_data_do_not_read_the_estimate_csvs(pipeline_dir, tmp_path):
+    # Both re-render the estimates from result.json, so deleting the CSVs
+    # changes no output byte, and plot-data's estimates are the CSVs' rows.
+    outputs = []
+    for strip in (False, True):
+        work = tmp_path / f"strip{strip}"
+        shutil.copytree(pipeline_dir, work)
+        res, sim = work / "res", work / "sim"
+        estimates = sorted(res.glob("estimate_*.csv"))
+        assert len(estimates) == 6
+        if strip:
+            for path in estimates:
+                path.unlink()
+        assert main(["evaluate", "--result", str(res), "--truth", str(sim / "scenario.json"),
+                     "--out", str(work / "metrics.json")]) == 0
+        assert main(["plot-data", "--result", str(res), "--input", str(sim / "aggregate.csv"),
+                     "--out", str(work / "plot.csv")]) == 0
+        outputs.append([(work / name).read_bytes() for name in ("metrics.json", "plot.csv")])
+    assert outputs[1] == outputs[0]
+    intact = tmp_path / "stripFalse"
+    plot = (intact / "plot.csv").read_text().splitlines(keepends=True)
+    for path in sorted((intact / "res").glob("estimate_*.csv")):
+        name = path.stem.removeprefix("estimate_")
+        series = "y_hat" if name == "total" else f"y_hat_{name}"
+        rows = [line.split(",", 1)[1] for line in plot if line.split(",", 1)[0] == series]
+        assert "".join(["k,value\n", *rows]) == path.read_text()
 
 
 @pytest.mark.parametrize("length", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
@@ -694,13 +755,6 @@ def _rename_device(data, index, name):
             event["device"] = name
 
 
-def _keep_rows(n):
-    def edit(path):
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[: n + 1]))
-    return edit
-
-
 # An integer that JSON carries but a float cannot hold.
 HUGE = 10**400
 
@@ -716,6 +770,53 @@ ARRAY_CASES = [
 ARRAY_EDITS = [(name, edit) for name, _, edit in ARRAY_CASES]
 ARRAY_IDS = ["result-devices-object", "result-events-object", "result-unexplained-object",
              "scenario-devices-object", "scenario-events-object"]
+
+
+def _last_event(data):
+    return max(data["events"], key=lambda e: e["k"])
+
+
+def _end(data):
+    """One past the last index of the result's estimates."""
+    return data["start_index"] + data["length"]
+
+
+# (id, edit, message): result.json's library and estimate range, each
+# broken; every message follows "error: <path>: ", and the one that
+# Python words (a string indexed by a key) is its first part.
+RESULT_FIELD_CASES = [
+    ("result-library-entry-not-object", lambda d: d["library"].__setitem__(0, "device1"),
+     "malformed: string indices must be integers"),
+    ("result-library-nan-A", lambda d: d["library"][0]["A"].__setitem__(0, float("nan")),
+     "non-finite entries in model 'device1'"),
+    ("result-library-names-differ", lambda d: d["library"].reverse(),
+     "library names ['device5', 'device4', 'device3', 'device2', 'device1'] differ from "
+     "devices ['device1', 'device2', 'device3', 'device4', 'device5']"),
+    ("zero-length", lambda d: d.update(length=0), "length must be >= 1, got 0"),
+    ("fractional-length", lambda d: d.update(length=450.5),
+     "length must be an integer, got 450.5"),
+    ("huge-length", lambda d: d.update(length=HUGE),
+     f"length must be <= {MAX_HORIZON}, got {HUGE!r}"),
+    # A signal may start before k = 0, but the events must lie in its range.
+    ("negative-start", lambda d: d.update(start_index=-d["length"]),
+     "event at k={k} outside the estimates' [-450, 0)"),
+    ("fractional-start", lambda d: d.update(start_index=0.5),
+     "start_index must be an integer, got 0.5"),
+    ("zero-period", lambda d: d.update(sample_period=0.0),
+     "sample_period must be finite and > 0, got 0.0"),
+    ("nan-period", lambda d: d.update(sample_period=float("nan")),
+     "sample_period must be finite and > 0, got nan"),
+    ("string-period", lambda d: d.update(sample_period="1.0"),
+     "sample_period must be a number, got '1.0'"),
+    ("event-at-end", lambda d: _last_event(d).update(k=_end(d)),
+     "event at k=450 outside the estimates' [0, 450)"),
+    ("unexplained-at-end", lambda d: d["unexplained"].append(
+        {"k": _end(d), "kind": "increase", "magnitude": 1.0}),
+     "event at k=450 outside the estimates' [0, 450)"),
+    ("result-without-library", lambda d: d.pop("library"), "missing key 'library'"),
+]
+RESULT_FIELD_EDITS = [("res/result.json", _edit_json(edit)) for _, edit, _ in RESULT_FIELD_CASES]
+RESULT_FIELD_IDS = [case_id for case_id, _, _ in RESULT_FIELD_CASES]
 
 
 @pytest.mark.parametrize("name, edit", [
@@ -753,7 +854,7 @@ ARRAY_IDS = ["result-devices-object", "result-events-object", "result-unexplaine
     ("res/result.json", _edit_json(lambda d: d.update(residual_rms=-1.0))),
     ("res/result.json", _edit_json(lambda d: d.update(residual_rms=HUGE))),
     ("res/result.json", _edit_json(lambda d: d["params"].update(min_level=HUGE))),
-    ("res/estimate_device1.csv", _keep_rows(100)),
+    *RESULT_FIELD_EDITS,
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
     ("sim/scenario.json", _edit_json(lambda d: d.update(noise_std=float("nan")))),
@@ -781,7 +882,7 @@ ARRAY_IDS = ["result-devices-object", "result-events-object", "result-unexplaine
     "string-level", "bool-level", "string-magnitude", "string-residual-rms",
     "duplicate-device-names", "number-device-name", *ARRAY_IDS,
     "nan-residual-rms", "negative-residual-rms", "huge-residual-rms", "huge-min-level",
-    "short-estimate", "truncated-scenario",
+    *RESULT_FIELD_IDS, "truncated-scenario",
     "scenario-without-devices", "nan-noise", "inf-noise", "event-before-k0",
     "fractional-horizon", "string-noise", "huge-noise", "huge-horizon",
     "unshapeable-horizon", "truncated-library", "library-entry-not-object", "nan-feedthrough",
@@ -795,6 +896,18 @@ def test_malformed_json_is_a_validation_error(
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("edit, message", [case[1:] for case in RESULT_FIELD_CASES],
+                         ids=RESULT_FIELD_IDS)
+def test_result_loader_names_what_is_wrong_with_the_library_or_range(
+    pipeline_dir, tmp_path, capsys, edit, message
+):
+    first_k = min(e["k"] for e in json.loads(
+        (pipeline_dir / "res" / "result.json").read_text())["events"])
+    code, path = _evaluate_copy(pipeline_dir, tmp_path, "res/result.json", _edit_json(edit))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message.format(k=first_k)}")
 
 
 @pytest.mark.parametrize("name, key, edit", ARRAY_CASES, ids=ARRAY_IDS)

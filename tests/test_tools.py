@@ -1,5 +1,6 @@
 """The scripts under tools/ run: each parses its options, and day_scale.py
-disaggregates one tile of the reference schedule exactly, once or repeated."""
+disaggregates one tile of the reference schedule exactly, once or repeated,
+in process or through the CLI."""
 
 import subprocess
 import sys
@@ -37,3 +38,19 @@ def test_day_scale_repeats_in_one_process():
     (line,) = done.stdout.splitlines()
     assert "T=450 width=1 wall min " in line and " over 2 runs, " in line
     assert line.endswith(" 8 events, exact True")
+
+
+def test_day_scale_times_each_cli_command_in_its_own_process():
+    done = _run(TOOLS / "day_scale.py", "--tiles", "2", "--cli")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(" wall ")[0].split()[-1] for line in lines] == [
+        "simulate", "disaggregate", "evaluate"]
+    assert all(" T=900 width=1 " in line and " MB" in line for line in lines)
+    assert ", precision 1.000 recall 1.000, metrics.json sha256 " in lines[-1]
+
+
+def test_day_scale_cli_runs_once_per_command():
+    done = _run(TOOLS / "day_scale.py", "--cli", "--repeat", "2")
+    assert done.returncode == 2
+    assert "--repeat applies only without --cli" in done.stderr

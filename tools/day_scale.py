@@ -1,6 +1,7 @@
 """Time the engine on the reference schedule tiled to day scale, per checkout.
 
     python3 tools/day_scale.py [--root CHECKOUT ...] [--tiles N] [--width W] [--repeat R]
+    python3 tools/day_scale.py --cli [--root CHECKOUT ...] [--tiles N] [--width W]
 
 For each CHECKOUT (default: the one holding this file; give --root once
 per checkout to compare several), a fresh process imports the package
@@ -14,23 +15,60 @@ its min and median), the median's milliseconds per event, the process's
 and whether every run's (k, device, kind) events equal the truth with
 nothing unexplained.
 Each checkout gets its own process, so one's memory peak and imports do
-not reach the next.  BLAS runs on one thread unless OPENBLAS_NUM_THREADS
-is already set.  The day takes tens of seconds per checkout, so this is
-not part of the tests.
+not reach the next.
+
+With --cli, the scenario is saved to a scratch directory instead, and
+``disagg simulate --scenario``, ``disaggregate`` (at width W) and
+``evaluate`` run on it, each in a fresh process importing CHECKOUT/src.
+One line per command gives its wall time, process start and imports
+included, and the process's own peak RSS, ``VmHWM`` from
+/proc/self/status (Linux only); evaluate's line adds its precision and
+recall and the sha256 of metrics.json, so checkouts can be compared
+byte for byte.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set.  The
+day takes tens of seconds per checkout, so only a few tiles are run in
+the tests.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import multiprocessing
 import os
 import resource
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 DAY_TILES = 2304
+# Run in a fresh process as: python -c _SAVE_SCENARIO CHECKOUT TILES PATH.
+_SAVE_SCENARIO = """
+import sys
+root, tiles, path = sys.argv[1:]
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+import inputs
+from disagg import save_scenario
+scenario = inputs.tiled_reference_scenario(1, int(tiles))
+save_scenario(scenario, path)
+print(scenario.horizon)
+"""
+# Run in a fresh process as: python -c _RUN_COMMAND CHECKOUT ARGV...; its
+# last stdout line is the process's VmHWM in kB.
+_RUN_COMMAND = """
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+from disagg.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
 
 
 def _rss_mb() -> float:
@@ -68,6 +106,41 @@ def measure(root: str, tiles: int, width: int, repeat: int) -> dict:
     }
 
 
+def _fresh(code: str, *args) -> str:
+    """Run code in a new interpreter with args; its stdout."""
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{args}: exited {done.returncode}: {done.stderr}")
+    return done.stdout
+
+
+def measure_cli(root: Path, tiles: int, width: int) -> None:
+    """Print the wall time and VmHWM of each CLI command on the tiled scenario."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        sim, res, metrics = work / "sim", work / "res", work / "metrics.json"
+        T = int(_fresh(_SAVE_SCENARIO, root, tiles, work / "scenario.json"))
+        commands = [
+            ["simulate", "--scenario", work / "scenario.json", "--out", sim],
+            ["disaggregate", "--library", sim / "library.json", "--input",
+             sim / "aggregate.csv", "--out", res, "--beam-width", width],
+            ["evaluate", "--result", res, "--truth", sim / "scenario.json", "--out", metrics],
+        ]
+        for argv in commands:
+            t0 = time.perf_counter()
+            out = _fresh(_RUN_COMMAND, root, *argv)
+            wall = time.perf_counter() - t0
+            line = (f"{root}: T={T} width={width} {argv[0]} wall {wall:.2f} s, "
+                    f"VmHWM {int(out.splitlines()[-1]) / 1024:.0f} MB")
+            if argv[0] == "evaluate":
+                scores = json.loads(metrics.read_text())
+                digest = hashlib.sha256(metrics.read_bytes()).hexdigest()
+                line += (f", precision {scores['precision']:.3f} recall "
+                         f"{scores['recall']:.3f}, metrics.json sha256 {digest[:16]}")
+            print(line, flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, action="append",
@@ -77,11 +150,19 @@ def main(argv=None) -> int:
     parser.add_argument("--width", type=int, default=1, help="beam width (default 1)")
     parser.add_argument("--repeat", type=int, default=1,
                         help="disaggregate runs per process (default 1)")
+    parser.add_argument("--cli", action="store_true",
+                        help="time simulate, disaggregate and evaluate, each a fresh process")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
+    if args.cli and args.repeat != 1:
+        parser.error("--repeat applies only without --cli")
     roots = args.root or [Path(__file__).resolve().parents[1]]
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if args.cli:
+        for root in roots:
+            measure_cli(root.resolve(), args.tiles, args.width)
+        return 0
     ctx = multiprocessing.get_context("spawn")
     for root in roots:
         with ctx.Pool(1) as pool:
