@@ -171,8 +171,13 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_scenario(scenario, out / "scenario.json")
     save_library(list(scenario.models), out / "library.json")
-    paths = [out / "aggregate.csv"] + [out / f"truth_{m.name}.csv" for m in scenario.models]
-    _write_signal_csvs(list(zip((aggregate, *truths), paths)))
+    pairs = [(aggregate, out / "aggregate.csv")]
+    # Each truth is its model's output for its input, which scenario.json
+    # fixes and evaluate re-renders, so it is written only on request.
+    if args.truths:
+        pairs += [(truth, out / f"truth_{m.name}.csv")
+                  for truth, m in zip(truths, scenario.models)]
+    _write_signal_csvs(pairs)
     print(f"wrote scenario with {len(scenario.models)} devices to {out}")
     return 0
 
@@ -260,6 +265,8 @@ def _simulate_arguments(p_sim) -> None:
     p_sim.add_argument("--library", default=None,
                        help="device library for model_ref resolution")
     p_sim.add_argument("--out", required=True)
+    p_sim.add_argument("--truths", action="store_true",
+                       help="also write each device's true output as truth_<device>.csv")
 
 
 def _identify_arguments(p_id) -> None:

@@ -19,11 +19,13 @@ from disagg import (
     SignalSeries,
     disaggregate,
     load_library,
+    load_scenario,
     random_stable_model,
     read_signal_csv,
     reference_scenario,
     render,
     save_library,
+    save_scenario,
     simulate_zero_state,
     SwitchEvent,
     UnexplainedEvent,
@@ -68,13 +70,36 @@ def _run_reference_pipeline(tmp_path, seed=0):
 def test_simulate_writes_expected_files(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--reference", "--seed", "7", "--out", str(out)]) == 0
-    assert (out / "scenario.json").exists()
-    assert (out / "library.json").exists()
-    assert (out / "aggregate.csv").exists()
-    for i in range(1, 6):
-        assert (out / f"truth_device{i}.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "aggregate.csv", "library.json", "scenario.json"]
     aggregate = read_signal_csv(out / "aggregate.csv")
     assert len(aggregate) == 450
+
+
+@pytest.mark.parametrize("source", ["reference", "scenario"])
+def test_simulate_truths_writes_each_rendered_truth(tmp_path, source):
+    if source == "reference":
+        args = ["--reference", "--seed", "7"]
+    else:
+        scenario = reference_scenario(3)
+        models = tuple(replace(m, instant_off=False) for m in scenario.models)
+        save_scenario(replace(scenario, models=models), tmp_path / "in.json")
+        args = ["--scenario", str(tmp_path / "in.json")]
+    plain, full = tmp_path / "plain", tmp_path / "full"
+    assert main(["simulate", *args, "--out", str(plain)]) == 0
+    assert main(["simulate", *args, "--truths", "--out", str(full)]) == 0
+    scenario = load_scenario(full / "scenario.json")
+    names = [m.name for m in scenario.models]
+    common = ["aggregate.csv", "library.json", "scenario.json"]
+    assert sorted(p.name for p in full.iterdir()) == sorted(
+        common + [f"truth_{name}.csv" for name in names])
+    for name in common:
+        assert (full / name).read_bytes() == (plain / name).read_bytes()
+    truths = render(scenario)[1]
+    for name, truth in zip(names, truths):
+        written = read_signal_csv(full / f"truth_{name}.csv")
+        assert written.start_index == truth.start_index
+        assert written.values.tobytes() == truth.values.tobytes()
 
 
 def test_simulate_from_scenario_file(tmp_path):

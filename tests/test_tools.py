@@ -45,9 +45,10 @@ def test_day_scale_times_each_cli_command_in_its_own_process():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split(" wall ")[0].split()[-1] for line in lines] == [
-        "simulate", "disaggregate", "evaluate"]
+        "simulate", "disaggregate", "evaluate", "plot-data"]
     assert all(" T=900 width=1 " in line and " MB" in line for line in lines)
-    assert ", precision 1.000 recall 1.000, metrics.json sha256 " in lines[-1]
+    assert ", precision 1.000 recall 1.000, metrics.json sha256 " in lines[2]
+    assert ", plot.csv sha256 " in lines[3]
 
 
 def test_day_scale_cli_runs_once_per_command():

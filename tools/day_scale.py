@@ -18,13 +18,13 @@ Each checkout gets its own process, so one's memory peak and imports do
 not reach the next.
 
 With --cli, the scenario is saved to a scratch directory instead, and
-``disagg simulate --scenario``, ``disaggregate`` (at width W) and
-``evaluate`` run on it, each in a fresh process importing CHECKOUT/src.
-One line per command gives its wall time, process start and imports
-included, and the process's own peak RSS, ``VmHWM`` from
-/proc/self/status (Linux only); evaluate's line adds its precision and
-recall and the sha256 of metrics.json, so checkouts can be compared
-byte for byte.
+``disagg simulate --scenario``, ``disaggregate`` (at width W),
+``evaluate`` and ``plot-data`` run on it, each in a fresh process
+importing CHECKOUT/src.  One line per command gives its wall time,
+process start and imports included, and the process's own peak RSS,
+``VmHWM`` from /proc/self/status (Linux only); evaluate's line adds its
+precision and recall and the sha256 of metrics.json, and plot-data's the
+sha256 of its CSV, so checkouts can be compared byte for byte.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS is already set.  The
 day takes tens of seconds per checkout, so only a few tiles are run in
@@ -119,13 +119,15 @@ def measure_cli(root: Path, tiles: int, width: int) -> None:
     """Print the wall time and VmHWM of each CLI command on the tiled scenario."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        sim, res, metrics = work / "sim", work / "res", work / "metrics.json"
+        sim, res = work / "sim", work / "res"
+        metrics, plot = work / "metrics.json", work / "plot.csv"
         T = int(_fresh(_SAVE_SCENARIO, root, tiles, work / "scenario.json"))
         commands = [
             ["simulate", "--scenario", work / "scenario.json", "--out", sim],
             ["disaggregate", "--library", sim / "library.json", "--input",
              sim / "aggregate.csv", "--out", res, "--beam-width", width],
             ["evaluate", "--result", res, "--truth", sim / "scenario.json", "--out", metrics],
+            ["plot-data", "--result", res, "--input", sim / "aggregate.csv", "--out", plot],
         ]
         for argv in commands:
             t0 = time.perf_counter()
@@ -138,6 +140,8 @@ def measure_cli(root: Path, tiles: int, width: int) -> None:
                 digest = hashlib.sha256(metrics.read_bytes()).hexdigest()
                 line += (f", precision {scores['precision']:.3f} recall "
                          f"{scores['recall']:.3f}, metrics.json sha256 {digest[:16]}")
+            elif argv[0] == "plot-data":
+                line += f", plot.csv sha256 {hashlib.sha256(plot.read_bytes()).hexdigest()[:16]}"
             print(line, flush=True)
 
 
@@ -151,7 +155,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=1,
                         help="disaggregate runs per process (default 1)")
     parser.add_argument("--cli", action="store_true",
-                        help="time simulate, disaggregate and evaluate, each a fresh process")
+                        help="time each command of the CLI pipeline in a fresh process")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")

@@ -5,7 +5,7 @@
 Runs, from the source checkout CHECKOUT (default: the one holding this
 file):
 
-* on reference seeds 0-39 and 126: ``simulate --reference``, then
+* on reference seeds 0-39 and 126: ``simulate --reference --truths``, then
   ``disaggregate`` at beam widths 1, 3 and 8, and ``evaluate`` and
   ``plot-data`` on each result;
 * the same after ``simulate --scenario`` on reference seeds 0-9 with
@@ -37,7 +37,9 @@ sha256 of the parsed arrays as ``<sha256>  <path> parsed``, so the
 readers are compared too.  A change that
 must not move any output bit is checked by running this on the parent
 checkout and on the change and diffing the two outputs.  Run each in its
-own process: the package is imported from CHECKOUT/src.
+own process, and run each checkout's own copy of this script: the
+package is imported from CHECKOUT/src, and the options the script passes
+follow that checkout's CLI.
 """
 
 from __future__ import annotations
@@ -122,10 +124,10 @@ def _reference_outputs(cli, work: Path) -> None:
 
 def _pipeline(cli, base: Path, *simulate_args: str, widths=BEAM_WIDTHS,
               disaggregate_args=()) -> None:
-    """simulate into base/sim, then disaggregate (with disaggregate_args),
-    evaluate and plot-data per width."""
+    """simulate (truths included) into base/sim, then disaggregate (with
+    disaggregate_args), evaluate and plot-data per width."""
     sim = base / "sim"
-    _cli(cli, "simulate", *simulate_args, "--out", str(sim))
+    _cli(cli, "simulate", *simulate_args, "--truths", "--out", str(sim))
     for width in widths:
         res = base / f"res{width}"
         _cli(cli, "disaggregate", "--library", str(sim / "library.json"),
