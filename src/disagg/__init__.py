@@ -53,7 +53,6 @@ _SOURCES = {
     "PiecewiseInput": "series",
     "SignalSeries": "series",
     "ArxModel": "sysid",
-    "PlugRecordingLabel": "sysid",
     "arx_to_state_space": "sysid",
     "detect_plug_input": "sysid",
     "fit_arx": "sysid",

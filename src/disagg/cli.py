@@ -40,7 +40,7 @@ from .ingest import (
 from .models import _outputs, load_library, model_from_dict, model_to_dict, save_library
 from .scenario import MAX_HORIZON, load_scenario, reference_scenario, render, save_scenario
 from .series import PiecewiseInput, SignalSeries
-from .sysid import PlugRecordingLabel, identify_device
+from .sysid import identify_device
 
 
 def result_to_dict(result: DisaggregationResult) -> dict:
@@ -186,12 +186,10 @@ def _cmd_identify(args) -> int:
     check_name(args.name)
     recording = parse_emontx_csv(args.input)
     signal = to_signal(recording, channel=args.channel, nominal_rate=args.rate)
-    label = PlugRecordingLabel(
-        device_name=args.name,
-        on_threshold=args.threshold,
-        settle_skip=args.settle_skip,
+    model = identify_device(
+        signal, args.name, args.threshold, args.settle_skip,
+        na=args.na, nb=args.nb, delay=args.delay,
     )
-    model = identify_device(signal, label, na=args.na, nb=args.nb, delay=args.delay)
     path = Path(args.library)
     existing = load_library(path) if path.exists() else []
     existing = [m for m in existing if m.name != model.name]

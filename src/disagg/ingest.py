@@ -35,6 +35,9 @@ from .series import SignalSeries
 EMONTX_HEADER = "timestamp_utc,irms,vrms,pva,pw,pf"
 CHANNELS = ("irms", "pw", "pva")
 PF_TOL = 1e-6
+# A hole between consecutive records longer than this many sample
+# periods is a gap.
+GAP_PERIODS = 10.0
 
 # Grid-length arithmetic tolerance for timestamps that are "exactly" on
 # a sample boundary up to float rounding.
@@ -255,17 +258,14 @@ def parse_emontx_csv(path: str | Path) -> EmonRecording:
     return recording
 
 
-def find_gaps(
-    recording: EmonRecording, nominal_rate: float, gap_periods: float = 10.0
-) -> list[Gap]:
-    """Holes between consecutive records longer than gap_periods."""
+def find_gaps(recording: EmonRecording, nominal_rate: float) -> list[Gap]:
+    """Holes between consecutive records longer than GAP_PERIODS."""
     check_number("nominal_rate", nominal_rate)
-    check_number("gap_periods", gap_periods)
     ts = recording.timestamp_utc
     periods = np.diff(ts) * nominal_rate
     return [
         Gap(start_k=round(ts[i].item() * nominal_rate), periods=round(periods[i].item()))
-        for i in np.flatnonzero(periods > gap_periods).tolist()
+        for i in np.flatnonzero(periods > GAP_PERIODS).tolist()
     ]
 
 
@@ -273,7 +273,6 @@ def to_signal(
     recording: EmonRecording,
     channel: str = "irms",
     nominal_rate: float = 12.0,
-    gap_periods: float = 10.0,
 ) -> SignalSeries:
     """Resample one channel onto a uniform grid.
 
@@ -283,15 +282,15 @@ def to_signal(
     their own, and across a gap the last record is held.  The grid
     starts at the first record and the start index encodes absolute time
     (round(t_first * rate)) so that signals from separate recordings
-    sharing a clock stay aligned.  Gaps longer than gap_periods sample
-    periods raise a GapWarning.  nominal_rate and gap_periods must be
-    finite and > 0 (find_gaps checks them).
+    sharing a clock stay aligned.  Gaps longer than GAP_PERIODS sample
+    periods raise a GapWarning.  nominal_rate must be finite and > 0
+    (find_gaps checks it).
     """
     if len(recording) < 2:
         raise ValidationError("need at least 2 records to build a signal")
     if channel not in CHANNELS:
         raise ValidationError(f"unknown channel '{channel}', expected one of {CHANNELS}")
-    for gap in find_gaps(recording, nominal_rate, gap_periods):
+    for gap in find_gaps(recording, nominal_rate):
         warnings.warn(
             f"gap of {gap.periods} sample periods at k={gap.start_k}", GapWarning,
             stacklevel=2,

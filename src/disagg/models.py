@@ -122,9 +122,6 @@ class DeviceModel:
             and self.dc_normalized == other.dc_normalized
         )
 
-    def __hash__(self):
-        return hash((self.name, self.A.tobytes(), self.b.tobytes(), self.c.tobytes()))
-
 
 def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.atleast_2d(A)))))

@@ -50,9 +50,6 @@ class SignalSeries:
             and np.array_equal(self.values, other.values)
         )
 
-    def __hash__(self):
-        return hash((self.start_index, self.sample_period, self.values.tobytes()))
-
 
 @dataclass(frozen=True)
 class PiecewiseInput:

@@ -11,7 +11,7 @@ physical gain; only simulation models are DC-normalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,21 +44,6 @@ FALLBACK_ORDERS = (2, 1)
 
 
 @dataclass(frozen=True)
-class PlugRecordingLabel:
-    """Change-detection settings for one labeled plug recording."""
-
-    device_name: str
-    on_threshold: float
-    settle_skip: int = 0
-
-    def __post_init__(self):
-        check_number("on_threshold", self.on_threshold)
-        object.__setattr__(
-            self, "settle_skip", check_count("settle_skip", self.settle_skip, 0)
-        )
-
-
-@dataclass(frozen=True)
 class ArxModel:
     """Autoregressive model with exogenous input.
 
@@ -70,7 +55,6 @@ class ArxModel:
     a: tuple[float, ...]
     b_coef: tuple[float, ...]
     delay: int = 1
-    residual_rms: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         orders = _check_orders(self.na, self.nb, self.delay)
@@ -86,7 +70,9 @@ def _check_orders(na: int, nb: int, delay: int) -> tuple[int, int, int]:
     return check_count("na", na, 1), check_count("nb", nb, 1), check_count("delay", delay, 0)
 
 
-def detect_plug_input(y: SignalSeries, label: PlugRecordingLabel) -> PiecewiseInput:
+def detect_plug_input(
+    y: SignalSeries, on_threshold: float, settle_skip: int = 0
+) -> PiecewiseInput:
     """Recover the on/off input schedule behind a plug measurement.
 
     A crossing flips the state only after HYSTERESIS_SAMPLES consecutive
@@ -95,9 +81,11 @@ def detect_plug_input(y: SignalSeries, label: PlugRecordingLabel) -> PiecewiseIn
     interval's level is the mean of the signal over the interval,
     skipping the first settle_skip samples.
     """
+    check_number("on_threshold", on_threshold)
+    settle_skip = check_count("settle_skip", settle_skip, 0)
     if len(y) == 0:
         raise ValidationError("cannot detect switches on an empty signal")
-    above = y.values > label.on_threshold
+    above = y.values > on_threshold
     n = len(above)
 
     # Runs of consecutive equal above/below flags.
@@ -115,7 +103,7 @@ def detect_plug_input(y: SignalSeries, label: PlugRecordingLabel) -> PiecewiseIn
 
     events: list[tuple[int, float]] = []
     for p_on, p_off in zip(ons.tolist(), offs.tolist()):
-        skip = label.settle_skip if p_on + label.settle_skip < p_off else 0
+        skip = settle_skip if p_on + settle_skip < p_off else 0
         level = float(np.mean(y.values[p_on + skip : p_off]))
         if level <= 0:
             continue
@@ -164,11 +152,7 @@ def fit_arx(
         raise RankDeficientDataError(
             f"regressor rank {rank} < {na + nb}; try lower orders or richer data"
         )
-    a = tuple(theta[:na])
-    b_coef = tuple(theta[na:])
-    residual = target - phi @ theta
-    rms = float(np.sqrt(np.mean(residual**2)))
-    return ArxModel(na=na, nb=nb, a=a, b_coef=b_coef, delay=delay, residual_rms=rms)
+    return ArxModel(na=na, nb=nb, a=tuple(theta[:na]), b_coef=tuple(theta[na:]), delay=delay)
 
 
 def arx_to_state_space(m: ArxModel, name: str = "arx") -> DeviceModel:
@@ -199,30 +183,33 @@ def arx_to_state_space(m: ArxModel, name: str = "arx") -> DeviceModel:
 
 def identify_device(
     y: SignalSeries,
-    label: PlugRecordingLabel,
+    name: str,
+    on_threshold: float,
+    settle_skip: int = 0,
     na: int = 3,
     nb: int = 3,
     delay: int = 1,
 ) -> DeviceModel:
     """Full plug-recording pipeline: detect input, average transients, fit, realize.
 
-    The windows of _transient_windows are averaged and fit once against
-    a unit step; an unstable fit is refit with na and nb capped at each
-    of FALLBACK_ORDERS in turn, raising the last UnstableModelError, and
-    no window raises ValidationError naming the device.  The identified
+    The model is called name; on_threshold and settle_skip go to
+    detect_plug_input, which checks them.  The windows of
+    _transient_windows are averaged and fit once against a unit step; an
+    unstable fit is refit with na and nb capped at each of
+    FALLBACK_ORDERS in turn, raising the last UnstableModelError, and no
+    window raises ValidationError naming the device.  The identified
     model keeps the recording's physical gain.  instant_off is set when
     every detected off-switch collapses below INSTANT_OFF_FRACTION of its
     on-level within INSTANT_OFF_WINDOW samples, and max_output gets
     MAX_OUTPUT_HEADROOM times the observed peak.
     """
-    u_pw = detect_plug_input(y, label)
+    u_pw = detect_plug_input(y, on_threshold, settle_skip)
     if not u_pw.events:
-        raise ValidationError(f"no switch events detected for '{label.device_name}'; "
-                              "check on_threshold")
-    windows = _transient_windows(y, u_pw, label.on_threshold, delay)
+        raise ValidationError(f"no switch events detected for '{name}'; check on_threshold")
+    windows = _transient_windows(y, u_pw, on_threshold, delay)
     length = PRE_STEP_SAMPLES + POST_STEP_SAMPLES
     if not windows:
-        raise ValidationError(f"no on interval of '{label.device_name}' holds the "
+        raise ValidationError(f"no on interval of '{name}' holds the "
                               f"{length}-sample identification window")
     transient = SignalSeries(np.mean(windows, axis=0))
     step = SignalSeries(np.arange(length) >= PRE_STEP_SAMPLES)
@@ -230,7 +217,7 @@ def identify_device(
     for i, (na_i, nb_i) in enumerate(orders):
         arx = fit_arx(transient, step, na=na_i, nb=nb_i, delay=delay)
         try:
-            model = arx_to_state_space(arx, name=label.device_name)
+            model = arx_to_state_space(arx, name=name)
             break
         except UnstableModelError:
             if i == len(orders) - 1:

@@ -14,10 +14,10 @@ from disagg import (
     EmonRecording,
     EngineParams,
     PiecewiseInput,
-    PlugRecordingLabel,
     Scenario,
     SignalSeries,
     ValidationError,
+    detect_plug_input,
     disaggregate,
     find_gaps,
     load_scenario,
@@ -31,6 +31,8 @@ from disagg import (
 from disagg.cli import load_result, save_result
 from disagg.scenario import scenario_from_dict, scenario_to_dict
 
+PLUG = SignalSeries(np.zeros(1))
+
 # (name, lower bound, call that passes the value as that parameter)
 COUNTS = [
     ("persistence", 1, lambda v: EngineParams(persistence=v)),
@@ -41,7 +43,7 @@ COUNTS = [
     ("match_window", 0, lambda v: match_events([], [], v)),
     ("order", 1, lambda v: random_stable_model(v, seed=0)),
     ("horizon", 1, lambda v: Scenario(models=(), inputs=(), horizon=v)),
-    ("settle_skip", 0, lambda v: PlugRecordingLabel("kettle", 0.5, settle_skip=v)),
+    ("settle_skip", 0, lambda v: detect_plug_input(PLUG, 0.5, settle_skip=v)),
     ("na", 1, lambda v: ArxModel(na=v, nb=1, a=(0.5, 0.1), b_coef=(1.0,))),
     ("nb", 1, lambda v: ArxModel(na=1, nb=v, a=(0.5,), b_coef=(1.0, 0.1))),
     ("delay", 0, lambda v: ArxModel(na=1, nb=1, a=(0.5,), b_coef=(1.0,), delay=v)),
@@ -56,11 +58,10 @@ NUMBERS = [
     ("min_level", lambda v: EngineParams(min_level=v)),
     ("noise_std", lambda v: Scenario(models=(), inputs=(), horizon=1, noise_std=v)),
     ("sample_period", lambda v: SignalSeries(np.zeros(1), sample_period=v)),
-    ("on_threshold", lambda v: PlugRecordingLabel("kettle", v)),
+    ("on_threshold", lambda v: detect_plug_input(PLUG, v)),
     ("max_input", lambda v: DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0], max_input=v)),
     ("max_output", lambda v: DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0], max_output=v)),
     ("nominal_rate", lambda v: find_gaps(RECORDING, v)),
-    ("gap_periods", lambda v: find_gaps(RECORDING, 12.0, v)),
 ]
 
 

@@ -3,7 +3,6 @@ import math
 import os
 import tracemalloc
 import urllib.request
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from disagg import (
     to_signal,
     write_signal_csv,
 )
-from disagg.ingest import PF_TOL, ROW_BLOCK
+from disagg.ingest import GAP_PERIODS, PF_TOL, ROW_BLOCK
 from conftest import series
 
 HEADER = "timestamp_utc,irms,vrms,pva,pw,pf"
@@ -415,12 +414,12 @@ def test_find_gaps_matches_pairwise_reference():
         steps = rng.choice([1 / 12, 0.3, 0.9, 2.5], size=40, p=[0.85, 0.05, 0.05, 0.05])
         ts = 1000.0 + np.cumsum(steps * rng.uniform(0.6, 1.4, size=40))
         recording = _recording([(t, 1.0, 120.0, 120.0, 118.0, 0.98) for t in ts])
-        rate, limit = float(rng.choice([12.0, 10.0])), float(rng.choice([0.5, 3.0, 10.0]))
+        rate = float(rng.choice([12.0, 10.0]))
         expected = []
         for prev, cur in zip(ts.tolist(), ts.tolist()[1:]):
-            if (cur - prev) * rate > limit:
+            if (cur - prev) * rate > GAP_PERIODS:
                 expected.append((round(prev * rate), round((cur - prev) * rate)))
-        assert find_gaps(recording, rate, limit) == expected, trial
+        assert find_gaps(recording, rate) == expected, trial
 
 
 def test_to_signal_rate_and_period():
@@ -450,23 +449,30 @@ def test_to_signal_on_rate_copies_values():
     np.testing.assert_allclose(s.values, vals)
 
 
-def test_to_signal_gap_held_and_flagged():
-    # Records at 12 Hz with one 0.5 s hole: the hold spans 6 periods.
+def _holed_records(hole_s):
     before = _steady_rows(3)
-    t_resume = before[-1][0] + 0.5
+    t_resume = before[-1][0] + hole_s
     after = [
         (t_resume + i / 12.0, 1.0, 120.0, 120.0, 118.0, 0.98)
         for i in range(3)
     ]
-    records = _recording(before + after)
-    gaps = find_gaps(records, nominal_rate=12.0, gap_periods=5.0)
+    return _recording(before + after)
+
+
+def test_to_signal_gap_held_and_flagged():
+    # Records at 12 Hz with one 1 s hole: the hold spans 12 periods, more
+    # than GAP_PERIODS.
+    records = _holed_records(1.0)
+    gaps = find_gaps(records, nominal_rate=12.0)
     assert len(gaps) == 1
-    assert gaps[0].periods == 6
+    assert gaps[0].periods == 12
     with pytest.warns(GapWarning):
-        s = to_signal(records, nominal_rate=12.0, gap_periods=5.0)
+        s = to_signal(records, nominal_rate=12.0)
     # Held samples carry the last value before the hole.
-    np.testing.assert_array_equal(s.values[2:8], np.full(6, 4.25))
-    assert s.values[8] == 1.0
+    np.testing.assert_array_equal(s.values[2:14], np.full(12, 4.25))
+    assert s.values[14] == 1.0
+    # A hole of exactly GAP_PERIODS periods is not a gap.
+    assert find_gaps(_holed_records(GAP_PERIODS / 12.0), nominal_rate=12.0) == []
 
 
 def _records_at(periods, rate=12.0):
@@ -563,18 +569,6 @@ def test_to_signal_and_find_gaps_reject_bad_rate(rate):
     for convert in (to_signal, find_gaps):
         with pytest.raises(ValidationError, match="nominal_rate must be finite and > 0"):
             convert(records, nominal_rate=rate)
-
-
-@pytest.mark.parametrize("limit", [-1, 0.0, math.nan, math.inf])
-def test_to_signal_and_find_gaps_reject_bad_gap_periods(limit):
-    # Unchecked, -1 flagged all 9 steps of this gapless recording and NaN
-    # turned gap detection off; no warning comes before the error.
-    records = _steady_records(10)
-    for convert in (to_signal, find_gaps):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", GapWarning)
-            with pytest.raises(ValidationError, match="^gap_periods must be finite and > 0"):
-                convert(records, nominal_rate=12.0, gap_periods=limit)
 
 
 def test_to_signal_start_index_encodes_absolute_time():

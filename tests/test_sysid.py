@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -8,7 +10,6 @@ import pytest
 import disagg.sysid as sysid
 from disagg import (
     ArxModel,
-    PlugRecordingLabel,
     RankDeficientDataError,
     SignalSeries,
     UnstableModelError,
@@ -38,31 +39,47 @@ from inputs import write_plug_set  # noqa: E402
 
 def test_detect_simple_on_off():
     y = series([0, 0, 5, 5, 5, 0])
-    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0, settle_skip=1))
+    u = detect_plug_input(y, 1.0, settle_skip=1)
     assert u.events == ((2, 5.0), (5, 0.0))
 
 
 def test_detect_all_zero_gives_no_events():
     y = series(np.zeros(10))
-    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0))
+    u = detect_plug_input(y, 1.0)
     assert u.events == ()
 
 
 def test_detect_skips_overshoot_sample():
     y = series([0, 6, 4, 4, 4, 0])
-    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0, settle_skip=1))
+    u = detect_plug_input(y, 1.0, settle_skip=1)
     assert u.events == ((1, 4.0), (5, 0.0))
 
 
 def test_detect_rejects_empty_signal():
     with pytest.raises(ValidationError):
-        detect_plug_input(series([]), PlugRecordingLabel("d", on_threshold=1.0))
+        detect_plug_input(series([]), 1.0)
+
+
+@pytest.mark.parametrize("on_threshold, settle_skip, message", [
+    (math.nan, 0, "on_threshold must be finite and > 0, got nan"),
+    (math.inf, 0, "on_threshold must be finite and > 0, got inf"),
+    (0.0, 0, "on_threshold must be finite and > 0, got 0.0"),
+    (1.0, -1, "settle_skip must be >= 0, got -1"),
+])
+def test_detect_and_identify_reject_bad_settings(on_threshold, settle_skip, message):
+    # identify_device passes its settings to detect_plug_input, which
+    # checks them before reading the signal.
+    y = series([0, 0, 5, 5, 5, 0])
+    for call in (lambda: detect_plug_input(y, on_threshold, settle_skip),
+                 lambda: identify_device(y, "d", on_threshold, settle_skip)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_detect_hysteresis_ignores_single_sample_blips():
     # One-sample dip inside the on interval and a one-sample spike before it.
     y = series([0, 3, 0, 0, 4, 4, 0.5, 4, 4, 0, 0])
-    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0, settle_skip=0))
+    u = detect_plug_input(y, 1.0, settle_skip=0)
     kinds = [1 if level > 0 else 0 for _, level in u.events]
     assert kinds == [1, 0]
     assert u.events[0][0] == 4
@@ -71,10 +88,9 @@ def test_detect_hysteresis_ignores_single_sample_blips():
 
 def test_detect_events_ordered_and_alternating():
     rng = np.random.default_rng(3)
-    label = PlugRecordingLabel("d", on_threshold=1.0, settle_skip=1)
     for _ in range(20):
         y = series(np.abs(rng.normal(size=120)) * (rng.random(120) > 0.4) * 5)
-        u = detect_plug_input(y, label)
+        u = detect_plug_input(y, 1.0, settle_skip=1)
         ks = [k for k, _ in u.events]
         assert ks == sorted(set(ks))
         for (_, lev_a), (_, lev_b) in zip(u.events, u.events[1:]):
@@ -83,13 +99,13 @@ def test_detect_events_ordered_and_alternating():
 
 def test_detect_open_interval_at_end_has_no_off_event():
     y = series([0, 0, 5, 5, 5, 5])
-    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0))
+    u = detect_plug_input(y, 1.0)
     assert u.events == ((2, 5.0),)
 
 
-def _detect_oracle(y, label):
+def _detect_oracle(y, on_threshold, settle_skip):
     """Per-sample run-length reference for detect_plug_input."""
-    above = y.values > label.on_threshold
+    above = y.values > on_threshold
     runs = []  # (is_above, start_pos, length)
     start = 0
     for p in range(1, len(above) + 1):
@@ -111,7 +127,7 @@ def _detect_oracle(y, label):
         intervals.append((on_since, len(above)))
     events = []
     for p_on, p_off in intervals:
-        skip = label.settle_skip if p_on + label.settle_skip < p_off else 0
+        skip = settle_skip if p_on + settle_skip < p_off else 0
         level = float(np.mean(y.values[p_on + skip : p_off]))
         if level <= 0:
             continue
@@ -134,9 +150,8 @@ def _detect_oracle(y, label):
 def test_detect_matches_run_length_oracle_on_edge_signals(values, settle_skip):
     # Length-1, all-above, runs that touch the end, and settle_skip longer
     # than every interval.
-    label = PlugRecordingLabel("d", on_threshold=1.0, settle_skip=settle_skip)
     y = series(values, start=7)
-    assert detect_plug_input(y, label) == _detect_oracle(y, label)
+    assert detect_plug_input(y, 1.0, settle_skip) == _detect_oracle(y, 1.0, settle_skip)
 
 
 def test_detect_matches_run_length_oracle_on_random_signals():
@@ -146,11 +161,11 @@ def test_detect_matches_run_length_oracle_on_random_signals():
         flips = rng.random(n) < rng.choice([0.05, 0.3, 0.7])
         on = np.cumsum(flips) % 2 == 1
         levels = np.where(on, rng.uniform(0.5, 6.0, n), rng.uniform(0.0, 1.5, n))
-        label = PlugRecordingLabel(
-            "d", on_threshold=float(rng.uniform(0.5, 2.0)), settle_skip=int(rng.integers(0, 40)),
-        )
+        on_threshold = float(rng.uniform(0.5, 2.0))
+        settle_skip = int(rng.integers(0, 40))
         y = series(levels, start=int(rng.integers(-50, 50)))
-        assert detect_plug_input(y, label) == _detect_oracle(y, label), trial
+        expected = _detect_oracle(y, on_threshold, settle_skip)
+        assert detect_plug_input(y, on_threshold, settle_skip) == expected, trial
 
 
 def test_detect_matches_run_length_oracle_property():
@@ -163,9 +178,8 @@ def test_detect_matches_run_length_oracle_property():
         st.integers(0, 80),
     )
     def check(values, settle_skip):
-        label = PlugRecordingLabel("d", on_threshold=1.0, settle_skip=settle_skip)
         y = series(values)
-        assert detect_plug_input(y, label) == _detect_oracle(y, label)
+        assert detect_plug_input(y, 1.0, settle_skip) == _detect_oracle(y, 1.0, settle_skip)
 
     check()
 
@@ -197,7 +211,6 @@ def test_fit_arx_recovers_first_order_exactly():
     m = fit_arx(series(y), series(u), na=1, nb=1, delay=1)
     np.testing.assert_allclose(m.a, [0.5], atol=1e-8)
     np.testing.assert_allclose(m.b_coef, [0.5], atol=1e-8)
-    assert m.residual_rms < 1e-10
     assert spectral_radius(arx_to_state_space(m).A) < 1.0 - STABILITY_MARGIN
 
 
@@ -233,9 +246,13 @@ def test_fit_arx_residual_never_beats_zero_model():
         u = rng.normal(size=150)
         y = _arx_generate([0.7], [0.3], 1, u, rng=rng, noise=0.2)
         m = fit_arx(series(y), series(u), na=2, nb=2, delay=1)
-        p0 = max(2, 1 + 2 - 1)
-        zero_rms = float(np.sqrt(np.mean(y[p0:] ** 2)))
-        assert m.residual_rms <= zero_rms + 1e-12
+        # Regression rows k >= p0 = max(na, delay + nb - 1) = 2.
+        rows = np.arange(2, len(y))
+        fitted = sum(m.a[j] * y[rows - 1 - j] for j in range(2))
+        fitted = fitted + sum(m.b_coef[j] * u[rows - 1 - j] for j in range(2))
+        rms = float(np.sqrt(np.mean((y[rows] - fitted) ** 2)))
+        zero_rms = float(np.sqrt(np.mean(y[rows] ** 2)))
+        assert rms <= zero_rms + 1e-12
 
 
 def test_fit_arx_returns_unstable_fit_that_cannot_be_realized():
@@ -325,11 +342,10 @@ def test_realization_rejects_pole_within_the_stability_margin():
 
 def test_identify_round_trip_constant_input_response():
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0), (280, 5.0), (430, 0.0)))
-    label = PlugRecordingLabel("dev", on_threshold=1.0, settle_skip=20)
     for seed in (1, 2, 3, 4, 5):
         truth = random_stable_model(3, seed, instant_off=True)
         y = simulate_zero_state(truth, hold(schedule, 0, 520))
-        fitted = identify_device(y, label)
+        fitted = identify_device(y, "dev", on_threshold=1.0, settle_skip=20)
         s_true = simulate_zero_state(truth, SignalSeries(np.full(80, 5.0))).values
         s_fit = simulate_zero_state(fitted, SignalSeries(np.full(80, 5.0))).values
         assert float(np.max(np.abs(s_true - s_fit))) <= 0.02 * 5.0
@@ -340,7 +356,7 @@ def test_identify_sets_instant_off_for_collapsing_trace():
     truth = random_stable_model(3, 3, instant_off=True)
     schedule = PiecewiseInput(((30, 4.0), (220, 0.0)))
     y = simulate_zero_state(truth, hold(schedule, 0, 300))
-    fitted = identify_device(y, PlugRecordingLabel("toaster", on_threshold=1.0, settle_skip=10))
+    fitted = identify_device(y, "toaster", on_threshold=1.0, settle_skip=10)
     assert fitted.instant_off
 
 
@@ -350,9 +366,7 @@ def test_identify_clears_instant_off_for_slow_decay():
     truth = DeviceModel("slow", A=[[0.9]], b=[0.1], c=[1.0])  # 14 samples to halve twice
     schedule = PiecewiseInput(((30, 4.0), (220, 0.0)))
     y = simulate_zero_state(truth, hold(schedule, 0, 300))
-    fitted = identify_device(
-        y, PlugRecordingLabel("fridge", on_threshold=1.0, settle_skip=10), na=1, nb=1
-    )
+    fitted = identify_device(y, "fridge", on_threshold=1.0, settle_skip=10, na=1, nb=1)
     assert not fitted.instant_off
 
 
@@ -361,7 +375,7 @@ def test_identify_max_output_headroom():
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0)))
     y = simulate_zero_state(truth, hold(schedule, 0, 300))
     peak = float(np.max(y.values))
-    fitted = identify_device(y, PlugRecordingLabel("d", on_threshold=1.0, settle_skip=10))
+    fitted = identify_device(y, "d", on_threshold=1.0, settle_skip=10)
     assert fitted.max_output == pytest.approx(1.25 * peak)
 
 
@@ -371,14 +385,14 @@ def test_identify_max_output_simple_value():
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0)))
     y = simulate_zero_state(m, hold(schedule, 0, 300))
     scaled = series(y.values * (8.0 / float(np.max(y.values))))
-    fitted = identify_device(scaled, PlugRecordingLabel("d", on_threshold=1.0, settle_skip=10))
+    fitted = identify_device(scaled, "d", on_threshold=1.0, settle_skip=10)
     assert fitted.max_output == pytest.approx(10.0)
 
 
 def test_identify_errors_without_events():
     y = series(np.zeros(100))
     with pytest.raises(ValidationError):
-        identify_device(y, PlugRecordingLabel("d", on_threshold=1.0))
+        identify_device(y, "d", on_threshold=1.0)
 
 
 def test_identify_names_the_device_without_a_long_enough_interval():
@@ -387,7 +401,7 @@ def test_identify_names_the_device_without_a_long_enough_interval():
     schedule = PiecewiseInput(((30, 5.0), (100, 0.0), (160, 5.0), (260, 0.0)))
     y = simulate_zero_state(truth, hold(schedule, 0, 300))
     with pytest.raises(ValidationError, match="no on interval of 'short' holds the 130-sample"):
-        identify_device(y, PlugRecordingLabel("short", on_threshold=1.0, settle_skip=10))
+        identify_device(y, "short", on_threshold=1.0, settle_skip=10)
 
 
 def test_transient_split_by_a_dip_gives_one_window_from_its_onset():
@@ -397,7 +411,7 @@ def test_transient_split_by_a_dip_gives_one_window_from_its_onset():
     values[20:180] = 4.0
     values[22:24] = 0.5
     y = series(values)
-    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0))
+    u = detect_plug_input(y, 1.0)
     assert [k for k, level in u.events if level > 0] == [20, 24]
     windows = _transient_windows(y, u, 1.0, delay=1)
     assert len(windows) == 1
@@ -411,7 +425,7 @@ def test_a_lone_quiet_sample_in_a_rise_does_not_end_the_walk():
     values[20] = 4.0
     values[22:] = 4.0
     y = series(values)
-    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0))
+    u = detect_plug_input(y, 1.0)
     assert u.events == ((22, 4.0),)
     windows = _transient_windows(y, u, 1.0, delay=1)
     assert len(windows) == 1
@@ -428,7 +442,7 @@ def test_an_off_shorter_than_the_pre_step_is_a_dip_even_when_quiet(gap, first):
     values[20:60] = 4.0
     values[60 + gap : 240] = 4.0
     y = series(values)
-    u = detect_plug_input(y, PlugRecordingLabel("d", on_threshold=1.0))
+    u = detect_plug_input(y, 1.0)
     assert u.events == ((20, 4.0), (60, 0.0), (60 + gap, 4.0), (240, 0.0))
     windows = _transient_windows(y, u, 1.0, delay=1)
     if first is None:
@@ -444,8 +458,7 @@ def test_identify_crosses_a_dip_to_the_noise_floor(tmp_path):
     write_plug_set(528, tmp_path)
     plug = next(p for p in json.loads((tmp_path / "plugs.json").read_text()) if p["name"] == "tv")
     y = to_signal(parse_emontx_csv(tmp_path / plug["file"]))
-    label = PlugRecordingLabel("tv", plug["threshold"], plug["settle_skip"])
-    assert identify_device(y, label).name == "tv"
+    assert identify_device(y, "tv", plug["threshold"], plug["settle_skip"]).name == "tv"
 
 
 def test_identify_measures_onsets_and_steps_above_a_standby_floor():
@@ -455,7 +468,7 @@ def test_identify_measures_onsets_and_steps_above_a_standby_floor():
     schedule = PiecewiseInput(((30, 2.0), (200, 0.0), (280, 2.0), (450, 0.0)))
     noise = np.random.default_rng(7).normal(0.0, 0.01, 520)
     y = series(simulate_zero_state(truth, hold(schedule, 0, 520)).values + 0.2 + noise)
-    fitted = identify_device(y, PlugRecordingLabel("tv", on_threshold=0.8, settle_skip=20))
+    fitted = identify_device(y, "tv", on_threshold=0.8, settle_skip=20)
     g_fit = unit_step_values(fitted, 120)
     g_true = unit_step_values(truth, 120)
     assert np.max(np.abs(g_fit - g_true)) <= 0.03
@@ -473,12 +486,12 @@ def test_decay_bridging_two_intervals_gives_no_mixed_window():
         ((30, 4.0), (80, 0.0), (115, 4.0), (300, 0.0), (400, 4.0), (600, 0.0))
     )
     y = simulate_zero_state(truth, hold(schedule, 0, 700))
-    label = PlugRecordingLabel("fridge", on_threshold=1.0, settle_skip=60)
-    u = detect_plug_input(y, label)
-    windows = _transient_windows(y, u, label.on_threshold, delay=1)
+    u = detect_plug_input(y, 1.0, settle_skip=60)
+    windows = _transient_windows(y, u, 1.0, delay=1)
     assert len(windows) == 1
     # The level includes the slow decay after the off, so compare shapes.
-    g_fit = unit_step_values(identify_device(y, label, na=1, nb=1), 120)
+    fitted = identify_device(y, "fridge", on_threshold=1.0, settle_skip=60, na=1, nb=1)
+    g_fit = unit_step_values(fitted, 120)
     g_true = unit_step_values(truth, 120)
     assert np.max(np.abs(g_fit / g_fit[-1] - g_true / g_true[-1])) <= 0.02
 
@@ -496,7 +509,7 @@ def test_identify_refits_at_order_two_when_the_first_fit_is_unstable(monkeypatch
     monkeypatch.setattr(sysid, "arx_to_state_space", unstable_once)
     truth = random_stable_model(3, 1, instant_off=True)
     y = simulate_zero_state(truth, hold(PiecewiseInput(((30, 5.0), (200, 0.0))), 0, 300))
-    fitted = identify_device(y, PlugRecordingLabel("d", on_threshold=1.0, settle_skip=10))
+    fitted = identify_device(y, "d", on_threshold=1.0, settle_skip=10)
     assert orders == [(3, 3), (2, 2)]
     assert fitted.order == 2
 
@@ -510,7 +523,7 @@ def test_identify_recovers_benchmark_plug_step_responses(tmp_path, seed):
     truth = {model.name: model for model in load_library(tmp_path / "library.json")}
     for plug in json.loads((tmp_path / "plugs.json").read_text()):
         y = to_signal(parse_emontx_csv(tmp_path / plug["file"]))
-        label = PlugRecordingLabel(plug["name"], plug["threshold"], plug["settle_skip"])
-        g_fit = unit_step_values(identify_device(y, label), 120)
+        fitted = identify_device(y, plug["name"], plug["threshold"], plug["settle_skip"])
+        g_fit = unit_step_values(fitted, 120)
         g_true = unit_step_values(truth[plug["name"]], 120)
         assert np.max(np.abs(g_fit - g_true)) <= 0.05, plug["name"]

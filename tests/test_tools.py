@@ -1,4 +1,5 @@
-"""The scripts under tools/ run: each parses its options, and day_scale.py
+"""The scripts under tools/ run: each parses its options, output_digests.py
+digests every benchmark workload, and day_scale.py
 disaggregates one tile of the reference schedule exactly, once or repeated,
 in process or through the CLI."""
 
@@ -55,3 +56,19 @@ def test_day_scale_cli_runs_once_per_command():
     done = _run(TOOLS / "day_scale.py", "--cli", "--repeat", "2")
     assert done.returncode == 2
     assert "--repeat applies only without --cli" in done.stderr
+
+
+def test_output_digests_covers_every_benchmark_workload(monkeypatch):
+    # Each workload of perfbench/run.py is digested over all its input
+    # sets, with its own tiles and beam width.
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import output_digests
+    import run
+
+    sets = {name: (count, tiles, width)
+            for name, _, count, tiles, width in output_digests.bench_sets()}
+    assert sets == {
+        name: (spec["inputs"], spec.get("tiles"), spec.get("beam_width"))
+        for name, spec in run.WORKLOADS.items()
+    }

@@ -26,8 +26,9 @@ file):
   ``disaggregate`` at each width and ``plot-data``, so a nonzero start
   index passes through the CLI;
 * the benchmark's own jobs (``perfbench/worker.py``) on their generated
-  inputs: greedy-long seeds 1-6, beam8 seeds 100-119 and plug-identify
-  seeds 100-115.
+  inputs, one per input set of each workload in ``perfbench/run.py``
+  (today greedy-long seeds 1-6, beam8 seeds 100-119 and plug-identify
+  seeds 100-115), with that workload's tiles and beam width.
 
 Each output line is ``<sha256>  <path>``, the path relative to a scratch
 directory that is removed afterwards, in sorted order.  Every signal CSV
@@ -65,13 +66,9 @@ SHORT_HEAD_SEEDS = tuple(range(10))
 SHORT_HEAD_ARGS = ("--persistence", "3", "--lookahead", "1", "--backtrack", "0")
 SHIFTED_START = 100_000
 BEAM_WIDTHS = (1, 3, 8)
-# (workload, first seed, input sets, tiles, beam width); tiles of None
-# marks the plug workload.  Tiles and widths are those of perfbench/run.py.
-BENCH_SETS = (
-    ("greedy-long", 1, 6, 16, 1),
-    ("beam8", 100, 20, 2, 8),
-    ("plug-identify", 100, 16, None, None),
-)
+# The seed each benchmark workload's input sets start from; 100 for a
+# workload not listed.
+FIRST_SEEDS = {"greedy-long": 1}
 
 
 def _cli(cli, *argv: str) -> None:
@@ -139,11 +136,23 @@ def _pipeline(cli, base: Path, *simulate_args: str, widths=BEAM_WIDTHS,
              "--out", str(base / f"plot{width}.csv"))
 
 
+def bench_sets() -> list[tuple]:
+    """(workload, first seed, input sets, tiles, beam width) for each
+    workload of perfbench/run.py; a plug workload has no tiles or width."""
+    import run
+
+    return [
+        (name, FIRST_SEEDS.get(name, 100), spec["inputs"], spec.get("tiles"),
+         spec.get("beam_width"))
+        for name, spec in run.WORKLOADS.items()
+    ]
+
+
 def _bench_outputs(work: Path) -> None:
     import inputs
     import worker
 
-    for name, first, count, tiles, width in BENCH_SETS:
+    for name, first, count, tiles, width in bench_sets():
         for seed in range(first, first + count):
             inp = work / name / f"seed{seed}" / "in"
             out = work / name / f"seed{seed}" / "out"
