@@ -44,7 +44,7 @@ from .sysid import identify_device
 
 
 def result_to_dict(result: DisaggregationResult) -> dict:
-    """The result.json content; events name their device.
+    """The result.json content; events name their device and their kind.
 
     Every field of params, events and unexplained is a scalar, so shallow
     copies of each frozen instance's ``vars`` stand in for
@@ -56,7 +56,8 @@ def result_to_dict(result: DisaggregationResult) -> dict:
     return {
         "params": {**vars(result.params)},
         "devices": list(names),
-        "events": [{**vars(e), "device": names[e.device]} for e in result.events],
+        "events": [{**vars(e), "device": names[e.device], "kind": e.kind}
+                   for e in result.events],
         "residual_rms": result.residual_rms,
         "unexplained": [{**vars(u)} for u in result.unexplained],
         "library": [model_to_dict(m) for m in result.models],
@@ -87,6 +88,8 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
     with reading(path):
         data = json.loads(path.read_text())
         names = tuple(check_name(name) for name in check_array("devices", data["devices"]))
+        if not names:
+            raise ValidationError("device list is empty")
         if len(set(names)) != len(names):
             raise ValidationError("duplicate device names in result")
         index = {name: i for i, name in enumerate(names)}
@@ -95,16 +98,14 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
         if unknown:
             raise ValidationError(f"event of unknown device {unknown[0]!r}")
         events = tuple(
-            SwitchEvent(
-                check_count("event k", e["k"]), index[e["device"]], e["kind"],
-                check_real("event level", e["level"]),
-            )
+            SwitchEvent(check_count("event k", e["k"]), index[e["device"]],
+                        check_real("event level", e["level"]))
             for e in raw_events
         )
-        for e in events:
-            if e.kind != ("off" if e.level == 0.0 else "on"):
+        for e, raw in zip(events, raw_events):
+            if raw["kind"] != e.kind:
                 raise ValidationError(
-                    f"event at k={e.k} has kind {e.kind!r} with level {e.level}"
+                    f"event at k={e.k} has kind {raw['kind']!r} with level {e.level}"
                 )
         # Reject a device schedule with repeated times or levels, or negative ones.
         ordered = sorted(events)
@@ -145,7 +146,6 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
                               for inp in inputs], length)
     total = _device_sum(rows, np.empty(length))
     return DisaggregationResult(
-        device_names=names,
         estimated_outputs=tuple(SignalSeries(row, period, start) for row in rows),
         estimated_total=SignalSeries(total, period, start),
         residual_rms=residual_rms,

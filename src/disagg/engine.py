@@ -114,13 +114,17 @@ class EngineParams:
 class SwitchEvent:
     """One nonzero entry of a device's input difference.
 
-    Events order by (k, device, kind, level), the field order.
+    Events order by (k, device, level), the field order, as by (k, device,
+    kind, level): an off event has level 0.0, an on event a higher one.
     """
 
     k: int
     device: int
-    kind: str  # "on" | "off"
     level: float
+
+    @property
+    def kind(self) -> str:
+        return "off" if self.level == 0.0 else "on"
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,6 @@ class DisaggregationResult:
     bit, so the events and models determine the estimates.
     """
 
-    device_names: tuple[str, ...]
     estimated_outputs: tuple[SignalSeries, ...]
     estimated_total: SignalSeries
     residual_rms: float
@@ -149,6 +152,10 @@ class DisaggregationResult:
     unexplained: tuple[UnexplainedEvent, ...]
     params: EngineParams
     models: tuple[DeviceModel, ...]
+
+    @property
+    def device_names(self) -> tuple[str, ...]:
+        return tuple(m.name for m in self.models)
 
 
 def estimate_noise_std(y: SignalSeries) -> float:
@@ -461,7 +468,7 @@ class _Engine:
             abs(self.gains[i] * rows[i].level - drop),
             i,
         ))
-        return [SwitchEvent(k_abs, dev, "off", 0.0)]
+        return [SwitchEvent(k_abs, dev, 0.0)]
 
     # -- pool management ----------------------------------------------
 
@@ -531,7 +538,7 @@ class _Engine:
                     group = [other for other in pool if other.detection == detection]
                     candidates.update(zip(group, self._on_candidates(group, ks_pos)))
                 take = candidates[hyp][: self.params.beam_width]
-                events = [SwitchEvent(k, dev, "on", level) for _, k, dev, level in take]
+                events = [SwitchEvent(k, dev, level) for _, k, dev, level in take]
             else:
                 events = self._off_events(hyp, ks_pos, p)
             if not events:
@@ -578,7 +585,6 @@ class _Engine:
         self._sync(hyp, self.T)
         total = _device_sum([row.values for row in hyp.rows], np.empty(self.T))
         return DisaggregationResult(
-            device_names=tuple(m.name for m in self.models),
             estimated_outputs=tuple(
                 SignalSeries(row.values, self.period, self.start) for row in hyp.rows
             ),

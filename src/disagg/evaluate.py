@@ -53,12 +53,8 @@ class Metrics:
 
 def truth_events(scenario: Scenario) -> list[SwitchEvent]:
     """Flatten the scenario's inputs into a device-indexed event list."""
-    events = []
-    for dev, inp in enumerate(scenario.inputs):
-        for k, level in inp.events:
-            kind = "off" if level == 0.0 else "on"
-            events.append(SwitchEvent(k, dev, kind, level))
-    return sorted(events)
+    return sorted(SwitchEvent(k, dev, level)
+                  for dev, inp in enumerate(scenario.inputs) for k, level in inp.events)
 
 
 def match_events(

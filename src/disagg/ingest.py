@@ -103,13 +103,6 @@ class EmonRecording:
     def __len__(self) -> int:
         return len(self.timestamp_utc)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EmonRecording):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in _FIELDS
-        )
-
 
 def _check_rows(ts, irms, vrms, pva, pw, pf) -> None:
     """Raise _RowError for the first row that breaks a recording rule.

@@ -75,6 +75,8 @@ class DeviceModel:
         c = np.asarray(self.c, dtype=float).reshape(-1)
         d = float(self.d)
         n = A.shape[0]
+        if n == 0:
+            raise ValidationError(f"model '{self.name}' must have order >= 1, got 0")
         if A.shape != (n, n):
             raise ValidationError(f"A must be square, got shape {A.shape}")
         if b.shape != (n,) or c.shape != (n,):
@@ -431,7 +433,7 @@ def _check_flag(name: str, value) -> bool:
 
 
 def model_from_dict(entry: dict) -> DeviceModel:
-    order = check_count("order", entry["order"])
+    order = check_count("order", entry["order"], 1)
     A, b, c = ([check_real(key, v) for v in entry[key]] for key in ("A", "b", "c"))
     caps = {
         key: check_real(key, entry[key])

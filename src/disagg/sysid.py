@@ -50,20 +50,22 @@ class ArxModel:
     y[k] = sum_j a[j] y[k-1-j] + sum_j b_coef[j] u[k-delay-j]
     """
 
-    na: int
-    nb: int
     a: tuple[float, ...]
     b_coef: tuple[float, ...]
     delay: int = 1
 
     def __post_init__(self):
-        orders = _check_orders(self.na, self.nb, self.delay)
-        for name, value in zip(("na", "nb", "delay"), orders):
-            object.__setattr__(self, name, value)
-        if len(self.a) != self.na or len(self.b_coef) != self.nb:
-            raise ValidationError("coefficient lengths must match na and nb")
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "b_coef", tuple(float(v) for v in self.b_coef))
+        object.__setattr__(self, "delay", _check_orders(self.na, self.nb, self.delay)[2])
+
+    @property
+    def na(self) -> int:
+        return len(self.a)
+
+    @property
+    def nb(self) -> int:
+        return len(self.b_coef)
 
 
 def _check_orders(na: int, nb: int, delay: int) -> tuple[int, int, int]:
@@ -152,7 +154,7 @@ def fit_arx(
         raise RankDeficientDataError(
             f"regressor rank {rank} < {na + nb}; try lower orders or richer data"
         )
-    return ArxModel(na=na, nb=nb, a=tuple(theta[:na]), b_coef=tuple(theta[na:]), delay=delay)
+    return ArxModel(a=tuple(theta[:na]), b_coef=tuple(theta[na:]), delay=delay)
 
 
 def arx_to_state_space(m: ArxModel, name: str = "arx") -> DeviceModel:

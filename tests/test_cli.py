@@ -839,6 +839,9 @@ RESULT_FIELD_CASES = [
         {"k": _end(d), "kind": "increase", "magnitude": 1.0}),
      "event at k=450 outside the estimates' [0, 450)"),
     ("result-without-library", lambda d: d.pop("library"), "missing key 'library'"),
+    ("result-without-devices",
+     lambda d: d.update(devices=[], library=[], events=[], unexplained=[]),
+     "device list is empty"),
 ]
 RESULT_FIELD_EDITS = [("res/result.json", _edit_json(edit)) for _, edit, _ in RESULT_FIELD_CASES]
 RESULT_FIELD_IDS = [case_id for case_id, _, _ in RESULT_FIELD_CASES]

@@ -20,6 +20,7 @@ from disagg import (
     detect_plug_input,
     disaggregate,
     find_gaps,
+    fit_arx,
     load_scenario,
     match_events,
     random_stable_model,
@@ -32,6 +33,8 @@ from disagg.cli import load_result, save_result
 from disagg.scenario import scenario_from_dict, scenario_to_dict
 
 PLUG = SignalSeries(np.zeros(1))
+# An output and an input that excite every order fit_arx is asked for here.
+ARX_SIGNALS = [SignalSeries(v) for v in np.random.default_rng(0).normal(size=(2, 40))]
 
 # (name, lower bound, call that passes the value as that parameter)
 COUNTS = [
@@ -44,9 +47,9 @@ COUNTS = [
     ("order", 1, lambda v: random_stable_model(v, seed=0)),
     ("horizon", 1, lambda v: Scenario(models=(), inputs=(), horizon=v)),
     ("settle_skip", 0, lambda v: detect_plug_input(PLUG, 0.5, settle_skip=v)),
-    ("na", 1, lambda v: ArxModel(na=v, nb=1, a=(0.5, 0.1), b_coef=(1.0,))),
-    ("nb", 1, lambda v: ArxModel(na=1, nb=v, a=(0.5,), b_coef=(1.0, 0.1))),
-    ("delay", 0, lambda v: ArxModel(na=1, nb=1, a=(0.5,), b_coef=(1.0,), delay=v)),
+    ("na", 1, lambda v: fit_arx(*ARX_SIGNALS, na=v, nb=1)),
+    ("nb", 1, lambda v: fit_arx(*ARX_SIGNALS, na=1, nb=v)),
+    ("delay", 0, lambda v: ArxModel(a=(0.5,), b_coef=(1.0,), delay=v)),
     ("length", 0, lambda v: unit_step_values(DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0]), v)),
 ]
 

@@ -140,7 +140,7 @@ def test_scan_matches_the_per_sample_rule_property(lag_model):
         y_hat = np.zeros(T)
         if event is not None:
             pos = int(event[0] * (T - 1))
-            engine._apply(hyp, SwitchEvent(pos, 0, "on", event[1]))
+            engine._apply(hyp, SwitchEvent(pos, 0, event[1]))
             u = hold(PiecewiseInput(((pos, event[1]),)), 0, T)
             y_hat = simulate_zero_state(lag_model, u).values
         hyp.suppressed = suppressed
@@ -683,7 +683,7 @@ def test_off_events_equal_the_two_stage_rule_property():
 
         want = _two_stage_off_device(engine, hyp, ks_pos, p)
         got = engine._off_events(hyp, ks_pos, p)
-        assert got == ([] if want is None else [SwitchEvent(k_abs, want, "off", 0.0)])
+        assert got == ([] if want is None else [SwitchEvent(k_abs, want, 0.0)])
 
         on = [i for i, level in enumerate(levels) if level != 0.0]
         qualify = [i for i in on if lasts[i] < ks_pos]
@@ -805,7 +805,8 @@ def test_greedy_recovers_every_event_on_a_long_signal():
 
 def test_switch_events_order_by_their_fields():
     # The beam's rank key compares event lists directly, so SwitchEvent
-    # order must be the order of its (k, device, kind, level) tuple.
+    # order, by its (k, device, level) fields, must be the order of its
+    # (k, device, kind, level) tuple, kind derived from the level.
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -814,7 +815,6 @@ def test_switch_events_order_by_their_fields():
             SwitchEvent,
             k=st.integers(0, 4),
             device=st.integers(0, 2),
-            kind=st.sampled_from(["on", "off"]),
             level=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
         ),
         max_size=6,
@@ -1058,7 +1058,7 @@ def test_lazy_rows_equal_eager_switch_rows_property():
                 pos = data.draw(st.integers(hyp.rows[dev].last + 1, T - 1))
                 old = hyp.rows[dev].level
                 new = 0.0 if old else data.draw(st.sampled_from([0.5, 1.25, 3.0]))
-                engine._apply(hyp, SwitchEvent(pos, dev, "on" if new else "off", new))
+                engine._apply(hyp, SwitchEvent(pos, dev, new))
                 switches[dev].append((pos, old, new))
             check_pool(engine, pool)
         for hyp, _ in pool:

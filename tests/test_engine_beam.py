@@ -104,7 +104,7 @@ def _oracle_best(y_m, library, params):
                     continue
                 if model.max_output is not None and gains[dev] * level > model.max_output:
                     continue
-                out.append(SwitchEvent(kp, dev, "on", level))
+                out.append(SwitchEvent(kp, dev, level))
         return out
 
     def scan(events, p, suppressed):
@@ -147,7 +147,7 @@ def _oracle_best(y_m, library, params):
             ] or on_devs
             drop = abs(r)
             dev = min(eligible, key=lambda i: (abs(gains[i] * level[i] - drop), i))
-            scan(events + [SwitchEvent(ks, dev, "off", 0.0)], p + 1, False)
+            scan(events + [SwitchEvent(ks, dev, 0.0)], p + 1, False)
             return
 
         resid = y - y_hat
@@ -161,9 +161,9 @@ def _oracle_best(y_m, library, params):
 
 def _twin_pair():
     # Identical first two step samples (1, 1.5), tails settling at 2 vs 1.538.
-    twin = arx_to_state_space(ArxModel(na=1, nb=1, a=(0.5,), b_coef=(1.0,)), "twin")
+    twin = arx_to_state_space(ArxModel(a=(0.5,), b_coef=(1.0,)), "twin")
     true_dev = arx_to_state_space(
-        ArxModel(na=2, nb=2, a=(0.5, -0.15), b_coef=(1.0, 0.0)), "true_dev"
+        ArxModel(a=(0.5, -0.15), b_coef=(1.0, 0.0)), "true_dev"
     )
     return twin, true_dev
 
@@ -286,7 +286,7 @@ def test_rank_ties_on_score_and_count_break_by_event_log():
     y = SignalSeries(np.concatenate([np.zeros(10), np.full(20, 2.0)]))
     engine = _Engine(y, twins, EngineParams(deviation_threshold=0.1))
     root = _root(engine)
-    on_a, on_b = (SwitchEvent(10, dev, "on", 2.0) for dev in (0, 1))
+    on_a, on_b = (SwitchEvent(10, dev, 2.0) for dev in (0, 1))
     built_a, built_b = root.clone(), root.clone()
     engine._apply(built_a, on_a)
     engine._apply(built_b, on_b)
@@ -369,7 +369,7 @@ def _parent_states():
                               max_size=6, unique_by=lambda t: t[0])) if k_lo else []
         for pos, dev in sorted(prior):
             level = 0.0 if parent.rows[dev].level else float(rng.uniform(0.2, 3.0))
-            engine._apply(parent, SwitchEvent(start + pos, dev, "off" if not level else "on", level))
+            engine._apply(parent, SwitchEvent(start + pos, dev, level))
         return engine, parent, ks, p
 
     return states()
@@ -392,7 +392,7 @@ def _ranked_built(engine, pool, p):
             if kind == "increase":
                 (cands,) = engine._on_candidates([hyp], ks)
                 cands = cands[: engine.params.beam_width]
-                events = [SwitchEvent(k, dev, "on", level) for _, k, dev, level in cands]
+                events = [SwitchEvent(k, dev, level) for _, k, dev, level in cands]
             else:
                 events = engine._off_events(hyp, ks, p)
         for event in events:
@@ -421,10 +421,10 @@ def test_branch_keys_equal_built_children_property():
         engine, parent, ks, p = state
         k_lo, start = ks - engine.params.backtrack_window, engine.start
         events = [
-            SwitchEvent(start + pos, dev, "on", 0.5 + dev + 0.25 * (pos - k_lo))
+            SwitchEvent(start + pos, dev, 0.5 + dev + 0.25 * (pos - k_lo))
             for dev, row in enumerate(parent.rows) if row.level == 0.0
             for pos in range(k_lo, ks + 1) if row.last < pos
-        ] + [SwitchEvent(start + ks, dev, "off", 0.0)
+        ] + [SwitchEvent(start + ks, dev, 0.0)
              for dev, row in enumerate(parent.rows) if row.level != 0.0][:1]
         events = data.draw(st.permutations(events))
         keys = engine._branch_keys(parent, events, p)

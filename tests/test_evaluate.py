@@ -6,6 +6,7 @@ import pytest
 
 from disagg import (
     DeviceModel,
+    Metrics,
     PiecewiseInput,
     Scenario,
     SwitchEvent,
@@ -21,7 +22,7 @@ from disagg.evaluate import _row_order, save_metrics
 
 
 def _ev(k, dev, kind, level=1.0):
-    return SwitchEvent(k, dev, kind, level if kind == "on" else 0.0)
+    return SwitchEvent(k, dev, level if kind == "on" else 0.0)
 
 
 def test_truth_events_from_scenario():
@@ -70,6 +71,14 @@ def test_match_events_greedy_nearest_first():
 def test_match_events_rejects_negative_window():
     with pytest.raises(ValidationError, match="match_window"):
         match_events([_ev(20, 0, "on")], [_ev(20, 0, "on")], match_window=-1)
+
+
+@pytest.mark.parametrize("precision, recall", [
+    (1.5, 1.0), (1.0, -0.25), (float("nan"), 1.0),
+])
+def test_metrics_rejects_precision_or_recall_outside_unit_interval(precision, recall):
+    with pytest.raises(ValidationError, match=r"^precision and recall must lie in \[0, 1\]$"):
+        Metrics(None, (), {}, 0.0, precision=precision, recall=recall)
 
 
 def _match_all_pairs(truth, estimate, match_window):
@@ -138,7 +147,7 @@ def test_score_two_event_time_error():
 
     shifted = replace(
         result,
-        events=(result.events[0], SwitchEvent(101, 0, "off", 0.0)),
+        events=(result.events[0], SwitchEvent(101, 0, 0.0)),
     )
     metrics = score(shifted, sc, match_window=5)
     assert metrics.switch_time_mae == pytest.approx(0.5)
@@ -152,7 +161,7 @@ def test_score_shifted_off_event():
     # Nudge one off event by one sample to create a known time error.
     events = list(result.events)
     idx = next(i for i, e in enumerate(events) if e.kind == "off")
-    events[idx] = SwitchEvent(events[idx].k + 1, events[idx].device, "off", 0.0)
+    events[idx] = SwitchEvent(events[idx].k + 1, events[idx].device, 0.0)
     from dataclasses import replace
 
     shifted = replace(result, events=tuple(events))
@@ -242,10 +251,10 @@ def test_score_symmetric_under_relabeling():
     inverse = [order.index(d) for d in range(5)]
     result_p = replace(
         result,
-        device_names=tuple(result.device_names[i] for i in order),
+        models=tuple(result.models[i] for i in order),
         estimated_outputs=tuple(result.estimated_outputs[i] for i in order),
         events=tuple(
-            SwitchEvent(e.k, inverse[e.device], e.kind, e.level)
+            SwitchEvent(e.k, inverse[e.device], e.level)
             for e in result.events
         ),
     )

@@ -366,6 +366,23 @@ def test_library_dc_normalized_may_be_absent(tmp_path):
     assert load_library(path)[0].dc_normalized is False
 
 
+def test_model_rejects_order_zero():
+    with pytest.raises(ValidationError, match="^model 'none' must have order >= 1, got 0$"):
+        DeviceModel("none", A=np.zeros((0, 0)), b=[], c=[])
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_library_order_must_be_at_least_one(tmp_path, order):
+    # The order is checked before A is reshaped to it, as random_stable_model does.
+    path = tmp_path / "lib.json"
+    entry = _one_entry_library(path)
+    entry.update(order=order, A=[], b=[], c=[])
+    path.write_text(json.dumps([entry]))
+    message = f"^{re.escape(str(path))}: order must be >= 1, got {order}$"
+    with pytest.raises(ValidationError, match=message):
+        load_library(path)
+
+
 def test_construction_succeeds_iff_radius_below_margin(tmp_path):
     # Random 1-3 order A rescaled to a drawn radius, with radii packed
     # around 1 - STABILITY_MARGIN: a model constructs exactly when its

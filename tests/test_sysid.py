@@ -290,16 +290,19 @@ def test_fit_arx_rejects_y_and_u_of_different_lengths():
         fit_arx(series(np.ones(40)), series(np.ones(39)), na=1, nb=1)
 
 
-@pytest.mark.parametrize("a, b_coef", [((0.5, 0.1), (0.5,)), ((0.5,), (0.5, 0.2)), ((), ())])
-def test_arx_model_rejects_coefficients_off_its_orders(a, b_coef):
-    with pytest.raises(ValidationError, match="^coefficient lengths must match na and nb$"):
-        ArxModel(na=1, nb=1, a=a, b_coef=b_coef)
+@pytest.mark.parametrize("a, b_coef, order", [
+    ((), (), "na"), ((), (0.5,), "na"), ((0.5,), (), "nb"),
+])
+def test_arx_model_rejects_empty_coefficients(a, b_coef, order):
+    # The orders are the coefficient counts, so an empty tuple is order 0.
+    with pytest.raises(ValidationError, match=f"^{order} must be >= 1, got 0$"):
+        ArxModel(a=a, b_coef=b_coef)
 
 
 # ------------------------------------------------------- state-space export
 
 def test_realization_first_order_canonical():
-    m = ArxModel(na=1, nb=1, a=(0.5,), b_coef=(0.5,), delay=1)
+    m = ArxModel(a=(0.5,), b_coef=(0.5,), delay=1)
     ss = arx_to_state_space(m)
     np.testing.assert_allclose(ss.A, [[0.5]])
     np.testing.assert_allclose(ss.b, [0.5])
@@ -315,7 +318,7 @@ def test_realization_matches_arx_recursion():
         ((1.2, -0.45), (0.7,), 0),
     ]
     for a, b_coef, delay in cases:
-        m = ArxModel(na=len(a), nb=len(b_coef), a=a, b_coef=b_coef, delay=delay)
+        m = ArxModel(a=a, b_coef=b_coef, delay=delay)
         ss = arx_to_state_space(m)
         u = rng.normal(size=1000)
         expected = _arx_generate(list(a), list(b_coef), delay, u)
@@ -324,7 +327,7 @@ def test_realization_matches_arx_recursion():
 
 
 def test_realization_rejects_unstable():
-    m = ArxModel(na=1, nb=1, a=(1.01,), b_coef=(1.0,), delay=1)
+    m = ArxModel(a=(1.01,), b_coef=(1.0,), delay=1)
     with pytest.raises(UnstableModelError):
         arx_to_state_space(m)
 
@@ -333,7 +336,7 @@ def test_realization_rejects_pole_within_the_stability_margin():
     # A pole at 1 - 5e-10 is below 1 but not below 1 - STABILITY_MARGIN:
     # realizing it must fail, or identify would write a library entry
     # that load_library rejects.
-    m = ArxModel(na=1, nb=1, a=(1.0 - 5e-10,), b_coef=(1.0,), delay=1)
+    m = ArxModel(a=(1.0 - 5e-10,), b_coef=(1.0,), delay=1)
     with pytest.raises(UnstableModelError, match="model 'edge'"):
         arx_to_state_space(m, name="edge")
 

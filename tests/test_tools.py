@@ -1,7 +1,7 @@
 """The scripts under tools/ run: each parses its options, output_digests.py
-digests every benchmark workload, and day_scale.py
+digests every benchmark workload, day_scale.py
 disaggregates one tile of the reference schedule exactly, once or repeated,
-in process or through the CLI."""
+in process or through the CLI, and accuracy_sweep.py sweeps a few seeds."""
 
 import subprocess
 import sys
@@ -72,3 +72,16 @@ def test_output_digests_covers_every_benchmark_workload(monkeypatch):
         name: (spec["inputs"], spec.get("tiles"), spec.get("beam_width"))
         for name, spec in run.WORKLOADS.items()
     }
+
+
+def test_accuracy_sweep_recovers_a_few_seeds(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import accuracy_sweep
+
+    for width in (1, 8):
+        assert accuracy_sweep.scenario_sweep(range(0, 3), width) == []
+    pooled, failed, errors = accuracy_sweep.plug_sweep(range(100, 101), tmp_path)
+    assert (pooled["precision"], pooled["recall"]) == (1.0, 1.0)
+    assert failed == []
+    assert len(errors) == 4
