@@ -17,7 +17,6 @@ _SOURCES = {
     "SwitchEvent": "engine",
     "UnexplainedEvent": "engine",
     "disaggregate": "engine",
-    "estimate_noise_std": "engine",
     "resolve_threshold": "engine",
     "DisaggError": "errors",
     "RankDeficientDataError": "errors",
@@ -52,6 +51,7 @@ _SOURCES = {
     "save_scenario": "scenario",
     "PiecewiseInput": "series",
     "SignalSeries": "series",
+    "estimate_noise_std": "series",
     "ArxModel": "sysid",
     "arx_to_state_space": "sysid",
     "detect_plug_input": "sysid",

@@ -19,7 +19,6 @@ from .engine import (
     EngineParams,
     SwitchEvent,
     UnexplainedEvent,
-    _device_sum,
     disaggregate,
     # Unused here, like write_signal_csv below, but perfbench/spans.py wraps both.
     disaggregate_beam,  # noqa: F401
@@ -37,9 +36,11 @@ from .ingest import (
     to_signal,
     write_signal_csv,  # noqa: F401
 )
-from .models import _outputs, load_library, model_from_dict, model_to_dict, save_library
-from .scenario import MAX_HORIZON, load_scenario, reference_scenario, render, save_scenario
-from .series import PiecewiseInput, SignalSeries
+from .models import (
+    _device_sum, _outputs, load_library, model_from_dict, model_to_dict, save_library,
+)
+from .scenario import load_scenario, reference_scenario, render, save_scenario
+from .series import MAX_HORIZON, PiecewiseInput, SignalSeries
 from .sysid import identify_device
 
 

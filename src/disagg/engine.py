@@ -48,7 +48,6 @@ copy, O(T).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -58,6 +57,7 @@ from .errors import ValidationError, check_count, check_number
 from .models import (
     DeviceModel,
     _Row,
+    _device_sum,
     _switch,
     _unit_step_rows,
     dc_gain,
@@ -66,9 +66,8 @@ from .models import (
     simulate_zero_state,  # noqa: F401
     unit_step_values,  # noqa: F401
 )
-from .series import SignalSeries
+from .series import SignalSeries, estimate_noise_std
 
-MAD_CONSISTENCY = 0.6745
 NOISE_THRESHOLD_MULTIPLE = 5.0
 # Absolute floor keeps noiseless signals from tripping on float dust.
 THRESHOLD_FLOOR_RELATIVE = 1e-9
@@ -158,36 +157,6 @@ class DisaggregationResult:
         return tuple(m.name for m in self.models)
 
 
-def estimate_noise_std(y: SignalSeries) -> float:
-    """Robust noise level from first differences.
-
-    The median absolute deviation ignores the sparse switching jumps, so
-    the estimate reflects the quiet segments; differencing doubles the
-    noise variance, hence the 1/sqrt(2).
-    """
-    if len(y) < 2:
-        return 0.0
-    d = np.diff(y.values)
-    mad = _median(np.abs(d - _median(d)))
-    return mad / MAD_CONSISTENCY / math.sqrt(2.0)
-
-
-def _median(values: np.ndarray) -> float:
-    """np.median of a non-empty 1-D array, bit for bit, from one partition.
-
-    np.median also partitions at the last position to find a NaN, which
-    costs several times the one-position partition; a NaN is found by a
-    scan here.  The 0.0 start is np.mean's, so -0.0 comes out as 0.0.
-    """
-    if np.isnan(values).any():
-        return math.nan
-    half = len(values) // 2
-    part = np.partition(values, half)
-    if len(values) % 2:
-        return 0.0 + float(part[half])
-    return (0.0 + float(part[:half].max()) + float(part[half])) / 2.0
-
-
 def resolve_threshold(y_m: SignalSeries, params: EngineParams) -> float:
     if params.deviation_threshold is not None:
         return params.deviation_threshold
@@ -258,14 +227,6 @@ class _Hypothesis:
         new.suppressed = self.suppressed
         new.detection = self.detection
         return new
-
-
-def _device_sum(segments: list[np.ndarray] | np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum row segments into out in device order, as simulated outputs add up."""
-    out[:] = segments[0]
-    for seg in segments[1:]:
-        out += seg
-    return out
 
 
 class _Engine:
@@ -425,17 +386,10 @@ class _Engine:
         resid = np.array([hyps[i].resid[k_lo : k_end + 1] for i, _, _ in rows])
         devs = [dev for _, dev, _ in rows]
         heads, gg = self.heads[devs], self.gg[devs]
-        # The start times each hypothesis has logged, if any has.
-        a, b = self.start + k_lo, self.start + ks_pos
-        marks = [hyp.times.intersection(range(a, b + 1)) for hyp in hyps]
-        logged = any(marks)
-        skip = ()
         for kp in range(k_lo, ks_pos + 1):
             k_abs, n = self.start + kp, k_end - kp + 1
-            if logged:
-                skip = {i for i, times in enumerate(marks) if k_abs in times}
-                if len(skip) == len(hyps):
-                    continue
+            if all(k_abs in hyp.times for hyp in hyps):
+                continue
             levels, sses = _fits(heads[:, :n], resid[:, kp - k_lo :], gg[:, n])
             for (i, dev, last), level, sse in zip(rows, levels.tolist(), sses.tolist()):
                 m = self.models[dev]
@@ -443,7 +397,7 @@ class _Engine:
                     last >= kp or level <= 0.0 or level < params.min_level
                     or (m.max_input is not None and level > m.max_input)
                     or (m.max_output is not None and self.gains[dev] * level > m.max_output)
-                    or i in skip
+                    or k_abs in hyps[i].times
                 ):
                     continue
                 outs[i].append((sse, k_abs, dev, level))

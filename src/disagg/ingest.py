@@ -30,7 +30,7 @@ from urllib.parse import urlparse
 import numpy as np
 
 from .errors import ValidationError, check_number
-from .series import SignalSeries
+from .series import MAX_HORIZON, SignalSeries
 
 EMONTX_HEADER = "timestamp_utc,irms,vrms,pva,pw,pf"
 CHANNELS = ("irms", "pw", "pva")
@@ -255,6 +255,9 @@ def find_gaps(recording: EmonRecording, nominal_rate: float) -> list[Gap]:
     """Holes between consecutive records longer than GAP_PERIODS."""
     check_number("nominal_rate", nominal_rate)
     ts = recording.timestamp_utc
+    span = float(ts[-1] - ts[0]) * float(nominal_rate) if len(ts) else 0.0
+    if span >= MAX_HORIZON:
+        raise ValidationError(f"recording must span < {MAX_HORIZON} sample periods, got {span!r}")
     periods = np.diff(ts) * nominal_rate
     return [
         Gap(start_k=round(ts[i].item() * nominal_rate), periods=round(periods[i].item()))
@@ -276,8 +279,8 @@ def to_signal(
     starts at the first record and the start index encodes absolute time
     (round(t_first * rate)) so that signals from separate recordings
     sharing a clock stay aligned.  Gaps longer than GAP_PERIODS sample
-    periods raise a GapWarning.  nominal_rate must be finite and > 0
-    (find_gaps checks it).
+    periods raise a GapWarning.  nominal_rate must be finite and > 0, and
+    the span below MAX_HORIZON periods (find_gaps checks both).
     """
     if len(recording) < 2:
         raise ValidationError("need at least 2 records to build a signal")

@@ -182,6 +182,14 @@ def _outputs(models: Sequence[DeviceModel], schedules: Sequence, length: int) ->
     return rows
 
 
+def _device_sum(segments: list[np.ndarray] | np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum row segments into out in device order, as simulated outputs add up; none give 0.0."""
+    out[:] = segments[0] if len(segments) else 0.0
+    for seg in segments[1:]:
+        out += seg
+    return out
+
+
 def _switch(row, g, p: int, old: float, new: float, instant_off: bool) -> None:
     """Superpose an input switch from old to new at position p onto an output row.
 

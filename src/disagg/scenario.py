@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ValidationError, check_array, check_count, check_number, check_real, reading
 from .models import (
     DeviceModel,
+    _device_sum,
     _outputs,
     model_from_dict,
     model_to_dict,
@@ -26,14 +27,12 @@ from .models import (
     simulate_zero_state,  # noqa: F401
 )
 from .rng import SeededStream
-from .series import PiecewiseInput, SignalSeries
+from .series import MAX_HORIZON, PiecewiseInput, SignalSeries
 
 DEFAULT_HORIZON = 450
 REFERENCE_NOISE_STD = 0.02
 REFERENCE_DEVICE_COUNT = 5
 REFERENCE_ORDER = 3
-# The longest float64 array numpy can shape; render fails beyond it.
-MAX_HORIZON = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 # (device index, first on sample, first off sample, level); the second
 # interval bound is exclusive: the device is on for k in [on, off).
@@ -93,7 +92,7 @@ def render(scenario: Scenario) -> tuple[SignalSeries, list[SignalSeries]]:
     rows = _outputs(
         scenario.models, [inp.events for inp in scenario.inputs], scenario.horizon
     )
-    total = sum(rows, np.zeros(scenario.horizon))
+    total = _device_sum(rows, np.empty(scenario.horizon))
     if scenario.noise_std > 0:
         noise = SeededStream(scenario.seed).normals(scenario.horizon) * scenario.noise_std
         total = total + noise

@@ -1,4 +1,4 @@
-"""Uniformly sampled scalar series and piecewise-constant switch inputs.
+"""Uniformly sampled series, piecewise-constant switch inputs, and noise level.
 
 Sample positions are addressed by an integer step index k, never by a
 floating-point time key: a series knows its first index and its sample
@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, check_count, check_number
+
+MAD_CONSISTENCY = 0.6745
+# The longest float64 array numpy can shape; a longer series cannot be built.
+MAX_HORIZON = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -88,3 +92,33 @@ class PiecewiseInput:
     @property
     def last_event_index(self) -> int | None:
         return self.events[-1][0] if self.events else None
+
+
+def estimate_noise_std(y: SignalSeries) -> float:
+    """Robust noise level from first differences.
+
+    The median absolute deviation ignores the sparse switching jumps, so
+    the estimate reflects the quiet segments; differencing doubles the
+    noise variance, hence the 1/sqrt(2).
+    """
+    if len(y) < 2:
+        return 0.0
+    d = np.diff(y.values)
+    mad = _median(np.abs(d - _median(d)))
+    return mad / MAD_CONSISTENCY / math.sqrt(2.0)
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array, bit for bit, from one partition.
+
+    np.median also partitions at the last position to find a NaN, which
+    costs several times the one-position partition; a NaN is found by a
+    scan here.  The 0.0 start is np.mean's, so -0.0 comes out as 0.0.
+    """
+    if np.isnan(values).any():
+        return math.nan
+    half = len(values) // 2
+    part = np.partition(values, half)
+    if len(values) % 2:
+        return 0.0 + float(part[half])
+    return (0.0 + float(part[:half].max()) + float(part[half])) / 2.0

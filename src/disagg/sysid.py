@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import _median, estimate_noise_std
 from .errors import (
     RankDeficientDataError, UnstableModelError, ValidationError, check_count, check_number,
 )
 from .models import DeviceModel
-from .series import PiecewiseInput, SignalSeries
+from .series import PiecewiseInput, SignalSeries, _median, estimate_noise_std
 
 # Samples a crossing must persist before a switch is accepted; suppresses
 # chattering around the threshold at 12 Hz.

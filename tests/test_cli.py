@@ -301,6 +301,22 @@ def test_identify_rejects_non_finite_settings(tmp_path, capsys, flag, value, mes
     assert not lib_path.exists()
 
 
+def test_identify_rejects_a_recording_too_long_to_resample(tmp_path, capsys):
+    rec_path = tmp_path / "plug.csv"
+    rec_path.write_text("timestamp_utc,irms,vrms,pva,pw,pf\n"
+                        "0,4.25,120.1,510.4,505.2,0.99\n1e17,4.25,120.1,510.4,505.2,0.99\n")
+    lib_path = tmp_path / "lib.json"
+    code = main([
+        "identify", "--input", str(rec_path), "--name", "kettle", "--threshold", "1.0",
+        "--library", str(lib_path),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: recording must span < {MAX_HORIZON} sample periods, got 1.2e+18\n"
+    )
+    assert not lib_path.exists()
+
+
 def test_identify_exits_1_and_writes_no_library_when_every_order_is_unstable(
     tmp_path, capsys, monkeypatch
 ):

@@ -26,8 +26,8 @@ from disagg import (
 )
 import disagg.engine as engine_module
 from disagg.engine import _Engine, _fits
-from disagg.models import STEP_HEAD, _switch
-from disagg.series import PiecewiseInput
+from disagg.models import STEP_HEAD, _device_sum, _switch
+from disagg.series import PiecewiseInput, _median
 from conftest import hold, series
 from test_engine_beam import _event_key, _random_instance, _root
 
@@ -1033,7 +1033,7 @@ def test_lazy_rows_equal_eager_switch_rows_property():
                 assert row.values[f:].tobytes() == bytes(8 * (T - f))
                 p, _, new = row_switches[-1] if row_switches else (-1, 0.0, 0.0)
                 assert (row.level, row.last) == (new, p)
-            resid = engine.y - engine_module._device_sum(eager, np.empty(T))
+            resid = engine.y - _device_sum(eager, np.empty(T))
             assert hyp.resid[: hyp.synced].tobytes() == resid[: hyp.synced].tobytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1106,11 +1106,11 @@ def test_median_has_np_median_bits_property():
         a = np.array(a)
         if nan_at is not None:
             a[nan_at % a.size] = np.nan
-            assert math.isnan(engine_module._median(a))
+            assert math.isnan(_median(a))
             return
         with np.errstate(invalid="ignore", over="ignore"):
             expected = np.float64(np.median(a)).tobytes()
-            assert np.float64(engine_module._median(a)).tobytes() == expected, a
+            assert np.float64(_median(a)).tobytes() == expected, a
 
     check()
 

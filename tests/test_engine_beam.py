@@ -29,6 +29,7 @@ from disagg import (
     simulate_zero_state,
     unit_step_values,
 )
+import disagg.engine as engine_module
 from disagg.engine import _Detection, _Engine, _Hypothesis
 from disagg.models import _Row
 from conftest import hold
@@ -332,6 +333,39 @@ def test_beam_builds_only_the_branches_that_survive(monkeypatch):
     assert result.events
     assert all(s["apply"] <= width and s["clone"] < width for s in steps)
     assert max(s["ranked"] for s in steps) > width
+
+
+def test_beam_fits_no_start_time_that_every_group_member_has_logged(monkeypatch):
+    # _on_candidates skips such a start time: it could give no candidate.
+    sc = tiled_reference_scenario(100, 2)
+    aggregate, _ = render(sc)
+    counts = {"fits": 0, "all logged": 0}
+    fitting = []  # (engine, hyps, k_end) of the _on_candidates call running
+
+    def on_candidates(self, hyps, ks_pos):
+        k_lo = max(0, ks_pos - self.params.backtrack_window)
+        counts["all logged"] += sum(
+            all(self.start + kp in hyp.times for hyp in hyps) for kp in range(k_lo, ks_pos + 1)
+        )
+        fitting.append((self, hyps, min(ks_pos + self.params.lookahead, self.T - 1)))
+        try:
+            return real_on_candidates(self, hyps, ks_pos)
+        finally:
+            fitting.pop()
+
+    def fits(G, e, gg):
+        engine, hyps, k_end = fitting[-1]
+        k_abs = engine.start + k_end - G.shape[1] + 1
+        assert not all(k_abs in hyp.times for hyp in hyps), k_abs
+        counts["fits"] += 1
+        return real_fits(G, e, gg)
+
+    real_on_candidates, real_fits = _Engine._on_candidates, engine_module._fits
+    monkeypatch.setattr(_Engine, "_on_candidates", on_candidates)
+    monkeypatch.setattr(engine_module, "_fits", fits)
+    result = disaggregate(aggregate, list(sc.models), EngineParams(beam_width=8))
+    assert result.events
+    assert counts["fits"] > 0 and counts["all logged"] > 0
 
 
 def _parent_states():

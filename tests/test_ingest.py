@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import tracemalloc
 import urllib.request
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import disagg.ingest as ingest
 from disagg import (
     EmonRecording,
+    Gap,
     GapWarning,
     ValidationError,
     find_gaps,
@@ -20,6 +22,7 @@ from disagg import (
     write_signal_csv,
 )
 from disagg.ingest import GAP_PERIODS, PF_TOL, ROW_BLOCK
+from disagg.series import MAX_HORIZON
 from conftest import series
 
 HEADER = "timestamp_utc,irms,vrms,pva,pw,pf"
@@ -569,6 +572,32 @@ def test_to_signal_and_find_gaps_reject_bad_rate(rate):
     for convert in (to_signal, find_gaps):
         with pytest.raises(ValidationError, match="nominal_rate must be finite and > 0"):
             convert(records, nominal_rate=rate)
+
+
+def _span_error(span: str) -> str:
+    return f"^recording must span < {MAX_HORIZON} sample periods, got {re.escape(span)}$"
+
+
+@pytest.mark.parametrize("times, rate, span", [
+    ([0.0, 1e17], 12.0, "1.2e+18"),  # a long recording
+    ([0.0, 1.0], 1e308, "1e+308"),  # a high rate
+    ([0.0, 2.0], 1e308, "inf"),  # a span whose periods overflow
+    ([0.0, 2.0], np.float64(1e308), "inf"),  # a numpy rate, whose overflow warns
+])
+def test_to_signal_and_find_gaps_reject_a_span_of_max_horizon_periods(times, rate, span):
+    records = _recording([(t, 4.25, 120.1, 510.4, 505.2, 0.99) for t in times])
+    for convert in (to_signal, find_gaps):
+        with pytest.raises(ValidationError, match=_span_error(span)):
+            convert(records, nominal_rate=rate)
+
+
+def test_find_gaps_takes_a_span_just_below_max_horizon_periods():
+    # 2**60 = MAX_HORIZON + 1; the float below it lies 256 lower.
+    records = _recording([(t, 4.25, 120.1, 510.4, 505.2, 0.99) for t in (0.0, 1.0)])
+    rate = 2.0**60 - 256
+    assert find_gaps(records, nominal_rate=rate) == [Gap(0, int(rate))]
+    with pytest.raises(ValidationError, match=_span_error(repr(2.0**60))):
+        find_gaps(records, nominal_rate=2.0**60)
 
 
 def test_to_signal_start_index_encodes_absolute_time():

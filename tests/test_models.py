@@ -523,6 +523,14 @@ def test_step_response_grown_in_steps_equals_one_full_call():
             assert len(step.g) == full
 
 
+def test_step_response_is_not_read_past_its_cap():
+    m = random_stable_model(2, 3)
+    (step,) = _unit_step_rows([m], 10)
+    assert len(step.upto(10)) == 10
+    with pytest.raises(ValueError, match=f"^unit-step response of '{m.name}' ends at 10$"):
+        step.upto(11)
+
+
 def _outer_doubling_step(model, length):
     """unit_step_values(model, length) with the doubling tail as np.outer products.
 

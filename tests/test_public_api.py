@@ -47,6 +47,26 @@ def test_load_library_loads_only_what_reading_a_library_needs(tmp_path):
     ]
 
 
+def test_identify_device_loads_no_engine():
+    out = _fresh(f"import sys, disagg; disagg.identify_device; {_LOADED}")
+    disagg_modules = [m for m in ast.literal_eval(out) if m.split(".")[0] == "disagg"]
+    assert disagg_modules == [
+        "disagg", "disagg.errors", "disagg.models", "disagg.rng", "disagg.series",
+        "disagg.sysid",
+    ]
+
+
+def test_no_module_imports_a_private_name_of_the_engine():
+    """The engine's private names serve its search alone."""
+    imported = [
+        f"{path.name}: {alias.name}"
+        for path, tree in zip(PROGRAM, _trees(PROGRAM))
+        for node in _nodes([tree], ast.ImportFrom) if node.module == "engine"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert imported == []
+
+
 def test_star_import_binds_every_exported_name():
     out = _fresh(
         "before = set(globals())\n"
@@ -135,8 +155,8 @@ def test_every_public_name_is_used_by_the_program():
 
 def test_the_program_takes_no_np_median():
     """np.median partitions at the last position too, to find a NaN, and
-    costs several times the one partition of engine._median; the package
-    calls engine._median instead."""
+    costs several times the one partition of series._median; the package
+    calls series._median instead."""
     trees = _trees(sorted(PACKAGE.glob("*.py")))
     attributes = [node.attr for node in _nodes(trees, ast.Attribute)]
     imported = [

@@ -55,6 +55,12 @@ def test_detect_skips_overshoot_sample():
     assert u.events == ((1, 4.0), (5, 0.0))
 
 
+def test_detect_drops_an_on_interval_whose_mean_is_not_positive():
+    # One short dip does not end the on interval; it drags its mean below 0.
+    u = detect_plug_input(series([0, 0, 5, 5, -100, 5, 5, 0, 0]), 1.0)
+    assert u.events == ()
+
+
 def test_detect_rejects_empty_signal():
     with pytest.raises(ValidationError):
         detect_plug_input(series([]), 1.0)
