@@ -293,8 +293,6 @@ def _disaggregate_arguments(p_dis) -> None:
     p_dis.add_argument("--lookahead", type=int, default=engine.lookahead)
     p_dis.add_argument("--backtrack", type=int, default=engine.backtrack_window,
                        dest="backtrack_window")
-    p_dis.add_argument("--min-on-duration", type=int, default=engine.min_on_duration)
-    p_dis.add_argument("--min-level", type=float, default=engine.min_level)
     p_dis.add_argument("--beam-width", type=int, default=engine.beam_width)
 
 
@@ -357,7 +355,8 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except ValidationError as exc:
+    # A signal or scenario too long for this machine's memory is bad input too.
+    except (ValidationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -76,6 +76,8 @@ THRESHOLD_FLOOR_RELATIVE = 1e-9
 # most scans take one or two chunks and little of the residual is formed
 # past the next detection.
 SCAN_CHUNK = 64
+# An off goes first to a device on for at least this many samples.
+MIN_ON_DURATION = 3
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,6 @@ class EngineParams:
     persistence: int = 2
     lookahead: int = 15
     backtrack_window: int = 5
-    min_on_duration: int = 3
-    min_level: float = 0.0
     beam_width: int = 1
 
     def __post_init__(self):
@@ -102,11 +102,9 @@ class EngineParams:
             ("persistence", 1),
             ("lookahead", 1),
             ("backtrack_window", 0),
-            ("min_on_duration", 0),
             ("beam_width", 1),
         ):
             object.__setattr__(self, name, check_count(name, getattr(self, name), low))
-        check_number("min_level", self.min_level, zero_ok=True)
 
 
 @dataclass(frozen=True, order=True)
@@ -367,10 +365,10 @@ class _Engine:
         window and fit over the lookahead window.  The fits of one start
         time are one stacked fit of every (hypothesis, off device) row, each
         row against its hypothesis's residual; a start time that every
-        hypothesis has logged is not fit.  Filters: nonnegative level above
-        min_level, max_input, the max-output prior on the predicted steady
-        draw, no collision with an already-logged event time, and no rewind
-        past the device's own last switch.
+        hypothesis has logged is not fit.  Filters: positive level,
+        max_input, the max-output prior on the predicted steady draw, no
+        collision with an already-logged event time, and no rewind past the
+        device's own last switch.
         """
         params = self.params
         k_end = min(ks_pos + params.lookahead, self.T - 1)
@@ -388,16 +386,17 @@ class _Engine:
         heads, gg = self.heads[devs], self.gg[devs]
         for kp in range(k_lo, ks_pos + 1):
             k_abs, n = self.start + kp, k_end - kp + 1
-            if all(k_abs in hyp.times for hyp in hyps):
+            logged = [k_abs in hyp.times for hyp in hyps]
+            if all(logged):
                 continue
             levels, sses = _fits(heads[:, :n], resid[:, kp - k_lo :], gg[:, n])
             for (i, dev, last), level, sse in zip(rows, levels.tolist(), sses.tolist()):
                 m = self.models[dev]
                 if (
-                    last >= kp or level <= 0.0 or level < params.min_level
+                    last >= kp or level <= 0.0
                     or (m.max_input is not None and level > m.max_input)
                     or (m.max_output is not None and self.gains[dev] * level > m.max_output)
-                    or k_abs in hyps[i].times
+                    or logged[i]
                 ):
                     continue
                 outs[i].append((sse, k_abs, dev, level))
@@ -409,7 +408,7 @@ class _Engine:
         """Switch off the on device whose steady contribution is nearest the drop at p.
 
         Only devices whose last switch precedes the off time qualify.
-        Devices on for at least min_on_duration samples are preferred;
+        Devices on for at least MIN_ON_DURATION samples are preferred;
         ties go to the lower device index.  No event when nothing qualifies.
         """
         k_abs, rows = self.start + ks_pos, hyp.rows
@@ -418,7 +417,7 @@ class _Engine:
             return []
         drop = abs(hyp.resid[p])
         dev = min(on_devs, key=lambda i: (
-            ks_pos - rows[i].last < self.params.min_on_duration,
+            ks_pos - rows[i].last < MIN_ON_DURATION,
             abs(self.gains[i] * rows[i].level - drop),
             i,
         ))

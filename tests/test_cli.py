@@ -15,6 +15,7 @@ import disagg.sysid as sysid
 from disagg import (
     DeviceModel,
     EngineParams,
+    GapWarning,
     PiecewiseInput,
     SignalSeries,
     disaggregate,
@@ -317,6 +318,24 @@ def test_identify_rejects_a_recording_too_long_to_resample(tmp_path, capsys):
     assert not lib_path.exists()
 
 
+def test_identify_reports_a_recording_too_large_for_memory(tmp_path, capsys):
+    # 1.2e16 sample periods: numpy can shape the grid but no machine holds it.
+    rec_path = tmp_path / "plug.csv"
+    rec_path.write_text("timestamp_utc,irms,vrms,pva,pw,pf\n"
+                        "0,4.25,120.1,510.4,505.2,0.99\n1e15,4.25,120.1,510.4,505.2,0.99\n")
+    lib_path = tmp_path / "lib.json"
+    with pytest.warns(GapWarning):
+        code = main([
+            "identify", "--input", str(rec_path), "--name", "kettle", "--threshold", "1.0",
+            "--library", str(lib_path),
+        ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert not lib_path.exists()
+
+
 def test_identify_exits_1_and_writes_no_library_when_every_order_is_unstable(
     tmp_path, capsys, monkeypatch
 ):
@@ -577,20 +596,22 @@ def test_disaggregate_rejects_non_finite_threshold(
     assert not (tmp_path / "res").exists()
 
 
-@pytest.mark.parametrize("min_level", ["nan", "inf", "-1"])
-def test_disaggregate_rejects_bad_min_level(pipeline_dir, tmp_path, capsys, min_level):
+@pytest.mark.parametrize("flag", ["--min-level=0.5", "--min-on-duration=3"])
+def test_disaggregate_has_no_min_level_or_min_on_duration_flag(
+    pipeline_dir, tmp_path, capsys, flag
+):
+    # The level filter is a positive level and the off preference's
+    # duration is engine.MIN_ON_DURATION; neither is a setting.
     sim = pipeline_dir / "sim"
     code = main([
         "disaggregate",
         "--library", str(sim / "library.json"),
         "--input", str(sim / "aggregate.csv"),
-        f"--min-level={min_level}",
+        flag,
         "--out", str(tmp_path / "res"),
     ])
     assert code == 1
-    assert capsys.readouterr().err.startswith(
-        "error: min_level must be finite and >= 0, got "
-    )
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}\n")
     assert not (tmp_path / "res").exists()
 
 
@@ -855,6 +876,13 @@ RESULT_FIELD_CASES = [
         {"k": _end(d), "kind": "increase", "magnitude": 1.0}),
      "event at k=450 outside the estimates' [0, 450)"),
     ("result-without-library", lambda d: d.pop("library"), "missing key 'library'"),
+    # EngineParams once held these settings, and result.json files of that
+    # time list them under params.
+    ("min-level-param", lambda d: d["params"].update(min_level=0.0),
+     "malformed: EngineParams.__init__() got an unexpected keyword argument 'min_level'"),
+    ("min-on-duration-param", lambda d: d["params"].update(min_on_duration=3),
+     "malformed: EngineParams.__init__() got an unexpected keyword argument "
+     "'min_on_duration'"),
     ("result-without-devices",
      lambda d: d.update(devices=[], library=[], events=[], unexplained=[]),
      "device list is empty"),
@@ -881,8 +909,6 @@ RESULT_FIELD_IDS = [case_id for case_id, _, _ in RESULT_FIELD_CASES]
         lambda d: d["params"].update(deviation_threshold=float("nan")))),
     ("res/result.json", _edit_json(
         lambda d: d["params"].update(deviation_threshold=float("inf")))),
-    ("res/result.json", _edit_json(lambda d: d["params"].update(min_level=float("nan")))),
-    ("res/result.json", _edit_json(lambda d: d["params"].update(min_level=True))),
     ("res/result.json", _edit_json(lambda d: d["params"].update(deviation_threshold=True))),
     ("res/result.json", _edit_json(lambda d: d["params"].update(lookahead=6.5))),
     ("res/result.json", _edit_json(lambda d: d["params"].update(beam_width=True))),
@@ -897,7 +923,7 @@ RESULT_FIELD_IDS = [case_id for case_id, _, _ in RESULT_FIELD_CASES]
     ("res/result.json", _edit_json(lambda d: d.update(residual_rms=float("nan")))),
     ("res/result.json", _edit_json(lambda d: d.update(residual_rms=-1.0))),
     ("res/result.json", _edit_json(lambda d: d.update(residual_rms=HUGE))),
-    ("res/result.json", _edit_json(lambda d: d["params"].update(min_level=HUGE))),
+    ("res/result.json", _edit_json(lambda d: d["params"].update(deviation_threshold=HUGE))),
     *RESULT_FIELD_EDITS,
     ("sim/scenario.json", _truncate),
     ("sim/scenario.json", _edit_json(lambda d: d.pop("devices"))),
@@ -921,11 +947,11 @@ RESULT_FIELD_IDS = [case_id for case_id, _, _ in RESULT_FIELD_CASES]
     "truncated-result", "unknown-device", "extra-param", "negative-level",
     "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
     "sideways-unexplained", "inf-level", "nan-level", "nan-threshold",
-    "inf-threshold", "nan-min-level", "bool-min-level", "bool-threshold",
+    "inf-threshold", "bool-threshold",
     "fractional-lookahead", "bool-beam-width",
     "string-level", "bool-level", "string-magnitude", "string-residual-rms",
     "duplicate-device-names", "number-device-name", *ARRAY_IDS,
-    "nan-residual-rms", "negative-residual-rms", "huge-residual-rms", "huge-min-level",
+    "nan-residual-rms", "negative-residual-rms", "huge-residual-rms", "huge-threshold",
     *RESULT_FIELD_IDS, "truncated-scenario",
     "scenario-without-devices", "nan-noise", "inf-noise", "event-before-k0",
     "fractional-horizon", "string-noise", "huge-noise", "huge-horizon",
@@ -986,6 +1012,20 @@ def test_simulate_names_the_malformed_scenario(pipeline_dir, tmp_path, capsys, e
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_reports_a_horizon_too_large_for_memory(pipeline_dir, tmp_path, capsys):
+    # 2**55 samples (256 PiB) is below MAX_HORIZON but beyond any address
+    # space, so numpy fails at once.
+    path = tmp_path / "scenario.json"
+    shutil.copy(pipeline_dir / "sim" / "scenario.json", path)
+    _edit_json(lambda d: d.update(horizon=2**55))(path)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

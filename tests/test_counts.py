@@ -41,7 +41,6 @@ COUNTS = [
     ("persistence", 1, lambda v: EngineParams(persistence=v)),
     ("lookahead", 1, lambda v: EngineParams(lookahead=v)),
     ("backtrack_window", 0, lambda v: EngineParams(backtrack_window=v)),
-    ("min_on_duration", 0, lambda v: EngineParams(min_on_duration=v)),
     ("beam_width", 1, lambda v: EngineParams(beam_width=v)),
     ("match_window", 0, lambda v: match_events([], [], v)),
     ("order", 1, lambda v: random_stable_model(v, seed=0)),
@@ -58,7 +57,6 @@ RECORDING = EmonRecording(np.arange(2.0), *(np.ones(2) for _ in range(5)))
 # (name, call that passes the value as that parameter)
 NUMBERS = [
     ("deviation_threshold", lambda v: EngineParams(deviation_threshold=v)),
-    ("min_level", lambda v: EngineParams(min_level=v)),
     ("noise_std", lambda v: Scenario(models=(), inputs=(), horizon=1, noise_std=v)),
     ("sample_period", lambda v: SignalSeries(np.zeros(1), sample_period=v)),
     ("on_threshold", lambda v: detect_plug_input(PLUG, v)),
@@ -97,8 +95,8 @@ def test_numpy_counts_save_as_json_integers(tmp_path):
     assert type(sc.horizon) is int
     save_scenario(sc, tmp_path / "scenario.json")
     assert load_scenario(tmp_path / "scenario.json") == sc
-    params = EngineParams(**{name: np.int64(low + 1) for name, low, _ in COUNTS[:5]})
-    assert all(type(getattr(params, name)) is int for name, _, _ in COUNTS[:5])
+    params = EngineParams(**{name: np.int64(low + 1) for name, low, _ in COUNTS[:4]})
+    assert all(type(getattr(params, name)) is int for name, _, _ in COUNTS[:4])
     result = disaggregate(render(sc)[0], list(sc.models), params)
     save_result(result, tmp_path / "res")
     assert load_result(tmp_path / "res").params == result.params

@@ -276,12 +276,10 @@ def test_select_respects_max_input():
     assert _select(y_m, 6, [m], params) is None
 
 
-def test_select_min_level_filter(lag_model):
+def test_select_rejects_a_negative_level(lag_model):
     y_m = simulate_zero_state(lag_model, hold(PiecewiseInput(((5, 2.0),)), 0, 25))
-    params = EngineParams(
-        deviation_threshold=0.05, lookahead=6, backtrack_window=3, min_level=5.0
-    )
-    assert _select(y_m, 6, [lag_model], params) is None
+    params = EngineParams(deviation_threshold=0.05, lookahead=6, backtrack_window=3)
+    assert _select(SignalSeries(-y_m.values), 6, [lag_model], params) is None
 
 
 def test_select_skips_on_devices(lag_model):
@@ -368,8 +366,8 @@ def _per_fit_candidates(engine, hyp, ks_pos, rejected=None):
                 level = float(g @ e) / gg
                 diff = e - level * g
                 sse = float(diff @ diff)
-                if level <= 0.0 or level < params.min_level:
-                    reason = "min_level"
+                if level <= 0.0:
+                    reason = "level <= 0"
                 elif model.max_input is not None and level > model.max_input:
                     reason = "max_input"
                 elif (
@@ -413,7 +411,6 @@ def _candidate_states():
             deviation_threshold=0.1,
             lookahead=draw(st.integers(1, 6)),
             backtrack_window=draw(st.integers(0, 4)),
-            min_level=draw(st.sampled_from([0.0, 0.0, 0.5])),
         )
         T = draw(st.integers(params.lookahead + params.backtrack_window + 1, 30))
         start = draw(st.integers(-3, 3))
@@ -503,7 +500,7 @@ def test_on_candidates_equal_per_fit_oracle_property():
             assert repr(cands) == repr(want)
 
     check()
-    reasons = ("time collision", "rewind", "gg == 0", "min_level", "max_input", "max_output")
+    reasons = ("time collision", "rewind", "gg == 0", "level <= 0", "max_input", "max_output")
     assert all(rejected.get(reason) for reason in reasons), rejected
     assert sizes == {1, 2, 3, 4}
 
@@ -576,10 +573,10 @@ def test_member_candidates_do_not_depend_on_the_group_property():
 
 # ------------------------------------------------------------ off attribution
 
-def _attribute(levels, drop, k_star, since=(), params=PARAMS):
+def _attribute(levels, drop, k_star, since=()):
     """Device picked for a drop of `drop` at k_star, unit-gain devices at `levels`."""
     lib = [DeviceModel(f"d{i}", A=[[0.5]], b=[0.5], c=[1.0]) for i in range(len(levels))]
-    engine = _Engine(series(np.zeros(k_star + 10)), lib, params)
+    engine = _Engine(series(np.zeros(k_star + 10)), lib, PARAMS)
     hyp = _hypothesis(engine, levels, since)
     hyp.resid[k_star] = -drop  # the measurement is zero, so the prediction is drop
     events = engine._off_events(hyp, k_star, k_star)
@@ -603,18 +600,18 @@ def test_attribute_none_when_all_off():
 
 
 def test_attribute_prefers_devices_past_min_duration():
-    params = replace(PARAMS, min_on_duration=3)
-    # Drop of 1.0 matches device 0 better, but device 0 is too young
-    # (on since 49 against device 1's 0).
-    assert _attribute([1.0, 3.0], 1.0, 50, since=[49, 0], params=params) == 1
+    # Drop of 1.0 matches device 0 better, but device 0 is too young (on
+    # one sample short of MIN_ON_DURATION, against device 1's 50 samples).
+    young = 50 - engine_module.MIN_ON_DURATION + 1
+    assert _attribute([1.0, 3.0], 1.0, 50, since=[young, 0]) == 1
+    assert _attribute([1.0, 3.0], 1.0, 50, since=[young - 1, 0]) == 0
 
 
 def test_attribute_never_rewinds_past_the_device_own_switch():
     # Device 0 matches the drop best but switched on at 50 or later; an
     # off at 50 would precede or collide with its own on.
-    params = replace(PARAMS, min_on_duration=0)
-    assert _attribute([1.0, 3.0], 1.0, 50, since=[50, 0], params=params) == 1
-    assert _attribute([1.0, 0.0], 1.0, 50, since=[52], params=params) is None
+    assert _attribute([1.0, 3.0], 1.0, 50, since=[50, 0]) == 1
+    assert _attribute([1.0, 0.0], 1.0, 50, since=[52]) is None
 
 
 def _two_stage_off_device(engine, hyp, ks_pos, p):
@@ -628,7 +625,7 @@ def _two_stage_off_device(engine, hyp, ks_pos, p):
         return None
     eligible = [
         i for i in on_devs
-        if ks_pos - hyp.rows[i].last >= engine.params.min_on_duration
+        if ks_pos - hyp.rows[i].last >= engine_module.MIN_ON_DURATION
     ]
     if not eligible:
         eligible = on_devs
@@ -654,17 +651,15 @@ def test_off_events_equal_the_two_stage_rule_property():
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
         gains=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=5),
-        min_on=st.integers(0, 5),
         start=st.integers(-3, 3),
         ks_pos=st.integers(0, 12),
         lag=st.integers(0, 2),
         data=st.data(),
     )
-    def check(gains, min_on, start, ks_pos, lag, data):
+    def check(gains, start, ks_pos, lag, data):
         lib = [DeviceModel(f"d{i}", A=[[0.5]], b=[0.5], c=[gain])
                for i, gain in enumerate(gains)]
-        params = replace(PARAMS, min_on_duration=min_on)
-        engine = _Engine(series(np.zeros(ks_pos + 20), start=start), lib, params)
+        engine = _Engine(series(np.zeros(ks_pos + 20), start=start), lib, PARAMS)
         hyp = _root(engine)
         k_abs, p = start + ks_pos, ks_pos + lag
         for row in hyp.rows:
@@ -693,7 +688,7 @@ def test_off_events_equal_the_two_stage_rule_property():
         if k_abs in hyp.times:
             seen["time logged"] += 1
             return
-        young = [i for i in qualify if ks_pos - lasts[i] < min_on]
+        young = [i for i in qualify if ks_pos - lasts[i] < engine_module.MIN_ON_DURATION]
         distance = [abs(contributions[i] - drop) for i in qualify]
         seen["fallback"] += len(young) == len(qualify) > 1
         seen["tie"] += len(set(distance)) < len(distance)
@@ -850,7 +845,7 @@ def test_events_shift_with_start_index_property():
         start=st.integers(1, 10**7),
     )
     # Seed 126 at width 8 logs one-sample on/off pairs, so the rewind and
-    # min_on_duration checks on absolute times take part.
+    # MIN_ON_DURATION checks on absolute times take part.
     @example(seed=126, width=8, start=1_000)
     def check(seed, width, start):
         y_m, library = _reference_case(seed)
@@ -1137,6 +1132,9 @@ def test_engine_params_validation():
         EngineParams(beam_width=0)
     with pytest.raises(ValidationError):
         EngineParams(deviation_threshold=-1.0)
-    for bad in (np.nan, np.inf, -1.0):
-        with pytest.raises(ValidationError, match="min_level must be finite and >= 0"):
-            EngineParams(min_level=bad)
+    # The level filter and the off preference's duration are not settings;
+    # the duration keeps the value its default had, which the outputs rest on.
+    for name in ("min_level", "min_on_duration"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            EngineParams(**{name: 0})
+    assert engine_module.MIN_ON_DURATION == 3

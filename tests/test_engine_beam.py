@@ -99,7 +99,7 @@ def _oracle_best(y_m, library, params):
                 if gg == 0.0:
                     continue
                 level = float(g @ e) / gg
-                if level <= 0.0 or level < params.min_level:
+                if level <= 0.0:
                     continue
                 if model.max_input is not None and level > model.max_input:
                     continue
@@ -144,7 +144,7 @@ def _oracle_best(y_m, library, params):
                 p += 1
                 continue
             eligible = [
-                i for i in on_devs if ks - since[i] >= params.min_on_duration
+                i for i in on_devs if ks - since[i] >= engine_module.MIN_ON_DURATION
             ] or on_devs
             drop = abs(r)
             dev = min(eligible, key=lambda i: (abs(gains[i] * level[i] - drop), i))

@@ -19,6 +19,7 @@ from disagg import (
     spectral_radius,
     unit_step_values,
 )
+import disagg.models as models_module
 from disagg.models import (
     SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _outputs, _Row, _switch, _unit_step_rows,
 )
@@ -168,6 +169,32 @@ def test_random_model_stable_unit_gain():
     m = random_stable_model(3, 7)
     assert spectral_radius(m.A) < 1.0 - STABILITY_MARGIN
     assert abs(dc_gain(m) - 1.0) <= 1e-9
+
+
+def test_random_model_redraws_a_raw_model_of_zero_dc_gain(monkeypatch):
+    # No seed draws a raw model whose DC gain is within 1e-6 of 0, so the
+    # first raw model of each call is reported as one: b and c are drawn
+    # again, and the model still comes out stable, unit-gain and seeded.
+    real = models_module.dc_gain
+    raws = []
+
+    def zero_for_the_first_raw(model):
+        if not model.dc_normalized:
+            raws.append(model)
+            if len(raws) == 1:
+                return 0.0
+        return real(model)
+
+    monkeypatch.setattr(models_module, "dc_gain", zero_for_the_first_raw)
+    m = random_stable_model(3, 7)
+    assert len(raws) >= 2
+    assert not np.array_equal(m.c, raws[0].c)
+    np.testing.assert_array_equal(m.c, raws[-1].c)
+    raws.clear()
+    assert random_stable_model(3, 7) == m
+    assert spectral_radius(m.A) < 1.0 - STABILITY_MARGIN
+    assert abs(real(m) - 1.0) <= 1e-9
+    assert np.min(unit_step_values(m, SETTLE_SPAN)) >= 0.0
 
 
 def test_random_model_sweep_stable_unit_gain():

@@ -81,6 +81,8 @@ def test_accuracy_sweep_recovers_a_few_seeds(monkeypatch, tmp_path):
 
     for width in (1, 8):
         assert accuracy_sweep.scenario_sweep(range(0, 3), width) == []
+        # Without instant off, each off is placed a sample late.
+        assert accuracy_sweep.scenario_sweep(range(0, 3), width, instant_off=False) == [0, 1, 2]
     pooled, failed, errors = accuracy_sweep.plug_sweep(range(100, 101), tmp_path)
     assert (pooled["precision"], pooled["recall"]) == (1.0, 1.0)
     assert failed == []

@@ -7,7 +7,9 @@ reference seeds in SCENARIO_RANGES, renders ``reference_scenario(seed)``,
 disaggregates it with its own library and prints how many seeds are
 exact, followed by the seeds that are not.  A seed is exact when the
 result's (k, device, kind) events equal ``truth_events`` and nothing is
-unexplained.
+unexplained.  The table is printed twice: with the reference models as
+they are, then with every device's ``instant_off`` cleared, the paper's
+plain LTI model, whose switch-off decays through the device's dynamics.
 
 ``--plugs``: for each range of plug seeds in PLUG_RANGES, generates the
 benchmark's plug input sets (``perfbench/inputs.write_plug_set``), runs
@@ -26,7 +28,7 @@ worst, and the seed, device and error of each above it.
 With neither flag both sweeps run, scenarios first.  Every figure is a
 pure function of the checkout, so running this on a parent and on a
 change and diffing the two outputs shows what the change did to
-accuracy.  It takes about 30 s on a 2-vCPU VM (scenarios 22 s, plugs 9 s); the
+accuracy.  It takes about 100 s on a 2-vCPU VM (scenarios 90 s, plugs 10 s); the
 package and the benchmark modules are imported from CHECKOUT (default:
 the one holding this file).  Classifying each failing seed (twin,
 pruned or pick) is not written yet: it needs the engine's final pool.
@@ -40,6 +42,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 WIDTHS = (1, 2, 4, 8, 16)
@@ -49,14 +52,17 @@ STEP_SAMPLES = 120
 STEP_BOUND = 0.05
 
 
-def scenario_sweep(seeds, width: int) -> list[int]:
-    """The reference seeds that beam width `width` does not recover exactly."""
+def scenario_sweep(seeds, width: int, instant_off: bool = True) -> list[int]:
+    """The reference seeds that beam width `width` does not recover exactly;
+    with instant_off False, every device's instant_off is cleared first."""
     from disagg import EngineParams, disaggregate, reference_scenario, render, truth_events
 
     params = EngineParams(beam_width=width)
     failed = []
     for seed in seeds:
         sc = reference_scenario(seed)
+        if not instant_off:
+            sc = replace(sc, models=tuple(replace(m, instant_off=False) for m in sc.models))
         result = disaggregate(render(sc)[0], list(sc.models), params)
         got = sorted((e.k, e.device, e.kind) for e in result.events)
         if got != [(e.k, e.device, e.kind) for e in truth_events(sc)] or result.unexplained:
@@ -115,12 +121,13 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     both = not (args.scenarios or args.plugs)
     if args.scenarios or both:
-        for width in WIDTHS:
-            for seeds in SCENARIO_RANGES:
-                failed = scenario_sweep(seeds, width)
-                print(f"width {width} seeds {seeds.start}-{seeds.stop - 1}: "
-                      f"{len(seeds) - len(failed)}/{len(seeds)} exact, "
-                      f"failed {' '.join(map(str, failed)) or 'none'}")
+        for instant_off, label in ((True, ""), (False, " instant_off cleared")):
+            for width in WIDTHS:
+                for seeds in SCENARIO_RANGES:
+                    failed = scenario_sweep(seeds, width, instant_off)
+                    print(f"width {width} seeds {seeds.start}-{seeds.stop - 1}{label}: "
+                          f"{len(seeds) - len(failed)}/{len(seeds)} exact, "
+                          f"failed {' '.join(map(str, failed)) or 'none'}")
     if args.plugs or both:
         for seeds in PLUG_RANGES:
             with tempfile.TemporaryDirectory() as tmp:
