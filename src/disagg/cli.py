@@ -124,8 +124,7 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
         for u in unexplained:
             if u.kind not in ("increase", "decrease"):
                 raise ValidationError(f"unexplained event at k={u.k} has kind {u.kind!r}")
-        residual_rms = check_real("residual_rms", data["residual_rms"])
-        check_number("residual_rms", residual_rms, zero_ok=True)
+        residual_rms = check_number("residual_rms", data["residual_rms"], zero_ok=True)
         params = EngineParams(**data["params"])
         library = tuple(model_from_dict(m) for m in check_array("library", data["library"]))
         if tuple(m.name for m in library) != names:
@@ -136,8 +135,7 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
         length = check_count("length", data["length"], 1)
         if length > MAX_HORIZON:
             raise ValidationError(f"length must be <= {MAX_HORIZON}, got {length!r}")
-        period = check_real("sample_period", data["sample_period"])
-        check_number("sample_period", period)
+        period = check_number("sample_period", data["sample_period"])
         for k in [e.k for e in events] + [u.k for u in unexplained]:
             if not start <= k < start + length:
                 raise ValidationError(

@@ -97,7 +97,8 @@ class EngineParams:
     beam_width: int = 1
 
     def __post_init__(self):
-        check_number("deviation_threshold", self.deviation_threshold, optional=True)
+        object.__setattr__(self, "deviation_threshold", check_number(
+            "deviation_threshold", self.deviation_threshold, optional=True))
         for name, low in (
             ("persistence", 1),
             ("lookahead", 1),

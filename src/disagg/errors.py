@@ -14,24 +14,28 @@ class ValidationError(DisaggError, ValueError):
 
 
 def check_number(name, value, *, zero_ok=False, optional=False):
-    """Raise ValidationError unless value is a real number, not a bool, finite
-    and > 0 (>= 0 if zero_ok); None passes when optional."""
+    """Raise ValidationError unless value passes check_real and is finite
+    and > 0 (>= 0 if zero_ok); return it as a Python float, or None when
+    optional and value is None."""
     if optional and value is None:
-        return
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(_float(name, value)) and (value >= 0 if zero_ok else value > 0)):
+        return None
+    number = check_real(name, value)
+    if not (math.isfinite(number) and (number >= 0 if zero_ok else number > 0)):
         raise ValidationError(
             f"{name} must be finite and {'>=' if zero_ok else '>'} 0"
             f"{' when given' if optional else ''}, got {value!r}"
         )
+    return number
 
 
 def check_real(name, value):
-    """Raise ValidationError unless value is a JSON number, an int or a float
+    """Raise ValidationError unless value is a real number, numpy's included
     (not a bool, nor a string that float() would parse); return it as a
-    Python float."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    Python float, so it saves to JSON."""
+    # A plain float or int skips the slower abstract-class check.
+    if type(value) is not float and type(value) is not int and (
+        not isinstance(value, numbers.Real) or isinstance(value, bool)
+    ):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return _float(name, value)
 

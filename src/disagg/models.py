@@ -56,6 +56,10 @@ class DeviceModel:
     A model is strictly stable by construction: the constructor raises
     UnstableModelError unless every eigenvalue of A lies inside the
     circle of radius 1 - STABILITY_MARGIN, so no caller needs to check.
+    It applies the library file's rules to every model, loaded or built:
+    each entry of A, b and c, and d, passes check_real, the caps
+    check_number and the flags _check_flag.  Numbers are stored as Python
+    floats (in read-only arrays for A, b and c) and flags as bools.
     """
 
     name: str
@@ -70,11 +74,17 @@ class DeviceModel:
 
     def __post_init__(self):
         check_name(self.name)
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        c = np.asarray(self.c, dtype=float).reshape(-1)
-        d = float(self.d)
-        n = A.shape[0]
+        # As nested lists of Python objects; an array's floats take check_real's fast path.
+        rows, b, c = (np.array(getattr(self, key), dtype=object, ndmin=ndmin).tolist()
+                      for key, ndmin in zip("Abc", (2, 1, 1)))
+        A = np.array([[check_real("A", v) for v in row] for row in rows])
+        b, c = (np.array([check_real(key, v) for v in vs]) for key, vs in zip("bc", (b, c)))
+        d = check_real("d", self.d)
+        for key in ("instant_off", "dc_normalized"):
+            object.__setattr__(self, key, _check_flag(key, getattr(self, key)))
+        for key in ("max_input", "max_output"):
+            object.__setattr__(self, key, check_number(key, getattr(self, key), optional=True))
+        n = len(rows)
         if n == 0:
             raise ValidationError(f"model '{self.name}' must have order >= 1, got 0")
         if A.shape != (n, n):
@@ -83,23 +93,16 @@ class DeviceModel:
             raise ValidationError(
                 f"b and c must have length {n}, got {b.shape} and {c.shape}"
             )
-        check_number("max_input", self.max_input, optional=True)
-        check_number("max_output", self.max_output, optional=True)
         for arr in (A, b, c, d):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"non-finite entries in model '{self.name}'")
         radius = spectral_radius(A)
         if radius >= 1.0 - STABILITY_MARGIN:
             raise UnstableModelError(self.name, radius, STABILITY_MARGIN)
-        A = A.copy()
-        b = b.copy()
-        c = c.copy()
         for arr in (A, b, c):
             arr.flags.writeable = False
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        for key, value in zip("Abcd", (A, b, c, d)):
+            object.__setattr__(self, key, value)
         if self.dc_normalized and abs(dc_gain(self) - 1.0) > DC_GAIN_TOL:
             raise ValidationError(
                 f"model '{self.name}' flagged dc_normalized but gain is {dc_gain(self)!r}"
@@ -433,29 +436,23 @@ def model_to_dict(model: DeviceModel) -> dict:
 
 
 def _check_flag(name: str, value) -> bool:
-    """Raise ValidationError unless value is a JSON boolean; a string such as
-    "false" is truthy, so bool() would silently turn the flag on."""
-    if not isinstance(value, bool):
+    """Raise ValidationError unless value is a bool, numpy's included; a
+    string such as "false" is truthy, so bool() would silently turn the flag
+    on.  Return it as a Python bool, so it saves to JSON."""
+    if not isinstance(value, (bool, np.bool_)):
         raise ValidationError(f"{name} must be true or false, got {value!r}")
-    return value
+    return bool(value)
 
 
 def model_from_dict(entry: dict) -> DeviceModel:
+    """The model of a library entry; DeviceModel checks every value but the
+    order, which shapes the flat A."""
     order = check_count("order", entry["order"], 1)
-    A, b, c = ([check_real(key, v) for v in entry[key]] for key in ("A", "b", "c"))
-    caps = {
-        key: check_real(key, entry[key])
-        for key in ("max_input", "max_output") if entry.get(key) is not None
-    }
     return DeviceModel(
-        name=entry["name"],
-        A=np.reshape(A, (order, order)),
-        b=b,
-        c=c,
-        d=check_real("d", entry["d"]),
-        instant_off=_check_flag("instant_off", entry["instant_off"]),
-        **caps,
-        dc_normalized=_check_flag("dc_normalized", entry.get("dc_normalized", False)),
+        **{key: entry[key] for key in ("name", "b", "c", "d", "instant_off")},
+        A=np.fromiter(entry["A"], object).reshape(order, order),
+        **{key: entry[key] for key in ("max_input", "max_output", "dc_normalized")
+           if key in entry},
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_array, check_count, check_number, check_real, reading
+from .errors import ValidationError, check_array, check_count, check_number, reading
 from .models import (
     DeviceModel,
     _device_sum,
@@ -63,7 +63,9 @@ class Scenario:
             )
         if len(set(self.device_names)) != len(self.models):
             raise ValidationError("duplicate device names in library")
-        check_number("noise_std", self.noise_std, zero_ok=True)
+        object.__setattr__(
+            self, "noise_std", check_number("noise_std", self.noise_std, zero_ok=True)
+        )
         object.__setattr__(self, "seed", check_count("seed", self.seed))
         object.__setattr__(self, "horizon", check_count("horizon", self.horizon, 1))
         if self.horizon > MAX_HORIZON:
@@ -146,13 +148,11 @@ def scenario_from_dict(
             models.append(by_name[ref])
         else:
             raise ValidationError("device entry needs 'model' or 'model_ref'")
-        events = tuple((k, check_real("event level", level))
-                       for k, level in check_array("events", entry["events"]))
-        inputs.append(PiecewiseInput(events))
+        inputs.append(PiecewiseInput(check_array("events", entry["events"])))
     return Scenario(
         models=tuple(models),
         inputs=tuple(inputs),
-        noise_std=check_real("noise_std", data["noise_std"]),
+        noise_std=data["noise_std"],
         seed=data["seed"],
         horizon=data["horizon"],
     )

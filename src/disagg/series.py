@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_number
+from .errors import ValidationError, check_count, check_number, check_real
 
 MAD_CONSISTENCY = 0.6745
 # The longest float64 array numpy can shape; a longer series cannot be built.
@@ -31,7 +31,8 @@ class SignalSeries:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1:
             raise ValidationError(f"signal must be 1-D, got shape {arr.shape}")
-        check_number("sample_period", self.sample_period)
+        period = check_number("sample_period", self.sample_period)
+        object.__setattr__(self, "sample_period", period)
         object.__setattr__(self, "start_index", check_count("start_index", self.start_index))
         arr = arr.copy()
         arr.flags.writeable = False
@@ -61,13 +62,16 @@ class PiecewiseInput:
 
     The level is 0 before the first event and holds between events, so
     the first difference of the held signal is nonzero exactly at
-    the event indices.
+    the event indices.  Each k passes check_count and each level
+    check_real, the scenario file's rules; they are stored as a Python
+    int and float.
     """
 
     events: tuple[tuple[int, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        normalized = tuple((check_count("event k", k), float(level)) for k, level in self.events)
+        normalized = tuple((check_count("event k", k), check_real("event level", level))
+                           for k, level in self.events)
         prev_k = None
         prev_level = 0.0
         for k, level in normalized:

@@ -21,11 +21,13 @@ from disagg import (
     disaggregate,
     find_gaps,
     fit_arx,
+    load_library,
     load_scenario,
     match_events,
     random_stable_model,
     reference_scenario,
     render,
+    save_library,
     save_scenario,
     unit_step_values,
 )
@@ -85,8 +87,11 @@ def test_number_parameter_rule(name, build):
             ValidationError, match=f"^{name} must be a number, got {re.escape(repr(bad))}$"
         ):
             build(bad)
-    for good in (2, 0.5, np.float64(0.5), np.int64(2)):
-        build(good)
+    for good in (2, 0.5, np.float64(0.5), np.int64(2), np.float32(0.5)):
+        held = build(good)
+        # on_threshold and nominal_rate are arguments, which no class holds.
+        if name not in ("on_threshold", "nominal_rate"):
+            assert type(getattr(held, name)) is float
 
 
 def test_numpy_counts_save_as_json_integers(tmp_path):
@@ -100,6 +105,38 @@ def test_numpy_counts_save_as_json_integers(tmp_path):
     result = disaggregate(render(sc)[0], list(sc.models), params)
     save_result(result, tmp_path / "res")
     assert load_result(tmp_path / "res").params == result.params
+
+
+# The float counterpart: a numpy float or bool is stored as a Python float
+# or bool, so each file that holds it saves and loads back equal.
+def test_numpy_noise_std_saves_as_a_json_float(tmp_path):
+    sc = replace(reference_scenario(0), noise_std=np.float32(0.02))
+    assert type(sc.noise_std) is float
+    save_scenario(sc, tmp_path / "scenario.json")
+    assert load_scenario(tmp_path / "scenario.json") == sc
+
+
+def test_numpy_cap_and_flag_save_as_json_float_and_bool(tmp_path):
+    model = replace(reference_scenario(0).models[0], max_output=np.float32(3.0),
+                    instant_off=np.True_)
+    assert type(model.max_output) is float and model.instant_off is True
+    save_library([model], tmp_path / "library.json")
+    assert load_library(tmp_path / "library.json") == [model]
+
+
+@pytest.mark.parametrize("threshold, period", [(np.float32(0.1), 1.0), (None, np.float32(1 / 12))],
+                         ids=["deviation_threshold", "sample_period"])
+def test_numpy_result_settings_save_as_json_floats(tmp_path, threshold, period):
+    sc = reference_scenario(0)
+    params = EngineParams(deviation_threshold=threshold)
+    y = SignalSeries(render(sc)[0].values, sample_period=period)
+    assert type(y.sample_period) is float
+    assert threshold is None or type(params.deviation_threshold) is float
+    result = disaggregate(y, list(sc.models), params)
+    save_result(result, tmp_path)
+    loaded = load_result(tmp_path)
+    assert loaded.params == result.params
+    assert loaded.estimated_total == result.estimated_total
 
 
 @pytest.mark.parametrize("bad", [50.9, 50.0, True, "50"])

@@ -22,6 +22,7 @@ from disagg import (
 import disagg.models as models_module
 from disagg.models import (
     SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _outputs, _Row, _switch, _unit_step_rows,
+    model_to_dict,
 )
 from conftest import series
 
@@ -326,6 +327,22 @@ def test_dc_normalized_flag_checked():
         DeviceModel("bad", A=[[0.9]], b=[0.2], c=[1.0], dc_normalized=True)
 
 
+@pytest.mark.parametrize("key, value", [("instant_off", "false"), ("dc_normalized", "no")])
+def test_constructed_flags_follow_the_file_rule(key, value):
+    # bool("false") is True: the constructor rejects a non-bool flag as
+    # load_library does, so save_library never writes a file it rejects.
+    with pytest.raises(ValidationError, match=f"^{key} must be true or false, got {value!r}$"):
+        DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0], **{key: value})
+
+
+@pytest.mark.parametrize("key, value, shown", [("A", [["0.5"]], "'0.5'"), ("d", "0.25", "'0.25'")])
+def test_constructed_numbers_follow_the_file_rule(key, value, shown):
+    # A string is rejected as in a library file, not parsed by float().
+    entries = {"A": [[0.5]], "b": [0.5], "c": [1.0], key: value}
+    with pytest.raises(ValidationError, match=f"^{key} must be a number, got {shown}$"):
+        DeviceModel("m", **entries)
+
+
 def test_library_round_trip(tmp_path):
     models = [
         random_stable_model(3, 1, True),
@@ -383,6 +400,45 @@ def test_library_numbers_must_be_json_numbers(tmp_path, key, value, shown):
     message = f"^{re.escape(str(path))}: {key} must be a number, got {re.escape(shown)}$"
     with pytest.raises(ValidationError, match=message):
         load_library(path)
+
+
+def test_library_and_constructor_reject_a_bad_value_alike(tmp_path):
+    # One rule, held by DeviceModel: a library entry with one bad value
+    # fails to load with the message, after the path, that the
+    # constructor gives for the same value.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    text, lists = st.text(max_size=3), st.lists(
+        st.integers() | st.floats(allow_nan=False, allow_infinity=False), max_size=2)
+    numbers, flags = text | st.booleans() | st.none() | lists, (
+        text | st.integers() | st.floats(allow_nan=False) | st.none() | lists)
+    bad = {"A": numbers, "b": numbers, "c": numbers, "d": numbers,
+           # A cap of None is absent, so it is not bad.
+           "max_input": text | st.booleans() | lists, "max_output": text | st.booleans() | lists,
+           "instant_off": flags, "dc_normalized": flags}
+    path = tmp_path / "lib.json"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), order=st.integers(1, 3), key=st.sampled_from(sorted(bad)))
+    def check(data, order, key):
+        model = random_stable_model(order, data.draw(st.integers(0, 99)), data.draw(st.booleans()))
+        entry = model_to_dict(replace(model, max_input=2.0, max_output=5.0))
+        value = data.draw(bad[key])
+        if key in ("A", "b", "c"):
+            entry[key][data.draw(st.integers(0, len(entry[key]) - 1))] = value
+        else:
+            entry[key] = value
+        fields = {name: entry[name] for name in bad}
+        fields["A"] = [entry["A"][i * order : (i + 1) * order] for i in range(order)]
+        with pytest.raises(ValidationError) as built:
+            DeviceModel(entry["name"], **fields)
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ValidationError) as loaded:
+            load_library(path)
+        assert str(loaded.value) == f"{path}: {built.value}"
+
+    check()
 
 
 def test_library_dc_normalized_may_be_absent(tmp_path):

@@ -164,3 +164,23 @@ def test_the_program_takes_no_np_median():
         for alias in node.names
     ]
     assert [name for name in attributes + imported if name == "median"] == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Each name a module of the package or of tools/ imports is read by it,
+    unless the import's line says ``# noqa: F401`` (kept for another module
+    that reaches it there); ``from __future__ import annotations`` binds
+    nothing."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    unused = []
+    for path, tree in zip(paths, _trees(paths)):
+        lines = path.read_text().splitlines()
+        read = {node.id for node in _nodes([tree], ast.Name) if isinstance(node.ctx, ast.Load)}
+        for node in _nodes([tree], (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.relative_to(ROOT)}:{alias.lineno}: {bound}")
+    assert unused == []

@@ -20,7 +20,7 @@ from disagg import (
     spectral_radius,
 )
 from disagg.models import STABILITY_MARGIN
-from disagg.scenario import MAX_HORIZON
+from disagg.scenario import MAX_HORIZON, scenario_to_dict
 from conftest import hold
 from test_models import _simulate_recursion
 
@@ -254,3 +254,33 @@ def test_scenario_numbers_must_be_json_numbers(tmp_path, edit, message):
     path.write_text(json.dumps(data))
     with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_scenario(path)
+
+
+def test_scenario_file_and_constructors_reject_a_bad_value_alike(tmp_path):
+    # One rule per value, held by the constructor: a scenario file with a
+    # bad event level or noise_std fails to load with the message, after
+    # the path, that PiecewiseInput or Scenario gives for the same value.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    bad = st.text(max_size=3) | st.booleans() | st.none() | st.lists(st.integers(), max_size=2)
+    path = tmp_path / "scenario.json"
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), value=bad, level=st.booleans())
+    def check(data, value, level):
+        sc = reference_scenario(data.draw(st.integers(0, 9)))
+        file = scenario_to_dict(sc)
+        events = file["devices"][data.draw(st.integers(0, 3))]["events"]
+        if level:
+            events[data.draw(st.integers(0, len(events) - 1))][1] = value
+        else:
+            file["noise_std"] = value
+        with pytest.raises(ValidationError) as built:
+            PiecewiseInput(events) if level else replace(sc, noise_std=value)
+        path.write_text(json.dumps(file))
+        with pytest.raises(ValidationError) as loaded:
+            load_scenario(path)
+        assert str(loaded.value) == f"{path}: {built.value}"
+
+    check()

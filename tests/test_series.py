@@ -104,6 +104,12 @@ def test_piecewise_rejects_non_finite_levels():
             PiecewiseInput(((2, 1.0), (4, bad)))
 
 
+def test_piecewise_level_follows_the_file_rule():
+    # A string level is rejected as in a scenario file, not parsed by float().
+    with pytest.raises(ValidationError, match="^event level must be a number, got '2.0'$"):
+        PiecewiseInput(((1, "2.0"),))
+
+
 def test_signal_start_index_is_a_python_int():
     s = SignalSeries(np.array([1.0, 2.0]), start_index=np.int64(5))
     assert type(s.start_index) is int and s.start_index == 5

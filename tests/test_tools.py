@@ -87,3 +87,14 @@ def test_accuracy_sweep_recovers_a_few_seeds(monkeypatch, tmp_path):
     assert (pooled["precision"], pooled["recall"]) == (1.0, 1.0)
     assert failed == []
     assert len(errors) == 4
+
+
+def test_accuracy_sweep_splits_failures_by_the_final_pool(monkeypatch):
+    # At beam width 8, seed 126's truth is pruned from the pool; seed 76's
+    # is still in the final pool, but not returned.
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import accuracy_sweep
+
+    assert accuracy_sweep.scenario_sweep([76, 126], 8) == [76, 126]
+    assert accuracy_sweep.split_failures([76, 126], 8) == ([126], [76])

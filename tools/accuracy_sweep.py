@@ -10,6 +10,11 @@ result's (k, device, kind) events equal ``truth_events`` and nothing is
 unexplained.  The table is printed twice: with the reference models as
 they are, then with every device's ``instant_off`` cleared, the paper's
 plain LTI model, whose switch-off decays through the device's dynamics.
+In the first table, each failing-seed list at a width above 1 is
+followed by how the failures split: "in pool" when a hypothesis of the
+engine's final pool still holds the truth's events with nothing
+unexplained (the truth is a twin of the result or was not picked),
+"pruned" when none does.
 
 ``--plugs``: for each range of plug seeds in PLUG_RANGES, generates the
 benchmark's plug input sets (``perfbench/inputs.write_plug_set``), runs
@@ -30,8 +35,8 @@ pure function of the checkout, so running this on a parent and on a
 change and diffing the two outputs shows what the change did to
 accuracy.  It takes about 100 s on a 2-vCPU VM (scenarios 90 s, plugs 10 s); the
 package and the benchmark modules are imported from CHECKOUT (default:
-the one holding this file).  Classifying each failing seed (twin,
-pruned or pick) is not written yet: it needs the engine's final pool.
+the one holding this file).  Telling a twin from a pick is not written
+yet: it needs a refit of the levels over each event's support.
 """
 
 from __future__ import annotations
@@ -64,10 +69,41 @@ def scenario_sweep(seeds, width: int, instant_off: bool = True) -> list[int]:
         if not instant_off:
             sc = replace(sc, models=tuple(replace(m, instant_off=False) for m in sc.models))
         result = disaggregate(render(sc)[0], list(sc.models), params)
-        got = sorted((e.k, e.device, e.kind) for e in result.events)
-        if got != [(e.k, e.device, e.kind) for e in truth_events(sc)] or result.unexplained:
+        if _events(result.events) != _events(truth_events(sc)) or result.unexplained:
             failed.append(seed)
     return failed
+
+
+def _events(log) -> list[tuple]:
+    return sorted((e.k, e.device, e.kind) for e in log)
+
+
+def split_failures(seeds, width: int) -> tuple[list[int], list[int]]:
+    """The seeds, failures of beam width `width`, as (pruned, in pool): in
+    pool when a hypothesis of the engine's final pool holds the truth's
+    (k, device, kind) events with nothing unexplained."""
+    from disagg import EngineParams, reference_scenario, render, truth_events
+    from disagg.engine import _Engine
+
+    class PoolEngine(_Engine):
+        """The engine, keeping the pool that its last step returned; None
+        until a step runs, the initial pool of one empty hypothesis."""
+
+        pool = None
+
+        def _step(self, pool, p):
+            self.pool = super()._step(pool, p)
+            return self.pool
+
+    pruned, in_pool = [], []
+    for seed in seeds:
+        sc = reference_scenario(seed)
+        engine = PoolEngine(render(sc)[0], list(sc.models), EngineParams(beam_width=width))
+        engine.run()
+        logs = [[]] if engine.pool is None else [
+            _events(hyp.events) for hyp in engine.pool if not hyp.unexplained]
+        (in_pool if _events(truth_events(sc)) in logs else pruned).append(seed)
+    return pruned, in_pool
 
 
 def step_errors(true_library: Path, identified_library: Path) -> dict[str, float]:
@@ -128,6 +164,10 @@ def main(argv=None) -> int:
                     print(f"width {width} seeds {seeds.start}-{seeds.stop - 1}{label}: "
                           f"{len(seeds) - len(failed)}/{len(seeds)} exact, "
                           f"failed {' '.join(map(str, failed)) or 'none'}")
+                    if instant_off and width > 1 and failed:
+                        pruned, in_pool = split_failures(failed, width)
+                        print(f"  pruned {' '.join(map(str, pruned)) or 'none'}, "
+                              f"in pool {' '.join(map(str, in_pool)) or 'none'}")
     if args.plugs or both:
         for seeds in PLUG_RANGES:
             with tempfile.TemporaryDirectory() as tmp:
