@@ -12,8 +12,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .engine import (
     DisaggregationResult,
     EngineParams,
@@ -23,9 +21,7 @@ from .engine import (
     # Unused here, like write_signal_csv below, but perfbench/spans.py wraps both.
     disaggregate_beam,  # noqa: F401
 )
-from .errors import (
-    ValidationError, check_array, check_count, check_name, check_number, check_real, reading,
-)
+from .errors import ValidationError, check_array, check_name, reading
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
 from .ingest import (
     CHANNELS,
@@ -36,11 +32,8 @@ from .ingest import (
     to_signal,
     write_signal_csv,  # noqa: F401
 )
-from .models import (
-    _device_sum, _outputs, load_library, model_from_dict, model_to_dict, save_library,
-)
+from .models import load_library, model_from_dict, model_to_dict, save_library
 from .scenario import load_scenario, reference_scenario, render, save_scenario
-from .series import MAX_HORIZON, PiecewiseInput, SignalSeries
 from .sysid import identify_device
 
 
@@ -50,10 +43,9 @@ def result_to_dict(result: DisaggregationResult) -> dict:
     Every field of params, events and unexplained is a scalar, so shallow
     copies of each frozen instance's ``vars`` stand in for
     ``dataclasses.asdict``'s deep copy.  The library and the estimates'
-    range and period let load_result re-render every estimate.
+    range and period let the loaded result render every estimate.
     """
     names = result.device_names
-    total = result.estimated_total
     return {
         "params": {**vars(result.params)},
         "devices": list(names),
@@ -62,9 +54,9 @@ def result_to_dict(result: DisaggregationResult) -> dict:
         "residual_rms": result.residual_rms,
         "unexplained": [{**vars(u)} for u in result.unexplained],
         "library": [model_to_dict(m) for m in result.models],
-        "start_index": total.start_index,
-        "length": len(total),
-        "sample_period": total.sample_period,
+        "start_index": result.start_index,
+        "length": result.length,
+        "sample_period": result.sample_period,
     }
 
 
@@ -81,78 +73,37 @@ def save_result(result: DisaggregationResult, out_dir: str | Path) -> None:
 def load_result(out_dir: str | Path) -> DisaggregationResult:
     """Rebuild a result object from the result.json save_result wrote.
 
-    The estimates are re-rendered from the events with the result's own
-    library, as the engine wrote them, so they equal the saved result's
-    bit for bit; the estimate CSVs are not read.
+    Only the file's format is checked here: DisaggregationResult applies the
+    rules on values, and renders the estimates, so no estimate CSV is read.
     """
     path = Path(out_dir) / "result.json"
     with reading(path):
         data = json.loads(path.read_text())
-        names = tuple(check_name(name) for name in check_array("devices", data["devices"]))
-        if not names:
-            raise ValidationError("device list is empty")
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate device names in result")
+        names = [check_name(name) for name in check_array("devices", data["devices"])]
+        library = tuple(model_from_dict(m) for m in check_array("library", data["library"]))
+        if [m.name for m in library] != names:
+            raise ValidationError(
+                f"library names {[m.name for m in library]} differ from devices {names}"
+            )
         index = {name: i for i, name in enumerate(names)}
-        raw_events = check_array("events", data["events"])
-        unknown = [e["device"] for e in raw_events if e["device"] not in index]
-        if unknown:
-            raise ValidationError(f"event of unknown device {unknown[0]!r}")
-        events = tuple(
-            SwitchEvent(check_count("event k", e["k"]), index[e["device"]],
-                        check_real("event level", e["level"]))
-            for e in raw_events
-        )
-        for e, raw in zip(events, raw_events):
+        events = []
+        for raw in check_array("events", data["events"]):
+            if raw["device"] not in index:
+                raise ValidationError(f"event of unknown device {raw['device']!r}")
+            e = SwitchEvent(raw["k"], index[raw["device"]], raw["level"])
             if raw["kind"] != e.kind:
                 raise ValidationError(
                     f"event at k={e.k} has kind {raw['kind']!r} with level {e.level}"
                 )
-        # Reject a device schedule with repeated times or levels, or negative ones.
-        ordered = sorted(events)
-        inputs = [
-            PiecewiseInput(tuple((e.k, e.level) for e in ordered if e.device == dev))
-            for dev in range(len(names))
-        ]
-        unexplained = tuple(
-            UnexplainedEvent(
-                check_count("unexplained k", u["k"]), u["kind"],
-                check_real("unexplained magnitude", u["magnitude"]),
-            )
-            for u in check_array("unexplained", data["unexplained"])
+            events.append(e)
+        return DisaggregationResult(
+            events=tuple(events),
+            unexplained=tuple(UnexplainedEvent(u["k"], u["kind"], u["magnitude"])
+                              for u in check_array("unexplained", data["unexplained"])),
+            residual_rms=data["residual_rms"], params=EngineParams(**data["params"]),
+            models=library, start_index=data["start_index"], length=data["length"],
+            sample_period=data["sample_period"],
         )
-        for u in unexplained:
-            if u.kind not in ("increase", "decrease"):
-                raise ValidationError(f"unexplained event at k={u.k} has kind {u.kind!r}")
-        residual_rms = check_number("residual_rms", data["residual_rms"], zero_ok=True)
-        params = EngineParams(**data["params"])
-        library = tuple(model_from_dict(m) for m in check_array("library", data["library"]))
-        if tuple(m.name for m in library) != names:
-            raise ValidationError(
-                f"library names {[m.name for m in library]} differ from devices {list(names)}"
-            )
-        start = check_count("start_index", data["start_index"])
-        length = check_count("length", data["length"], 1)
-        if length > MAX_HORIZON:
-            raise ValidationError(f"length must be <= {MAX_HORIZON}, got {length!r}")
-        period = check_number("sample_period", data["sample_period"])
-        for k in [e.k for e in events] + [u.k for u in unexplained]:
-            if not start <= k < start + length:
-                raise ValidationError(
-                    f"event at k={k} outside the estimates' [{start}, {start + length})"
-                )
-    rows = _outputs(library, [[(k - start, level) for k, level in inp.events]
-                              for inp in inputs], length)
-    total = _device_sum(rows, np.empty(length))
-    return DisaggregationResult(
-        estimated_outputs=tuple(SignalSeries(row, period, start) for row in rows),
-        estimated_total=SignalSeries(total, period, start),
-        residual_rms=residual_rms,
-        events=events,
-        unexplained=unexplained,
-        params=params,
-        models=library,
-    )
 
 
 def _cmd_simulate(args) -> int:
@@ -229,6 +180,11 @@ def _cmd_evaluate(args) -> int:
 def _cmd_plot_data(args) -> int:
     result = load_result(args.result)
     y_m = read_signal_csv(args.input)
+    if (y_m.start_index, len(y_m)) != (result.start_index, result.length):
+        raise ValidationError(
+            f"input range [{y_m.start_index}, {y_m.end_index}) differs from the result's "
+            f"[{result.start_index}, {result.start_index + result.length})"
+        )
     named = [("y_m", y_m), ("y_hat", result.estimated_total)]
     named += [
         (f"y_hat_{name}", series)

@@ -49,15 +49,17 @@ copy, O(T).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_number
+from .errors import ValidationError, check_count, check_number, check_real
 from .models import (
     DeviceModel,
     _Row,
     _device_sum,
+    _outputs,
     _switch,
     _unit_step_rows,
     dc_gain,
@@ -66,7 +68,7 @@ from .models import (
     simulate_zero_state,  # noqa: F401
     unit_step_values,  # noqa: F401
 )
-from .series import SignalSeries, estimate_noise_std
+from .series import MAX_HORIZON, PiecewiseInput, SignalSeries, estimate_noise_std
 
 NOISE_THRESHOLD_MULTIPLE = 5.0
 # Absolute floor keeps noiseless signals from tripping on float dust.
@@ -134,26 +136,81 @@ class UnexplainedEvent:
 
 @dataclass(frozen=True)
 class DisaggregationResult:
-    """The winning hypothesis: its switch events and its own predictions.
+    """The winning hypothesis: its switch events, its library (models, one
+    per device name) and the estimates' range and period.
 
-    estimated_outputs are the per-device predictions the engine scored,
-    estimated_total their device-order sum, and models the library the
-    engine ran with, one per device name.  Each estimate is the
-    zero-state output of its model under its device's events, bit for
-    bit, so the events and models determine the estimates.
+    The estimates are derived: estimated_outputs is each model's zero-state
+    output under its device's events, bit for bit the predictions the
+    engine scored, and estimated_total their device-order sum.  The
+    constructor applies result.json's rules to every result and stores what
+    the checks return, the events sorted.
     """
 
-    estimated_outputs: tuple[SignalSeries, ...]
-    estimated_total: SignalSeries
-    residual_rms: float
     events: tuple[SwitchEvent, ...]
     unexplained: tuple[UnexplainedEvent, ...]
+    residual_rms: float
     params: EngineParams
     models: tuple[DeviceModel, ...]
+    start_index: int
+    length: int
+    sample_period: float
+
+    def __post_init__(self):
+        models = tuple(self.models)
+        if not models:
+            raise ValidationError("device list is empty")
+        if len({m.name for m in models}) != len(models):
+            raise ValidationError("duplicate device names in result")
+        start = check_count("start_index", self.start_index)
+        length = check_count("length", self.length, 1)
+        if length > MAX_HORIZON:
+            raise ValidationError(f"length must be <= {MAX_HORIZON}, got {length!r}")
+        period = check_number("sample_period", self.sample_period)
+        events = []
+        for e in self.events:
+            k, level = check_count("event k", e.k), check_real("event level", e.level)
+            device = check_count("event device", e.device)
+            if not 0 <= device < len(models):
+                raise ValidationError(
+                    f"event at k={k} has device index {device}, outside [0, {len(models)})")
+            events.append(SwitchEvent(k, device, level))
+        events.sort()
+        for dev in range(len(models)):  # No repeated time or level, nor a negative one.
+            PiecewiseInput(tuple((e.k, e.level) for e in events if e.device == dev))
+        unexplained = []
+        for u in self.unexplained:
+            k = check_count("unexplained k", u.k)
+            magnitude = check_real("unexplained magnitude", u.magnitude)
+            if u.kind not in ("increase", "decrease"):
+                raise ValidationError(f"unexplained event at k={k} has kind {u.kind!r}")
+            unexplained.append(UnexplainedEvent(k, u.kind, magnitude))
+        for k in [e.k for e in events] + [u.k for u in unexplained]:
+            if not start <= k < start + length:
+                raise ValidationError(
+                    f"event at k={k} outside the estimates' [{start}, {start + length})"
+                )
+        # Frozen: the checked values are written past __setattr__.
+        vars(self).update(
+            events=tuple(events), unexplained=tuple(unexplained), models=models,
+            residual_rms=check_number("residual_rms", self.residual_rms, zero_ok=True),
+            start_index=start, length=length, sample_period=period,
+        )
 
     @property
     def device_names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.models)
+
+    @cached_property
+    def estimated_outputs(self) -> tuple[SignalSeries, ...]:
+        schedules = [[(e.k - self.start_index, e.level) for e in self.events if e.device == dev]
+                     for dev in range(len(self.models))]
+        rows = _outputs(self.models, schedules, self.length)
+        return tuple(SignalSeries(row, self.sample_period, self.start_index) for row in rows)
+
+    @cached_property
+    def estimated_total(self) -> SignalSeries:
+        total = _device_sum([s.values for s in self.estimated_outputs], np.empty(self.length))
+        return SignalSeries(total, self.sample_period, self.start_index)
 
 
 def resolve_threshold(y_m: SignalSeries, params: EngineParams) -> float:
@@ -537,18 +594,16 @@ class _Engine:
 
     def _build_result(self, hyp: _Hypothesis) -> DisaggregationResult:
         self._sync(hyp, self.T)
-        total = _device_sum([row.values for row in hyp.rows], np.empty(self.T))
-        return DisaggregationResult(
-            estimated_outputs=tuple(
-                SignalSeries(row.values, self.period, self.start) for row in hyp.rows
-            ),
-            estimated_total=SignalSeries(total, self.period, self.start),
-            residual_rms=float(np.sqrt(np.mean(hyp.resid**2))),
-            events=tuple(sorted(hyp.events)),
-            unexplained=tuple(hyp.unexplained),
+        result = DisaggregationResult(
+            events=tuple(hyp.events), unexplained=tuple(hyp.unexplained),
+            residual_rms=float(np.sqrt(np.mean(hyp.resid**2))), models=tuple(self.models),
             params=replace(self.params, deviation_threshold=self.threshold),
-            models=tuple(self.models),
+            start_index=self.start, length=self.T, sample_period=self.period,
         )
+        # The rows the engine scored are the estimates' render, bit for bit.
+        object.__setattr__(result, "estimated_outputs", tuple(
+            SignalSeries(row.values, self.period, self.start) for row in hyp.rows))
+        return result
 
 
 def disaggregate(

@@ -109,11 +109,10 @@ def score(
             f"device names differ: truth {truth.device_names} "
             f"vs result {result.device_names}"
         )
-    total = result.estimated_total
-    if truth.horizon != len(total) or total.start_index != 0:
+    if (truth.horizon, 0) != (result.length, result.start_index):
         raise ValidationError(
             f"index ranges differ: truth [0, {truth.horizon}) vs "
-            f"result [{total.start_index}, {total.end_index})"
+            f"result [{result.start_index}, {result.start_index + result.length})"
         )
 
     t_events = truth_events(truth)
@@ -136,8 +135,8 @@ def score(
     truth_outputs = _outputs(
         truth.models, [inp.events for inp in truth.inputs], truth.horizon
     )
-    for dev, (model, y_true) in enumerate(zip(truth.models, truth_outputs)):
-        y_est = result.estimated_outputs[dev].values
+    estimates = [series.values for series in result.estimated_outputs]
+    for model, y_true, y_est in zip(truth.models, truth_outputs, estimates):
         denom = float(np.sum(np.abs(y_true)))
         num = float(np.sum(np.abs(y_est - y_true)))
         if denom == 0.0:
@@ -146,10 +145,11 @@ def score(
             energy_error[model.name] = num / denom
     # Canonical summation order keeps the metric bit-identical under a
     # consistent relabeling of devices.
-    clean_total = sum(
-        sorted(truth_outputs, key=cmp_to_key(_row_order)), np.zeros(truth.horizon)
+    est_total, clean_total = (
+        sum(sorted(rows, key=cmp_to_key(_row_order)), np.zeros(truth.horizon))
+        for rows in (estimates, truth_outputs)
     )
-    rmse = float(np.sqrt(np.mean((total.values - clean_total) ** 2)))
+    rmse = float(np.sqrt(np.mean((est_total - clean_total) ** 2)))
 
     return Metrics(
         switch_time_mae=mae,

@@ -31,9 +31,10 @@ from disagg import (
     SwitchEvent,
     UnexplainedEvent,
     UnstableModelError,
+    ValidationError,
     write_signal_csv,
 )
-from disagg.cli import build_parser, load_result, main, save_result
+from disagg.cli import build_parser, load_result, main, result_to_dict, save_result
 from disagg.ingest import ROW_BLOCK
 from disagg.scenario import MAX_HORIZON
 from conftest import hold
@@ -196,6 +197,55 @@ def test_saved_result_loads_as_the_engines_result_property(tmp_path):
                         (*result.estimated_outputs, result.estimated_total)):
             assert a.values.tobytes() == b.values.tobytes()
             assert (a.start_index, a.sample_period) == (start, period)
+
+    check()
+
+
+def test_result_file_and_constructor_apply_one_rule(tmp_path):
+    # One rule per value, held by DisaggregationResult: a result.json with
+    # one value changed loads as the constructor builds the result with that
+    # value, or fails with the constructor's message after the path.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    scenario = reference_scenario(0)
+    result = replace(disaggregate(render(scenario)[0], list(scenario.models)),
+                     unexplained=(UnexplainedEvent(5, "increase", 1.0),))
+    values = (st.integers() | st.integers(-5, 460) | st.floats() | st.text(max_size=3)
+              | st.booleans() | st.none() | st.lists(st.integers(), max_size=2))
+    # An on event's level equal to 0.0 breaks the file's kind rule first.
+    on_events = [i for i, e in enumerate(result.events) if e.kind == "on"]
+    rows = {"events.k": range(len(result.events)), "events.level": on_events,
+            "unexplained.k": [0], "unexplained.kind": [0], "unexplained.magnitude": [0]}
+    out = tmp_path / "res"
+    out.mkdir()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(
+        [*rows, "residual_rms", "start_index", "length", "sample_period"]))
+    def check(data, key):
+        file = result_to_dict(result)
+        value = data.draw(values.filter(lambda v: key != "events.level" or v != 0.0))
+        if key in rows:
+            key, name = key.split(".")
+            i = data.draw(st.sampled_from(rows[f"{key}.{name}"]))
+            file[key][i][name] = value
+            items = list(getattr(result, key))
+            items[i] = replace(items[i], **{name: value})
+            value = tuple(items)
+        else:
+            file[key] = value
+        try:
+            built = replace(result, **{key: value})
+        except ValidationError as exc:
+            built = exc
+        (out / "result.json").write_text(json.dumps(file))
+        if isinstance(built, ValidationError):
+            with pytest.raises(ValidationError) as loaded:
+                load_result(out)
+            assert str(loaded.value) == f"{out / 'result.json'}: {built}"
+        else:
+            assert load_result(out) == built
 
     check()
 
@@ -430,6 +480,22 @@ def test_evaluate_and_plot_data_do_not_read_the_estimate_csvs(pipeline_dir, tmp_
         series = "y_hat" if name == "total" else f"y_hat_{name}"
         rows = [line.split(",", 1)[1] for line in plot if line.split(",", 1)[0] == series]
         assert "".join(["k,value\n", *rows]) == path.read_text()
+
+
+@pytest.mark.parametrize("start, length", [(5000, 100), (1, 450), (0, 449)],
+                         ids=["elsewhere", "shifted", "shorter"])
+def test_plot_data_rejects_an_input_over_another_range_than_the_result(
+    pipeline_dir, tmp_path, capsys, start, length
+):
+    # The overlay pairs the input's samples with the estimates' by index k.
+    y_m = tmp_path / "input.csv"
+    write_signal_csv(SignalSeries(np.zeros(length), 1.0, start), y_m)
+    plot = tmp_path / "plot.csv"
+    assert main(["plot-data", "--result", str(pipeline_dir / "res"), "--input", str(y_m),
+                 "--out", str(plot)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: input range [{start}, {start + length}) differs from the result's [0, 450)\n")
+    assert not plot.exists()
 
 
 @pytest.mark.parametrize("length", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +14,7 @@ from disagg import (
     EngineParams,
     SignalSeries,
     SwitchEvent,
+    UnexplainedEvent,
     UnstableModelError,
     ValidationError,
     disaggregate,
@@ -897,6 +899,57 @@ def test_permuting_the_library_relabels_events_property():
             assert permuted[key] == pytest.approx(level, rel=1e-9, abs=0)
 
     check()
+
+
+def _reference_result():
+    sc = reference_scenario(0)
+    return disaggregate(render(sc)[0], list(sc.models))
+
+
+# (id, fields replaced in the engine's result on reference seed 0, message):
+# each breaks a rule of result.json, and the message is the file's.
+RESULT_RULE_CASES = [
+    ("event-outside-range", lambda r: {"events": (*r.events, SwitchEvent(450, 4, 1.0))},
+     "event at k=450 outside the estimates' [0, 450)"),
+    ("bogus-deviation-kind", lambda r: {"unexplained": (UnexplainedEvent(5, "bogus", 1.0),)},
+     "unexplained event at k=5 has kind 'bogus'"),
+    ("repeated-level",
+     lambda r: {"events": (*r.events, SwitchEvent(30, 0, r.events[0].level))},
+     "event at k=30 repeats level {level} (null event)"),
+    ("negative-residual-rms", lambda r: {"residual_rms": -1.0},
+     "residual_rms must be finite and >= 0, got -1.0"),
+    ("device-index-9-of-5", lambda r: {"events": (*r.events, SwitchEvent(30, 9, 1.0))},
+     "event at k=30 has device index 9, outside [0, 5)"),
+    ("duplicate-model-names", lambda r: {"models": (r.models[0],) * 5},
+     "duplicate device names in result"),
+]
+
+
+@pytest.mark.parametrize("change, message", [case[1:] for case in RESULT_RULE_CASES],
+                         ids=[case[0] for case in RESULT_RULE_CASES])
+def test_result_constructor_applies_the_result_files_rules(change, message):
+    result = _reference_result()
+    message = message.format(level=result.events[0].level)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        replace(result, **change(result))
+
+
+def test_a_result_with_other_events_renders_its_own_estimates():
+    # The estimates derive from the events: dropping device 2's off event
+    # leaves it on to the end, in its output and in the total.
+    result = _reference_result()
+    partial = replace(result, events=result.events[:-1])
+    assert result.events[-1] == SwitchEvent(401, 1, 0.0)
+    for dev, (model, out) in enumerate(zip(partial.models, partial.estimated_outputs)):
+        schedule = PiecewiseInput(tuple((e.k, e.level) for e in partial.events
+                                        if e.device == dev))
+        resim = simulate_zero_state(model, hold(schedule, 0, 450))
+        assert out.values.tobytes() == resim.values.tobytes()
+    rows = [out.values for out in partial.estimated_outputs]
+    assert partial.estimated_total.values.tobytes() == _device_sum(rows, np.empty(450)).tobytes()
+    assert partial.estimated_outputs[1] != result.estimated_outputs[1]
+    assert partial.estimated_outputs[1].values[:401].tobytes() == (
+        result.estimated_outputs[1].values[:401].tobytes())
 
 
 def test_disaggregate_with_absolute_start_index(lag_model_instant):
