@@ -12,13 +12,8 @@ import importlib
 
 # Exported name -> the submodule that defines it.
 _SOURCES = {
-    "DisaggregationResult": "engine",
-    "EngineParams": "engine",
-    "SwitchEvent": "engine",
-    "UnexplainedEvent": "engine",
     "disaggregate": "engine",
     "resolve_threshold": "engine",
-    "DisaggError": "errors",
     "RankDeficientDataError": "errors",
     "UnstableModelError": "errors",
     "ValidationError": "errors",
@@ -49,6 +44,10 @@ _SOURCES = {
     "reference_scenario": "scenario",
     "render": "scenario",
     "save_scenario": "scenario",
+    "DisaggregationResult": "result",
+    "EngineParams": "result",
+    "SwitchEvent": "result",
+    "UnexplainedEvent": "result",
     "PiecewiseInput": "series",
     "SignalSeries": "series",
     "estimate_noise_std": "series",

@@ -7,21 +7,14 @@ outputs are deterministic for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .engine import (
-    DisaggregationResult,
-    EngineParams,
-    SwitchEvent,
-    UnexplainedEvent,
-    disaggregate,
-    # Unused here, like write_signal_csv below, but perfbench/spans.py wraps both.
-    disaggregate_beam,  # noqa: F401
-)
-from .errors import ValidationError, check_array, check_name, reading
+# disaggregate_beam is unused here, like write_signal_csv below, but
+# perfbench/spans.py wraps both.
+from .engine import disaggregate, disaggregate_beam  # noqa: F401
+from .errors import ValidationError, check_name
 from .evaluate import DEFAULT_MATCH_WINDOW, save_metrics, score
 from .ingest import (
     CHANNELS,
@@ -32,78 +25,10 @@ from .ingest import (
     to_signal,
     write_signal_csv,  # noqa: F401
 )
-from .models import load_library, model_from_dict, model_to_dict, save_library
+from .models import load_library, save_library
+from .result import EngineParams, load_result, save_result
 from .scenario import load_scenario, reference_scenario, render, save_scenario
 from .sysid import identify_device
-
-
-def result_to_dict(result: DisaggregationResult) -> dict:
-    """The result.json content; events name their device and their kind.
-
-    Every field of params, events and unexplained is a scalar, so shallow
-    copies of each frozen instance's ``vars`` stand in for
-    ``dataclasses.asdict``'s deep copy.  The library and the estimates'
-    range and period let the loaded result render every estimate.
-    """
-    names = result.device_names
-    return {
-        "params": {**vars(result.params)},
-        "devices": list(names),
-        "events": [{**vars(e), "device": names[e.device], "kind": e.kind}
-                   for e in result.events],
-        "residual_rms": result.residual_rms,
-        "unexplained": [{**vars(u)} for u in result.unexplained],
-        "library": [model_to_dict(m) for m in result.models],
-        "start_index": result.start_index,
-        "length": result.length,
-        "sample_period": result.sample_period,
-    }
-
-
-def save_result(result: DisaggregationResult, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "result.json").write_text(
-        json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n"
-    )
-    paths = [out / f"estimate_{name}.csv" for name in (*result.device_names, "total")]
-    _write_signal_csvs(list(zip((*result.estimated_outputs, result.estimated_total), paths)))
-
-
-def load_result(out_dir: str | Path) -> DisaggregationResult:
-    """Rebuild a result object from the result.json save_result wrote.
-
-    Only the file's format is checked here: DisaggregationResult applies the
-    rules on values, and renders the estimates, so no estimate CSV is read.
-    """
-    path = Path(out_dir) / "result.json"
-    with reading(path):
-        data = json.loads(path.read_text())
-        names = [check_name(name) for name in check_array("devices", data["devices"])]
-        library = tuple(model_from_dict(m) for m in check_array("library", data["library"]))
-        if [m.name for m in library] != names:
-            raise ValidationError(
-                f"library names {[m.name for m in library]} differ from devices {names}"
-            )
-        index = {name: i for i, name in enumerate(names)}
-        events = []
-        for raw in check_array("events", data["events"]):
-            if raw["device"] not in index:
-                raise ValidationError(f"event of unknown device {raw['device']!r}")
-            e = SwitchEvent(raw["k"], index[raw["device"]], raw["level"])
-            if raw["kind"] != e.kind:
-                raise ValidationError(
-                    f"event at k={e.k} has kind {raw['kind']!r} with level {e.level}"
-                )
-            events.append(e)
-        return DisaggregationResult(
-            events=tuple(events),
-            unexplained=tuple(UnexplainedEvent(u["k"], u["kind"], u["magnitude"])
-                              for u in check_array("unexplained", data["unexplained"])),
-            residual_rms=data["residual_rms"], params=EngineParams(**data["params"]),
-            models=library, start_index=data["start_index"], length=data["length"],
-            sample_period=data["sample_period"],
-        )
 
 
 def _cmd_simulate(args) -> int:

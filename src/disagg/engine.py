@@ -48,27 +48,18 @@ copy, O(T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_number, check_real
-from .models import (
-    DeviceModel,
-    _Row,
-    _device_sum,
-    _outputs,
-    _switch,
-    _unit_step_rows,
-    dc_gain,
-    # Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state
-    # and disagg.engine.unit_step_values.
-    simulate_zero_state,  # noqa: F401
-    unit_step_values,  # noqa: F401
-)
-from .series import MAX_HORIZON, PiecewiseInput, SignalSeries, estimate_noise_std
+from .errors import ValidationError
+from .models import DeviceModel, _Row, _device_sum, _switch, _unit_step_rows, dc_gain
+# Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state
+# and disagg.engine.unit_step_values.
+from .models import simulate_zero_state, unit_step_values  # noqa: F401
+from .result import DisaggregationResult, EngineParams, SwitchEvent, UnexplainedEvent
+from .series import SignalSeries, estimate_noise_std
 
 NOISE_THRESHOLD_MULTIPLE = 5.0
 # Absolute floor keeps noiseless signals from tripping on float dust.
@@ -80,137 +71,6 @@ THRESHOLD_FLOOR_RELATIVE = 1e-9
 SCAN_CHUNK = 64
 # An off goes first to a device on for at least this many samples.
 MIN_ON_DURATION = 3
-
-
-@dataclass(frozen=True)
-class EngineParams:
-    """Tunables for detection, fitting, and hypothesis search.
-
-    deviation_threshold of None means: estimate the noise level from the
-    measurement and use NOISE_THRESHOLD_MULTIPLE times it.  lookahead is
-    the number of future samples used to score an on-event, and with
-    backtrack_window bounds the online output delay.
-    """
-
-    deviation_threshold: float | None = None
-    persistence: int = 2
-    lookahead: int = 15
-    backtrack_window: int = 5
-    beam_width: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "deviation_threshold", check_number(
-            "deviation_threshold", self.deviation_threshold, optional=True))
-        for name, low in (
-            ("persistence", 1),
-            ("lookahead", 1),
-            ("backtrack_window", 0),
-            ("beam_width", 1),
-        ):
-            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
-
-
-@dataclass(frozen=True, order=True)
-class SwitchEvent:
-    """One nonzero entry of a device's input difference.
-
-    Events order by (k, device, level), the field order, as by (k, device,
-    kind, level): an off event has level 0.0, an on event a higher one.
-    """
-
-    k: int
-    device: int
-    level: float
-
-    @property
-    def kind(self) -> str:
-        return "off" if self.level == 0.0 else "on"
-
-
-@dataclass(frozen=True)
-class UnexplainedEvent:
-    k: int
-    kind: str
-    magnitude: float
-
-
-@dataclass(frozen=True)
-class DisaggregationResult:
-    """The winning hypothesis: its switch events, its library (models, one
-    per device name) and the estimates' range and period.
-
-    The estimates are derived: estimated_outputs is each model's zero-state
-    output under its device's events, bit for bit the predictions the
-    engine scored, and estimated_total their device-order sum.  The
-    constructor applies result.json's rules to every result and stores what
-    the checks return, the events sorted.
-    """
-
-    events: tuple[SwitchEvent, ...]
-    unexplained: tuple[UnexplainedEvent, ...]
-    residual_rms: float
-    params: EngineParams
-    models: tuple[DeviceModel, ...]
-    start_index: int
-    length: int
-    sample_period: float
-
-    def __post_init__(self):
-        models = tuple(self.models)
-        if not models:
-            raise ValidationError("device list is empty")
-        if len({m.name for m in models}) != len(models):
-            raise ValidationError("duplicate device names in result")
-        start = check_count("start_index", self.start_index)
-        length = check_count("length", self.length, 1)
-        if length > MAX_HORIZON:
-            raise ValidationError(f"length must be <= {MAX_HORIZON}, got {length!r}")
-        period = check_number("sample_period", self.sample_period)
-        events = []
-        for e in self.events:
-            k, level = check_count("event k", e.k), check_real("event level", e.level)
-            device = check_count("event device", e.device)
-            if not 0 <= device < len(models):
-                raise ValidationError(
-                    f"event at k={k} has device index {device}, outside [0, {len(models)})")
-            events.append(SwitchEvent(k, device, level))
-        events.sort()
-        for dev in range(len(models)):  # No repeated time or level, nor a negative one.
-            PiecewiseInput(tuple((e.k, e.level) for e in events if e.device == dev))
-        unexplained = []
-        for u in self.unexplained:
-            k = check_count("unexplained k", u.k)
-            magnitude = check_real("unexplained magnitude", u.magnitude)
-            if u.kind not in ("increase", "decrease"):
-                raise ValidationError(f"unexplained event at k={k} has kind {u.kind!r}")
-            unexplained.append(UnexplainedEvent(k, u.kind, magnitude))
-        for k in [e.k for e in events] + [u.k for u in unexplained]:
-            if not start <= k < start + length:
-                raise ValidationError(
-                    f"event at k={k} outside the estimates' [{start}, {start + length})"
-                )
-        # Frozen: the checked values are written past __setattr__.
-        vars(self).update(
-            events=tuple(events), unexplained=tuple(unexplained), models=models,
-            residual_rms=check_number("residual_rms", self.residual_rms, zero_ok=True),
-            start_index=start, length=length, sample_period=period,
-        )
-
-    @property
-    def device_names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.models)
-
-    @cached_property
-    def estimated_outputs(self) -> tuple[SignalSeries, ...]:
-        schedules = [[(e.k - self.start_index, e.level) for e in self.events if e.device == dev]
-                     for dev in range(len(self.models))]
-        rows = _outputs(self.models, schedules, self.length)
-        return tuple(SignalSeries(row, self.sample_period, self.start_index) for row in rows)
-
-    @cached_property
-    def estimated_total(self) -> SignalSeries:
-        total = _device_sum([s.values for s in self.estimated_outputs], np.empty(self.length))
-        return SignalSeries(total, self.sample_period, self.start_index)
 
 
 def resolve_threshold(y_m: SignalSeries, params: EngineParams) -> float:

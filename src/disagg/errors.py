@@ -5,11 +5,7 @@ import numbers
 from contextlib import contextmanager
 
 
-class DisaggError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class ValidationError(DisaggError, ValueError):
+class ValidationError(ValueError):
     """Invalid data, parameters, or file contents."""
 
 

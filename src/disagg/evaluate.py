@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import DisaggregationResult, SwitchEvent
 from .errors import ValidationError, check_count
 from .models import (
     _outputs,
     # Unused here, but perfbench/spans.py wraps disagg.evaluate.simulate_zero_state.
     simulate_zero_state,  # noqa: F401
 )
+from .result import DisaggregationResult, SwitchEvent
 from .scenario import Scenario
 
 DEFAULT_MATCH_WINDOW = 10

@@ -466,7 +466,6 @@ def load_library(path: str | Path) -> list[DeviceModel]:
     with reading(path):
         raw = json.loads(Path(path).read_text())
         models = [model_from_dict(entry) for entry in check_array("device library", raw)]
-    names = [m.name for m in models]
-    if len(set(names)) != len(names):
-        raise ValidationError("duplicate device names in library")
+        if len({m.name for m in models}) != len(models):
+            raise ValidationError("duplicate device names in library")
     return models

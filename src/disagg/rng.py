@@ -37,16 +37,13 @@ class SeededStream:
         self._state = seed & _MASK64
         self._spare_normal: float | None = None
 
-    def next_uint64(self) -> int:
+    def uniform(self) -> float:
+        """Uniform draw in [0, 1) with 53-bit resolution."""
         self._state = (self._state + _GOLDEN) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        """Uniform draw in [0, 1) with 53-bit resolution."""
-        return (self.next_uint64() >> 11) * 2.0**-53
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()

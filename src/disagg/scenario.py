@@ -73,10 +73,9 @@ class Scenario:
         for inp in self.inputs:
             if inp.events and inp.events[0][0] < 0:
                 raise ValidationError(f"event at k={inp.events[0][0]} before k=0")
-            last = inp.last_event_index
-            if last is not None and last >= self.horizon:
+            if inp.events and inp.events[-1][0] >= self.horizon:
                 raise ValidationError(
-                    f"event at k={last} beyond horizon {self.horizon}"
+                    f"event at k={inp.events[-1][0]} beyond horizon {self.horizon}"
                 )
 
     @property

@@ -93,10 +93,6 @@ class PiecewiseInput:
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def last_event_index(self) -> int | None:
-        return self.events[-1][0] if self.events else None
-
 
 def estimate_noise_std(y: SignalSeries) -> float:
     """Robust noise level from first differences.

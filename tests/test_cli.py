@@ -34,8 +34,9 @@ from disagg import (
     ValidationError,
     write_signal_csv,
 )
-from disagg.cli import build_parser, load_result, main, result_to_dict, save_result
+from disagg.cli import build_parser, load_result, main, save_result
 from disagg.ingest import ROW_BLOCK
+from disagg.result import result_to_dict
 from disagg.scenario import MAX_HORIZON
 from conftest import hold
 
@@ -552,6 +553,21 @@ def test_disaggregate_rejects_a_device_named_total(tmp_path, capsys):
     assert not res.exists()
 
 
+def test_a_failed_save_leaves_no_result_json(tmp_path):
+    # The API, unlike the CLI, runs the engine on a device named total;
+    # save_result then fails on estimate_total.csv.  It writes the
+    # estimates first, so no result.json, this one's or an earlier save's,
+    # is left for load_result to accept.
+    scenario = reference_scenario(1)
+    aggregate, models = render(scenario)[0], list(scenario.models)
+    save_result(disaggregate(aggregate, models), tmp_path / "res")
+    models[2] = replace(models[2], name="total")
+    result = disaggregate(aggregate, models)
+    with pytest.raises(ValidationError, match="estimate_total.csv is named twice"):
+        save_result(result, tmp_path / "res")
+    assert not (tmp_path / "res" / "result.json").exists()
+
+
 @BAD_NAMES
 def test_disaggregate_rejects_a_device_name_that_breaks_a_file_or_a_row(
     tmp_path, capsys, bad
@@ -1009,6 +1025,7 @@ RESULT_FIELD_IDS = [case_id for case_id, _, _ in RESULT_FIELD_CASES]
     ("sim/library.json", _edit_json(lambda d: d[0].update(max_input=HUGE))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(name=None))),
     ("sim/library.json", _edit_json(lambda d: d[0].update(name=5))),
+    ("sim/library.json", _edit_json(lambda d: d.append(d[0]))),
 ], ids=[
     "truncated-result", "unknown-device", "extra-param", "negative-level",
     "repeated-level", "bogus-kind", "on-at-zero", "off-at-nonzero",
@@ -1023,7 +1040,7 @@ RESULT_FIELD_IDS = [case_id for case_id, _, _ in RESULT_FIELD_CASES]
     "fractional-horizon", "string-noise", "huge-noise", "huge-horizon",
     "unshapeable-horizon", "truncated-library", "library-entry-not-object", "nan-feedthrough",
     "string-max-input", "huge-feedthrough", "huge-max-input", "library-name-null",
-    "library-name-number",
+    "library-name-number", "library-duplicate-names",
 ])
 def test_malformed_json_is_a_validation_error(
     pipeline_dir, tmp_path, capsys, name, edit

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import disagg
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +56,27 @@ def test_identify_device_loads_no_engine():
         "disagg", "disagg.errors", "disagg.models", "disagg.rng", "disagg.series",
         "disagg.sysid",
     ]
+
+
+@pytest.mark.parametrize("name, scoring", [
+    ("score", ["disagg.evaluate", "disagg.scenario"]),
+    ("DisaggregationResult", []),
+    ("EngineParams", []),
+])
+def test_the_result_and_its_scoring_load_no_engine(name, scoring):
+    out = _fresh(f"import sys, disagg; disagg.{name}; {_LOADED}")
+    disagg_modules = [m for m in ast.literal_eval(out) if m.split(".")[0] == "disagg"]
+    assert disagg_modules == sorted([
+        "disagg", "disagg.errors", "disagg.ingest", "disagg.models", "disagg.result",
+        "disagg.rng", "disagg.series", *scoring,
+    ])
+
+
+def test_the_engine_defines_no_public_class():
+    """engine.py holds the search; the result and its types are result.py's."""
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    classes = [node.name for node in _nodes([tree], ast.ClassDef)]
+    assert classes and [name for name in classes if not name.startswith("_")] == []
 
 
 def test_no_module_imports_a_private_name_of_the_engine():
