@@ -54,7 +54,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .models import DeviceModel, _Row, _device_sum, _switch, _unit_step_rows, dc_gain
+from .models import (
+    DeviceModel, _Row, _device_sum, _switch, _unit_step_rows, check_library, dc_gain,
+)
 # Unused here, but perfbench/spans.py wraps disagg.engine.simulate_zero_state
 # and disagg.engine.unit_step_values.
 from .models import simulate_zero_state, unit_step_values  # noqa: F401
@@ -154,11 +156,7 @@ class _Engine:
         library: list[DeviceModel],
         params: EngineParams,
     ):
-        if not library:
-            raise ValidationError("device library is empty")
-        names = [m.name for m in library]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate device names in library")
+        self.models = check_library(library)
         needed = params.lookahead + params.backtrack_window
         if len(y_m) <= needed:
             raise ValidationError(
@@ -173,7 +171,6 @@ class _Engine:
         self.start = y_m.start_index
         self.period = y_m.sample_period
         self.T = len(self.y)
-        self.models = list(library)
         self.params = params
         self.threshold = resolve_threshold(y_m, params)
         self.sparsity_penalty = self.threshold**2 * params.lookahead
@@ -456,7 +453,7 @@ class _Engine:
         self._sync(hyp, self.T)
         result = DisaggregationResult(
             events=tuple(hyp.events), unexplained=tuple(hyp.unexplained),
-            residual_rms=float(np.sqrt(np.mean(hyp.resid**2))), models=tuple(self.models),
+            residual_rms=float(np.sqrt(np.mean(hyp.resid**2))), models=self.models,
             params=replace(self.params, deviation_threshold=self.threshold),
             start_index=self.start, length=self.T, sample_period=self.period,
         )

@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit."""
+"""The toolkit's error type, the value checks its constructors share, and its
+JSON files' layout, written by ``write_json`` and parsed by ``reading``."""
 
+import json
 import math
 import numbers
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class ValidationError(ValueError):
@@ -94,12 +97,18 @@ class RankDeficientDataError(ValidationError):
     """Regression data does not excite enough modes for the requested order."""
 
 
+def write_json(path, data) -> None:
+    """Write data to path as JSON: sorted keys, two-space indent, final newline."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 @contextmanager
 def reading(path):
-    """Name path in a parse error raised in the block; bad JSON, a missing key
-    or a mistyped value becomes a ValidationError, I/O errors pass through."""
+    """Yield the parsed JSON file at path, and name path in a parse error
+    raised in the block; bad JSON, a missing key or a mistyped value becomes
+    a ValidationError, I/O errors pass through."""
     try:
-        yield
+        yield json.loads(Path(path).read_text())
     except ValidationError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

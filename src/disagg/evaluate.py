@@ -7,7 +7,6 @@ level error, per-device energy error, and aggregate fit.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -16,12 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_count
-from .models import (
-    _outputs,
-    # Unused here, but perfbench/spans.py wraps disagg.evaluate.simulate_zero_state.
-    simulate_zero_state,  # noqa: F401
-)
+from .errors import ValidationError, check_count, write_json
+# Unused here, but perfbench/spans.py wraps disagg.evaluate.simulate_zero_state.
+from .models import simulate_zero_state  # noqa: F401
 from .result import DisaggregationResult, SwitchEvent
 from .scenario import Scenario
 
@@ -132,9 +128,7 @@ def score(
     recall = len(matched.pairs) / len(t_events) if t_events else 1.0
 
     energy_error: dict[str, float] = {}
-    truth_outputs = _outputs(
-        truth.models, [inp.events for inp in truth.inputs], truth.horizon
-    )
+    truth_outputs = truth.outputs()
     estimates = [series.values for series in result.estimated_outputs]
     for model, y_true, y_est in zip(truth.models, truth_outputs, estimates):
         denom = float(np.sum(np.abs(y_true)))
@@ -173,5 +167,5 @@ def _row_order(a: np.ndarray, b: np.ndarray) -> int:
 
 def save_metrics(metrics: Metrics, path: str | Path) -> None:
     """Write metrics as JSON from a shallow copy of the instance's vars;
-    json.dumps only reads the fields, so no deep copy is needed."""
-    Path(path).write_text(json.dumps({**vars(metrics)}, indent=2, sort_keys=True) + "\n")
+    the writer only reads the fields, so no deep copy is needed."""
+    write_json(path, {**vars(metrics)})

@@ -23,7 +23,6 @@ as far as some write reads it (``_StepResponse``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import (
     UnstableModelError, ValidationError, check_array, check_count, check_name, check_number,
-    check_real, reading,
+    check_real, reading, write_json,
 )
 from .rng import SeededStream
 from .series import SignalSeries
@@ -456,16 +455,24 @@ def model_from_dict(entry: dict) -> DeviceModel:
     )
 
 
+def check_library(models) -> tuple[DeviceModel, ...]:
+    """Raise ValidationError unless models hold at least one device and no
+    name twice; return them as a tuple.  The one rule of a library, in a
+    file, a scenario, a result or the engine."""
+    models = tuple(models)
+    if not models:
+        raise ValidationError("device library is empty")
+    if len({m.name for m in models}) != len(models):
+        raise ValidationError("duplicate device names in library")
+    return models
+
+
 def save_library(models: list[DeviceModel], path: str | Path) -> None:
-    entries = [model_to_dict(m) for m in models]
-    Path(path).write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+    write_json(path, [model_to_dict(m) for m in models])
 
 
 def load_library(path: str | Path) -> list[DeviceModel]:
     """Read a device library, validating every entry's invariants."""
-    with reading(path):
-        raw = json.loads(Path(path).read_text())
-        models = [model_from_dict(entry) for entry in check_array("device library", raw)]
-        if len({m.name for m in models}) != len(models):
-            raise ValidationError("duplicate device names in library")
-    return models
+    with reading(path) as raw:
+        return list(check_library(
+            model_from_dict(entry) for entry in check_array("device library", raw)))

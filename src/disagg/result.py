@@ -8,7 +8,6 @@ writes result.json.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -17,9 +16,12 @@ import numpy as np
 
 from .errors import (
     ValidationError, check_array, check_count, check_name, check_number, check_real, reading,
+    write_json,
 )
 from .ingest import _write_signal_csvs
-from .models import DeviceModel, _device_sum, _outputs, model_from_dict, model_to_dict
+from .models import (
+    DeviceModel, _device_sum, _outputs, check_library, model_from_dict, model_to_dict,
+)
 from .series import MAX_HORIZON, PiecewiseInput, SignalSeries
 
 
@@ -97,11 +99,7 @@ class DisaggregationResult:
     sample_period: float
 
     def __post_init__(self):
-        models = tuple(self.models)
-        if not models:
-            raise ValidationError("device list is empty")
-        if len({m.name for m in models}) != len(models):
-            raise ValidationError("duplicate device names in result")
+        models = check_library(self.models)
         start = check_count("start_index", self.start_index)
         length = check_count("length", self.length, 1)
         if length > MAX_HORIZON:
@@ -185,9 +183,7 @@ def save_result(result: DisaggregationResult, out_dir: str | Path) -> None:
     (out / "result.json").unlink(missing_ok=True)
     paths = [out / f"estimate_{name}.csv" for name in (*result.device_names, "total")]
     _write_signal_csvs(list(zip((*result.estimated_outputs, result.estimated_total), paths)))
-    (out / "result.json").write_text(
-        json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "result.json", result_to_dict(result))
 
 
 def load_result(out_dir: str | Path) -> DisaggregationResult:
@@ -197,8 +193,7 @@ def load_result(out_dir: str | Path) -> DisaggregationResult:
     rules on values, and renders the estimates, so no estimate CSV is read.
     """
     path = Path(out_dir) / "result.json"
-    with reading(path):
-        data = json.loads(path.read_text())
+    with reading(path) as data:
         names = [check_name(name) for name in check_array("devices", data["devices"])]
         library = tuple(model_from_dict(m) for m in check_array("library", data["library"]))
         if [m.name for m in library] != names:

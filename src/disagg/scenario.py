@@ -9,17 +9,17 @@ on heavily overlapping intervals, one never used.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_array, check_count, check_number, reading
+from .errors import ValidationError, check_array, check_count, check_number, reading, write_json
 from .models import (
     DeviceModel,
     _device_sum,
     _outputs,
+    check_library,
     model_from_dict,
     model_to_dict,
     random_stable_model,
@@ -55,14 +55,11 @@ class Scenario:
     horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        if len(self.models) != len(self.inputs):
-            raise ValidationError(
-                f"{len(self.models)} models but {len(self.inputs)} inputs"
-            )
-        if len(set(self.device_names)) != len(self.models):
-            raise ValidationError("duplicate device names in library")
+        models, inputs = tuple(self.models), tuple(self.inputs)
+        if len(models) != len(inputs):
+            raise ValidationError(f"{len(models)} models but {len(inputs)} inputs")
+        object.__setattr__(self, "models", check_library(models))
+        object.__setattr__(self, "inputs", inputs)
         object.__setattr__(
             self, "noise_std", check_number("noise_std", self.noise_std, zero_ok=True)
         )
@@ -82,6 +79,10 @@ class Scenario:
     def device_names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.models)
 
+    def outputs(self) -> list[np.ndarray]:
+        """Each device's noiseless output over [0, horizon), in device order."""
+        return _outputs(self.models, [inp.events for inp in self.inputs], self.horizon)
+
 
 def render(scenario: Scenario) -> tuple[SignalSeries, list[SignalSeries]]:
     """Simulate every device and sum into the measured aggregate.
@@ -90,9 +91,7 @@ def render(scenario: Scenario) -> tuple[SignalSeries, list[SignalSeries]]:
     white Gaussian, drawn from the scenario seed, so regeneration is
     bit-identical.
     """
-    rows = _outputs(
-        scenario.models, [inp.events for inp in scenario.inputs], scenario.horizon
-    )
+    rows = scenario.outputs()
     total = _device_sum(rows, np.empty(scenario.horizon))
     if scenario.noise_std > 0:
         noise = SeededStream(scenario.seed).normals(scenario.horizon) * scenario.noise_std
@@ -158,11 +157,9 @@ def scenario_from_dict(
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(path, scenario_to_dict(scenario))
 
 
 def load_scenario(path: str | Path, library: list[DeviceModel] | None = None) -> Scenario:
-    with reading(path):
-        return scenario_from_dict(json.loads(Path(path).read_text()), library=library)
+    with reading(path) as data:
+        return scenario_from_dict(data, library=library)

@@ -736,6 +736,34 @@ def test_disaggregate_rejects_nan_cap_in_library(pipeline_dir, tmp_path, capsys,
     assert not (tmp_path / "res").exists()
 
 
+def _empty_library_run(command, pipeline_dir, tmp_path):
+    """The argv of command run on a file holding an empty library, and that file."""
+    sim = pipeline_dir / "sim"
+    if command == "simulate":
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**json.loads((sim / "scenario.json").read_text()),
+                                    "devices": []}))
+        return ["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")], path
+    path = tmp_path / "library.json"
+    path.write_text("[]\n")
+    if command == "identify":
+        _write_plug_recording(tmp_path / "plug.csv")
+        return ["identify", "--input", str(tmp_path / "plug.csv"), "--name", "kettle",
+                "--threshold", "1.0", "--settle-skip", "20", "--library", str(path)], path
+    return ["disaggregate", "--library", str(path), "--input", str(sim / "aggregate.csv"),
+            "--out", str(tmp_path / "out")], path
+
+
+@pytest.mark.parametrize("command", ["disaggregate", "identify", "simulate"])
+def test_an_empty_library_file_is_named(pipeline_dir, tmp_path, capsys, command):
+    argv, path = _empty_library_run(command, pipeline_dir, tmp_path)
+    before = path.read_bytes()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: device library is empty\n"
+    assert path.read_bytes() == before
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_rejects_negative_match_window(pipeline_dir, tmp_path, capsys):
     code = main([
         "evaluate",
@@ -967,7 +995,7 @@ RESULT_FIELD_CASES = [
      "'min_on_duration'"),
     ("result-without-devices",
      lambda d: d.update(devices=[], library=[], events=[], unexplained=[]),
-     "device list is empty"),
+     "device library is empty"),
 ]
 RESULT_FIELD_EDITS = [("res/result.json", _edit_json(edit)) for _, edit, _ in RESULT_FIELD_CASES]
 RESULT_FIELD_IDS = [case_id for case_id, _, _ in RESULT_FIELD_CASES]

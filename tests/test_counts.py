@@ -35,6 +35,8 @@ from disagg.cli import load_result, save_result
 from disagg.scenario import scenario_from_dict, scenario_to_dict
 
 PLUG = SignalSeries(np.zeros(1))
+# A scenario holds at least one device.
+DEVICE = DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0])
 # An output and an input that excite every order fit_arx is asked for here.
 ARX_SIGNALS = [SignalSeries(v) for v in np.random.default_rng(0).normal(size=(2, 40))]
 
@@ -46,7 +48,7 @@ COUNTS = [
     ("beam_width", 1, lambda v: EngineParams(beam_width=v)),
     ("match_window", 0, lambda v: match_events([], [], v)),
     ("order", 1, lambda v: random_stable_model(v, seed=0)),
-    ("horizon", 1, lambda v: Scenario(models=(), inputs=(), horizon=v)),
+    ("horizon", 1, lambda v: Scenario(models=(DEVICE,), inputs=(PiecewiseInput(),), horizon=v)),
     ("settle_skip", 0, lambda v: detect_plug_input(PLUG, 0.5, settle_skip=v)),
     ("na", 1, lambda v: fit_arx(*ARX_SIGNALS, na=v, nb=1)),
     ("nb", 1, lambda v: fit_arx(*ARX_SIGNALS, na=1, nb=v)),
@@ -59,7 +61,8 @@ RECORDING = EmonRecording(np.arange(2.0), *(np.ones(2) for _ in range(5)))
 # (name, call that passes the value as that parameter)
 NUMBERS = [
     ("deviation_threshold", lambda v: EngineParams(deviation_threshold=v)),
-    ("noise_std", lambda v: Scenario(models=(), inputs=(), horizon=1, noise_std=v)),
+    ("noise_std", lambda v: Scenario(
+        models=(DEVICE,), inputs=(PiecewiseInput(),), horizon=1, noise_std=v)),
     ("sample_period", lambda v: SignalSeries(np.zeros(1), sample_period=v)),
     ("on_threshold", lambda v: detect_plug_input(PLUG, v)),
     ("max_input", lambda v: DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0], max_input=v)),

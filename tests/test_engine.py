@@ -921,7 +921,7 @@ RESULT_RULE_CASES = [
     ("device-index-9-of-5", lambda r: {"events": (*r.events, SwitchEvent(30, 9, 1.0))},
      "event at k=30 has device index 9, outside [0, 5)"),
     ("duplicate-model-names", lambda r: {"models": (r.models[0],) * 5},
-     "duplicate device names in result"),
+     "duplicate device names in library"),
 ]
 
 

@@ -7,11 +7,17 @@ from dataclasses import replace
 
 from disagg import (
     DeviceModel,
+    DisaggregationResult,
+    EngineParams,
+    PiecewiseInput,
+    Scenario,
     SignalSeries,
     UnstableModelError,
     ValidationError,
     dc_gain,
+    disaggregate,
     load_library,
+    load_scenario,
     normalize_dc,
     random_stable_model,
     save_library,
@@ -24,6 +30,7 @@ from disagg.models import (
     SETTLE_SPAN, STABILITY_MARGIN, STEP_HEAD, _outputs, _Row, _switch, _unit_step_rows,
     model_to_dict,
 )
+from disagg.result import load_result, result_to_dict
 from conftest import series
 
 
@@ -512,6 +519,62 @@ def test_library_rejects_duplicate_names(tmp_path):
     save_library([m, m], path)
     with pytest.raises(ValidationError):
         load_library(path)
+
+
+# ------------------------------------------------------------ the library rule
+
+def _library_file(tmp_path, models):
+    path = tmp_path / "library.json"
+    save_library(models, path)
+    return path, lambda: load_library(path)
+
+
+def _scenario_file(tmp_path, models):
+    path = tmp_path / "scenario.json"
+    devices = [{"model": model_to_dict(m), "events": []} for m in models]
+    path.write_text(json.dumps({"seed": 0, "noise_std": 0.0, "horizon": 10, "devices": devices}))
+    return path, lambda: load_scenario(path)
+
+
+def _result_file(tmp_path, models):
+    path = tmp_path / "result.json"
+    data = result_to_dict(_result((DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0]),)))
+    data.update(devices=[m.name for m in models], library=[model_to_dict(m) for m in models])
+    path.write_text(json.dumps(data))
+    return path, lambda: load_result(tmp_path)
+
+
+def _result(models):
+    return DisaggregationResult(events=(), unexplained=(), residual_rms=0.0,
+                                params=EngineParams(), models=models, start_index=0,
+                                length=10, sample_period=1.0)
+
+
+LIBRARY_HOLDERS = {
+    "load_library": _library_file,
+    "load_scenario": _scenario_file,
+    "load_result": _result_file,
+    "Scenario": lambda tmp_path, models: (
+        None, lambda: Scenario(models=models, inputs=(PiecewiseInput(),) * len(models))),
+    "DisaggregationResult": lambda tmp_path, models: (None, lambda: _result(models)),
+    "disaggregate": lambda tmp_path, models: (
+        None, lambda: disaggregate(series(np.zeros(60)), list(models))),
+}
+TWIN = DeviceModel("twin", A=[[0.5]], b=[0.5], c=[1.0])
+
+
+@pytest.mark.parametrize("models, message", [
+    ((), "device library is empty"),
+    ((TWIN, random_stable_model(2, 0), TWIN), "duplicate device names in library"),
+], ids=["empty", "repeated-name"])
+@pytest.mark.parametrize("holder", LIBRARY_HOLDERS)
+def test_every_file_and_constructor_meets_one_library_rule(tmp_path, holder, models, message):
+    """A library, in a file or in the Python API, holds at least one device
+    and no name twice; a file's error names the file."""
+    path, build = LIBRARY_HOLDERS[holder](tmp_path, models)
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == (message if path is None else f"{path}: {message}")
 
 
 # ------------------------------------------- event-sparse kernel vs recursion

@@ -207,3 +207,32 @@ def test_no_module_imports_a_name_it_never_reads():
                 if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.relative_to(ROOT)}:{alias.lineno}: {bound}")
     assert unused == []
+
+
+def test_only_errors_imports_json():
+    """errors.write_json and errors.reading hold the JSON file layout and its
+    parse errors; every other module reads and writes its files through them."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    importers = [
+        path.name for path, tree in zip(paths, _trees(paths))
+        if any(alias.name == "json" for node in _nodes([tree], ast.Import) for alias in node.names)
+        or any(node.module == "json" for node in _nodes([tree], ast.ImportFrom))
+    ]
+    assert importers == ["errors.py"]
+
+
+@pytest.mark.parametrize("message", [
+    "device library is empty", "duplicate device names in library",
+])
+def test_each_library_message_is_written_once(message):
+    """models.check_library is the one writer of the library rule."""
+    trees = _trees(sorted(PACKAGE.glob("*.py")))
+    strings = [node.value for node in _nodes(trees, ast.Constant) if isinstance(node.value, str)]
+    assert [s for s in strings if message in s] == [message]
+
+
+def test_evaluate_renders_the_truth_through_the_scenario():
+    """Scenario.outputs is the one noiseless render of a scenario."""
+    tree = ast.parse((PACKAGE / "evaluate.py").read_text())
+    imported = [alias.name for node in _nodes([tree], ast.ImportFrom) for alias in node.names]
+    assert "_outputs" not in imported

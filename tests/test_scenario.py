@@ -44,12 +44,6 @@ def test_render_noiseless_is_exact_sum():
     np.testing.assert_array_equal(aggregate.values, total)
 
 
-def test_render_of_no_devices_is_zero():
-    aggregate, truths = render(Scenario(models=(), inputs=(), horizon=4))
-    assert aggregate.values.tobytes() == bytes(8 * 4)
-    assert truths == []
-
-
 def test_render_truths_match_direct_simulation():
     sc = _two_device_scenario()
     _, truths = render(sc)
