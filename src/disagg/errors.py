@@ -1,5 +1,6 @@
-"""The toolkit's error type, the value checks its constructors share, and its
-JSON files' layout, written by ``write_json`` and parsed by ``reading``."""
+"""The toolkit's error type, the value checks its constructors share (check_real
+is the one finiteness rule for every stored real), and its JSON files' layout,
+written by ``write_json`` and parsed by ``reading``."""
 
 import json
 import math
@@ -13,12 +14,12 @@ class ValidationError(ValueError):
 
 
 def check_number(name, value, *, zero_ok=False, optional=False):
-    """Raise ValidationError unless value passes check_real and is finite
-    and > 0 (>= 0 if zero_ok); return it as a Python float, or None when
-    optional and value is None."""
+    """Raise ValidationError unless value is a real number, as for
+    check_real, that is finite and > 0 (>= 0 if zero_ok); return it as a
+    Python float, or None when optional and value is None."""
     if optional and value is None:
         return None
-    number = check_real(name, value)
+    number = _real(name, value)
     if not (math.isfinite(number) and (number >= 0 if zero_ok else number > 0)):
         raise ValidationError(
             f"{name} must be finite and {'>=' if zero_ok else '>'} 0"
@@ -28,29 +29,33 @@ def check_number(name, value, *, zero_ok=False, optional=False):
 
 
 def check_real(name, value):
-    """Raise ValidationError unless value is a real number, numpy's included
-    (not a bool, nor a string that float() would parse); return it as a
-    Python float, so it saves to JSON."""
+    """Raise ValidationError unless value is a finite real number, numpy's
+    included (not a bool, nor a string that float() would parse); return it
+    as a Python float, so it saves to JSON."""
+    number = _real(name, value)
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _real(name, value):
+    """float(value), or ValidationError unless value is a real number within
+    the float range."""
     # A plain float or int skips the slower abstract-class check.
     if type(value) is not float and type(value) is not int and (
         not isinstance(value, numbers.Real) or isinstance(value, bool)
     ):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return _float(name, value)
-
-
-def _float(name, value):
-    """float(value), or ValidationError for an integer beyond the float range."""
     try:
         return float(value)
     except OverflowError:
         raise ValidationError(f"{name} must be within the float range, got {value!r}") from None
 
 
-def check_count(name, value, low=None):
+def check_count(name, value, low=None, high=None):
     """Raise ValidationError unless value is an integer (not a bool) >= low
-    (any integer when low is None); return it as a Python int, so a numpy
-    integer saves to JSON."""
+    and <= high (unbounded where None); return it as a Python int, so a
+    numpy integer saves to JSON."""
     # A plain int skips the slower abstract-class check.
     if type(value) is not int and (
         not isinstance(value, numbers.Integral) or isinstance(value, bool)
@@ -58,6 +63,8 @@ def check_count(name, value, low=None):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValidationError(f"{name} must be >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise ValidationError(f"{name} must be <= {high}, got {value!r}")
     return int(value)
 
 

@@ -92,9 +92,6 @@ class DeviceModel:
             raise ValidationError(
                 f"b and c must have length {n}, got {b.shape} and {c.shape}"
             )
-        for arr in (A, b, c, d):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"non-finite entries in model '{self.name}'")
         radius = spectral_radius(A)
         if radius >= 1.0 - STABILITY_MARGIN:
             raise UnstableModelError(self.name, radius, STABILITY_MARGIN)

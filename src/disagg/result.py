@@ -101,9 +101,7 @@ class DisaggregationResult:
     def __post_init__(self):
         models = check_library(self.models)
         start = check_count("start_index", self.start_index)
-        length = check_count("length", self.length, 1)
-        if length > MAX_HORIZON:
-            raise ValidationError(f"length must be <= {MAX_HORIZON}, got {length!r}")
+        length = check_count("length", self.length, 1, MAX_HORIZON)
         period = check_number("sample_period", self.sample_period)
         events = []
         for e in self.events:

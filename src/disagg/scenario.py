@@ -64,9 +64,7 @@ class Scenario:
             self, "noise_std", check_number("noise_std", self.noise_std, zero_ok=True)
         )
         object.__setattr__(self, "seed", check_count("seed", self.seed))
-        object.__setattr__(self, "horizon", check_count("horizon", self.horizon, 1))
-        if self.horizon > MAX_HORIZON:
-            raise ValidationError(f"horizon must be <= {MAX_HORIZON}, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", check_count("horizon", self.horizon, 1, MAX_HORIZON))
         for inp in self.inputs:
             if inp.events and inp.events[0][0] < 0:
                 raise ValidationError(f"event at k={inp.events[0][0]} before k=0")

@@ -75,8 +75,6 @@ class PiecewiseInput:
         prev_k = None
         prev_level = 0.0
         for k, level in normalized:
-            if not math.isfinite(level):
-                raise ValidationError(f"non-finite level {level} at k={k}")
             if prev_k is not None and k <= prev_k:
                 raise ValidationError(
                     f"event times must be strictly increasing, got {k} after {prev_k}"

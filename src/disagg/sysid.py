@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     RankDeficientDataError, UnstableModelError, ValidationError, check_count, check_number,
+    check_real,
 )
 from .models import DeviceModel
 from .series import PiecewiseInput, SignalSeries, _median, estimate_noise_std
@@ -54,8 +55,8 @@ class ArxModel:
     delay: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b_coef", tuple(float(v) for v in self.b_coef))
+        for key in ("a", "b_coef"):
+            object.__setattr__(self, key, tuple(check_real(key, v) for v in getattr(self, key)))
         object.__setattr__(self, "delay", _check_orders(self.na, self.nb, self.delay)[2])
 
     @property

@@ -202,6 +202,24 @@ def test_saved_result_loads_as_the_engines_result_property(tmp_path):
     check()
 
 
+@pytest.mark.parametrize("magnitude", [float("nan"), float("inf"), float("-inf")])
+def test_result_rejects_a_non_finite_unexplained_magnitude(tmp_path, magnitude):
+    # Built or loaded from a result.json holding NaN or Infinity, as
+    # json.dumps writes them, the result meets one rule and one message.
+    scenario = reference_scenario(0)
+    result = disaggregate(render(scenario)[0], list(scenario.models))
+    message = f"unexplained magnitude must be finite, got {magnitude!r}"
+    bad = UnexplainedEvent(5, "increase", magnitude)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        replace(result, unexplained=(bad,))
+    file = result_to_dict(result)
+    file["unexplained"] = [asdict(bad)]
+    (tmp_path / "result.json").write_text(json.dumps(file))
+    with pytest.raises(ValidationError) as loaded:
+        load_result(tmp_path)
+    assert str(loaded.value) == f"{tmp_path / 'result.json'}: {message}"
+
+
 def test_result_file_and_constructor_apply_one_rule(tmp_path):
     # One rule per value, held by DisaggregationResult: a result.json with
     # one value changed loads as the constructor builds the result with that
@@ -960,7 +978,7 @@ RESULT_FIELD_CASES = [
     ("result-library-entry-not-object", lambda d: d["library"].__setitem__(0, "device1"),
      "malformed: string indices must be integers"),
     ("result-library-nan-A", lambda d: d["library"][0]["A"].__setitem__(0, float("nan")),
-     "non-finite entries in model 'device1'"),
+     "A must be finite, got nan"),
     ("result-library-names-differ", lambda d: d["library"].reverse(),
      "library names ['device5', 'device4', 'device3', 'device2', 'device1'] differ from "
      "devices ['device1', 'device2', 'device3', 'device4', 'device5']"),

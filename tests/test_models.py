@@ -313,7 +313,7 @@ def test_caps_must_be_finite_and_positive(cap, value):
 def test_model_rejects_non_finite_entries(field, value):
     entries = {"A": [[0.5]], "b": [1.0], "c": [1.0], "d": 0.0}
     entries[field] = value if field == "d" else np.full_like(entries[field], value)
-    with pytest.raises(ValidationError, match="non-finite entries in model 'bad'"):
+    with pytest.raises(ValidationError, match=f"{field} must be finite, got"):
         DeviceModel("bad", **entries)
 
 

@@ -236,3 +236,48 @@ def test_evaluate_renders_the_truth_through_the_scenario():
     tree = ast.parse((PACKAGE / "evaluate.py").read_text())
     imported = [alias.name for node in _nodes([tree], ast.ImportFrom) for alias in node.names]
     assert "_outputs" not in imported
+
+
+def _callers(owner: str, attr: str) -> set[str]:
+    """module.py:Class.function for each call of owner.attr in the package,
+    named by its enclosing classes and functions."""
+    found = set()
+
+    def visit(path, node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == f"{owner}.{attr}":
+            found.add(f"{path.name}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, scope)
+
+    paths = sorted(PACKAGE.glob("*.py"))
+    for path, tree in zip(paths, _trees(paths)):
+        visit(path, tree, [])
+    return found
+
+
+def test_only_errors_calls_math_isfinite():
+    """errors.check_real is the one finiteness rule for a stored real;
+    check_number, beside it, shares its type check."""
+    assert {caller.split(":")[0] for caller in _callers("math", "isfinite")} == {"errors.py"}
+
+
+def test_np_isfinite_checks_only_sample_arrays():
+    """A model entry or an input level passes check_real; np.isfinite is
+    left to the arrays of samples: the meter's, a simulated input's and a
+    recording's columns."""
+    assert sorted(_callers("np", "isfinite")) == [
+        "engine.py:_Engine.__init__", "ingest.py:_check_rows",
+        "models.py:simulate_zero_state",
+    ]
+
+
+def test_arx_model_checks_its_coefficients_with_check_real():
+    tree = ast.parse((PACKAGE / "sysid.py").read_text())
+    [arx] = [node for node in _nodes([tree], ast.ClassDef) if node.name == "ArxModel"]
+    [post_init] = [item for item in arx.body
+                   if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"]
+    called = {node.func.id for node in _nodes([post_init], ast.Call)
+              if isinstance(node.func, ast.Name)}
+    assert "check_real" in called

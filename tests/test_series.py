@@ -100,7 +100,7 @@ def test_piecewise_rejects_negative_levels():
 
 def test_piecewise_rejects_non_finite_levels():
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValidationError, match="at k=4"):
+        with pytest.raises(ValidationError, match="event level must be finite, got"):
             PiecewiseInput(((2, 1.0), (4, bad)))
 
 

@@ -305,6 +305,18 @@ def test_arx_model_rejects_empty_coefficients(a, b_coef, order):
         ArxModel(a=a, b_coef=b_coef)
 
 
+@pytest.mark.parametrize("field", ["a", "b_coef"])
+@pytest.mark.parametrize("value, message", [
+    ("0.5", "must be a number, got '0.5'"), (True, "must be a number, got True"),
+    (math.nan, "must be finite, got nan"), (-math.inf, "must be finite, got -inf"),
+])
+def test_arx_model_coefficients_follow_the_real_rule(field, value, message):
+    # A coefficient is a finite real number, not whatever float() takes.
+    coefficients = {"a": (0.5,), "b_coef": (1.0,), field: (value,)}
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{field} {message}')}$"):
+        ArxModel(**coefficients)
+
+
 # ------------------------------------------------------- state-space export
 
 def test_realization_first_order_canonical():
