@@ -32,15 +32,10 @@ from .sysid import identify_device
 
 
 def _cmd_simulate(args) -> int:
-    if args.scenario is not None:
-        if args.seed is not None:
-            raise ValidationError("--seed applies only to --reference")
-        library = load_library(args.library) if args.library else None
-        scenario = load_scenario(args.scenario, library=library)
-    else:
-        if args.library is not None:
-            raise ValidationError("--library applies only to --scenario")
-        scenario = reference_scenario(0 if args.seed is None else args.seed)
+    if args.scenario is not None and args.seed is not None:
+        raise ValidationError("--seed applies only to --reference")
+    scenario = (load_scenario(args.scenario) if args.scenario is not None
+                else reference_scenario(args.seed or 0))
     aggregate, truths = render(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -94,8 +89,7 @@ def _cmd_disaggregate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     result = load_result(args.result)
-    library = load_library(args.library) if args.library else None
-    truth = load_scenario(args.truth, library=library)
+    truth = load_scenario(args.truth)
     metrics = score(result, truth, match_window=args.match_window)
     save_metrics(metrics, args.out)
     print(f"precision {metrics.precision:.3f}, recall {metrics.recall:.3f} -> {args.out}")
@@ -140,8 +134,6 @@ def _simulate_arguments(p_sim) -> None:
     source.add_argument("--scenario", default=None, help="scenario JSON to render")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="reference scenario seed (default 0)")
-    p_sim.add_argument("--library", default=None,
-                       help="device library for model_ref resolution")
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--truths", action="store_true",
                        help="also write each device's true output as truth_<device>.csv")
@@ -178,7 +170,6 @@ def _disaggregate_arguments(p_dis) -> None:
 def _evaluate_arguments(p_eval) -> None:
     p_eval.add_argument("--result", required=True, help="directory written by disaggregate")
     p_eval.add_argument("--truth", required=True, help="scenario JSON")
-    p_eval.add_argument("--library", default=None)
     p_eval.add_argument("--match-window", type=int, default=DEFAULT_MATCH_WINDOW,
                         dest="match_window")
     p_eval.add_argument("--out", required=True)

@@ -114,8 +114,13 @@ def reading(path):
     """Yield the parsed JSON file at path, and name path in a parse error
     raised in the block; bad JSON, a missing key or a mistyped value becomes
     a ValidationError, I/O errors pass through."""
+    # json.loads raises RecursionError on deep nesting; only the parse maps it.
     try:
-        yield json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
+    except (RecursionError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed: {exc}") from exc
+    try:
+        yield data
     except ValidationError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

@@ -1,10 +1,11 @@
 """Synthetic disaggregation problems with known ground truth.
 
 A scenario bundles a set of device models with per-device switch
-schedules; rendering produces each device's true output and the noisy
-aggregate.  ``reference_scenario`` builds the standard benchmark: five
-random third-order unit-gain instant-off devices, four of them active
-on heavily overlapping intervals, one never used.
+schedules; its JSON file holds each device's model inline, beside that
+device's events.  Rendering produces each device's true output and the
+noisy aggregate.  ``reference_scenario`` builds the standard benchmark:
+five random third-order unit-gain instant-off devices, four of them
+active on heavily overlapping intervals, one never used.
 """
 
 from __future__ import annotations
@@ -127,37 +128,19 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def scenario_from_dict(
-    data: dict, library: list[DeviceModel] | None = None
-) -> Scenario:
-    """Rebuild a scenario; model_ref entries are resolved from library."""
-    by_name = {m.name: m for m in library} if library else {}
-    models = []
-    inputs = []
+def scenario_from_dict(data: dict) -> Scenario:
+    """Rebuild a scenario from scenario_to_dict's layout, each model inline."""
+    models, inputs = [], []
     for entry in check_array("devices", data["devices"]):
-        if "model" in entry:
-            models.append(model_from_dict(entry["model"]))
-        elif "model_ref" in entry:
-            ref = entry["model_ref"]
-            if ref not in by_name:
-                raise ValidationError(f"model_ref '{ref}' not found in library")
-            models.append(by_name[ref])
-        else:
-            raise ValidationError("device entry needs 'model' or 'model_ref'")
+        models.append(model_from_dict(entry["model"]))
         inputs.append(PiecewiseInput(check_array("events", entry["events"])))
-    return Scenario(
-        models=tuple(models),
-        inputs=tuple(inputs),
-        noise_std=data["noise_std"],
-        seed=data["seed"],
-        horizon=data["horizon"],
-    )
+    return Scenario(models, inputs, data["noise_std"], data["seed"], data["horizon"])
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
     write_json(path, scenario_to_dict(scenario))
 
 
-def load_scenario(path: str | Path, library: list[DeviceModel] | None = None) -> Scenario:
+def load_scenario(path: str | Path) -> Scenario:
     with reading(path) as data:
-        return scenario_from_dict(data, library=library)
+        return scenario_from_dict(data)

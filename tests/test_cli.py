@@ -666,14 +666,28 @@ def test_simulate_seed_needs_reference(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
-def test_simulate_library_needs_scenario(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_simulate_and_evaluate_take_no_library(pipeline_dir, tmp_path, capsys, command):
+    # A scenario holds its models inline, so neither command reads a library.
+    sim = pipeline_dir / "sim"
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--scenario", str(sim / "scenario.json")],
+        "evaluate": ["evaluate", "--result", str(pipeline_dir / "res"),
+                     "--truth", str(sim / "scenario.json")],
+    }[command]
+    assert main([*argv, "--library", str(sim / "library.json"), "--out", str(out)]) == 1
+    assert "error: unrecognized arguments: --library" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_model_ref_entry(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"seed": 0, "noise_std": 0.0, "horizon": 30,
+                                "devices": [{"model_ref": "x", "events": [[5, 1.0]]}]}))
     out = tmp_path / "sim"
-    code = main([
-        "simulate", "--reference", "--library", str(tmp_path / "missing.json"),
-        "--out", str(out),
-    ])
-    assert code == 1
-    assert capsys.readouterr().err == "error: --library applies only to --scenario\n"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: missing key 'model'\n"
     assert not out.exists()
 
 
@@ -897,18 +911,20 @@ def pipeline_dir(tmp_path_factory):
     return base
 
 
-def _evaluate_copy(pipeline_dir, tmp_path, edit_name, edit):
-    """Evaluate a copy of the pipeline run after edit(path) on one of its files."""
+def _read_copy(pipeline_dir, tmp_path, edit_name, edit):
+    """After edit(path) on one file of a copy of the pipeline run, run the
+    command that reads it: disaggregate for the library, else evaluate."""
     work = tmp_path / "run"
     shutil.copytree(pipeline_dir, work)
     edit(work / edit_name)
-    return main([
-        "evaluate",
-        "--result", str(work / "res"),
-        "--truth", str(work / "sim" / "scenario.json"),
-        "--library", str(work / "sim" / "library.json"),
-        "--out", str(work / "metrics.json"),
-    ]), work / edit_name
+    sim = work / "sim"
+    if edit_name == "sim/library.json":
+        argv = ["disaggregate", "--library", str(sim / "library.json"),
+                "--input", str(sim / "aggregate.csv"), "--out", str(work / "res2")]
+    else:
+        argv = ["evaluate", "--result", str(work / "res"),
+                "--truth", str(sim / "scenario.json"), "--out", str(work / "metrics.json")]
+    return main(argv), work / edit_name
 
 
 def _truncate(path):
@@ -1091,7 +1107,7 @@ RESULT_FIELD_IDS = [case_id for case_id, _, _ in RESULT_FIELD_CASES]
 def test_malformed_json_is_a_validation_error(
     pipeline_dir, tmp_path, capsys, name, edit
 ):
-    code, path = _evaluate_copy(pipeline_dir, tmp_path, name, edit)
+    code, path = _read_copy(pipeline_dir, tmp_path, name, edit)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {path}: ")
@@ -1104,7 +1120,7 @@ def test_result_loader_names_what_is_wrong_with_the_library_or_range(
 ):
     first_k = min(e["k"] for e in json.loads(
         (pipeline_dir / "res" / "result.json").read_text())["events"])
-    code, path = _evaluate_copy(pipeline_dir, tmp_path, "res/result.json", _edit_json(edit))
+    code, path = _read_copy(pipeline_dir, tmp_path, "res/result.json", _edit_json(edit))
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: {message.format(k=first_k)}")
 
@@ -1113,7 +1129,7 @@ def test_result_loader_names_what_is_wrong_with_the_library_or_range(
 def test_loaders_name_the_key_that_must_be_an_array(
     pipeline_dir, tmp_path, capsys, name, key, edit
 ):
-    code, path = _evaluate_copy(pipeline_dir, tmp_path, name, edit)
+    code, path = _read_copy(pipeline_dir, tmp_path, name, edit)
     assert code == 1
     assert capsys.readouterr().err == f"error: {path}: {key} must be a JSON array, got dict\n"
 
@@ -1129,7 +1145,7 @@ def test_simulate_rejects_scenario_event_before_k0(pipeline_dir, tmp_path, capsy
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda d: d["devices"][0].pop("model"), "device entry needs 'model' or 'model_ref'"),
+    (lambda d: d["devices"][0].pop("model"), "missing key 'model'"),
     # Beyond what numpy can shape: render would fail outside the loader.
     (lambda d: d.update(horizon=HUGE), f"horizon must be <= {MAX_HORIZON}, got {HUGE!r}"),
     (lambda d: d.update(horizon=2**62), f"horizon must be <= {MAX_HORIZON}, got {2**62}"),
@@ -1162,8 +1178,33 @@ def test_simulate_reports_a_horizon_too_large_for_memory(pipeline_dir, tmp_path,
     "name", ["res/result.json", "sim/scenario.json", "sim/library.json"]
 )
 def test_missing_json_file_exits_two(pipeline_dir, tmp_path, name):
-    code, _ = _evaluate_copy(pipeline_dir, tmp_path, name, Path.unlink)
+    code, _ = _read_copy(pipeline_dir, tmp_path, name, Path.unlink)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name", ["sim/library.json", "sim/scenario.json", "res/result.json"]
+)
+def test_deeply_nested_json_is_a_validation_error(pipeline_dir, tmp_path, capsys, name):
+    # json.loads raises RecursionError at about 2,000 nested arrays.
+    work = tmp_path / "run"
+    shutil.copytree(pipeline_dir, work)
+    path = work / name
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    sim = work / "sim"
+    argv = {
+        "sim/library.json": ["disaggregate", "--library", str(path),
+                             "--input", str(sim / "aggregate.csv")],
+        "sim/scenario.json": ["simulate", "--scenario", str(path)],
+        "res/result.json": ["evaluate", "--result", str(work / "res"),
+                            "--truth", str(sim / "scenario.json")],
+    }[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_help_exits_zero():

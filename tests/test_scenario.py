@@ -210,19 +210,6 @@ def test_scenario_json_round_trip(tmp_path):
     assert np.array_equal(a1.values, a2.values)
 
 
-def test_scenario_model_ref_resolution(tmp_path):
-    lib = [random_stable_model(2, 5)]
-    path = tmp_path / "scenario.json"
-    path.write_text(
-        '{"seed": 0, "noise_std": 0.0, "horizon": 30,'
-        ' "devices": [{"model_ref": "rand_o2_s5", "events": [[5, 1.0]]}]}'
-    )
-    sc = load_scenario(path, library=lib)
-    assert sc.models[0] == lib[0]
-    with pytest.raises(ValidationError):
-        load_scenario(path, library=[])
-
-
 def test_scenario_embedded_model_flag_must_be_boolean(tmp_path):
     path = tmp_path / "scenario.json"
     save_scenario(reference_scenario(0), path)
