@@ -681,16 +681,6 @@ def test_simulate_and_evaluate_take_no_library(pipeline_dir, tmp_path, capsys, c
     assert not out.exists()
 
 
-def test_simulate_rejects_a_model_ref_entry(tmp_path, capsys):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"seed": 0, "noise_std": 0.0, "horizon": 30,
-                                "devices": [{"model_ref": "x", "events": [[5, 1.0]]}]}))
-    out = tmp_path / "sim"
-    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {path}: missing key 'model'\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0"])
 def test_disaggregate_rejects_non_finite_threshold(
     pipeline_dir, tmp_path, capsys, threshold
@@ -1146,10 +1136,13 @@ def test_simulate_rejects_scenario_event_before_k0(pipeline_dir, tmp_path, capsy
 
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["devices"][0].pop("model"), "missing key 'model'"),
+    # A device's model is held inline, never looked up by name in a library.
+    (lambda d: d["devices"][0].update(model_ref=d["devices"][0].pop("model")["name"]),
+     "missing key 'model'"),
     # Beyond what numpy can shape: render would fail outside the loader.
     (lambda d: d.update(horizon=HUGE), f"horizon must be <= {MAX_HORIZON}, got {HUGE!r}"),
     (lambda d: d.update(horizon=2**62), f"horizon must be <= {MAX_HORIZON}, got {2**62}"),
-], ids=["device-without-model", "huge-horizon", "unshapeable-horizon"])
+], ids=["device-without-model", "model-ref-entry", "huge-horizon", "unshapeable-horizon"])
 def test_simulate_names_the_malformed_scenario(pipeline_dir, tmp_path, capsys, edit, message):
     path = tmp_path / "scenario.json"
     shutil.copy(pipeline_dir / "sim" / "scenario.json", path)
@@ -1186,7 +1179,7 @@ def test_missing_json_file_exits_two(pipeline_dir, tmp_path, name):
     "name", ["sim/library.json", "sim/scenario.json", "res/result.json"]
 )
 def test_deeply_nested_json_is_a_validation_error(pipeline_dir, tmp_path, capsys, name):
-    # json.loads raises RecursionError at about 2,000 nested arrays.
+    # Nested beyond the recursion limit, json.loads raises RecursionError.
     work = tmp_path / "run"
     shutil.copytree(pipeline_dir, work)
     path = work / name
