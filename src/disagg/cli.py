@@ -120,11 +120,7 @@ def _cmd_plot_data(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise ValidationError(message)
 
 
 def _simulate_arguments(p_sim) -> None:
@@ -217,14 +213,10 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 0 for --help; anything else is a usage error.
         return 0 if exc.code == 0 else 1
-    try:
-        return args.func(args)
     # A signal or scenario too long for this machine's memory is bad input too.
     except (ValidationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -162,11 +162,6 @@ class _Engine:
             raise ValidationError(
                 f"signal length {len(y_m)} must exceed lookahead + backtrack = {needed}"
             )
-        bad = np.flatnonzero(~np.isfinite(y_m.values))
-        if bad.size:
-            raise ValidationError(
-                f"non-finite sample at k={y_m.start_index + int(bad[0])}"
-            )
         self.y = y_m.values
         self.start = y_m.start_index
         self.period = y_m.sample_period

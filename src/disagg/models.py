@@ -155,11 +155,6 @@ def simulate_zero_state(model: DeviceModel, u: SignalSeries) -> SignalSeries:
     the device stays off.
     """
     uv = u.values
-    bad = np.flatnonzero(~np.isfinite(uv))
-    if bad.size:
-        raise ValidationError(
-            f"non-finite input sample at k={u.start_index + int(bad[0])}"
-        )
     changes = np.flatnonzero(np.diff(uv, prepend=0.0))
     (y,) = _outputs([model], [zip(changes.tolist(), uv[changes].tolist())], len(uv))
     return SignalSeries(y, sample_period=u.sample_period, start_index=u.start_index)

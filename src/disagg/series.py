@@ -21,7 +21,12 @@ MAX_HORIZON = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 @dataclass(frozen=True)
 class SignalSeries:
-    """Immutable uniformly sampled scalar signal."""
+    """Immutable uniformly sampled scalar signal.
+
+    Every sample is finite: the constructor is the one finiteness rule for
+    samples, so a meter signal, a device's input or output and an estimate
+    meet the same check and the same message.
+    """
 
     values: np.ndarray
     sample_period: float = 1.0
@@ -33,8 +38,12 @@ class SignalSeries:
             raise ValidationError(f"signal must be 1-D, got shape {arr.shape}")
         period = check_number("sample_period", self.sample_period)
         object.__setattr__(self, "sample_period", period)
-        object.__setattr__(self, "start_index", check_count("start_index", self.start_index))
+        start = check_count("start_index", self.start_index)
+        object.__setattr__(self, "start_index", start)
         arr = arr.copy()
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValidationError(f"non-finite sample at k={start + int(np.argmin(finite))}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

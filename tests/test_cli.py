@@ -517,6 +517,67 @@ def test_plot_data_rejects_an_input_over_another_range_than_the_result(
     assert not plot.exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["plot-data", "disaggregate"])
+def test_a_non_finite_input_sample_is_rejected_with_its_index(
+    pipeline_dir, tmp_path, capsys, command, bad
+):
+    # SignalSeries holds the one rule, so every command that reads a
+    # signal rejects the file with the same line.
+    lines = (pipeline_dir / "sim" / "aggregate.csv").read_text().splitlines(keepends=True)
+    lines[1 + 200] = f"200,{bad}\n"
+    y_m = tmp_path / "aggregate.csv"
+    y_m.write_text("".join(lines))
+    out = tmp_path / "out"
+    argv = {
+        "plot-data": ["--result", str(pipeline_dir / "res")],
+        "disaggregate": ["--library", str(pipeline_dir / "sim" / "library.json")],
+    }[command]
+    assert main([command, *argv, "--input", str(y_m), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: non-finite sample at k=200\n"
+    assert not out.exists()
+
+
+def _assert_one_non_finite_sample_line(err):
+    line, k = err.rsplit("=", 1)
+    assert line == "error: non-finite sample at k"
+    assert k.endswith("\n") and k[:-1].isdigit()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_simulate_rejects_a_scenario_whose_render_overflows(pipeline_dir, tmp_path, capsys):
+    def overflow(data):
+        for device in data["devices"]:
+            for event in device["events"]:
+                event[1] = 1e308 if event[1] else 0.0
+
+    path = tmp_path / "scenario.json"
+    shutil.copy(pipeline_dir / "sim" / "scenario.json", path)
+    _edit_json(overflow)(path)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    _assert_one_non_finite_sample_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_plot_data_rejects_a_result_whose_estimates_overflow(pipeline_dir, tmp_path, capsys):
+    work = tmp_path / "run"
+    shutil.copytree(pipeline_dir, work)
+
+    def overflow(data):
+        for event in data["events"]:
+            if event["kind"] == "on":
+                event["level"] = 1e308
+
+    _edit_json(overflow)(work / "res" / "result.json")
+    plot = tmp_path / "plot.csv"
+    assert main(["plot-data", "--result", str(work / "res"),
+                 "--input", str(work / "sim" / "aggregate.csv"), "--out", str(plot)]) == 1
+    _assert_one_non_finite_sample_line(capsys.readouterr().err)
+    assert not plot.exists()
+
+
 @pytest.mark.parametrize("length", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
 def test_format_characters_in_a_device_name_are_written_as_they_are(tmp_path, length):
     # The name reaches plot-data's row prefix and an estimate's file name.

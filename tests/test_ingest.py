@@ -661,7 +661,7 @@ def test_grouped_signal_writer_matches_per_row_oracle_property(tmp_path):
     # Runs long enough to straddle block edges, of both zeros, subnormals,
     # repeated values or any float.
     value = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1 / 3, 7.0]) | st.floats(
-        allow_nan=False
+        allow_nan=False, allow_infinity=False
     )
     lengths = st.sampled_from([0, 1, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
 
@@ -757,6 +757,9 @@ def _reference_signal(text):
     for prev, cur in zip(ks, ks[1:]):
         if cur != prev + 1:
             return f"non-contiguous index {cur} after {prev}"
+    for k, v in zip(ks, values):
+        if not math.isfinite(v):
+            return f"non-finite sample at k={k}"
     return ks[0], values
 
 

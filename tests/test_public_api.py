@@ -265,11 +265,10 @@ def test_only_errors_calls_math_isfinite():
 
 def test_np_isfinite_checks_only_sample_arrays():
     """A model entry or an input level passes check_real; np.isfinite is
-    left to the arrays of samples: the meter's, a simulated input's and a
-    recording's columns."""
+    left to the arrays of samples: a SignalSeries's and a recording's
+    columns."""
     assert sorted(_callers("np", "isfinite")) == [
-        "engine.py:_Engine.__init__", "ingest.py:_check_rows",
-        "models.py:simulate_zero_state",
+        "ingest.py:_check_rows", "series.py:SignalSeries.__post_init__",
     ]
 
 

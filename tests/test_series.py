@@ -29,6 +29,34 @@ def test_signal_rejects_2d_values():
         SignalSeries(np.zeros((2, 3)))
 
 
+def test_signal_rejects_a_non_finite_sample_with_its_index_property():
+    # Any NaN or infinity, at any start_index: the first bad sample is
+    # named by its k.  A finite array is kept bit for bit.
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    specials = st.sampled_from([math.nan, math.inf, -math.inf])
+    starts = st.integers(-(2**70), 2**70)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | specials, max_size=40), starts)
+    @example([math.nan], 0)
+    @example([1.0, -math.inf, math.nan], -(2**64))
+    @example([-0.0, 5e-324, 1.7976931348623157e308], 2**63)
+    def check(values, start):
+        bad = [i for i, v in enumerate(values) if not math.isfinite(v)]
+        if bad:
+            with pytest.raises(ValidationError) as err:
+                SignalSeries(np.array(values, dtype=float), start_index=start)
+            assert str(err.value) == f"non-finite sample at k={start + bad[0]}"
+            return
+        s = SignalSeries(np.array(values, dtype=float), start_index=start)
+        assert s.start_index == start
+        assert s.values.tobytes() == np.array(values, dtype=float).tobytes()
+
+    check()
+
+
 def test_signal_immutable():
     s = SignalSeries(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
