@@ -56,10 +56,7 @@ def _cmd_identify(args) -> int:
     check_name(args.name)
     recording = parse_emontx_csv(args.input)
     signal = to_signal(recording, channel=args.channel, nominal_rate=args.rate)
-    model = identify_device(
-        signal, args.name, args.threshold, args.settle_skip,
-        na=args.na, nb=args.nb, delay=args.delay,
-    )
+    model = identify_device(signal, args.name, args.threshold, args.settle_skip)
     path = Path(args.library)
     existing = load_library(path) if path.exists() else []
     existing = [m for m in existing if m.name != model.name]
@@ -141,9 +138,6 @@ def _identify_arguments(p_id) -> None:
     p_id.add_argument("--threshold", type=float, required=True,
                       help="on/off detection threshold in signal units")
     p_id.add_argument("--settle-skip", type=int, default=0, dest="settle_skip")
-    p_id.add_argument("--na", type=int, default=3)
-    p_id.add_argument("--nb", type=int, default=3)
-    p_id.add_argument("--delay", type=int, default=1)
     p_id.add_argument("--channel", default="irms", choices=CHANNELS)
     p_id.add_argument("--rate", type=float, default=12.0)
     p_id.add_argument("--library", required=True, help="library JSON to append to")
@@ -201,7 +195,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, add_arguments, func) in _COMMANDS.items():
         if command in (None, name):
-            p_cmd = sub.add_parser(name, help=help_text)
+            # Flags are spelt in full, or an unknown flag that begins a
+            # known one (--na, --name) would set that one.
+            p_cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
             add_arguments(p_cmd)
             p_cmd.set_defaults(func=func)
     return parser

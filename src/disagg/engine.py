@@ -166,8 +166,8 @@ class _Engine:
         self.start = y_m.start_index
         self.period = y_m.sample_period
         self.T = len(self.y)
-        self.params = params
-        self.threshold = resolve_threshold(y_m, params)
+        self.params = replace(params, deviation_threshold=resolve_threshold(y_m, params))
+        self.threshold = self.params.deviation_threshold
         self.sparsity_penalty = self.threshold**2 * params.lookahead
         self.gains = [dc_gain(m) for m in self.models]
         # Each device's step response g, grown as far as the reads reach.
@@ -449,7 +449,7 @@ class _Engine:
         result = DisaggregationResult(
             events=tuple(hyp.events), unexplained=tuple(hyp.unexplained),
             residual_rms=float(np.sqrt(np.mean(hyp.resid**2))), models=self.models,
-            params=replace(self.params, deviation_threshold=self.threshold),
+            params=self.params,
             start_index=self.start, length=self.T, sample_period=self.period,
         )
         # The rows the engine scored are the estimates' render, bit for bit.

@@ -20,6 +20,7 @@ from .errors import ValidationError, check_count, write_json
 from .models import simulate_zero_state  # noqa: F401
 from .result import DisaggregationResult, SwitchEvent
 from .scenario import Scenario
+from .series import SignalSeries
 
 DEFAULT_MATCH_WINDOW = 10
 
@@ -138,12 +139,13 @@ def score(
         else:
             energy_error[model.name] = num / denom
     # Canonical summation order keeps the metric bit-identical under a
-    # consistent relabeling of devices.
+    # consistent relabeling of devices; each total is a signal, so its
+    # samples meet the finiteness rule.
     est_total, clean_total = (
-        sum(sorted(rows, key=cmp_to_key(_row_order)), np.zeros(truth.horizon))
+        SignalSeries(sum(sorted(rows, key=cmp_to_key(_row_order)), np.zeros(truth.horizon)))
         for rows in (estimates, truth_outputs)
     )
-    rmse = float(np.sqrt(np.mean((est_total - clean_total) ** 2)))
+    rmse = float(np.sqrt(np.mean((est_total.values - clean_total.values) ** 2)))
 
     return Metrics(
         switch_time_mae=mae,

@@ -3,10 +3,11 @@
 Pipeline: threshold-based change detection turns a plug signal into a
 piecewise-constant input estimate; the on-transients, each less its
 pre-step mean and divided by its step, are averaged (which cuts the
-noise that would bias an equation-error fit); an ARX model is fit by
-least squares to the average against a unit step and realized in
-observable canonical state-space form.  Identified models keep their
-physical gain; only simulation models are DC-normalized.
+noise that would bias an equation-error fit); an ARX model, its input
+delayed one sample, is fit by least squares to the average against a
+unit step at the first of FIT_ORDERS that the data supports, and
+realized in observable canonical state-space form.  Identified models
+keep their physical gain; only simulation models are DC-normalized.
 """
 
 from __future__ import annotations
@@ -39,25 +40,24 @@ MAX_OUTPUT_HEADROOM = 1.25
 ONSET_SIGMAS = 3.0
 PRE_STEP_SAMPLES = 10
 POST_STEP_SAMPLES = 120
-# Caps on na and nb to refit with, in turn, while a fit is unstable.
-FALLBACK_ORDERS = (2, 1)
+# Orders (na = nb) to fit, in turn, until a fit is of full rank and stable.
+FIT_ORDERS = (3, 2, 1)
 
 
 @dataclass(frozen=True)
 class ArxModel:
-    """Autoregressive model with exogenous input.
+    """Autoregressive model with exogenous input, delayed one sample.
 
-    y[k] = sum_j a[j] y[k-1-j] + sum_j b_coef[j] u[k-delay-j]
+    y[k] = sum_j a[j] y[k-1-j] + sum_j b_coef[j] u[k-1-j]
     """
 
     a: tuple[float, ...]
     b_coef: tuple[float, ...]
-    delay: int = 1
 
     def __post_init__(self):
         for key in ("a", "b_coef"):
             object.__setattr__(self, key, tuple(check_real(key, v) for v in getattr(self, key)))
-        object.__setattr__(self, "delay", _check_orders(self.na, self.nb, self.delay)[2])
+        _check_orders(self.na, self.nb)
 
     @property
     def na(self) -> int:
@@ -68,8 +68,8 @@ class ArxModel:
         return len(self.b_coef)
 
 
-def _check_orders(na: int, nb: int, delay: int) -> tuple[int, int, int]:
-    return check_count("na", na, 1), check_count("nb", nb, 1), check_count("delay", delay, 0)
+def _check_orders(na: int, nb: int) -> tuple[int, int]:
+    return check_count("na", na, 1), check_count("nb", nb, 1)
 
 
 def detect_plug_input(
@@ -115,130 +115,102 @@ def detect_plug_input(
     return PiecewiseInput(tuple(events))
 
 
-def _regression(y: np.ndarray, u: np.ndarray, na: int, nb: int, delay: int):
-    p0 = max(na, delay + nb - 1)
-    rows = len(y) - p0
-    phi = np.empty((rows, na + nb))
-    for j in range(na):
-        phi[:, j] = y[p0 - 1 - j : len(y) - 1 - j]
-    for j in range(nb):
-        lag = delay + j
-        phi[:, na + j] = u[p0 - lag : len(u) - lag]
-    return phi, y[p0:]
+def _regression(y: np.ndarray, u: np.ndarray, na: int, nb: int):
+    p0 = max(na, nb)
+    lags = [y[p0 - 1 - j : len(y) - 1 - j] for j in range(na)]
+    lags += [u[p0 - 1 - j : len(u) - 1 - j] for j in range(nb)]
+    return np.column_stack(lags), y[p0:]
 
 
-def fit_arx(
-    y: SignalSeries,
-    u: SignalSeries,
-    na: int,
-    nb: int,
-    delay: int = 1,
-) -> ArxModel:
-    """Least-squares ARX fit of y against u.
+def fit_arx(y: SignalSeries, u: SignalSeries, na: int, nb: int) -> ArxModel:
+    """Least-squares ARX fit of y against u, delayed one sample.
 
     Raises RankDeficientDataError when the data does not excite the
     requested order.  An unstable fit is returned; realizing it with
     arx_to_state_space raises UnstableModelError.
     """
-    na, nb, delay = _check_orders(na, nb, delay)
+    na, nb = _check_orders(na, nb)
     if len(y) != len(u):
         raise ValidationError(f"y and u lengths differ: {len(y)} vs {len(u)}")
-    min_len = na + nb + delay + 10
+    min_len = na + nb + 11
     if len(y) < min_len:
-        raise ValidationError(
-            f"need at least {min_len} samples for na={na}, nb={nb}, delay={delay}"
-        )
-    phi, target = _regression(y.values, u.values, na, nb, delay)
+        raise ValidationError(f"need at least {min_len} samples for na={na}, nb={nb}")
+    phi, target = _regression(y.values, u.values, na, nb)
     theta, _, rank, _ = np.linalg.lstsq(phi, target, rcond=None)
     if rank < na + nb:
         raise RankDeficientDataError(
             f"regressor rank {rank} < {na + nb}; try lower orders or richer data"
         )
-    return ArxModel(a=tuple(theta[:na]), b_coef=tuple(theta[na:]), delay=delay)
+    return ArxModel(a=tuple(theta[:na]), b_coef=tuple(theta[na:]))
 
 
 def arx_to_state_space(m: ArxModel, name: str = "arx") -> DeviceModel:
     """Observable canonical realization of an ARX model.
 
-    The realization order is max(na, nb + delay - 1); a delay of 0 puts
-    the leading numerator coefficient into the feedthrough d.  The
-    eigenvalues of A are the AR poles, so an unstable fit raises
-    UnstableModelError from the DeviceModel constructor.
+    The realization order is max(na, nb) and d is 0.  The eigenvalues of
+    A are the AR poles, so an unstable fit raises UnstableModelError from
+    the DeviceModel constructor.
     """
-    n = max(m.na, m.nb + m.delay - 1)
-    alpha = np.zeros(n + 1)
-    beta = np.zeros(n + 1)
-    for j in range(1, m.na + 1):
-        alpha[j] = -m.a[j - 1]
-    for j in range(m.nb):
-        beta[m.delay + j] = m.b_coef[j]
-    d = beta[0]
-    A = np.zeros((n, n))
-    A[:, 0] = -alpha[1:]
-    for i in range(n - 1):
-        A[i, i + 1] = 1.0
-    b = beta[1:] - alpha[1:] * d
+    n = max(m.na, m.nb)
+    A = np.eye(n, k=1)
+    A[: m.na, 0] = m.a
+    b = np.zeros(n)
+    b[: m.nb] = m.b_coef
     c = np.zeros(n)
     c[0] = 1.0
-    return DeviceModel(name=name, A=A, b=b, c=c, d=float(d))
+    return DeviceModel(name=name, A=A, b=b, c=c)
 
 
 def identify_device(
-    y: SignalSeries,
-    name: str,
-    on_threshold: float,
-    settle_skip: int = 0,
-    na: int = 3,
-    nb: int = 3,
-    delay: int = 1,
+    y: SignalSeries, name: str, on_threshold: float, settle_skip: int = 0
 ) -> DeviceModel:
     """Full plug-recording pipeline: detect input, average transients, fit, realize.
 
     The model is called name; on_threshold and settle_skip go to
     detect_plug_input, which checks them.  The windows of
-    _transient_windows are averaged and fit once against a unit step; an
-    unstable fit is refit with na and nb capped at each of
-    FALLBACK_ORDERS in turn, raising the last UnstableModelError, and no
-    window raises ValidationError naming the device.  The identified
-    model keeps the recording's physical gain.  instant_off is set when
-    every detected off-switch collapses below INSTANT_OFF_FRACTION of its
-    on-level within INSTANT_OFF_WINDOW samples, and max_output gets
-    MAX_OUTPUT_HEADROOM times the observed peak.
+    _transient_windows are averaged and fit against a unit step at each
+    of FIT_ORDERS in turn, keeping the first fit that is of full rank and
+    stable; when none is, the last fit's RankDeficientDataError or
+    UnstableModelError is raised, and no window raises ValidationError
+    naming the device.  The identified model keeps the recording's
+    physical gain.  instant_off is set when every detected off-switch
+    collapses below INSTANT_OFF_FRACTION of its on-level within
+    INSTANT_OFF_WINDOW samples, and max_output gets MAX_OUTPUT_HEADROOM
+    times the observed peak.
     """
     u_pw = detect_plug_input(y, on_threshold, settle_skip)
     if not u_pw.events:
         raise ValidationError(f"no switch events detected for '{name}'; check on_threshold")
-    windows = _transient_windows(y, u_pw, on_threshold, delay)
+    windows = _transient_windows(y, u_pw, on_threshold)
     length = PRE_STEP_SAMPLES + POST_STEP_SAMPLES
     if not windows:
         raise ValidationError(f"no on interval of '{name}' holds the "
                               f"{length}-sample identification window")
     transient = SignalSeries(np.mean(windows, axis=0))
     step = SignalSeries(np.arange(length) >= PRE_STEP_SAMPLES)
-    orders = dict.fromkeys([(na, nb), *((min(na, o), min(nb, o)) for o in FALLBACK_ORDERS)])
-    for i, (na_i, nb_i) in enumerate(orders):
-        arx = fit_arx(transient, step, na=na_i, nb=nb_i, delay=delay)
+    for order in FIT_ORDERS:
         try:
-            model = arx_to_state_space(arx, name=name)
+            model = arx_to_state_space(fit_arx(transient, step, order, order), name=name)
             break
-        except UnstableModelError:
-            if i == len(orders) - 1:
+        except (RankDeficientDataError, UnstableModelError):
+            if order == FIT_ORDERS[-1]:
                 raise
     peak = MAX_OUTPUT_HEADROOM * float(np.max(y.values))
     return replace(model, instant_off=_offs_are_instant(y, u_pw), max_output=peak)
 
 
-def _transient_windows(y: SignalSeries, u_pw: PiecewiseInput, on_threshold: float, delay: int):
+def _transient_windows(y: SignalSeries, u_pw: PiecewiseInput, on_threshold: float):
     """Each on interval's rise around its onset, per unit of its step.
 
     An off shorter than PRE_STEP_SAMPLES is a dip of one transient and
     counts as on.  The onset follows the last quiet sample before the
     crossing: one that is off, not alone, and at most the median of the
     samples at or below on_threshold plus ONSET_SIGMAS of the first
-    differences.  The step sits delay samples before it.  A window that
-    starts before the last longer off or ends after its interval's off is
-    skipped, so an interval split by dips gives one window; each is offset
-    by its pre-step mean and divided by the level above that.
+    differences.  The step sits one sample, the ARX input delay, before
+    it.  A window that starts before the last longer off or ends after
+    its interval's off is skipped, so an interval split by dips gives one
+    window; each is offset by its pre-step mean and divided by the level
+    above that.
     """
     values = y.values
     off_values = values[values <= on_threshold]
@@ -257,7 +229,7 @@ def _transient_windows(y: SignalSeries, u_pw: PiecewiseInput, on_threshold: floa
     windows: dict[int, np.ndarray] = {}
     for p, end, level in spans:
         onset = int(quiet[np.searchsorted(quiet, p) - 1]) + 1
-        start, stop = onset - delay - PRE_STEP_SAMPLES, onset - delay + POST_STEP_SAMPLES
+        start, stop = onset - 1 - PRE_STEP_SAMPLES, onset - 1 + POST_STEP_SAMPLES
         if level > 0.0 and start >= offs[np.searchsorted(offs, p) - 1] and stop <= end:
             base = float(np.mean(values[start : start + PRE_STEP_SAMPLES]))
             if level > base:

@@ -168,7 +168,7 @@ def test_criterion_5_model_and_arx_invariants():
             if k >= 2:
                 acc += a[1] * y[k - 2] + b[1] * u[k - 2]
             y[k] = acc
-        m = fit_arx(series(y), series(u), na=2, nb=2, delay=1)
+        m = fit_arx(series(y), series(u), na=2, nb=2)
         np.testing.assert_allclose(m.a, a, atol=1e-8)
         np.testing.assert_allclose(m.b_coef, b, atol=1e-8)
         fits += 1

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shutil
 import sys
 import types
@@ -284,8 +285,8 @@ def test_result_dataclasses_hold_only_scalars(cls):
     assert set(hints) == {f.name for f in fields(cls)}
 
 
-def _write_plug_recording(path):
-    model = random_stable_model(3, 4, instant_off=True)
+def _write_plug_recording(path, model=None):
+    model = model or random_stable_model(3, 4, instant_off=True)
     schedule = PiecewiseInput(((30, 5.0), (200, 0.0), (280, 5.0), (430, 0.0)))
     y = simulate_zero_state(model, hold(schedule, 0, 520, 1 / 12.0))
     n = len(y)
@@ -315,20 +316,39 @@ def test_identify_appends_library_entry(tmp_path):
     assert lib[0].instant_off
 
 
-def test_identify_rejects_negative_delay(tmp_path, capsys):
+def test_identify_fits_a_noiseless_first_order_plug_at_order_one(tmp_path, capsys):
+    # Order 3 is rank deficient on this plug and order 2 unstable (spectral
+    # radius 1 - 3e-11), so the fit is the order-1 one, pinned to the bit.
+    rec_path = tmp_path / "plug.csv"
+    _write_plug_recording(rec_path, DeviceModel("slow", A=[[0.9]], b=[0.1], c=[1.0]))
+    lib_path = tmp_path / "lib.json"
+    assert main([
+        "identify", "--input", str(rec_path), "--name", "fridge", "--threshold", "1.0",
+        "--settle-skip", "10", "--library", str(lib_path),
+    ]) == 0
+    assert capsys.readouterr().out == (
+        f"identified 'fridge' (order 1, instant_off=False) -> {lib_path}\n")
+    [model] = load_library(lib_path)
+    assert [model.A[0, 0].hex(), model.b[0].hex()] == [
+        "0x1.ccccccccccccep-1", "0x1.b5a05cae5e17dp-4"]
+    assert (model.c.tolist(), model.d, model.max_output) == ([1.0], 0.0, 6.249999895982449)
+
+
+@pytest.mark.parametrize("flag", ["--na", "--nb", "--delay"])
+def test_identify_has_no_model_structure_flag(tmp_path, capsys, flag):
+    # identify works out the model order from the data, and the input
+    # delay is one sample.
+    assert main(["identify", "--help"]) == 0
+    assert re.search(rf"{flag}\b", capsys.readouterr().out) is None
     rec_path = tmp_path / "plug.csv"
     _write_plug_recording(rec_path)
     lib_path = tmp_path / "lib.json"
     code = main([
-        "identify",
-        "--input", str(rec_path),
-        "--name", "kettle",
-        "--threshold", "1.0",
-        "--delay", "-1",
-        "--library", str(lib_path),
+        "identify", "--input", str(rec_path), "--name", "kettle", "--threshold", "1.0",
+        flag, "2", "--library", str(lib_path),
     ])
     assert code == 1
-    assert capsys.readouterr().err == "error: delay must be >= 0, got -1\n"
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 2\n")
     assert not lib_path.exists()
 
 
@@ -576,6 +596,25 @@ def test_plot_data_rejects_a_result_whose_estimates_overflow(pipeline_dir, tmp_p
                  "--input", str(work / "sim" / "aggregate.csv"), "--out", str(plot)]) == 1
     _assert_one_non_finite_sample_line(capsys.readouterr().err)
     assert not plot.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_evaluate_rejects_a_result_whose_estimate_total_overflows(tmp_path, capsys):
+    # Each on level of 1e308 gives a finite estimate, but not their sum.
+    sim, res, metrics = _run_reference_pipeline(tmp_path, seed=7)
+    metrics.unlink()
+
+    def overflow(data):
+        for event in data["events"]:
+            if event["kind"] == "on":
+                event["level"] = 1e308
+
+    _edit_json(overflow)(res / "result.json")
+    capsys.readouterr()
+    assert main(["evaluate", "--result", str(res), "--truth", str(sim / "scenario.json"),
+                 "--out", str(metrics)]) == 1
+    _assert_one_non_finite_sample_line(capsys.readouterr().err)
+    assert not metrics.exists()
 
 
 @pytest.mark.parametrize("length", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])

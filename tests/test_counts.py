@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from disagg import (
-    ArxModel,
     DeviceModel,
     EmonRecording,
     EngineParams,
@@ -52,7 +51,6 @@ COUNTS = [
     ("settle_skip", 0, lambda v: detect_plug_input(PLUG, 0.5, settle_skip=v)),
     ("na", 1, lambda v: fit_arx(*ARX_SIGNALS, na=v, nb=1)),
     ("nb", 1, lambda v: fit_arx(*ARX_SIGNALS, na=1, nb=v)),
-    ("delay", 0, lambda v: ArxModel(a=(0.5,), b_coef=(1.0,), delay=v)),
     ("length", 0, lambda v: unit_step_values(DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0]), v)),
 ]
 

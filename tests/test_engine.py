@@ -1176,6 +1176,22 @@ def test_resolve_threshold_floor_for_noiseless():
     assert 0 < thr <= 1e-9
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_non_finite_noise_threshold_is_rejected_before_the_search(monkeypatch):
+    # The first differences of +-1e308 overflow to +-inf, so the noise
+    # level, and with it the threshold, is nan (inf - inf); EngineParams'
+    # rule rejects it.
+    scans = []
+    monkeypatch.setattr(_Engine, "_scan", lambda self, hyp, p0: scans.append(p0))
+    y = series(np.tile([1e308, -1e308], 50))
+    model = DeviceModel("m", A=[[0.5]], b=[0.5], c=[1.0])
+    message = "deviation_threshold must be finite and > 0 when given, got nan"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        disaggregate(y, [model])
+    assert scans == []
+
+
 def test_engine_params_validation():
     with pytest.raises(ValidationError):
         EngineParams(persistence=0)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -192,8 +193,8 @@ def test_detect_matches_run_length_oracle_property():
 
 # ---------------------------------------------------------------- ARX fit
 
-def _arx_generate(a, b_coef, delay, u, rng=None, noise=0.0):
-    """Independent oracle: direct ARX recursion."""
+def _arx_generate(a, b_coef, u, rng=None, noise=0.0):
+    """Independent oracle: direct ARX recursion, input delayed one sample."""
     na, nb = len(a), len(b_coef)
     y = np.zeros(len(u))
     for k in range(len(u)):
@@ -202,8 +203,8 @@ def _arx_generate(a, b_coef, delay, u, rng=None, noise=0.0):
             if k - j >= 0:
                 acc += a[j - 1] * y[k - j]
         for j in range(nb):
-            if k - delay - j >= 0:
-                acc += b_coef[j] * u[k - delay - j]
+            if k - 1 - j >= 0:
+                acc += b_coef[j] * u[k - 1 - j]
         if noise:
             acc += noise * rng.normal()
         y[k] = acc
@@ -213,8 +214,8 @@ def _arx_generate(a, b_coef, delay, u, rng=None, noise=0.0):
 def test_fit_arx_recovers_first_order_exactly():
     rng = np.random.default_rng(0)
     u = rng.normal(size=200)
-    y = _arx_generate([0.5], [0.5], 1, u)
-    m = fit_arx(series(y), series(u), na=1, nb=1, delay=1)
+    y = _arx_generate([0.5], [0.5], u)
+    m = fit_arx(series(y), series(u), na=1, nb=1)
     np.testing.assert_allclose(m.a, [0.5], atol=1e-8)
     np.testing.assert_allclose(m.b_coef, [0.5], atol=1e-8)
     assert spectral_radius(arx_to_state_space(m).A) < 1.0 - STABILITY_MARGIN
@@ -222,15 +223,15 @@ def test_fit_arx_recovers_first_order_exactly():
 
 def test_fit_arx_rank_deficient_on_zero_data():
     with pytest.raises(RankDeficientDataError):
-        fit_arx(series(np.zeros(50)), series(np.zeros(50)), na=1, nb=1, delay=1)
+        fit_arx(series(np.zeros(50)), series(np.zeros(50)), na=1, nb=1)
 
 
 def test_fit_arx_noisy_recovery_within_tolerance():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         u = rng.normal(size=400)
-        y = _arx_generate([0.5], [0.5], 1, u, rng=rng, noise=0.01)
-        m = fit_arx(series(y), series(u), na=1, nb=1, delay=1)
+        y = _arx_generate([0.5], [0.5], u, rng=rng, noise=0.01)
+        m = fit_arx(series(y), series(u), na=1, nb=1)
         assert abs(m.a[0] - 0.5) < 0.05
         assert abs(m.b_coef[0] - 0.5) < 0.05
 
@@ -240,8 +241,8 @@ def test_fit_arx_third_order_exact():
     a = [1.2, -0.5, 0.06]
     b = [0.4, 0.2, -0.1]
     u = rng.normal(size=500)
-    y = _arx_generate(a, b, 1, u)
-    m = fit_arx(series(y), series(u), na=3, nb=3, delay=1)
+    y = _arx_generate(a, b, u)
+    m = fit_arx(series(y), series(u), na=3, nb=3)
     np.testing.assert_allclose(m.a, a, atol=1e-8)
     np.testing.assert_allclose(m.b_coef, b, atol=1e-8)
 
@@ -250,9 +251,9 @@ def test_fit_arx_residual_never_beats_zero_model():
     rng = np.random.default_rng(9)
     for _ in range(10):
         u = rng.normal(size=150)
-        y = _arx_generate([0.7], [0.3], 1, u, rng=rng, noise=0.2)
-        m = fit_arx(series(y), series(u), na=2, nb=2, delay=1)
-        # Regression rows k >= p0 = max(na, delay + nb - 1) = 2.
+        y = _arx_generate([0.7], [0.3], u, rng=rng, noise=0.2)
+        m = fit_arx(series(y), series(u), na=2, nb=2)
+        # Regression rows k >= p0 = max(na, nb) = 2.
         rows = np.arange(2, len(y))
         fitted = sum(m.a[j] * y[rows - 1 - j] for j in range(2))
         fitted = fitted + sum(m.b_coef[j] * u[rows - 1 - j] for j in range(2))
@@ -264,31 +265,30 @@ def test_fit_arx_residual_never_beats_zero_model():
 def test_fit_arx_returns_unstable_fit_that_cannot_be_realized():
     # Data from a (bounded run of an) unstable recursion.
     u = np.concatenate([np.ones(30), np.zeros(10)])
-    y = _arx_generate([1.05], [0.5], 1, u)
-    m = fit_arx(series(y), series(u), na=1, nb=1, delay=1)
+    y = _arx_generate([1.05], [0.5], u)
+    m = fit_arx(series(y), series(u), na=1, nb=1)
     with pytest.raises(UnstableModelError, match="model 'arx'"):
         arx_to_state_space(m)
 
 
 @pytest.mark.parametrize(
-    "na, nb, delay, message",
+    "na, nb, message",
     [
-        (0, 2, 1, "na must be >= 1, got 0"),
-        (2, 0, 1, "nb must be >= 1, got 0"),
-        (2, 2, -1, "delay must be >= 0, got -1"),
+        (0, 2, "na must be >= 1, got 0"),
+        (2, 0, "nb must be >= 1, got 0"),
     ],
 )
-def test_fit_arx_rejects_bad_orders_before_regression(na, nb, delay, message):
+def test_fit_arx_rejects_bad_orders_before_regression(na, nb, message):
     rng = np.random.default_rng(3)
     u = rng.normal(size=100)
-    y = _arx_generate([0.5], [0.5], 1, u)
+    y = _arx_generate([0.5], [0.5], u)
     with pytest.raises(ValidationError, match=message):
-        fit_arx(series(y), series(u), na=na, nb=nb, delay=delay)
+        fit_arx(series(y), series(u), na=na, nb=nb)
 
 
 def test_fit_arx_length_precondition():
     with pytest.raises(ValidationError):
-        fit_arx(series(np.ones(5)), series(np.ones(5)), na=3, nb=3, delay=1)
+        fit_arx(series(np.ones(5)), series(np.ones(5)), na=3, nb=3)
 
 
 def test_fit_arx_rejects_y_and_u_of_different_lengths():
@@ -320,7 +320,7 @@ def test_arx_model_coefficients_follow_the_real_rule(field, value, message):
 # ------------------------------------------------------- state-space export
 
 def test_realization_first_order_canonical():
-    m = ArxModel(a=(0.5,), b_coef=(0.5,), delay=1)
+    m = ArxModel(a=(0.5,), b_coef=(0.5,))
     ss = arx_to_state_space(m)
     np.testing.assert_allclose(ss.A, [[0.5]])
     np.testing.assert_allclose(ss.b, [0.5])
@@ -330,22 +330,24 @@ def test_realization_first_order_canonical():
 
 def test_realization_matches_arx_recursion():
     rng = np.random.default_rng(2)
+    # na = nb, nb > na and na > nb: the realization has order max(na, nb).
     cases = [
-        ((0.9, -0.2), (0.3, 0.1), 1),
-        ((0.5,), (1.0, 0.5, 0.25), 2),
-        ((1.2, -0.45), (0.7,), 0),
+        ((0.9, -0.2), (0.3, 0.1)),
+        ((0.5,), (1.0, 0.5, 0.25)),
+        ((1.2, -0.45), (0.7,)),
     ]
-    for a, b_coef, delay in cases:
-        m = ArxModel(a=a, b_coef=b_coef, delay=delay)
+    for a, b_coef in cases:
+        m = ArxModel(a=a, b_coef=b_coef)
         ss = arx_to_state_space(m)
+        assert ss.order == max(len(a), len(b_coef))
         u = rng.normal(size=1000)
-        expected = _arx_generate(list(a), list(b_coef), delay, u)
+        expected = _arx_generate(list(a), list(b_coef), u)
         got = simulate_zero_state(ss, series(u))
         np.testing.assert_allclose(got.values, expected, atol=1e-8)
 
 
 def test_realization_rejects_unstable():
-    m = ArxModel(a=(1.01,), b_coef=(1.0,), delay=1)
+    m = ArxModel(a=(1.01,), b_coef=(1.0,))
     with pytest.raises(UnstableModelError):
         arx_to_state_space(m)
 
@@ -354,7 +356,7 @@ def test_realization_rejects_pole_within_the_stability_margin():
     # A pole at 1 - 5e-10 is below 1 but not below 1 - STABILITY_MARGIN:
     # realizing it must fail, or identify would write a library entry
     # that load_library rejects.
-    m = ArxModel(a=(1.0 - 5e-10,), b_coef=(1.0,), delay=1)
+    m = ArxModel(a=(1.0 - 5e-10,), b_coef=(1.0,))
     with pytest.raises(UnstableModelError, match="model 'edge'"):
         arx_to_state_space(m, name="edge")
 
@@ -387,7 +389,7 @@ def test_identify_clears_instant_off_for_slow_decay():
     truth = DeviceModel("slow", A=[[0.9]], b=[0.1], c=[1.0])  # 14 samples to halve twice
     schedule = PiecewiseInput(((30, 4.0), (220, 0.0)))
     y = simulate_zero_state(truth, hold(schedule, 0, 300))
-    fitted = identify_device(y, "fridge", on_threshold=1.0, settle_skip=10, na=1, nb=1)
+    fitted = identify_device(y, "fridge", on_threshold=1.0, settle_skip=10)
     assert not fitted.instant_off
 
 
@@ -434,7 +436,7 @@ def test_transient_split_by_a_dip_gives_one_window_from_its_onset():
     y = series(values)
     u = detect_plug_input(y, 1.0)
     assert [k for k, level in u.events if level > 0] == [20, 24]
-    windows = _transient_windows(y, u, 1.0, delay=1)
+    windows = _transient_windows(y, u, 1.0)
     assert len(windows) == 1
     np.testing.assert_array_equal(windows[0], values[9:139] / 4.0)
 
@@ -448,7 +450,7 @@ def test_a_lone_quiet_sample_in_a_rise_does_not_end_the_walk():
     y = series(values)
     u = detect_plug_input(y, 1.0)
     assert u.events == ((22, 4.0),)
-    windows = _transient_windows(y, u, 1.0, delay=1)
+    windows = _transient_windows(y, u, 1.0)
     assert len(windows) == 1
     np.testing.assert_array_equal(windows[0], values[9:139] / 4.0)
 
@@ -465,7 +467,7 @@ def test_an_off_shorter_than_the_pre_step_is_a_dip_even_when_quiet(gap, first):
     y = series(values)
     u = detect_plug_input(y, 1.0)
     assert u.events == ((20, 4.0), (60, 0.0), (60 + gap, 4.0), (240, 0.0))
-    windows = _transient_windows(y, u, 1.0, delay=1)
+    windows = _transient_windows(y, u, 1.0)
     if first is None:
         assert windows == []
     else:
@@ -508,10 +510,10 @@ def test_decay_bridging_two_intervals_gives_no_mixed_window():
     )
     y = simulate_zero_state(truth, hold(schedule, 0, 700))
     u = detect_plug_input(y, 1.0, settle_skip=60)
-    windows = _transient_windows(y, u, 1.0, delay=1)
+    windows = _transient_windows(y, u, 1.0)
     assert len(windows) == 1
     # The level includes the slow decay after the off, so compare shapes.
-    fitted = identify_device(y, "fridge", on_threshold=1.0, settle_skip=60, na=1, nb=1)
+    fitted = identify_device(y, "fridge", on_threshold=1.0, settle_skip=60)
     g_fit = unit_step_values(fitted, 120)
     g_true = unit_step_values(truth, 120)
     assert np.max(np.abs(g_fit / g_fit[-1] - g_true / g_true[-1])) <= 0.02
@@ -533,6 +535,67 @@ def test_identify_refits_at_order_two_when_the_first_fit_is_unstable(monkeypatch
     fitted = identify_device(y, "d", on_threshold=1.0, settle_skip=10)
     assert orders == [(3, 3), (2, 2)]
     assert fitted.order == 2
+
+
+def _lag_plug(poles, noise, seed):
+    """A plug on at level 4 for 200 samples from 30 and from 330, and off at
+    once; its rise is a cascade of lags, each of unit gain at a pole below 1
+    and a ramp of 0.02 per sample at a pole of 1."""
+    g = np.ones(200)
+    for pole in poles:
+        x, g = g, np.zeros(200)
+        for k in range(1, 200):
+            g[k] = pole * g[k - 1] + (1.0 - pole if pole < 1.0 else 0.02) * x[k - 1]
+    values = np.zeros(600)
+    values[30:230] = values[330:530] = 4.0 * g
+    return series(values + np.random.default_rng(seed).normal(0.0, noise, 600))
+
+
+def _order_rule_oracle(y, on_threshold, settle_skip):
+    """The realized fit_arx model of the averaged transient at the first of
+    orders 3, 2 and 1 that is of full rank and stable, or the last error."""
+    u_pw = detect_plug_input(y, on_threshold, settle_skip)
+    transient = SignalSeries(np.mean(_transient_windows(y, u_pw, on_threshold), axis=0))
+    step = SignalSeries(np.arange(130) >= 10)
+    for order in (3, 2, 1):
+        try:
+            return arx_to_state_space(fit_arx(transient, step, order, order), "d")
+        except (RankDeficientDataError, UnstableModelError) as exc:
+            error = exc
+    raise error
+
+
+def test_identify_fits_the_first_full_rank_stable_order_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        poles=st.lists(st.sampled_from([0.0, 0.5, 0.9, 0.97, 1.0]), min_size=1, max_size=3),
+        noise=st.sampled_from([0.0, 1e-6, 1e-3, 0.05]),
+        seed=st.integers(0, 3),
+    )
+    # Fits at orders 3, 2 and 1: full rank and stable (ok), rank deficient
+    # (rank) or unstable.
+    @example(poles=[0.5, 0.9, 0.97], noise=1e-3, seed=0)  # ok, ok, ok
+    @example(poles=[1.0], noise=1e-6, seed=0)  # unstable, ok, unstable
+    @example(poles=[0.5, 0.5], noise=0.0, seed=0)  # rank, ok, ok
+    @example(poles=[0.9], noise=0.0, seed=0)  # rank, rank, ok
+    @example(poles=[0.5, 1.0], noise=1e-3, seed=0)  # unstable at every order
+    @example(poles=[1.0], noise=0.0, seed=0)  # rank, rank, unstable
+    def check(poles, noise, seed):
+        y = _lag_plug(poles, noise, seed)
+        try:
+            expected = _order_rule_oracle(y, 1.0, 10)
+        except (RankDeficientDataError, UnstableModelError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                identify_device(y, "d", 1.0, 10)
+            return
+        fitted = identify_device(y, "d", 1.0, 10)
+        assert fitted == replace(
+            expected, instant_off=fitted.instant_off, max_output=fitted.max_output)
+
+    check()
 
 
 @pytest.mark.parametrize("seed", [100, 101])
